@@ -7,10 +7,10 @@ per setting:
     value = base + sum_i n_i . g_i
 
 The best directions are therefore independent per setting, and the
-attainable optimum is base - sum |g_i|. The grid searcher (with two
-refinement rounds) and the simplex polish both land on that bound, and
-for the GHZ and W states the published x, y, z settings turn out to sit
-exactly on it, which is why the threshold tables fix them.
+attainable optimum is base - sum |g_i|, reached at n_i = -g_i/|g_i|.
+The optimizing search returns exactly those directions, and for the GHZ
+and W states the published x, y, z settings turn out to sit on the
+bound, which is why the threshold tables fix them.
 """
 
 import numpy as np

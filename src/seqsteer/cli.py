@@ -12,10 +12,10 @@ A config file (INI style) can preload any flag; flags given on the
 command line win.  Recognized sections and keys:
 
   [run]     state, scenario, direction, ineq, lambdas, format, out
-  [search]  tol, grid, optimizer, all_violate
+  [search]  tol, optimizer, all_violate
 
-The SEQSTEER_THREADS environment variable caps worker threads used by
-the direction search.
+A value is checked the same way whether it comes from a flag or from
+the config file; a bad one exits with status 2.
 """
 
 import argparse
@@ -27,7 +27,6 @@ from .cascade import Scenario, ScenarioSpec, no_signalling_audit, run_cascade
 from .inequalities import InequalityKind, SteeringDirection
 from .measurement import SettingTriple
 from .search import (
-    AngleGrid,
     Optimizer,
     SearchConfig,
     SearchError,
@@ -40,7 +39,8 @@ from .states import GHZ, W, StateFormatError, StateKind, custom_spec
 AUDIT_BOUND = 1e-10
 
 _RUN_KEYS = ("state", "scenario", "direction", "ineq", "lambdas", "format", "out")
-_SEARCH_KEYS = ("tol", "grid", "optimizer", "all_violate")
+_SEARCH_KEYS = ("tol", "optimizer", "all_violate")
+_FORMATS = ("text", "csv", "json")
 
 _FALLBACK_INEQ = {
     (StateKind.GHZ, SteeringDirection.ONE_TO_TWO): InequalityKind.G1,
@@ -85,6 +85,29 @@ def _parse_lambdas(text):
     if not out:
         raise UsageError("--lambdas needs at least one value")
     return tuple(out)
+
+
+def _parse_choice(name, text, choices):
+    """The member of choices (enum members or strings) named by text,
+    or None when text is None."""
+    if text is None:
+        return None
+    names = [getattr(c, "value", c) for c in choices]
+    if text not in names:
+        raise UsageError(
+            f"unknown {name} {text!r}; expected one of " + ", ".join(names)
+        )
+    return list(choices)[names.index(text)]
+
+
+def _parse_tol(text):
+    try:
+        tol = float(text)
+    except ValueError:
+        raise UsageError(f"cannot parse tolerance {text!r} as a number")
+    if not 0.0 < tol < 1.0:
+        raise UsageError(f"tolerance {tol} outside (0, 1)")
+    return tol
 
 
 def _parse_bool(text, key):
@@ -135,22 +158,19 @@ def _build_parser():
     def add_common(p):
         p.add_argument("--config", help="INI config file preloading any flag")
         p.add_argument("--state", help="ghz, w or custom:<path>")
-        p.add_argument("--scenario", choices=["A", "B"], help="which wing hosts the chain (default A)")
+        p.add_argument("--scenario", help="A or B: which wing hosts the chain (default A)")
         p.add_argument(
             "--direction",
-            choices=[d.value for d in SteeringDirection],
-            help="steering direction; picks the inequality for ghz/w states",
+            help="1to2 or 2to1: picks the inequality for ghz/w states",
         )
         p.add_argument(
             "--ineq",
-            choices=[k.value for k in InequalityKind],
-            help="inequality to evaluate (required for custom states)",
+            help="g1, g2, w1 or w2: inequality to evaluate (required for custom states)",
         )
         p.add_argument("--lambdas", help="comma-separated sharpness list, e.g. 0.627,0.736")
-        p.add_argument("--format", choices=["text", "csv", "json"], help="output format (default text)")
+        p.add_argument("--format", help="text, csv or json (default text)")
         p.add_argument("--out", help="write output to this file instead of stdout")
-        p.add_argument("--tol", type=float, help="bisection tolerance (default 1e-4)")
-        p.add_argument("--grid", type=int, help="polar samples for direction search (default 13)")
+        p.add_argument("--tol", help="bisection tolerance in (0, 1) (default 1e-4)")
 
     add_common(sub.add_parser("cascade", help="run a chain and report every value"))
     add_common(sub.add_parser("threshold", help="minimal violating sharpness"))
@@ -164,27 +184,25 @@ def _resolve(args):
     """Merge config file and flags into a settled options dict."""
     cfg = load_config(args.config) if args.config else {}
 
-    def pick(name):
+    def pick(name, default=None):
         flag = getattr(args, name, None)
         if flag is not None:
-            return str(flag)
-        return cfg.get(name)
+            return flag
+        return cfg.get(name, default)
 
-    state = _parse_state(pick("state") or "ghz")
-    scenario = Scenario(pick("scenario") or "A")
+    state = _parse_state(pick("state", "ghz"))
+    scenario = _parse_choice("scenario", pick("scenario", "A"), Scenario)
 
-    direction_text = pick("direction")
-    ineq_text = pick("ineq")
-    if ineq_text is not None:
-        inequality = InequalityKind(ineq_text)
-        if direction_text is not None and inequality.direction.value != direction_text:
+    direction = _parse_choice("direction", pick("direction"), SteeringDirection)
+    inequality = _parse_choice("ineq", pick("ineq"), InequalityKind)
+    if inequality is not None:
+        if direction is not None and inequality.direction is not direction:
             raise UsageError(
                 f"--ineq {inequality.value} is a {inequality.direction.value} "
-                f"inequality, which contradicts --direction {direction_text}"
+                f"inequality, which contradicts --direction {direction.value}"
             )
     else:
-        direction = SteeringDirection(direction_text or "1to2")
-        key = (state.kind, direction)
+        key = (state.kind, direction or SteeringDirection.ONE_TO_TWO)
         if key not in _FALLBACK_INEQ:
             raise UsageError("a custom state needs an explicit --ineq")
         inequality = _FALLBACK_INEQ[key]
@@ -193,28 +211,9 @@ def _resolve(args):
     lambdas = _parse_lambdas(lambdas_text) if lambdas_text else None
 
     tol_text = pick("tol")
-    grid_text = pick("grid")
-    optimizer_text = cfg.get("optimizer")
+    tol = _parse_tol(tol_text) if tol_text is not None else 1e-4
+    optimizer = _parse_choice("optimizer", cfg.get("optimizer"), Optimizer)
     all_violate_text = cfg.get("all_violate")
-
-    tol = float(tol_text) if tol_text is not None else 1e-4
-    if grid_text is not None:
-        n = int(grid_text)
-        if n < 2:
-            raise UsageError(f"--grid needs at least 2 samples, got {n}")
-        grid = AngleGrid(theta_samples=n, phi_samples=2 * n - 1)
-    else:
-        grid = AngleGrid()
-    if optimizer_text is not None:
-        try:
-            optimizer = Optimizer(optimizer_text.strip())
-        except ValueError:
-            raise UsageError(
-                f"unknown optimizer {optimizer_text!r}; valid: "
-                + ", ".join(o.value for o in Optimizer)
-            )
-    else:
-        optimizer = None
     all_violate = (
         _parse_bool(all_violate_text, "all_violate")
         if all_violate_text is not None
@@ -226,10 +225,9 @@ def _resolve(args):
         "scenario": scenario,
         "inequality": inequality,
         "lambdas": lambdas,
-        "format": pick("format") or "text",
+        "format": _parse_choice("format", pick("format", "text"), _FORMATS),
         "out": pick("out"),
         "tol": tol,
-        "grid": grid,
         "optimizer": optimizer,
         "all_violate": all_violate,
     }
@@ -239,7 +237,6 @@ def _search_config(opts, default_optimizer=Optimizer.FIXED_XYZ):
     return SearchConfig(
         tol=opts["tol"],
         optimizer=opts["optimizer"] or default_optimizer,
-        grid=opts["grid"],
         require_all_violate=opts["all_violate"],
     )
 

@@ -9,9 +9,7 @@ extends before even a projective measurement stops violating.
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -44,34 +42,16 @@ class SearchError(RuntimeError):
 
 
 class Optimizer(Enum):
-    """How each observer's three measurement directions are chosen."""
+    """How each observer's three measurement directions are chosen.
+
+    FIXED_XYZ scores the x, y, z settings as-is.  GRID_REFINE puts each
+    setting at its closed-form optimum -v/|v| (see
+    direction_coefficients); it keeps the name of the grid search it
+    replaced so that existing configs still select it.
+    """
 
     FIXED_XYZ = "fixed-xyz"
     GRID_REFINE = "grid-refine"
-    NELDER_MEAD_LIKE = "nelder-mead-like"
-
-
-@dataclass(frozen=True)
-class AngleGrid:
-    """Sampling plan for direction search on the Bloch sphere.
-
-    The first pass covers the whole sphere; each refinement round
-    re-samples the same number of points in a window shrunk around the
-    running best.
-    """
-
-    theta_samples: int = 13
-    phi_samples: int = 25
-    refine_rounds: int = 2
-    shrink: float = 4.0
-
-    def __post_init__(self):
-        if self.theta_samples < 2 or self.phi_samples < 2:
-            raise ValueError("grid needs at least 2 samples per angle")
-        if self.refine_rounds < 0:
-            raise ValueError("refine_rounds must be non-negative")
-        if self.shrink <= 1.0:
-            raise ValueError("shrink must exceed 1")
 
 
 @dataclass(frozen=True)
@@ -79,7 +59,6 @@ class SearchConfig:
     tol: float = 1e-4
     max_iter: int = 200
     optimizer: Optimizer = Optimizer.FIXED_XYZ
-    grid: AngleGrid = field(default_factory=AngleGrid)
     guard: float = VIOLATION_GUARD
     # When True (the reported convention) every observer in a table is
     # pinned just above their own threshold, so all of them violate.
@@ -96,18 +75,6 @@ class SearchConfig:
             raise ValueError("max_iter must be positive")
         if self.max_rows < 1:
             raise ValueError("max_rows must be positive")
-
-
-def worker_count():
-    """Worker cap from the SEQSTEER_THREADS environment variable."""
-    raw = os.environ.get("SEQSTEER_THREADS", "")
-    if not raw.strip():
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise SearchError(f"SEQSTEER_THREADS must be an integer, got {raw!r}")
-    return max(1, n)
 
 
 def direction_coefficients(rho, scenario, inequality, lam):
@@ -152,16 +119,6 @@ def direction_coefficients(rho, scenario, inequality, lam):
     return base, vecs
 
 
-def _unit_vector(theta, phi):
-    return np.array(
-        [
-            math.sin(theta) * math.cos(phi),
-            math.sin(theta) * math.sin(phi),
-            math.cos(theta),
-        ]
-    )
-
-
 def _direction_from_vector(v):
     norm = float(np.linalg.norm(v))
     if norm < 1e-15:
@@ -171,88 +128,57 @@ def _direction_from_vector(v):
     return BlochDirection(theta, phi)
 
 
-def _window_samples(center, half_width, lo, hi, count):
-    a = max(lo, center - half_width)
-    b = min(hi, center + half_width)
-    return np.linspace(a, b, count)
+# The six signed axes, tried before the analytic direction so that an
+# exact axis optimum keeps its exact angles.
+_AXES = (
+    Z_DIR,
+    X_DIR,
+    Y_DIR,
+    BlochDirection(math.pi / 2, math.pi),
+    BlochDirection(math.pi / 2, 3 * math.pi / 2),
+    BlochDirection(math.pi, 0.0),
+)
 
 
-def _scan_direction(vec, grid, workers=1):
-    """Direction minimizing n . vec over the sampling plan.
+def _best_direction(vec):
+    """Direction n minimizing n . vec, with the value it attains.
 
-    The exact optimum is -|vec| at n = -vec/|vec|; the grid search is
-    kept because it is the documented behaviour, but the analytic
-    direction is added to the candidate pool, as are the three
-    coordinate axes, so the result can never be worse than either.
+    The optimum is n = -vec/|vec| with value -|vec|.  A later candidate
+    replaces an earlier one only when it is lower by more than 1e-15, so
+    on an axis the rounding noise of -vec/|vec| never shows in the
+    angles.
     """
-    thetas = np.linspace(0.0, math.pi, grid.theta_samples)
-    phis = np.linspace(0.0, 2.0 * math.pi, grid.phi_samples)
-    best = None
-
-    def chunk_min(pairs):
-        low = None
-        for theta, phi in pairs:
-            value = float(_unit_vector(theta, phi) @ vec)
-            if low is None or value < low[0] - 1e-15:
-                low = (value, theta, phi)
-        return low
-
-    for round_index in range(grid.refine_rounds + 1):
-        pairs = [(t, p) for t in thetas for p in phis]
-        if workers > 1 and len(pairs) > 64:
-            # chunks partition the grid in order, so reducing their
-            # minima in chunk order is deterministic
-            chunks = np.array_split(np.array(pairs), workers)
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                candidates = [c for c in pool.map(chunk_min, chunks) if c]
-        else:
-            candidates = [chunk_min(pairs)]
-        for low in candidates:
-            if best is None or low[0] < best[0] - 1e-15:
-                best = low
-        if round_index == grid.refine_rounds:
-            break
-        shrink = grid.shrink ** (round_index + 1)
-        _, theta0, phi0 = best
-        thetas = _window_samples(
-            theta0, math.pi / (2.0 * shrink), 0.0, math.pi, grid.theta_samples
-        )
-        phis = _window_samples(
-            phi0, math.pi / shrink, 0.0, 2.0 * math.pi, grid.phi_samples
-        )
-
-    for d in (X_DIR, Y_DIR, Z_DIR, _direction_from_vector(-np.asarray(vec))):
+    best, low = None, math.inf
+    for d in _AXES + (_direction_from_vector(-vec),):
         value = float(d.unit_vector() @ vec)
-        if value < best[0] - 1e-15:
-            best = (value, d.theta, d.phi)
-    return BlochDirection(best[1], best[2]), best[0]
+        if value < low - 1e-15:
+            best, low = d, value
+    return best, low
 
 
-def _polish_direction(vec, start):
-    """Local simplex descent of n(theta, phi) . vec from a grid start."""
-    from scipy.optimize import minimize
-
-    def objective(x):
-        return float(_unit_vector(x[0], x[1]) @ vec)
-
-    res = minimize(
-        objective,
-        x0=[start.theta, start.phi],
-        method="Nelder-Mead",
-        options={"xatol": 1e-10, "fatol": 1e-13, "maxiter": 400},
-    )
-    direction = _direction_from_vector(_unit_vector(res.x[0], res.x[1]))
-    return direction, float(direction.unit_vector() @ vec)
+def _settings_and_value(rho, scenario, inequality, lam, optimizer):
+    """The next observer's settings at sharpness lam, chosen per the
+    optimizer, and the inequality value they attain on rho."""
+    if optimizer is Optimizer.FIXED_XYZ:
+        triple = SettingTriple.xyz(lam)
+        return triple, value_from_state(rho, scenario, inequality, triple)
+    base, vecs = direction_coefficients(rho, scenario, inequality, lam)
+    directions = []
+    total = base
+    for vec in vecs:
+        direction, low = _best_direction(vec)
+        directions.append(direction)
+        total += low
+    return SettingTriple.from_directions(directions, lam), total
 
 
 def optimize_angles(spec, m, config=None):
     """Best measurement directions for observer m (1-based) of a chain.
 
     Predecessor observers keep the settings recorded in the spec; only
-    observer m's three directions are searched.  Returns the optimized
+    observer m's three directions are chosen.  Returns the optimized
     SettingTriple together with the inequality value it attains.  With
-    the FIXED_XYZ optimizer no search happens and the x, y, z settings
-    are scored as-is.
+    the FIXED_XYZ optimizer the x, y, z settings are scored as-is.
     """
     config = config or SearchConfig()
     if not 1 <= m <= len(spec.observers):
@@ -260,40 +186,7 @@ def optimize_angles(spec, m, config=None):
     seq = spec.sequential_wing
     rho = propagate(build_state(spec.state), seq, spec.observers[: m - 1])
     lam = spec.observers[m - 1].lam
-    if config.optimizer is Optimizer.FIXED_XYZ:
-        triple = SettingTriple.xyz(lam)
-        return triple, value_from_state(rho, spec.scenario, spec.inequality, triple)
-
-    base, vecs = direction_coefficients(rho, spec.scenario, spec.inequality, lam)
-    workers = worker_count()
-    directions = []
-    total = base
-    for vec in vecs:
-        direction, low = _scan_direction(vec, config.grid, workers)
-        if config.optimizer is Optimizer.NELDER_MEAD_LIKE:
-            polished, polished_low = _polish_direction(vec, direction)
-            if polished_low < low:
-                direction, low = polished, polished_low
-        directions.append(direction)
-        total += low
-    triple = SettingTriple.from_directions(directions, lam)
-    return triple, total
-
-
-def _value_at(rho, scenario, inequality, lam, config):
-    """Inequality value for the candidate observer at sharpness lam."""
-    if config.optimizer is Optimizer.FIXED_XYZ:
-        return value_from_state(rho, scenario, inequality, SettingTriple.xyz(lam))
-    base, vecs = direction_coefficients(rho, scenario, inequality, lam)
-    workers = worker_count()
-    total = base
-    for vec in vecs:
-        direction, low = _scan_direction(vec, config.grid, workers)
-        if config.optimizer is Optimizer.NELDER_MEAD_LIKE:
-            _, polished_low = _polish_direction(vec, direction)
-            low = min(low, polished_low)
-        total += low
-    return total
+    return _settings_and_value(rho, spec.scenario, spec.inequality, lam, config.optimizer)
 
 
 def threshold_lambda(prefix, config=None):
@@ -311,7 +204,9 @@ def threshold_lambda(prefix, config=None):
     rho = propagate(build_state(prefix.state), seq, prefix.observers)
 
     def f(lam):
-        return _value_at(rho, prefix.scenario, prefix.inequality, lam, config)
+        return _settings_and_value(
+            rho, prefix.scenario, prefix.inequality, lam, config.optimizer
+        )[1]
 
     f_sharp = f(1.0)
     if f_sharp >= -config.guard:

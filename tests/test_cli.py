@@ -215,18 +215,45 @@ def test_optimize_json_settings(capsys):
         assert set(entry) == {"theta", "phi"}
 
 
-def test_optimize_grid_flag(capsys):
-    code, out, _ = run(
-        capsys, "optimize", "--state", "w", "--ineq", "w1",
-        "--lambdas", "0.83", "--grid", "7", "--format", "json",
-    )
-    assert code == 0
-    # even a coarse grid lands on the separable optimum thanks to the
-    # axis candidates
-    assert json.loads(out)["value"] == pytest.approx(-0.445839, abs=1e-5)
+BAD_VALUES = [
+    ("run", "ineq", "zz"),
+    ("run", "scenario", "C"),
+    ("run", "direction", "3to0"),
+    ("run", "format", "xml"),
+    ("run", "state", "bell"),
+    ("run", "lambdas", "0.5,1.4"),
+    ("search", "tol", "abc"),
+    ("search", "tol", "5"),
+]
 
 
-def test_grid_needs_two_samples(capsys):
-    code, _, err = run(capsys, "optimize", "--grid", "1")
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("section,key,value", BAD_VALUES)
+def test_bad_values_are_usage_errors(capsys, tmp_path, source, section, key, value):
+    if source == "flag":
+        argv = [f"--{key}", value]
+    else:
+        cfg = tmp_path / "steer.ini"
+        cfg.write_text(f"[{section}]\n{key} = {value}\n")
+        argv = ["--config", str(cfg)]
+    code, out, err = run(capsys, "cascade", *argv)
     assert code == 2
-    assert "at least 2" in err
+    assert out == ""
+    assert err.startswith("error: ")
+    assert value.split(",")[-1] in err
+
+
+def test_retired_search_knobs_are_rejected(capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["optimize", "--grid", "7"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --grid 7" in capsys.readouterr().err
+    for body, message in (
+        ("optimizer = nelder-mead-like", "unknown optimizer 'nelder-mead-like'"),
+        ("grid = 13", "unknown key 'grid'"),
+    ):
+        cfg = tmp_path / "steer.ini"
+        cfg.write_text(f"[search]\n{body}\n")
+        code, _, err = run(capsys, "optimize", "--config", str(cfg))
+        assert code == 2
+        assert message in err
