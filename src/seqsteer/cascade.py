@@ -21,10 +21,9 @@ from itertools import product
 
 import numpy as np
 
-from .inequalities import InequalityKind, SteeringDirection, required_terms
+from .inequalities import InequalityKind, SteeringDirection, evaluate, required_terms, resolve
 from .measurement import (
     SettingTriple,
-    UnsharpSetting,
     averaged_channel,
     correlation1,
     correlation2,
@@ -46,19 +45,9 @@ class Scenario(Enum):
     def sequential_wing(self):
         return 0 if self is Scenario.A else 2
 
-
-_PAULI_DIR = {"X": X_DIR, "Y": Y_DIR, "Z": Z_DIR}
-# numbered settings of a non-sequential untrusted wing stay at the
-# published optimum: x, y, z in that order
-_NUMBERED_DIR = {
-    "A1": X_DIR, "A2": Y_DIR, "A3": Z_DIR,
-    "B1": X_DIR, "B2": Y_DIR, "B3": Z_DIR,
-}
-_SETTING_INDEX = {
-    "A1": 0, "A2": 1, "A3": 2,
-    "B1": 0, "B2": 1, "B3": 2,
-    "X": 0, "Y": 1, "Z": 2,
-}
+# n.sigma along x, y, z from direction_observable, not the exact Paulis:
+# the last bits of direction_coefficients depend on its cos(pi/2) terms
+_SIGMAS = tuple(direction_observable(d) for d in (X_DIR, Y_DIR, Z_DIR))
 
 
 @dataclass(frozen=True)
@@ -118,45 +107,47 @@ def xyz_spec(scenario, inequality, state, lambdas):
     )
 
 
-def _resolve_term(ops, seq_wing, triple):
-    """Per-wing measurement directions for one term.
+def term_expectations(rho, inequality, seq_wing):
+    """Each term of the functional traced once on rho, as ops -> (slot, x).
 
-    Returns a list of three entries, each None (identity) or a
-    BlochDirection. On the sequential wing the symbol picks one of the
-    observer's own settings; elsewhere trusted symbols are fixed Paulis
-    and numbered symbols sit at the published optimum.
+    slot is resolve's; x is the term's expectation when slot is None, and
+    otherwise the 3-vector of its expectations with sigma_x, sigma_y,
+    sigma_z on the sequential wing, sharpness not applied.
     """
-    resolved = []
-    for wing, sym in enumerate(ops):
-        if sym == "I":
-            resolved.append(None)
-        elif wing == seq_wing:
-            resolved.append(triple.directions[_SETTING_INDEX[sym]])
-        elif sym in _PAULI_DIR:
-            resolved.append(_PAULI_DIR[sym])
-        else:
-            resolved.append(_NUMBERED_DIR[sym])
-    return resolved
+    table = {}
+    for term in required_terms(inequality).terms:
+        slot, dirs = resolve(term.ops, seq_wing)
+        mats = [I2 if d is None else direction_observable(d) for d in dirs]
+        if slot is None:
+            table[term.ops] = (slot, float(np.trace(rho @ tensor3(*mats)).real))
+            continue
+        x = np.empty(3)
+        for k, sigma in enumerate(_SIGMAS):
+            mats[seq_wing] = sigma
+            x[k] = np.trace(rho @ tensor3(*mats)).real
+        table[term.ops] = (slot, x)
+    return table
 
 
-def value_from_state(rho, scenario, inequality, triple):
-    """Inequality value for one observer given the state they receive.
+def value_from_terms(terms, inequality, triple):
+    """Inequality value for the settings triple, given term_expectations
+    of the state the observer receives.
 
     Correlations involving the observer's own wing scale with the
     sharpness, because the unsharp observable's moment operator is
     lam times the spin component.
     """
+    units = [d.unit_vector() for d in triple.directions]
+    return evaluate(inequality, {
+        ops: x if slot is None else float(units[slot] @ x) * triple.lam
+        for ops, (slot, x) in terms.items()
+    })
+
+
+def value_from_state(rho, scenario, inequality, triple):
+    """Inequality value for one observer given the state they receive."""
     seq_wing = scenario.sequential_wing
-    tl = required_terms(inequality)
-    value = tl.constant
-    for term in tl.terms:
-        dirs = _resolve_term(term.ops, seq_wing, triple)
-        mats = [I2 if d is None else direction_observable(d) for d in dirs]
-        e = float(np.trace(tensor3(*mats) @ rho).real)
-        if dirs[seq_wing] is not None:
-            e *= triple.lam
-        value += term.coeff * e
-    return value
+    return value_from_terms(term_expectations(rho, inequality, seq_wing), inequality, triple)
 
 
 def propagate(rho, seq_wing, triples):
@@ -219,47 +210,31 @@ def run_cascade(spec: ScenarioSpec) -> CascadeResult:
     return CascadeResult(spec.inequality, spec.lambdas, tuple(values))
 
 
-def _predecessor_branches(rho0, seq_wing, triples):
-    """All selective-update branches over predecessor settings and
-    outcomes. Branch states are unnormalized; each branch's setting
-    string carries probability weight (1/3) per predecessor."""
-    branches = [rho0]
-    for triple in triples:
-        nxt = []
-        for rho in branches:
-            for setting in triple.settings:
-                for outcome in (1, -1):
-                    updated, _prob = luders_update(rho, seq_wing, setting, outcome)
-                    nxt.append(updated)
-        branches = nxt
-    return branches, (1.0 / 3.0) ** len(triples)
-
-
 def _term_correlation(rho, seq_wing, triple, ops):
     """One term's expectation from outcome probabilities.
 
     Linear in rho, so unnormalized branch states may be passed directly.
-    Wings whose symbol is the identity are marginalized over.
+    Wings the term skips are marginalized over.
     """
-    dirs = _resolve_term(ops, seq_wing, triple)
-    seq_dir = dirs[seq_wing] if dirs[seq_wing] is not None else triple.directions[0]
-    setting = UnsharpSetting(seq_dir, triple.lam)
-    proj_wings = [w for w in (0, 1, 2) if w != seq_wing]
-    proj_dirs = tuple(dirs[w] if dirs[w] is not None else Z_DIR for w in proj_wings)
-    measured = [w for w in (0, 1, 2) if dirs[w] is not None]
-    if len(measured) == 3:
+    slot, dirs = resolve(ops, seq_wing)
+    # a skipped wing is marginalized, so any setting or direction serves
+    setting = triple.settings[slot or 0]
+    proj_dirs = tuple(d or Z_DIR for w, d in enumerate(dirs) if w != seq_wing)
+    skipped = [w for w, d in enumerate(dirs) if d is None and (w != seq_wing or slot is None)]
+    if not skipped:
         return correlation3(rho, seq_wing, setting, proj_dirs)
-    if len(measured) == 2:
-        (dropped,) = (w for w in (0, 1, 2) if dirs[w] is None)
-        return correlation2(rho, seq_wing, setting, proj_dirs, dropped)
-    return correlation1(rho, seq_wing, setting, proj_dirs, measured[0])
+    if len(skipped) == 1:
+        return correlation2(rho, seq_wing, setting, proj_dirs, skipped[0])
+    (kept,) = {0, 1, 2}.difference(skipped)
+    return correlation1(rho, seq_wing, setting, proj_dirs, kept)
 
 
 def run_cascade_oracle(spec: ScenarioSpec) -> CascadeResult:
     """Tree-path evaluation: identical contract to run_cascade, computed
     by explicit enumeration instead of the averaged channel.
 
-    Cost grows as 6^(n-1), so chains longer than 4 are refused.
+    The branches over predecessor settings and outcomes grow along the
+    chain as unnormalized states, each setting weighted 1/3. Cost grows as 6^(n-1), so chains longer than 4 are refused.
     """
     spec.require_projective_last()
     n = len(spec.observers)
@@ -270,18 +245,24 @@ def run_cascade_oracle(spec: ScenarioSpec) -> CascadeResult:
             "Use run_cascade for longer chains."
         )
     seq_wing = spec.sequential_wing
-    rho0 = build_state(spec.state)
-    tl_cache = required_terms(spec.inequality)
+    terms = required_terms(spec.inequality).terms
+    branches = [build_state(spec.state)]
     values = []
     for m, triple in enumerate(spec.observers):
-        branches, weight = _predecessor_branches(rho0, seq_wing, spec.observers[:m])
-        value = tl_cache.constant
-        for term in tl_cache.terms:
-            e = sum(
+        weight = (1.0 / 3.0) ** m
+        values.append(evaluate(spec.inequality, {
+            term.ops: weight * sum(
                 _term_correlation(rho, seq_wing, triple, term.ops) for rho in branches
             )
-            value += term.coeff * weight * e
-        values.append(value)
+            for term in terms
+        }))
+        if m + 1 < n:
+            branches = [
+                luders_update(rho, seq_wing, setting, outcome)[0]
+                for rho in branches
+                for setting in triple.settings
+                for outcome in (1, -1)
+            ]
     return CascadeResult(spec.inequality, spec.lambdas, tuple(values))
 
 

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
 
+from .qop import X_DIR, Y_DIR, Z_DIR
+
 
 class SteeringDirection(Enum):
     """Who steers whom: one untrusted party steering two trusted ones, or
@@ -201,17 +203,29 @@ def terms_as_json(kind: InequalityKind) -> str:
     return json.dumps(doc, indent=2)
 
 
-class MappingProvider:
-    """Correlation source backed by a plain mapping from ops tuples."""
+# Setting slot of each symbol on the sequential wing and its fixed axis
+# elsewhere; numbered settings of other wings stay at the published optimum.
+_AXIS = {"X": 0, "Y": 1, "Z": 2, "A1": 0, "A2": 1, "A3": 2, "B1": 0, "B2": 1, "B3": 2}
+_AXIS_DIRS = (X_DIR, Y_DIR, Z_DIR)
 
-    def __init__(self, table: Mapping):
-        self._table = dict(table)
 
-    def expectation(self, ops):
-        try:
-            return self._table[tuple(ops)]
-        except KeyError:
-            raise LookupError(f"correlation term not supplied: {tuple(ops)}") from None
+def resolve(ops, seq_wing):
+    """What one term measures, as (slot, dirs).
+
+    slot is the sequential observer's setting the term uses, or None
+    when it skips that wing; dirs holds each wing's fixed BlochDirection,
+    None for the identity and for the sequential wing.
+    """
+    slot, dirs = None, []
+    for wing, sym in enumerate(ops):
+        if sym == "I":
+            dirs.append(None)
+        elif wing == seq_wing:
+            slot = _AXIS[sym]
+            dirs.append(None)
+        else:
+            dirs.append(_AXIS_DIRS[_AXIS[sym]])
+    return slot, tuple(dirs)
 
 
 def evaluate(kind: InequalityKind, provider) -> float:
@@ -222,14 +236,18 @@ def evaluate(kind: InequalityKind, provider) -> float:
 
     The provider must expose expectation(ops) for every term of the kind,
     or be a mapping from ops tuples to floats. A missing term raises
-    LookupError naming it.
+    LookupError naming it, and an expectation outside [-1, 1] raises
+    ValueError.
     """
-    if isinstance(provider, Mapping):
-        provider = MappingProvider(provider)
     tl = required_terms(kind)
     value = tl.constant
     for term in tl.terms:
-        e = provider.expectation(term.ops)
+        if not isinstance(provider, Mapping):
+            e = provider.expectation(term.ops)
+        elif term.ops in provider:
+            e = provider[term.ops]
+        else:
+            raise LookupError(f"correlation term not supplied: {term.ops}")
         if not -1.0 - 1e-9 <= e <= 1.0 + 1e-9:
             raise ValueError(f"expectation for {term.ops} out of [-1, 1]: {e}")
         value += term.coeff * e

@@ -15,17 +15,15 @@ from enum import Enum
 import numpy as np
 
 from .cascade import (
-    _NUMBERED_DIR,
-    _PAULI_DIR,
-    _SETTING_INDEX,
     Scenario,
     ScenarioSpec,
     propagate,
-    value_from_state,
+    term_expectations,
+    value_from_terms,
 )
 from .inequalities import required_terms
 from .measurement import SettingTriple
-from .qop import BlochDirection, X_DIR, Y_DIR, Z_DIR, direction_observable, tensor3, I2
+from .qop import BlochDirection, X_DIR, Y_DIR, Z_DIR
 from .states import build_state
 
 # Strict violation means strictly negative; the guard band keeps
@@ -35,6 +33,9 @@ VIOLATION_GUARD = 1e-9
 # Smallest sharpness probed.  Exactly zero is not a valid measurement
 # (the effects become trivial), so the bisection bracket starts here.
 LAMBDA_FLOOR = 1e-9
+
+# Bisection steps before giving up; a tolerance of 1e-4 needs 14.
+MAX_BISECTION_STEPS = 200
 
 
 class SearchError(RuntimeError):
@@ -57,7 +58,6 @@ class Optimizer(Enum):
 @dataclass(frozen=True)
 class SearchConfig:
     tol: float = 1e-4
-    max_iter: int = 200
     optimizer: Optimizer = Optimizer.FIXED_XYZ
     guard: float = VIOLATION_GUARD
     # When True (the reported convention) every observer in a table is
@@ -71,8 +71,6 @@ class SearchConfig:
     def __post_init__(self):
         if not 0.0 < self.tol < 1.0:
             raise ValueError("tol must lie in (0, 1)")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be positive")
         if self.max_rows < 1:
             raise ValueError("max_rows must be positive")
 
@@ -90,32 +88,21 @@ def direction_coefficients(rho, scenario, inequality, lam):
     with vecs a list of three length-3 arrays; the sharpness lam is
     already folded into the vectors.
     """
-    seq_wing = scenario.sequential_wing
+    terms = term_expectations(rho, inequality, scenario.sequential_wing)
+    return _coefficients(terms, inequality, lam)
+
+
+def _coefficients(terms, inequality, lam):
+    """direction_coefficients from the state's term_expectations."""
     tl = required_terms(inequality)
     base = tl.constant
     vecs = [np.zeros(3) for _ in range(3)]
-    paulis = [direction_observable(d) for d in (X_DIR, Y_DIR, Z_DIR)]
     for term in tl.terms:
-        mats = []
-        for wing, sym in enumerate(term.ops):
-            if sym == "I" or wing == seq_wing:
-                mats.append(I2)
-            elif sym in _PAULI_DIR:
-                mats.append(direction_observable(_PAULI_DIR[sym]))
-            else:
-                mats.append(direction_observable(_NUMBERED_DIR[sym]))
-        sym = term.ops[seq_wing]
-        if sym == "I":
-            base += term.coeff * float(
-                np.trace(rho @ tensor3(*mats)).real
-            )
-            continue
-        setting = _SETTING_INDEX[sym]
-        component = np.empty(3)
-        for k, sigma in enumerate(paulis):
-            mats[seq_wing] = sigma
-            component[k] = np.trace(rho @ tensor3(*mats)).real
-        vecs[setting] += term.coeff * lam * component
+        slot, x = terms[term.ops]
+        if slot is None:
+            base += term.coeff * x
+        else:
+            vecs[slot] += term.coeff * lam * x
     return base, vecs
 
 
@@ -156,13 +143,14 @@ def _best_direction(vec):
     return best, low
 
 
-def _settings_and_value(rho, scenario, inequality, lam, optimizer):
+def _settings_and_value(terms, inequality, lam, optimizer):
     """The next observer's settings at sharpness lam, chosen per the
-    optimizer, and the inequality value they attain on rho."""
+    optimizer, and the inequality value they attain on the state whose
+    term_expectations are terms."""
     if optimizer is Optimizer.FIXED_XYZ:
         triple = SettingTriple.xyz(lam)
-        return triple, value_from_state(rho, scenario, inequality, triple)
-    base, vecs = direction_coefficients(rho, scenario, inequality, lam)
+        return triple, value_from_terms(terms, inequality, triple)
+    base, vecs = _coefficients(terms, inequality, lam)
     directions = []
     total = base
     for vec in vecs:
@@ -185,8 +173,9 @@ def optimize_angles(spec, m, config=None):
         raise ValueError(f"observer index must lie in 1..{len(spec.observers)}, got {m}")
     seq = spec.sequential_wing
     rho = propagate(build_state(spec.state), seq, spec.observers[: m - 1])
+    terms = term_expectations(rho, spec.inequality, seq)
     lam = spec.observers[m - 1].lam
-    return _settings_and_value(rho, spec.scenario, spec.inequality, lam, config.optimizer)
+    return _settings_and_value(terms, spec.inequality, lam, config.optimizer)
 
 
 def threshold_lambda(prefix, config=None):
@@ -195,18 +184,18 @@ def threshold_lambda(prefix, config=None):
     prefix is a ScenarioSpec holding the observers that have already
     measured (possibly none).  The candidate observer is appended with
     settings chosen per the configured optimizer and their sharpness is
-    bisected.  Returns the smallest sharpness verified to violate, to
-    within config.tol, or None when even a projective measurement does
-    not violate.
+    bisected, each step re-weighting the state's term expectations.
+    Returns the smallest sharpness verified to violate, to within
+    config.tol, or None when even a projective measurement does not
+    violate.
     """
     config = config or SearchConfig()
     seq = prefix.sequential_wing
     rho = propagate(build_state(prefix.state), seq, prefix.observers)
+    terms = term_expectations(rho, prefix.inequality, seq)
 
     def f(lam):
-        return _settings_and_value(
-            rho, prefix.scenario, prefix.inequality, lam, config.optimizer
-        )[1]
+        return _settings_and_value(terms, prefix.inequality, lam, config.optimizer)[1]
 
     f_sharp = f(1.0)
     if f_sharp >= -config.guard:
@@ -223,9 +212,9 @@ def threshold_lambda(prefix, config=None):
     iterations = 0
     while hi - lo > config.tol:
         iterations += 1
-        if iterations > config.max_iter:
+        if iterations > MAX_BISECTION_STEPS:
             raise SearchError(
-                f"bisection failed to converge within {config.max_iter} "
+                f"bisection failed to converge within {MAX_BISECTION_STEPS} "
                 f"iterations; bracket [{lo}, {hi}]"
             )
         mid = 0.5 * (lo + hi)

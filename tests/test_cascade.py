@@ -16,6 +16,7 @@ from seqsteer import (
     SteeringDirection,
     bloch_shrink_factor,
     build_state,
+    ghz_state,
     no_signalling_audit,
     propagate,
     run_cascade,
@@ -124,6 +125,15 @@ def test_value_from_state_matches_run_cascade():
         direct = value_from_state(rho_m, Scenario.B, InequalityKind.G1, triple)
         assert direct == pytest.approx(result.values[m], abs=1e-12)
     assert np.allclose(rho, build_state(GHZ))  # inputs never mutated
+
+
+def test_value_from_state_rejects_correlations_outside_the_unit_range():
+    # twice a state is not a state: its ('I', 'Z', 'Z') correlation is 2,
+    # and evaluate, the one sum every value goes through, refuses it
+    with pytest.raises(ValueError, match=r"out of \[-1, 1\]"):
+        value_from_state(
+            2 * ghz_state(), Scenario.A, InequalityKind.G1, SettingTriple.xyz(1.0)
+        )
 
 
 def test_oracle_agrees_with_channel_path():

@@ -7,6 +7,9 @@ from seqsteer import ghz_state, save_state_file
 from seqsteer.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+CLI_REFERENCE = json.loads(
+    (Path(__file__).parents[1] / "bench" / "reference" / "cli_stdout.json").read_text()
+)
 
 
 def run(capsys, *argv):
@@ -257,3 +260,11 @@ def test_retired_search_knobs_are_rejected(capsys, tmp_path):
         code, _, err = run(capsys, "optimize", "--config", str(cfg))
         assert code == 2
         assert message in err
+
+
+@pytest.mark.parametrize("command", sorted(CLI_REFERENCE))
+def test_stdout_matches_the_recorded_reference(capsys, command):
+    # every byte, full-precision floats included, of the README commands
+    code, out, err = run(capsys, *command.split())
+    assert code == 0 and err == ""
+    assert out == CLI_REFERENCE[command]

@@ -76,23 +76,50 @@ def test_threshold_monotonicity_precondition(monkeypatch):
     import seqsteer.search as search_mod
 
     monkeypatch.setattr(
-        search_mod, "value_from_state", lambda rho, sc, kind, triple: triple.lam - 2.0
+        search_mod, "value_from_terms", lambda terms, kind, triple: triple.lam - 2.0
     )
     with pytest.raises(SearchError, match="does not decrease"):
         threshold_lambda(xyz_spec(Scenario.A, InequalityKind.G1, GHZ, ()))
 
 
 def test_bisection_iteration_cap(monkeypatch):
+    # near the root 0.5 the bracket cannot shrink below the float
+    # spacing, so a tolerance of 1e-17 is never met and the cap trips
     import seqsteer.search as search_mod
 
     monkeypatch.setattr(
         search_mod,
-        "value_from_state",
-        lambda rho, sc, kind, triple: 0.5 - triple.lam,
+        "value_from_terms",
+        lambda terms, kind, triple: 0.5 - triple.lam,
     )
-    cfg = SearchConfig(tol=1e-12, max_iter=5)
+    cfg = SearchConfig(tol=1e-17)
     with pytest.raises(SearchError, match="failed to converge"):
         threshold_lambda(xyz_spec(Scenario.A, InequalityKind.G1, GHZ, ()), cfg)
+
+
+@pytest.mark.parametrize("optimizer", list(Optimizer))
+def test_each_threshold_traces_its_state_once(monkeypatch, optimizer):
+    # the bisection only re-weights the term expectations; tracing the
+    # state again per step would multiply the cost of every ladder row
+    import seqsteer.search as search_mod
+
+    walks = []
+    walk = search_mod.term_expectations
+
+    def counted(*args):
+        walks.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(search_mod, "term_expectations", counted)
+    cfg = SearchConfig(optimizer=optimizer)
+    # the last prefix leaves no violation, so its threshold is None
+    for lambdas in ((), (0.627,), (0.577493, 0.657998, 0.787698)):
+        walks.clear()
+        threshold_lambda(xyz_spec(Scenario.A, InequalityKind.G1, GHZ, lambdas), cfg)
+        assert len(walks) == 1
+    walks.clear()
+    table = build_table(Scenario.A, InequalityKind.G1, GHZ, cfg)
+    assert len(table.rows) == len(walks) == 4
 
 
 @pytest.mark.parametrize(
@@ -239,6 +266,9 @@ def test_optimize_angles_validates_observer_index():
 def test_angle_grid_validation():
     with pytest.raises(ValueError):
         SearchConfig(tol=0.0)
+    # the bisection cap is a module constant, not a knob
+    with pytest.raises(TypeError):
+        SearchConfig(max_iter=200)
 
 
 @settings(max_examples=40, deadline=None)
