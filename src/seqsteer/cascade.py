@@ -15,19 +15,17 @@ explicitly and marginalizes at the probability level.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from itertools import product
 
 import numpy as np
 
-from .inequalities import InequalityKind, SteeringDirection, evaluate, required_terms, resolve
+from .inequalities import InequalityKind, evaluate, required_terms, resolve
 from .measurement import (
     SettingTriple,
     averaged_channel,
-    correlation1,
-    correlation2,
-    correlation3,
+    correlation,
     joint_probability,
     luders_update,
 )
@@ -55,28 +53,18 @@ class ScenarioSpec:
     """A full chain description: who measures, what they measure, on what.
 
     observers holds one SettingTriple per chain member in order; the
-    steering direction defaults to the one the inequality is built for
-    and is rejected if it disagrees.
+    steering direction is the one the inequality is built for.
     """
 
     scenario: Scenario
     inequality: InequalityKind
     state: StateSpec
     observers: tuple
-    direction: SteeringDirection = None
 
     def __post_init__(self):
         # an empty chain is allowed as a search prefix; running a cascade
         # on it is rejected by require_projective_last
         object.__setattr__(self, "observers", tuple(self.observers))
-        if self.direction is None:
-            object.__setattr__(self, "direction", self.inequality.direction)
-        elif self.direction is not self.inequality.direction:
-            raise ValueError(
-                f"direction {self.direction.value} is inconsistent with "
-                f"{self.inequality.value}, which detects "
-                f"{self.inequality.direction.value} steering"
-            )
 
     @property
     def sequential_wing(self):
@@ -220,13 +208,8 @@ def _term_correlation(rho, seq_wing, triple, ops):
     # a skipped wing is marginalized, so any setting or direction serves
     setting = triple.settings[slot or 0]
     proj_dirs = tuple(d or Z_DIR for w, d in enumerate(dirs) if w != seq_wing)
-    skipped = [w for w, d in enumerate(dirs) if d is None and (w != seq_wing or slot is None)]
-    if not skipped:
-        return correlation3(rho, seq_wing, setting, proj_dirs)
-    if len(skipped) == 1:
-        return correlation2(rho, seq_wing, setting, proj_dirs, skipped[0])
-    (kept,) = {0, 1, 2}.difference(skipped)
-    return correlation1(rho, seq_wing, setting, proj_dirs, kept)
+    wings = tuple(w for w, sym in enumerate(ops) if sym != "I")
+    return correlation(rho, seq_wing, setting, proj_dirs, wings)
 
 
 def run_cascade_oracle(spec: ScenarioSpec) -> CascadeResult:

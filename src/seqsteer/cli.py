@@ -23,9 +23,8 @@ import configparser
 import json
 import sys
 
-from .cascade import Scenario, ScenarioSpec, no_signalling_audit, run_cascade
+from .cascade import Scenario, no_signalling_audit, run_cascade, xyz_spec
 from .inequalities import InequalityKind, SteeringDirection
-from .measurement import SettingTriple
 from .search import (
     Optimizer,
     SearchConfig,
@@ -242,12 +241,7 @@ def _search_config(opts, default_optimizer=Optimizer.FIXED_XYZ):
 
 
 def _spec_from(opts, lambdas):
-    return ScenarioSpec(
-        scenario=opts["scenario"],
-        inequality=opts["inequality"],
-        state=opts["state"],
-        observers=tuple(SettingTriple.xyz(lam) for lam in lambdas),
-    )
+    return xyz_spec(opts["scenario"], opts["inequality"], opts["state"], lambdas)
 
 
 def _cmd_cascade(opts):

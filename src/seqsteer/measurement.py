@@ -20,8 +20,8 @@ from .qop import (
     X_DIR,
     Y_DIR,
     Z_DIR,
-    direction_observable,
     effect_sqrt,
+    projector,
     resolve_wing,
     tensor3,
     validate_density,
@@ -99,17 +99,8 @@ class SettingTriple:
 
 def effect(setting: UnsharpSetting, outcome):
     """Unsharp effect lam*P_a + (1-lam)*I/2 for outcome a = +1 or -1."""
-    if outcome not in (1, -1):
-        raise ValueError(f"outcome must be +1 or -1, got {outcome}")
-    obs = direction_observable(setting.direction)
-    proj = (I2 + outcome * obs) / 2
+    proj = projector(setting.direction, outcome)
     return setting.lam * proj + (1 - setting.lam) * I2 / 2
-
-
-def _embed(op, wing):
-    mats = [I2, I2, I2]
-    mats[wing] = op
-    return tensor3(*mats)
 
 
 def luders_update(rho, wing, setting: UnsharpSetting, outcome):
@@ -119,8 +110,9 @@ def luders_update(rho, wing, setting: UnsharpSetting, outcome):
     (identity on the other wings) and its trace, which is the outcome
     probability Tr[rho E].
     """
-    wing = resolve_wing(wing)
-    k = _embed(effect_sqrt(setting.direction, setting.lam, outcome), wing)
+    mats = [I2, I2, I2]
+    mats[resolve_wing(wing)] = effect_sqrt(setting.direction, setting.lam, outcome)
+    k = tensor3(*mats)
     updated = k @ rho @ k
     return updated, float(updated.trace().real)
 
@@ -133,12 +125,10 @@ def averaged_channel(rho, wing, triple: SettingTriple):
     observer on the wing receives when settings are equally likely and
     neither outcomes nor settings are communicated.
     """
-    wing = resolve_wing(wing)
     out = np.zeros_like(np.asarray(rho, dtype=complex))
     for setting in triple.settings:
         for outcome in (1, -1):
-            k = _embed(effect_sqrt(setting.direction, setting.lam, outcome), wing)
-            out += k @ rho @ k
+            out += luders_update(rho, wing, setting, outcome)[0]
     return validate_density(out / 3, name="channel output")
 
 
@@ -167,39 +157,23 @@ def joint_probability(rho, seq_wing, seq_setting: UnsharpSetting, proj_dirs, out
     ops = [None, None, None]
     ops[seq_wing] = effect(seq_setting, outcomes[seq_wing])
     for w, d in zip(others, proj_dirs):
-        ops[w] = (I2 + outcomes[w] * direction_observable(d)) / 2
+        ops[w] = projector(d, outcomes[w])
     return float(np.trace(tensor3(*ops) @ rho).real)
 
 
-def _outcome_sum(rho, seq_wing, seq_setting, proj_dirs, weight_wings):
-    """Sum of outcome products over all 8 outcome triples, marginalizing
-    any wing not listed in weight_wings."""
+def correlation(rho, seq_wing, seq_setting, proj_dirs, wings):
+    """Expectation of the product of the outcomes on wings, every other
+    wing's outcome marginalized.
+
+    Takes joint_probability's arguments, with wings a tuple of wing
+    indices. A correlation that includes the unsharp wing is lam times
+    the projective one, since the unsharp observable's moment operator
+    is E(+) - E(-) = lam * n.sigma.
+    """
     total = 0.0
     for outcomes in product((1, -1), repeat=3):
         w = 1.0
-        for wing in weight_wings:
+        for wing in wings:
             w *= outcomes[wing]
         total += w * joint_probability(rho, seq_wing, seq_setting, proj_dirs, outcomes)
     return total
-
-
-def correlation3(rho, seq_wing, seq_setting, proj_dirs):
-    """Full three-party correlation: sum of a*b*c weighted probabilities.
-
-    Equals lam times the projective three-party correlation, since the
-    unsharp observable's moment operator is E(+) - E(-) = lam * n.sigma.
-    """
-    return _outcome_sum(rho, seq_wing, seq_setting, proj_dirs, (0, 1, 2))
-
-
-def correlation2(rho, seq_wing, seq_setting, proj_dirs, drop_wing):
-    """Two-party correlation with one wing's outcome marginalized."""
-    drop_wing = resolve_wing(drop_wing)
-    wings = tuple(w for w in (0, 1, 2) if w != drop_wing)
-    return _outcome_sum(rho, seq_wing, seq_setting, proj_dirs, wings)
-
-
-def correlation1(rho, seq_wing, seq_setting, proj_dirs, keep_wing):
-    """Single-party expectation with the other two outcomes marginalized."""
-    keep_wing = resolve_wing(keep_wing)
-    return _outcome_sum(rho, seq_wing, seq_setting, proj_dirs, (keep_wing,))

@@ -89,6 +89,13 @@ def direction_observable(d: BlochDirection):
     return n[0] * _PAULI["X"] + n[1] * _PAULI["Y"] + n[2] * _PAULI["Z"]
 
 
+def projector(d: BlochDirection, outcome):
+    """Projector (I + a n.sigma)/2 onto outcome a = +1 or -1 along d."""
+    if outcome not in (1, -1):
+        raise ValueError(f"outcome must be +1 or -1, got {outcome}")
+    return (I2 + outcome * direction_observable(d)) / 2
+
+
 def tensor3(a, b, c):
     """Kronecker product a (x) b (x) c of three 2x2 matrices, wing order
     Alice (x) Bob (x) Charlie."""
@@ -125,12 +132,8 @@ def effect_sqrt(d: BlochDirection, lam, outcome):
     """
     if not 0.0 < lam <= 1.0:
         raise ValueError(f"sharpness must lie in (0, 1], got {lam}")
-    if outcome not in (1, -1):
-        raise ValueError(f"outcome must be +1 or -1, got {outcome}")
-    obs = direction_observable(d)
-    proj_a = (I2 + outcome * obs) / 2
-    proj_b = (I2 - outcome * obs) / 2
-    return np.sqrt((1 + lam) / 2) * proj_a + np.sqrt((1 - lam) / 2) * proj_b
+    root_a, root_b = np.sqrt((1 + lam) / 2), np.sqrt((1 - lam) / 2)
+    return root_a * projector(d, outcome) + root_b * projector(d, -outcome)
 
 
 def validate_density(rho, dim=8, name="state"):

@@ -11,15 +11,16 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import ClassVar
 
 import numpy as np
 
 from .cascade import (
     Scenario,
-    ScenarioSpec,
     propagate,
     term_expectations,
     value_from_terms,
+    xyz_spec,
 )
 from .inequalities import required_terms
 from .measurement import SettingTriple
@@ -57,22 +58,21 @@ class Optimizer(Enum):
 
 @dataclass(frozen=True)
 class SearchConfig:
+    # constants, not fields: the violation guard band and the table row cap
+    guard: ClassVar[float] = VIOLATION_GUARD
+    max_rows: ClassVar[int] = 64
     tol: float = 1e-4
     optimizer: Optimizer = Optimizer.FIXED_XYZ
-    guard: float = VIOLATION_GUARD
     # When True (the reported convention) every observer in a table is
     # pinned just above their own threshold, so all of them violate.
     # When False the predecessors measure at the sharpness floor
     # instead; they learn essentially nothing and never violate, and
     # the chain no longer degrades, so the table is cut at max_rows.
     require_all_violate: bool = True
-    max_rows: int = 64
 
     def __post_init__(self):
         if not 0.0 < self.tol < 1.0:
             raise ValueError("tol must lie in (0, 1)")
-        if self.max_rows < 1:
-            raise ValueError("max_rows must be positive")
 
 
 def direction_coefficients(rho, scenario, inequality, lam):
@@ -303,13 +303,7 @@ def build_table(scenario, inequality, state, config=None):
     rows = []
     truncated = False
     for m in range(1, config.max_rows + 1):
-        prefix = ScenarioSpec(
-            scenario=scenario,
-            inequality=inequality,
-            state=state,
-            observers=tuple(SettingTriple.xyz(p) for p in pins),
-        )
-        lam = threshold_lambda(prefix, config)
+        lam = threshold_lambda(xyz_spec(scenario, inequality, state, pins), config)
         if lam is None:
             rows.append((m, None))
             break

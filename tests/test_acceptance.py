@@ -20,7 +20,7 @@ from seqsteer import (
     UnsharpSetting,
     averaged_channel,
     bloch_shrink_factor,
-    correlation3,
+    correlation,
     effect,
     effect_sqrt,
     no_signalling_audit,
@@ -221,8 +221,8 @@ def test_properties_moment_scales_with_sharpness():
         d = random_direction(rng)
         dirs = (random_direction(rng), random_direction(rng))
         lam = float(rng.uniform(0.01, 1.0))
-        sharp = correlation3(rho, wing, UnsharpSetting(d, 1.0), dirs)
-        unsharp = correlation3(rho, wing, UnsharpSetting(d, lam), dirs)
+        sharp = correlation(rho, wing, UnsharpSetting(d, 1.0), dirs, (0, 1, 2))
+        unsharp = correlation(rho, wing, UnsharpSetting(d, lam), dirs, (0, 1, 2))
         assert abs(unsharp - lam * sharp) < 1e-12
 
 

@@ -13,7 +13,6 @@ from seqsteer import (
     SettingTriple,
     StateKind,
     StateSpec,
-    SteeringDirection,
     bloch_shrink_factor,
     build_state,
     ghz_state,
@@ -38,19 +37,15 @@ def test_scenario_wings():
     assert Scenario.B.sequential_wing == 2
 
 
-def test_spec_derives_direction_from_inequality():
-    spec = xyz_spec(Scenario.A, InequalityKind.G2, GHZ, (1.0,))
-    assert spec.direction is SteeringDirection.TWO_TO_ONE
-
-
-def test_spec_rejects_contradictory_direction():
-    with pytest.raises(ValueError, match="direction"):
+def test_spec_takes_no_direction():
+    # the steering direction is the inequality's, so it is not a field
+    with pytest.raises(TypeError):
         ScenarioSpec(
             scenario=Scenario.A,
             inequality=InequalityKind.G1,
             state=GHZ,
             observers=(SettingTriple.xyz(1.0),),
-            direction=SteeringDirection.TWO_TO_ONE,
+            direction=InequalityKind.G1.direction,
         )
 
 

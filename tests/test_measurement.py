@@ -15,9 +15,7 @@ from seqsteer import (
     averaged_channel,
     bloch_shrink_factor,
     build_state,
-    correlation1,
-    correlation2,
-    correlation3,
+    correlation,
     direction_observable,
     effect,
     joint_probability,
@@ -185,8 +183,8 @@ def test_correlation_moment_scales_with_sharpness():
         dirs = (random_direction(rng), random_direction(rng))
         lam = float(rng.uniform(0.05, 0.999))
         wing = int(rng.integers(0, 3))
-        sharp = correlation3(rho, wing, UnsharpSetting(d, 1.0), dirs)
-        unsharp = correlation3(rho, wing, UnsharpSetting(d, lam), dirs)
+        sharp = correlation(rho, wing, UnsharpSetting(d, 1.0), dirs, (0, 1, 2))
+        unsharp = correlation(rho, wing, UnsharpSetting(d, lam), dirs, (0, 1, 2))
         assert unsharp == pytest.approx(lam * sharp, abs=1e-12)
 
 
@@ -194,20 +192,43 @@ def test_marginal_correlations_drop_the_right_wing():
     # marginalizing the unsharp wing of GHZ leaves <Z Z> = 1 on the rest
     rho = build_state(GHZ)
     s = UnsharpSetting(X_DIR, 0.5)
-    two = correlation2(rho, 0, s, (Z_DIR, Z_DIR), drop_wing=0)
+    two = correlation(rho, 0, s, (Z_DIR, Z_DIR), (1, 2))
     assert two == pytest.approx(1.0, abs=1e-12)
-    one = correlation1(rho, 0, s, (Z_DIR, Z_DIR), keep_wing=1)
+    one = correlation(rho, 0, s, (Z_DIR, Z_DIR), (1,))
     assert one == pytest.approx(0.0, abs=1e-12)
 
 
 def test_correlation3_on_ghz_stabilizers():
     rho = build_state(GHZ)
     s = UnsharpSetting(X_DIR, 1.0)
-    assert correlation3(rho, 0, s, (X_DIR, X_DIR)) == pytest.approx(1.0, abs=1e-12)
-    assert correlation3(rho, 0, UnsharpSetting(Y_DIR, 1.0), (Y_DIR, X_DIR)) == pytest.approx(
-        -1.0, abs=1e-12
-    )
+    all3 = (0, 1, 2)
+    assert correlation(rho, 0, s, (X_DIR, X_DIR), all3) == pytest.approx(1.0, abs=1e-12)
+    assert correlation(
+        rho, 0, UnsharpSetting(Y_DIR, 1.0), (Y_DIR, X_DIR), all3
+    ) == pytest.approx(-1.0, abs=1e-12)
     # correlations with an unsharp first wing scale by lam
-    assert correlation3(rho, 0, UnsharpSetting(X_DIR, 0.25), (X_DIR, X_DIR)) == pytest.approx(
-        0.25, abs=1e-12
-    )
+    assert correlation(
+        rho, 0, UnsharpSetting(X_DIR, 0.25), (X_DIR, X_DIR), all3
+    ) == pytest.approx(0.25, abs=1e-12)
+
+
+def test_correlation_on_every_wing_subset_is_a_trace():
+    # Tr[rho O_0 (x) O_1 (x) O_2] with lam n.sigma on the unsharp wing,
+    # n.sigma on a projective wing and I on a wing outside the subset
+    rng = np.random.default_rng(23)
+    subsets = [tuple(w for w in range(3) if mask >> w & 1) for mask in range(1, 8)]
+    for _ in range(30):
+        rho = random_mixed_state(rng)
+        setting = UnsharpSetting(random_direction(rng), float(rng.uniform(0.05, 1.0)))
+        dirs = (random_direction(rng), random_direction(rng))
+        for seq_wing in range(3):
+            others = [w for w in range(3) if w != seq_wing]
+            obs = [None, None, None]
+            obs[seq_wing] = setting.lam * direction_observable(setting.direction)
+            for w, d in zip(others, dirs):
+                obs[w] = direction_observable(d)
+            for wings in subsets:
+                mats = [obs[w] if w in wings else np.eye(2) for w in range(3)]
+                expected = float(np.trace(rho @ tensor3(*mats)).real)
+                got = correlation(rho, seq_wing, setting, dirs, wings)
+                assert abs(got - expected) < 1e-12, (seq_wing, wings)

@@ -197,10 +197,11 @@ def test_csv_layout():
     assert table.to_csv() == "m,lambda_min,status\n1,0.577393,ok\n2,,none\n"
 
 
-def test_alternate_convention_never_degrades_the_chain():
+def test_alternate_convention_never_degrades_the_chain(monkeypatch):
     # with predecessors at the sharpness floor every row costs the same,
     # so the table runs to the row cap and is marked truncated
-    cfg = SearchConfig(require_all_violate=False, max_rows=5)
+    monkeypatch.setattr(SearchConfig, "max_rows", 5)
+    cfg = SearchConfig(require_all_violate=False)
     table = build_table(Scenario.A, InequalityKind.G1, GHZ, cfg)
     assert table.truncated is True
     lams = [lam for _, lam in table.rows]
@@ -266,9 +267,10 @@ def test_optimize_angles_validates_observer_index():
 def test_angle_grid_validation():
     with pytest.raises(ValueError):
         SearchConfig(tol=0.0)
-    # the bisection cap is a module constant, not a knob
-    with pytest.raises(TypeError):
-        SearchConfig(max_iter=200)
+    # the bisection cap, guard band and row cap are constants, not knobs
+    for knob in ({"max_iter": 200}, {"guard": 1e-6}, {"max_rows": 5}):
+        with pytest.raises(TypeError):
+            SearchConfig(**knob)
 
 
 @settings(max_examples=40, deadline=None)
