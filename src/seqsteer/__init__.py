@@ -18,8 +18,6 @@ from .qop import (
     Z_DIR,
     direction_observable,
     effect_sqrt,
-    partial_trace,
-    pauli,
     tensor3,
 )
 from .states import (
@@ -32,11 +30,9 @@ from .states import (
     custom_spec,
     ghz_state,
     load_state_file,
-    save_state_file,
     w_state,
 )
 from .measurement import (
-    QualityPrecision,
     SettingTriple,
     UnsharpSetting,
     averaged_channel,
@@ -53,7 +49,6 @@ from .inequalities import (
     TermList,
     evaluate,
     required_terms,
-    terms_as_json,
 )
 from .cascade import (
     CascadeResult,
@@ -73,7 +68,6 @@ from .search import (
     ThresholdTable,
     build_table,
     direction_coefficients,
-    max_observers,
     optimize_angles,
     threshold_lambda,
 )
@@ -89,7 +83,6 @@ __all__ = [
     "GHZ",
     "InequalityKind",
     "Optimizer",
-    "QualityPrecision",
     "Scenario",
     "ScenarioSpec",
     "SearchConfig",
@@ -122,18 +115,13 @@ __all__ = [
     "joint_probability",
     "load_state_file",
     "luders_update",
-    "max_observers",
     "no_signalling_audit",
     "optimize_angles",
-    "partial_trace",
-    "pauli",
     "propagate",
     "required_terms",
     "run_cascade",
     "run_cascade_oracle",
-    "save_state_file",
     "tensor3",
-    "terms_as_json",
     "threshold_lambda",
     "value_from_state",
     "w_state",

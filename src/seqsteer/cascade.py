@@ -174,16 +174,6 @@ class CascadeResult:
         }
         return json.dumps(doc, indent=2)
 
-    @classmethod
-    def from_json(cls, text):
-        doc = json.loads(text)
-        rows = doc["observers"]
-        return cls(
-            inequality=InequalityKind(doc["inequality"]),
-            lambdas=tuple(r["lambda"] for r in rows),
-            values=tuple(r["value"] for r in rows),
-        )
-
 
 def run_cascade(spec: ScenarioSpec) -> CascadeResult:
     """Channel-path evaluation of every observer in the chain."""

@@ -12,7 +12,7 @@ A config file (INI style) can preload any flag; flags given on the
 command line win.  Recognized sections and keys:
 
   [run]     state, scenario, direction, ineq, lambdas, format, out
-  [search]  tol, optimizer, all_violate
+  [search]  tol, optimizer
 
 A value is checked the same way whether it comes from a flag or from
 the config file; a bad one exits with status 2.
@@ -38,7 +38,7 @@ from .states import GHZ, W, StateFormatError, StateKind, custom_spec
 AUDIT_BOUND = 1e-10
 
 _RUN_KEYS = ("state", "scenario", "direction", "ineq", "lambdas", "format", "out")
-_SEARCH_KEYS = ("tol", "optimizer", "all_violate")
+_SEARCH_KEYS = ("tol", "optimizer")
 _FORMATS = ("text", "csv", "json")
 
 _FALLBACK_INEQ = {
@@ -107,15 +107,6 @@ def _parse_tol(text):
     if not 0.0 < tol < 1.0:
         raise UsageError(f"tolerance {tol} outside (0, 1)")
     return tol
-
-
-def _parse_bool(text, key):
-    lowered = text.strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise UsageError(f"config key {key!r} expects a boolean, got {text!r}")
 
 
 def load_config(path):
@@ -212,12 +203,6 @@ def _resolve(args):
     tol_text = pick("tol")
     tol = _parse_tol(tol_text) if tol_text is not None else 1e-4
     optimizer = _parse_choice("optimizer", cfg.get("optimizer"), Optimizer)
-    all_violate_text = cfg.get("all_violate")
-    all_violate = (
-        _parse_bool(all_violate_text, "all_violate")
-        if all_violate_text is not None
-        else True
-    )
 
     return {
         "state": state,
@@ -228,7 +213,6 @@ def _resolve(args):
         "out": pick("out"),
         "tol": tol,
         "optimizer": optimizer,
-        "all_violate": all_violate,
     }
 
 
@@ -236,7 +220,6 @@ def _search_config(opts, default_optimizer=Optimizer.FIXED_XYZ):
     return SearchConfig(
         tol=opts["tol"],
         optimizer=opts["optimizer"] or default_optimizer,
-        require_all_violate=opts["all_violate"],
     )
 
 

@@ -14,10 +14,8 @@ Term symbols per wing:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
 
 from .qop import X_DIR, Y_DIR, Z_DIR
 
@@ -41,14 +39,6 @@ class InequalityKind(Enum):
         if self in (InequalityKind.G1, InequalityKind.W1):
             return SteeringDirection.ONE_TO_TWO
         return SteeringDirection.TWO_TO_ONE
-
-    @property
-    def untrusted_wings(self):
-        """Wings whose devices are untrusted (they hold the numbered
-        settings): Alice alone, or Alice and Bob."""
-        if self.direction is SteeringDirection.ONE_TO_TWO:
-            return (0,)
-        return (0, 1)
 
 
 @dataclass(frozen=True)
@@ -191,18 +181,6 @@ def required_terms(kind: InequalityKind) -> TermList:
     return _TERM_TABLES[kind]
 
 
-def terms_as_json(kind: InequalityKind) -> str:
-    """The term list as a JSON document, for audit tooling."""
-    tl = required_terms(kind)
-    doc = {
-        "inequality": kind.value,
-        "direction": kind.direction.value,
-        "constant": tl.constant,
-        "terms": [{"coeff": t.coeff, "ops": list(t.ops)} for t in tl.terms],
-    }
-    return json.dumps(doc, indent=2)
-
-
 # Setting slot of each symbol on the sequential wing and its fixed axis
 # elsewhere; numbered settings of other wings stay at the published optimum.
 _AXIS = {"X": 0, "Y": 1, "Z": 2, "A1": 0, "A2": 1, "A3": 2, "B1": 0, "B2": 1, "B3": 2}
@@ -228,26 +206,20 @@ def resolve(ops, seq_wing):
     return slot, tuple(dirs)
 
 
-def evaluate(kind: InequalityKind, provider) -> float:
-    """Value of the functional given a correlation source.
+def evaluate(kind: InequalityKind, expectations) -> float:
+    """Value of the functional given a mapping from each term's ops tuple
+    to its expectation.
 
     Negative means genuine tripartite steering is detected; exactly zero
-    counts as not detected.
-
-    The provider must expose expectation(ops) for every term of the kind,
-    or be a mapping from ops tuples to floats. A missing term raises
-    LookupError naming it, and an expectation outside [-1, 1] raises
-    ValueError.
+    counts as not detected. A missing term raises LookupError naming it,
+    and an expectation outside [-1, 1] raises ValueError.
     """
     tl = required_terms(kind)
     value = tl.constant
     for term in tl.terms:
-        if not isinstance(provider, Mapping):
-            e = provider.expectation(term.ops)
-        elif term.ops in provider:
-            e = provider[term.ops]
-        else:
+        if term.ops not in expectations:
             raise LookupError(f"correlation term not supplied: {term.ops}")
+        e = expectations[term.ops]
         if not -1.0 - 1e-9 <= e <= 1.0 + 1e-9:
             raise ValueError(f"expectation for {term.ops} out of [-1, 1]: {e}")
         value += term.coeff * e

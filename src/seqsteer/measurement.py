@@ -29,22 +29,6 @@ from .qop import (
 
 
 @dataclass(frozen=True)
-class QualityPrecision:
-    """Trade-off pair for an unsharp qubit measurement: quality factor
-    F = sqrt(1 - lam^2) (how intact the state stays) and precision
-    G = lam (how much outcome information is gained). F^2 + G^2 = 1."""
-
-    F: float
-    G: float
-
-    @classmethod
-    def from_sharpness(cls, lam):
-        if not 0.0 < lam <= 1.0:
-            raise ValueError(f"sharpness must lie in (0, 1], got {lam}")
-        return cls(F=float(np.sqrt(1.0 - lam * lam)), G=float(lam))
-
-
-@dataclass(frozen=True)
 class UnsharpSetting:
     """A measurement direction with a sharpness lam in (0, 1]."""
 
@@ -92,9 +76,6 @@ class SettingTriple:
     def xyz(cls, lam=1.0):
         """The x, y, z triple used as every observer's default settings."""
         return cls.from_directions((X_DIR, Y_DIR, Z_DIR), lam)
-
-    def with_lam(self, lam):
-        return SettingTriple.from_directions(self.directions, lam)
 
 
 def effect(setting: UnsharpSetting, outcome):

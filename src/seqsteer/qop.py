@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 ALICE, BOB, CHARLIE = 0, 1, 2
-WING_NAMES = {"alice": ALICE, "bob": BOB, "charlie": CHARLIE}
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -24,31 +23,14 @@ _PAULI = {
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-    "I": I2,
 }
 
 
-def pauli(axis):
-    """Return the 2x2 Pauli matrix for axis 'X', 'Y' or 'Z'."""
-    key = str(axis).upper()
-    if key not in ("X", "Y", "Z"):
-        raise ValueError(f"unknown Pauli axis {axis!r}; expected one of X, Y, Z")
-    return _PAULI[key].copy()
-
-
 def resolve_wing(wing):
-    """Map a wing identifier (0/1/2 or alice/bob/charlie) to its index."""
-    if isinstance(wing, str):
-        try:
-            return WING_NAMES[wing.lower()]
-        except KeyError:
-            raise ValueError(
-                f"unknown wing {wing!r}; expected 0, 1, 2 or alice, bob, charlie"
-            ) from None
-    wing = int(wing)
+    """Check a wing index: 0 (Alice), 1 (Bob) or 2 (Charlie)."""
     if wing not in (0, 1, 2):
-        raise ValueError(f"unknown wing {wing!r}; expected 0, 1, 2 or alice, bob, charlie")
-    return wing
+        raise ValueError(f"unknown wing {wing!r}; expected 0, 1 or 2")
+    return int(wing)
 
 
 @dataclass(frozen=True)
@@ -103,19 +85,6 @@ def tensor3(a, b, c):
         if np.shape(m) != (2, 2):
             raise ValueError(f"tensor3 factor {name} must be 2x2, got {np.shape(m)}")
     return np.kron(np.kron(a, b), c)
-
-
-def partial_trace(rho, keep):
-    """Reduce an 8x8 state to the single kept wing's 2x2 state."""
-    keep = resolve_wing(keep)
-    if np.shape(rho) != (8, 8):
-        raise ValueError(f"partial_trace expects an 8x8 matrix, got {np.shape(rho)}")
-    t = np.asarray(rho).reshape(2, 2, 2, 2, 2, 2)
-    if keep == 0:
-        return np.einsum("ijkljk->il", t)
-    if keep == 1:
-        return np.einsum("ijkimk->jm", t)
-    return np.einsum("ijkijn->kn", t)
 
 
 def effect_sqrt(d: BlochDirection, lam, outcome):

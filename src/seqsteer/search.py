@@ -63,12 +63,6 @@ class SearchConfig:
     max_rows: ClassVar[int] = 64
     tol: float = 1e-4
     optimizer: Optimizer = Optimizer.FIXED_XYZ
-    # When True (the reported convention) every observer in a table is
-    # pinned just above their own threshold, so all of them violate.
-    # When False the predecessors measure at the sharpness floor
-    # instead; they learn essentially nothing and never violate, and
-    # the chain no longer degrades, so the table is cut at max_rows.
-    require_all_violate: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.tol < 1.0:
@@ -275,20 +269,6 @@ class ThresholdTable:
             indent=2,
         )
 
-    @classmethod
-    def from_json(cls, text):
-        from .inequalities import InequalityKind
-
-        data = json.loads(text)
-        rows = tuple((r["m"], r["lambda_min"]) for r in data["rows"])
-        return cls(
-            state=data["state"],
-            scenario=Scenario(data["scenario"]),
-            inequality=InequalityKind(data["inequality"]),
-            rows=rows,
-            truncated=data.get("truncated", False),
-        )
-
 
 def build_table(scenario, inequality, state, config=None):
     """Threshold ladder: sharpness minima row by row until the chain ends.
@@ -308,10 +288,7 @@ def build_table(scenario, inequality, state, config=None):
             rows.append((m, None))
             break
         rows.append((m, lam))
-        if config.require_all_violate:
-            pins.append(min(1.0, lam + config.tol))
-        else:
-            pins.append(LAMBDA_FLOOR)
+        pins.append(min(1.0, lam + config.tol))
     else:
         truncated = True
     return ThresholdTable(
@@ -321,8 +298,3 @@ def build_table(scenario, inequality, state, config=None):
         rows=tuple(rows),
         truncated=truncated,
     )
-
-
-def max_observers(scenario, inequality, state, config=None):
-    """How many observers in a row can each see a violation."""
-    return build_table(scenario, inequality, state, config).max_observers

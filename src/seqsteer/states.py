@@ -99,15 +99,6 @@ def load_state_file(path):
     return mat
 
 
-def save_state_file(path, rho):
-    """Write a density matrix in the format understood by load_state_file."""
-    rho = validate_density(rho, name="state")
-    with open(path, "w") as fh:
-        for row in rho:
-            fh.write(" ".join(f"{z.real:+.17g}{z.imag:+.17g}j" for z in row))
-            fh.write("\n")
-
-
 def custom_spec(path):
     """StateSpec for a density matrix loaded from a file."""
     return StateSpec(StateKind.CUSTOM, load_state_file(path))

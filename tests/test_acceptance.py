@@ -24,13 +24,13 @@ from seqsteer import (
     effect,
     effect_sqrt,
     no_signalling_audit,
-    partial_trace,
     run_cascade,
     run_cascade_oracle,
     xyz_spec,
 )
 from util import (
     bloch_vector,
+    partial_trace,
     random_direction,
     random_mixed_state,
     random_pure_state,

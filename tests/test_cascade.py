@@ -165,15 +165,6 @@ def test_detection_is_strictly_negative():
     assert doc["observers"][0]["detected"] is False
 
 
-def test_result_json_round_trip():
-    spec = xyz_spec(Scenario.A, InequalityKind.W1, W, (0.62, 1.0))
-    result = run_cascade(spec)
-    text = result.to_json()
-    again = CascadeResult.from_json(text)
-    assert again == result
-    assert again.to_json() == text
-
-
 def test_json_observer_numbering_is_one_based():
     result = run_cascade(xyz_spec(Scenario.A, InequalityKind.G1, GHZ, (0.7, 1.0)))
     doc = json.loads(result.to_json())

@@ -3,8 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from seqsteer import ghz_state, save_state_file
+from seqsteer import ghz_state
 from seqsteer.cli import main
+from util import save_state_file
 
 GOLDEN = Path(__file__).parent / "golden"
 CLI_REFERENCE = json.loads(
@@ -254,6 +255,7 @@ def test_retired_search_knobs_are_rejected(capsys, tmp_path):
     for body, message in (
         ("optimizer = nelder-mead-like", "unknown optimizer 'nelder-mead-like'"),
         ("grid = 13", "unknown key 'grid'"),
+        ("all_violate = false", "unknown key 'all_violate'"),
     ):
         cfg = tmp_path / "steer.ini"
         cfg.write_text(f"[search]\n{body}\n")

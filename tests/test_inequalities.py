@@ -1,5 +1,3 @@
-import json
-
 import pytest
 
 from seqsteer import (
@@ -7,7 +5,6 @@ from seqsteer import (
     SteeringDirection,
     evaluate,
     required_terms,
-    terms_as_json,
 )
 
 EXPECTED_TERM_COUNTS = {
@@ -38,9 +35,6 @@ def test_direction_pairing():
     assert InequalityKind.W2.direction is SteeringDirection.TWO_TO_ONE
 
 
-def test_untrusted_wings_follow_direction():
-    assert InequalityKind.G1.untrusted_wings == (0,)
-    assert InequalityKind.G2.untrusted_wings == (0, 1)
 
 
 def test_one_to_two_terms_never_number_the_trusted_wings():
@@ -109,27 +103,6 @@ def test_missing_term_is_a_hard_error_naming_it():
     del table[("A1", "B2", "Y")]
     with pytest.raises(LookupError, match=r"\('A1', 'B2', 'Y'\)"):
         evaluate(InequalityKind.G2, table)
-
-
-def test_provider_object_protocol():
-    class Flat:
-        def expectation(self, ops):
-            return 0.0
-
-    assert evaluate(InequalityKind.W2, Flat()) == pytest.approx(1.0)
-
-
-def test_terms_as_json_round_trip():
-    for kind in InequalityKind:
-        doc = json.loads(terms_as_json(kind))
-        assert doc["inequality"] == kind.value
-        assert doc["direction"] == kind.direction.value
-        assert doc["constant"] == 1.0
-        assert len(doc["terms"]) == EXPECTED_TERM_COUNTS[kind]
-        tl = required_terms(kind)
-        for entry, term in zip(doc["terms"], tl.terms):
-            assert tuple(entry["ops"]) == term.ops
-            assert entry["coeff"] == term.coeff
 
 
 def test_w1_zz_coefficient_is_small_and_negative():

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from seqsteer import (
     GHZ,
     BlochDirection,
-    QualityPrecision,
     SettingTriple,
     UnsharpSetting,
     X_DIR,
@@ -20,11 +19,11 @@ from seqsteer import (
     effect,
     joint_probability,
     luders_update,
-    partial_trace,
     tensor3,
 )
 from util import (
     bloch_vector,
+    partial_trace,
     random_direction,
     random_mixed_state,
     random_pure_state,
@@ -38,22 +37,7 @@ angles = st.tuples(
 )
 
 
-def test_quality_precision_trade_off():
-    qp = QualityPrecision.from_sharpness(0.6)
-    assert qp.G == pytest.approx(0.6)
-    assert qp.F == pytest.approx(0.8)
-    assert qp.F**2 + qp.G**2 == pytest.approx(1.0)
-
-
-@given(lams)
-def test_quality_precision_saturates_for_all_sharpness(lam):
-    qp = QualityPrecision.from_sharpness(lam)
-    assert qp.F**2 + qp.G**2 == pytest.approx(1.0, abs=1e-12)
-
-
 def test_sharpness_range_enforced():
-    with pytest.raises(ValueError):
-        QualityPrecision.from_sharpness(0.0)
     with pytest.raises(ValueError):
         UnsharpSetting(Z_DIR, 1.0001)
     with pytest.raises(ValueError):
@@ -66,12 +50,6 @@ def test_triple_requires_shared_sharpness():
     c = UnsharpSetting(Z_DIR, 0.7)
     with pytest.raises(ValueError, match="share"):
         SettingTriple(a, b, c)
-
-
-def test_with_lam_keeps_directions():
-    triple = SettingTriple.xyz(0.4).with_lam(0.9)
-    assert triple.lam == 0.9
-    assert triple.directions == (X_DIR, Y_DIR, Z_DIR)
 
 
 @settings(max_examples=60)
@@ -108,6 +86,17 @@ def test_luders_update_trace_is_born_probability():
             born = float(np.trace(tensor3(*op) @ rho).real)
             assert prob == pytest.approx(born, abs=1e-12)
             assert np.trace(updated).real == pytest.approx(born, abs=1e-12)
+
+
+@pytest.mark.parametrize("wing", [3, -1, "alice"])
+def test_wings_outside_0_1_2_are_rejected(wing):
+    # a negative index would otherwise silently measure Charlie
+    rho = build_state(GHZ)
+    s = UnsharpSetting(Z_DIR, 0.5)
+    with pytest.raises(ValueError, match="expected 0, 1 or 2"):
+        luders_update(rho, wing, s, 1)
+    with pytest.raises(ValueError, match="expected 0, 1 or 2"):
+        joint_probability(rho, wing, s, (Z_DIR, Z_DIR), (1, 1, 1))
 
 
 def test_luders_outcomes_sum_to_one():

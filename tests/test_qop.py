@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqsteer import (
@@ -10,11 +10,9 @@ from seqsteer import (
     Z_DIR,
     direction_observable,
     effect_sqrt,
-    partial_trace,
-    pauli,
     tensor3,
 )
-from util import random_mixed_state, random_pure_state
+from util import partial_trace, pauli, random_mixed_state, random_pure_state
 
 angles = st.tuples(
     st.floats(min_value=0.0, max_value=np.pi),
@@ -105,13 +103,18 @@ def test_effect_sqrt_squares_to_the_effect(angle, lam, outcome):
 
 
 @given(angles, st.floats(min_value=1e-3, max_value=1.0))
+@example(angle=(0.015625, 0.0), lam=1.0)
 def test_effect_sqrt_agrees_with_eigendecomposition(angle, lam):
     d = BlochDirection(*angle)
     obs = direction_observable(d)
     proj = (np.eye(2) + obs) / 2
     target = lam * proj + (1 - lam) * np.eye(2) / 2
-    w, u = np.linalg.eigh(target)
-    reference = u @ np.diag(np.sqrt(np.clip(w, 0, None))) @ u.conj().T
+    # eigh's eigenvectors with the exact eigenvalues, in its ascending
+    # order: the square root of a round-off eigenvalue near zero would
+    # be off by far more than the tolerance
+    _, u = np.linalg.eigh(target)
+    w = np.array([(1 - lam) / 2, (1 + lam) / 2])
+    reference = u @ np.diag(np.sqrt(w)) @ u.conj().T
     assert np.allclose(effect_sqrt(d, lam, 1), reference, atol=1e-12)
 
 

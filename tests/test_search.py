@@ -26,7 +26,6 @@ from seqsteer import (
     build_state,
     build_table,
     direction_coefficients,
-    max_observers,
     optimize_angles,
     propagate,
     threshold_lambda,
@@ -156,11 +155,6 @@ def test_max_observers_counts_numeric_rows(tables):
     assert tables[("w", "A", "w2")].max_observers == 2
 
 
-def test_max_observers_helper_agrees(tables):
-    got = max_observers(Scenario.A, InequalityKind.G2, GHZ)
-    assert got == tables[("ghz", "A", "g2")].max_observers
-
-
 @pytest.mark.parametrize(
     "state,scenario,kind",
     TABLE_CASES,
@@ -179,14 +173,6 @@ def test_golden_json(tables):
         assert table.to_json() + "\n" == (GOLDEN / name).read_text()
 
 
-def test_table_json_round_trips_bit_exactly(tables):
-    for table in tables.values():
-        text = table.to_json()
-        again = ThresholdTable.from_json(text)
-        assert again == table
-        assert again.to_json() == text
-
-
 def test_csv_layout():
     table = ThresholdTable(
         state="ghz",
@@ -197,16 +183,13 @@ def test_csv_layout():
     assert table.to_csv() == "m,lambda_min,status\n1,0.577393,ok\n2,,none\n"
 
 
-def test_alternate_convention_never_degrades_the_chain(monkeypatch):
-    # with predecessors at the sharpness floor every row costs the same,
-    # so the table runs to the row cap and is marked truncated
-    monkeypatch.setattr(SearchConfig, "max_rows", 5)
-    cfg = SearchConfig(require_all_violate=False)
-    table = build_table(Scenario.A, InequalityKind.G1, GHZ, cfg)
+def test_row_cap_truncates_the_table(monkeypatch):
+    # the ghz/A/g1 chain ends on row 4, so a cap of 2 cuts it first
+    monkeypatch.setattr(SearchConfig, "max_rows", 2)
+    table = build_table(Scenario.A, InequalityKind.G1, GHZ)
+    assert [m for m, _ in table.rows] == [1, 2]
     assert table.truncated is True
-    lams = [lam for _, lam in table.rows]
-    assert len(lams) == 5
-    assert max(lams) - min(lams) <= 2e-4
+    assert '"truncated": true' in table.to_json()
 
 
 def test_direction_decomposition_matches_direct_value():
@@ -267,8 +250,14 @@ def test_optimize_angles_validates_observer_index():
 def test_angle_grid_validation():
     with pytest.raises(ValueError):
         SearchConfig(tol=0.0)
-    # the bisection cap, guard band and row cap are constants, not knobs
-    for knob in ({"max_iter": 200}, {"guard": 1e-6}, {"max_rows": 5}):
+    # the bisection cap, guard band and row cap are constants, not knobs,
+    # and every table pins each observer just above their own threshold
+    for knob in (
+        {"max_iter": 200},
+        {"guard": 1e-6},
+        {"max_rows": 5},
+        {"require_all_violate": True},
+    ):
         with pytest.raises(TypeError):
             SearchConfig(**knob)
 

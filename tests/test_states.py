@@ -11,11 +11,9 @@ from seqsteer import (
     custom_spec,
     ghz_state,
     load_state_file,
-    partial_trace,
-    save_state_file,
     w_state,
 )
-from util import random_pure_state
+from util import partial_trace, random_pure_state, save_state_file
 
 
 def test_ghz_amplitudes():

@@ -93,10 +93,46 @@ def random_triple(rng, lam):
     return SettingTriple.from_directions(dirs, lam)
 
 
+_PAULI = {
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def pauli(axis):
+    """Return the 2x2 Pauli matrix for axis 'X', 'Y' or 'Z'."""
+    key = str(axis).upper()
+    if key not in _PAULI:
+        raise ValueError(f"unknown Pauli axis {axis!r}; expected one of X, Y, Z")
+    return _PAULI[key].copy()
+
+
+def partial_trace(rho, keep):
+    """Reduce an 8x8 state to the single kept wing's 2x2 state."""
+    if np.shape(rho) != (8, 8):
+        raise ValueError(f"partial_trace expects an 8x8 matrix, got {np.shape(rho)}")
+    t = np.asarray(rho).reshape(2, 2, 2, 2, 2, 2)
+    if keep == 0:
+        return np.einsum("ijkljk->il", t)
+    if keep == 1:
+        return np.einsum("ijkimk->jm", t)
+    return np.einsum("ijkijn->kn", t)
+
+
 def bloch_vector(rho2):
     """Cartesian Bloch components of a single-qubit state."""
-    from seqsteer import pauli
-
     return np.array(
         [float(np.trace(rho2 @ pauli(ax)).real) for ax in ("x", "y", "z")]
     )
+
+
+def save_state_file(path, rho):
+    """Write a density matrix in the format understood by load_state_file."""
+    from seqsteer.qop import validate_density
+
+    rho = validate_density(rho, name="state")
+    with open(path, "w") as fh:
+        for row in rho:
+            fh.write(" ".join(f"{z.real:+.17g}{z.imag:+.17g}j" for z in row))
+            fh.write("\n")
