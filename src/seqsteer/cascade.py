@@ -188,18 +188,19 @@ def run_cascade(spec: ScenarioSpec) -> CascadeResult:
     return CascadeResult(spec.inequality, spec.lambdas, tuple(values))
 
 
-def _term_correlation(rho, seq_wing, triple, ops):
-    """One term's expectation from outcome probabilities.
+def _term_correlation(branches, seq_wing, triple, ops):
+    """One term's expectation from outcome probabilities, summed over
+    the branch states.
 
-    Linear in rho, so unnormalized branch states may be passed directly.
-    Wings the term skips are marginalized over.
+    Linear in each state, so unnormalized branch states may be passed
+    directly. Wings the term skips are marginalized over.
     """
     slot, dirs = resolve(ops, seq_wing)
     # a skipped wing is marginalized, so any setting or direction serves
     setting = triple.settings[slot or 0]
     proj_dirs = tuple(d or Z_DIR for w, d in enumerate(dirs) if w != seq_wing)
     wings = tuple(w for w, sym in enumerate(ops) if sym != "I")
-    return correlation(rho, seq_wing, setting, proj_dirs, wings)
+    return correlation(branches, seq_wing, setting, proj_dirs, wings)
 
 
 def run_cascade_oracle(spec: ScenarioSpec) -> CascadeResult:
@@ -207,7 +208,10 @@ def run_cascade_oracle(spec: ScenarioSpec) -> CascadeResult:
     by explicit enumeration instead of the averaged channel.
 
     The branches over predecessor settings and outcomes grow along the
-    chain as unnormalized states, each setting weighted 1/3. Cost grows as 6^(n-1), so chains longer than 4 are refused.
+    chain as unnormalized states, each setting weighted 1/3. For each
+    observer and term, every outcome's joint operator is built once and
+    traced against all branches. Cost grows as 6^(n-1), so chains longer
+    than 4 are refused.
     """
     spec.require_projective_last()
     n = len(spec.observers)
@@ -224,9 +228,7 @@ def run_cascade_oracle(spec: ScenarioSpec) -> CascadeResult:
     for m, triple in enumerate(spec.observers):
         weight = (1.0 / 3.0) ** m
         values.append(evaluate(spec.inequality, {
-            term.ops: weight * sum(
-                _term_correlation(rho, seq_wing, triple, term.ops) for rho in branches
-            )
+            term.ops: weight * _term_correlation(branches, seq_wing, triple, term.ops)
             for term in terms
         }))
         if m + 1 < n:
@@ -239,12 +241,16 @@ def run_cascade_oracle(spec: ScenarioSpec) -> CascadeResult:
     return CascadeResult(spec.inequality, spec.lambdas, tuple(values))
 
 
-def _marginal(prob_fn, rho, seq_wing, setting, proj_dirs, wing):
-    """P(outcome = +1) on one wing, all other outcomes summed over."""
+def _marginal(probs, wing):
+    """P(outcome = +1) on one wing, all other outcomes summed over.
+
+    probs holds the eight outcome probabilities in
+    product((1, -1), repeat=3) order.
+    """
     total = 0.0
-    for outcomes in product((1, -1), repeat=3):
+    for outcomes, p in zip(product((1, -1), repeat=3), probs):
         if outcomes[wing] == 1:
-            total += prob_fn(rho, seq_wing, setting, proj_dirs, outcomes)
+            total += p
     return total
 
 
@@ -257,7 +263,8 @@ def no_signalling_audit(spec: ScenarioSpec, prob_fn=None) -> float:
     anything above numerical round-off (about 1e-10) indicates a broken
     probability model. An alternative probability function may be passed
     to audit a foreign model with the same signature as
-    measurement.joint_probability.
+    measurement.joint_probability. It is called once per observer,
+    setting, direction pair and outcome triple.
     """
     if prob_fn is None:
         prob_fn = joint_probability
@@ -269,30 +276,29 @@ def no_signalling_audit(spec: ScenarioSpec, prob_fn=None) -> float:
     for m, triple in enumerate(spec.observers):
         if m > 0:
             rho = averaged_channel(rho, seq_wing, spec.observers[m - 1])
-        # sequential wing's marginal must ignore both projective wings
-        for setting in triple.settings:
-            seen = [
-                _marginal(prob_fn, rho, seq_wing, setting, (d1, d2), seq_wing)
-                for d1 in candidates
-                for d2 in candidates
+        # the eight outcome probabilities of every setting and pair of
+        # projective directions, each asked for once
+        probs = {
+            (s, d1, d2): [
+                prob_fn(rho, seq_wing, setting, (d1, d2), outcomes)
+                for outcomes in product((1, -1), repeat=3)
             ]
+            for s, setting in enumerate(triple.settings)
+            for d1 in candidates
+            for d2 in candidates
+        }
+        # sequential wing's marginal must ignore both projective wings
+        for s in range(3):
+            seen = [_marginal(p, seq_wing) for (t, *_), p in probs.items() if t == s]
             worst = max(worst, max(seen) - min(seen))
         # each projective wing's marginal must ignore the sequential
         # setting and the other projective wing's direction
         for probe_pos, probe_wing in enumerate(proj_wings):
-            other_pos = 1 - probe_pos
-            for own_dir in candidates:
-                seen = []
-                for setting in triple.settings:
-                    for remote in candidates:
-                        proj_dirs = [None, None]
-                        proj_dirs[probe_pos] = own_dir
-                        proj_dirs[other_pos] = remote
-                        seen.append(
-                            _marginal(
-                                prob_fn, rho, seq_wing, setting,
-                                tuple(proj_dirs), probe_wing,
-                            )
-                        )
+            for own in candidates:
+                seen = [
+                    _marginal(p, probe_wing)
+                    for (_, *pair), p in probs.items()
+                    if pair[probe_pos] == own
+                ]
                 worst = max(worst, max(seen) - min(seen))
     return worst

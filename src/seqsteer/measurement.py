@@ -120,18 +120,18 @@ def bloch_shrink_factor(lam):
     return (1 + 2 * np.sqrt(1 - lam * lam)) / 3
 
 
-def joint_probability(rho, seq_wing, seq_setting: UnsharpSetting, proj_dirs, outcomes):
-    """Probability of an outcome triple, one unsharp wing and two projective.
+def joint_operator(seq_wing, seq_setting: UnsharpSetting, proj_dirs, outcomes):
+    """The 8x8 operator E (x) P (x) P of an outcome triple, one unsharp
+    wing and two projective.
 
     Args:
-        rho: 8x8 state.
         seq_wing: which wing carries the unsharp measurement.
         seq_setting: that wing's direction and sharpness.
         proj_dirs: BlochDirections of the two projective wings, in
             ascending wing order.
         outcomes: (a, b, c) for wings 0, 1, 2, each +1 or -1.
 
-    Returns Tr[(E (x) P (x) P) rho] with the factors placed on their wings.
+    The factors are placed on their wings.
     """
     seq_wing = resolve_wing(seq_wing)
     others = [w for w in (0, 1, 2) if w != seq_wing]
@@ -139,22 +139,34 @@ def joint_probability(rho, seq_wing, seq_setting: UnsharpSetting, proj_dirs, out
     ops[seq_wing] = effect(seq_setting, outcomes[seq_wing])
     for w, d in zip(others, proj_dirs):
         ops[w] = projector(d, outcomes[w])
-    return float(np.trace(tensor3(*ops) @ rho).real)
+    return tensor3(*ops)
 
 
-def correlation(rho, seq_wing, seq_setting, proj_dirs, wings):
+def joint_probability(rho, seq_wing, seq_setting: UnsharpSetting, proj_dirs, outcomes):
+    """Probability Tr[(E (x) P (x) P) rho] of an outcome triple on the
+    8x8 state rho; the other arguments are joint_operator's."""
+    op = joint_operator(seq_wing, seq_setting, proj_dirs, outcomes)
+    return float((op @ rho).trace().real)
+
+
+def correlation(rhos, seq_wing, seq_setting, proj_dirs, wings):
     """Expectation of the product of the outcomes on wings, every other
-    wing's outcome marginalized.
+    wing's outcome marginalized, summed over the states in rhos.
 
-    Takes joint_probability's arguments, with wings a tuple of wing
-    indices. A correlation that includes the unsharp wing is lam times
-    the projective one, since the unsharp observable's moment operator
-    is E(+) - E(-) = lam * n.sigma.
+    Takes joint_operator's arguments, with wings a tuple of wing
+    indices. Each outcome's operator is built once and traced against
+    every state; each state keeps its own running total over the
+    outcomes, and the totals are summed in the order of rhos. A
+    correlation that includes the unsharp wing is lam times the
+    projective one, since the unsharp observable's moment operator is
+    E(+) - E(-) = lam * n.sigma.
     """
-    total = 0.0
+    totals = [0.0] * len(rhos)
     for outcomes in product((1, -1), repeat=3):
         w = 1.0
         for wing in wings:
             w *= outcomes[wing]
-        total += w * joint_probability(rho, seq_wing, seq_setting, proj_dirs, outcomes)
-    return total
+        op = joint_operator(seq_wing, seq_setting, proj_dirs, outcomes)
+        for i, rho in enumerate(rhos):
+            totals[i] += w * float((op @ rho).trace().real)
+    return sum(totals)

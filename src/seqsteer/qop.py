@@ -84,7 +84,14 @@ def tensor3(a, b, c):
     for name, m in (("a", a), ("b", b), ("c", c)):
         if np.shape(m) != (2, 2):
             raise ValueError(f"tensor3 factor {name} must be 2x2, got {np.shape(m)}")
-    return np.kron(np.kron(a, b), c)
+    a, b, c = np.asarray(a), np.asarray(b), np.asarray(c)
+    # entry (ikm, jln) is (a_ij * b_kl) * c_mn, the products np.kron takes
+    # in the same order, so the bits match kron(kron(a, b), c)
+    return (
+        a[:, None, None, :, None, None]
+        * b[None, :, None, None, :, None]
+        * c[None, None, :, None, None, :]
+    ).reshape(8, 8)
 
 
 def effect_sqrt(d: BlochDirection, lam, outcome):

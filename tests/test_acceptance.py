@@ -28,6 +28,7 @@ from seqsteer import (
     run_cascade_oracle,
     xyz_spec,
 )
+from seqsteer.cascade import ORACLE_MAX_OBSERVERS
 from util import (
     bloch_vector,
     partial_trace,
@@ -179,6 +180,34 @@ def test_oracle_equivalence(scenario, kind, seed):
         assert worst <= 1e-10
 
 
+@pytest.mark.parametrize(
+    "kind", list(InequalityKind), ids=[k.value for k in InequalityKind]
+)
+def test_oracle_equivalence_at_max_observers(kind):
+    # one random chain of ORACLE_MAX_OBSERVERS observers per kind; the
+    # scenario alternates and the state cycles GHZ, W, random pure
+    case = list(InequalityKind).index(kind)
+    rng = np.random.default_rng(200 + case)
+    n = ORACLE_MAX_OBSERVERS
+    lams = tuple(float(rng.uniform(0.2, 0.95)) for _ in range(n - 1)) + (1.0,)
+    if case % 3 == 0:
+        state = GHZ
+    elif case % 3 == 1:
+        state = W
+    else:
+        state = StateSpec(StateKind.CUSTOM, custom=random_pure_state(rng))
+    spec = ScenarioSpec(
+        scenario=(Scenario.A, Scenario.B)[case % 2],
+        inequality=kind,
+        state=state,
+        observers=tuple(random_triple(rng, lam) for lam in lams),
+    )
+    fast = run_cascade(spec)
+    slow = run_cascade_oracle(spec)
+    assert len(slow.values) == n
+    assert max(abs(a - b) for a, b in zip(fast.values, slow.values)) <= 1e-10
+
+
 # ---------------------------------------------------------------- #
 # invariant sweeps, 50+ randomized instances each                   #
 # ---------------------------------------------------------------- #
@@ -221,8 +250,8 @@ def test_properties_moment_scales_with_sharpness():
         d = random_direction(rng)
         dirs = (random_direction(rng), random_direction(rng))
         lam = float(rng.uniform(0.01, 1.0))
-        sharp = correlation(rho, wing, UnsharpSetting(d, 1.0), dirs, (0, 1, 2))
-        unsharp = correlation(rho, wing, UnsharpSetting(d, lam), dirs, (0, 1, 2))
+        sharp = correlation((rho,), wing, UnsharpSetting(d, 1.0), dirs, (0, 1, 2))
+        unsharp = correlation((rho,), wing, UnsharpSetting(d, lam), dirs, (0, 1, 2))
         assert abs(unsharp - lam * sharp) < 1e-12
 
 

@@ -1,4 +1,7 @@
 import json
+from collections import Counter
+from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,9 +16,13 @@ from seqsteer import (
     SettingTriple,
     StateKind,
     StateSpec,
+    X_DIR,
+    Y_DIR,
+    Z_DIR,
     bloch_shrink_factor,
     build_state,
     ghz_state,
+    joint_probability,
     no_signalling_audit,
     propagate,
     run_cascade,
@@ -23,10 +30,12 @@ from seqsteer import (
     value_from_state,
     xyz_spec,
 )
+from seqsteer import cascade
 from util import (
     FROZEN_CHAINS,
     FROZEN_PRODUCT_STATE_VALUES,
     FROZEN_PURE_VALUES,
+    oracle_bit_chains,
     random_pure_state,
     random_triple,
 )
@@ -152,6 +161,45 @@ def test_oracle_agrees_with_channel_path():
         ) < 1e-10
 
 
+def test_oracle_never_touches_the_channel_path(monkeypatch):
+    # the oracle is an independent check only if it reaches its values
+    # through branch states and probabilities alone
+    rng = np.random.default_rng(41)
+    lams = (float(rng.uniform(0.3, 0.9)), float(rng.uniform(0.3, 0.9)), 1.0)
+    spec = ScenarioSpec(
+        scenario=Scenario.B,
+        inequality=InequalityKind.W1,
+        state=W,
+        observers=tuple(random_triple(rng, lam) for lam in lams),
+    )
+    fast = run_cascade(spec)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle used the channel path")
+
+    for name in ("averaged_channel", "propagate", "term_expectations"):
+        monkeypatch.setattr(cascade, name, forbidden)
+    slow = run_cascade_oracle(spec)
+    assert max(abs(a - b) for a, b in zip(fast.values, slow.values)) < 1e-10
+
+
+ORACLE_BITS = json.loads(
+    (Path(__file__).parent / "reference" / "oracle_bits.json").read_text()
+)
+
+
+def test_oracle_bit_chains_match_the_reference_keys():
+    assert sorted(oracle_bit_chains()) == sorted(ORACLE_BITS)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_BITS))
+def test_oracle_and_audit_bits_match_the_reference(name):
+    # repr round-trips a float exactly, so equal strings are equal bits
+    spec = oracle_bit_chains()[name]
+    assert [repr(v) for v in run_cascade_oracle(spec).values] == ORACLE_BITS[name]["oracle"]
+    assert repr(no_signalling_audit(spec)) == ORACLE_BITS[name]["audit"]
+
+
 def test_oracle_refuses_long_chains():
     spec = xyz_spec(Scenario.A, InequalityKind.G1, GHZ, (0.9, 0.9, 0.9, 0.9, 1.0))
     with pytest.raises(ValueError, match="limited to 4 observers"):
@@ -198,3 +246,31 @@ def test_audit_flags_a_signalling_model():
 
     spec = xyz_spec(Scenario.A, InequalityKind.G1, GHZ, (0.8, 1.0))
     assert no_signalling_audit(spec, prob_fn=leaky) > 1e-10
+
+
+def test_audit_asks_for_each_probability_once():
+    # 3 settings x 9 direction pairs x 8 outcome triples per observer
+    asked = Counter()
+
+    def counting(rho, seq_wing, setting, proj_dirs, outcomes):
+        asked[setting, proj_dirs, outcomes] += 1
+        return joint_probability(rho, seq_wing, setting, proj_dirs, outcomes)
+
+    rng = np.random.default_rng(43)
+    spec = ScenarioSpec(
+        scenario=Scenario.A,
+        inequality=InequalityKind.G2,
+        state=GHZ,
+        observers=(random_triple(rng, 0.45), random_triple(rng, 0.7), random_triple(rng, 1.0)),
+    )
+    assert no_signalling_audit(spec, prob_fn=counting) <= 1e-10
+    assert sum(asked.values()) == 216 * len(spec.observers)
+    dirs = (X_DIR, Y_DIR, Z_DIR)
+    assert set(asked) == {
+        (setting, pair, outcomes)
+        for triple in spec.observers
+        for setting in triple.settings
+        for pair in product(dirs, repeat=2)
+        for outcomes in product((1, -1), repeat=3)
+    }
+    assert set(asked.values()) == {1}

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,8 @@ from seqsteer import (
     luders_update,
     tensor3,
 )
+from seqsteer.measurement import joint_operator
+from seqsteer.qop import projector
 from util import (
     bloch_vector,
     partial_trace,
@@ -153,8 +157,6 @@ def test_joint_probabilities_form_a_distribution():
     rho = random_mixed_state(rng)
     s = UnsharpSetting(random_direction(rng), 0.66)
     dirs = (random_direction(rng), random_direction(rng))
-    from itertools import product
-
     probs = [
         joint_probability(rho, 0, s, dirs, outcomes)
         for outcomes in product((1, -1), repeat=3)
@@ -172,8 +174,8 @@ def test_correlation_moment_scales_with_sharpness():
         dirs = (random_direction(rng), random_direction(rng))
         lam = float(rng.uniform(0.05, 0.999))
         wing = int(rng.integers(0, 3))
-        sharp = correlation(rho, wing, UnsharpSetting(d, 1.0), dirs, (0, 1, 2))
-        unsharp = correlation(rho, wing, UnsharpSetting(d, lam), dirs, (0, 1, 2))
+        sharp = correlation((rho,), wing, UnsharpSetting(d, 1.0), dirs, (0, 1, 2))
+        unsharp = correlation((rho,), wing, UnsharpSetting(d, lam), dirs, (0, 1, 2))
         assert unsharp == pytest.approx(lam * sharp, abs=1e-12)
 
 
@@ -181,9 +183,9 @@ def test_marginal_correlations_drop_the_right_wing():
     # marginalizing the unsharp wing of GHZ leaves <Z Z> = 1 on the rest
     rho = build_state(GHZ)
     s = UnsharpSetting(X_DIR, 0.5)
-    two = correlation(rho, 0, s, (Z_DIR, Z_DIR), (1, 2))
+    two = correlation((rho,), 0, s, (Z_DIR, Z_DIR), (1, 2))
     assert two == pytest.approx(1.0, abs=1e-12)
-    one = correlation(rho, 0, s, (Z_DIR, Z_DIR), (1,))
+    one = correlation((rho,), 0, s, (Z_DIR, Z_DIR), (1,))
     assert one == pytest.approx(0.0, abs=1e-12)
 
 
@@ -191,13 +193,13 @@ def test_correlation3_on_ghz_stabilizers():
     rho = build_state(GHZ)
     s = UnsharpSetting(X_DIR, 1.0)
     all3 = (0, 1, 2)
-    assert correlation(rho, 0, s, (X_DIR, X_DIR), all3) == pytest.approx(1.0, abs=1e-12)
+    assert correlation((rho,), 0, s, (X_DIR, X_DIR), all3) == pytest.approx(1.0, abs=1e-12)
     assert correlation(
-        rho, 0, UnsharpSetting(Y_DIR, 1.0), (Y_DIR, X_DIR), all3
+        (rho,), 0, UnsharpSetting(Y_DIR, 1.0), (Y_DIR, X_DIR), all3
     ) == pytest.approx(-1.0, abs=1e-12)
     # correlations with an unsharp first wing scale by lam
     assert correlation(
-        rho, 0, UnsharpSetting(X_DIR, 0.25), (X_DIR, X_DIR), all3
+        (rho,), 0, UnsharpSetting(X_DIR, 0.25), (X_DIR, X_DIR), all3
     ) == pytest.approx(0.25, abs=1e-12)
 
 
@@ -219,5 +221,29 @@ def test_correlation_on_every_wing_subset_is_a_trace():
             for wings in subsets:
                 mats = [obs[w] if w in wings else np.eye(2) for w in range(3)]
                 expected = float(np.trace(rho @ tensor3(*mats)).real)
-                got = correlation(rho, seq_wing, setting, dirs, wings)
+                got = correlation((rho,), seq_wing, setting, dirs, wings)
                 assert abs(got - expected) < 1e-12, (seq_wing, wings)
+
+
+def test_correlation_of_several_states_is_the_sum_of_each():
+    # each state's outcome sum is kept apart and the totals are added in
+    # the order given, so the bits equal the sum of single-state calls
+    rng = np.random.default_rng(31)
+    rhos = [random_mixed_state(rng) for _ in range(7)]
+    setting = UnsharpSetting(random_direction(rng), 0.6)
+    dirs = (random_direction(rng), random_direction(rng))
+    for wings in ((0,), (1, 2), (0, 1, 2)):
+        each = sum(correlation((rho,), 1, setting, dirs, wings) for rho in rhos)
+        assert correlation(rhos, 1, setting, dirs, wings) == each
+
+
+def test_joint_operator_places_each_factor_on_its_wing():
+    # the unsharp effect on the sequential wing, the projectors on the
+    # others in ascending wing order
+    rng = np.random.default_rng(37)
+    setting = UnsharpSetting(random_direction(rng), 0.3)
+    dirs = (random_direction(rng), random_direction(rng))
+    for a, b, c in product((1, -1), repeat=3):
+        op = joint_operator(2, setting, dirs, (a, b, c))
+        want = tensor3(projector(dirs[0], a), projector(dirs[1], b), effect(setting, c))
+        assert op.tobytes() == want.tobytes()

@@ -5,14 +5,24 @@ from hypothesis import strategies as st
 
 from seqsteer import (
     BlochDirection,
+    UnsharpSetting,
     X_DIR,
     Y_DIR,
     Z_DIR,
     direction_observable,
+    effect,
     effect_sqrt,
     tensor3,
 )
-from util import partial_trace, pauli, random_mixed_state, random_pure_state
+from seqsteer.cascade import _SIGMAS
+from seqsteer.qop import I2, projector
+from util import (
+    partial_trace,
+    pauli,
+    random_direction,
+    random_mixed_state,
+    random_pure_state,
+)
 
 angles = st.tuples(
     st.floats(min_value=0.0, max_value=np.pi),
@@ -63,6 +73,32 @@ def test_tensor3_matches_explicit_kron():
     rng = np.random.default_rng(7)
     a, b, c = (rng.normal(size=(2, 2)) for _ in range(3))
     assert np.allclose(tensor3(a, b, c), np.kron(np.kron(a, b), c))
+
+
+def test_tensor3_is_kron_bit_for_bit():
+    # the broadcast product must take kron's products in kron's order,
+    # (a * b) * c, so every bit and the dtype match
+    rng = np.random.default_rng(29)
+    triples = [
+        tuple(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(3))
+        for _ in range(200)
+    ]
+    factors = [I2, *_SIGMAS]
+    for _ in range(4):
+        d = random_direction(rng)
+        lam = float(rng.uniform(0.05, 1.0))
+        for outcome in (1, -1):
+            factors.append(projector(d, outcome))
+            factors.append(effect(UnsharpSetting(d, lam), outcome))
+            factors.append(effect_sqrt(d, lam, outcome))
+    triples += [
+        tuple(factors[int(i)] for i in rng.integers(len(factors), size=3))
+        for _ in range(300)
+    ]
+    for a, b, c in triples:
+        got, want = tensor3(a, b, c), np.kron(np.kron(a, b), c)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 def test_tensor3_rejects_wrong_shapes():

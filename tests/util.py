@@ -8,7 +8,16 @@ them.
 
 import numpy as np
 
-from seqsteer import GHZ, W, InequalityKind, Scenario
+from seqsteer import (
+    GHZ,
+    W,
+    InequalityKind,
+    Scenario,
+    ScenarioSpec,
+    StateKind,
+    StateSpec,
+    xyz_spec,
+)
 
 # ladder of minimal sharpness values per observer, bisection tolerance
 # 1e-4, upper bracket endpoint reported, predecessors pinned at their
@@ -136,3 +145,40 @@ def save_state_file(path, rho):
         for row in rho:
             fh.write(" ".join(f"{z.real:+.17g}{z.imag:+.17g}j" for z in row))
             fh.write("\n")
+
+
+def oracle_bit_chains():
+    """Chains whose oracle values and audit deviation are pinned bit for
+    bit in reference/oracle_bits.json, keyed by a readable name.
+
+    The four FROZEN_CHAINS specs, then eight seeded chains over GHZ, W
+    and random pure and mixed states, every kind, both scenarios and
+    one to four observers.
+    """
+    chains = {}
+    for scenario, lambdas in sorted(FROZEN_CHAINS, key=repr):
+        name = f"frozen-{scenario}-" + "-".join(map(str, lambdas))
+        chains[name] = xyz_spec(Scenario(scenario), InequalityKind.G1, GHZ, lambdas)
+    rng = np.random.default_rng(7)
+    kinds = list(InequalityKind)
+    for case in range(8):
+        # the second four shift the state and the length against the kind
+        scenario = Scenario.A if case < 4 else Scenario.B
+        kind = kinds[case % 4]
+        n = (case + 2 * (case // 4)) % 4 + 1
+        lams = tuple(float(rng.uniform(0.2, 0.95)) for _ in range(n - 1)) + (1.0,)
+        observers = tuple(random_triple(rng, lam) for lam in lams)
+        which = (case + case // 4) % 4
+        if which == 0:
+            state, label = GHZ, "ghz"
+        elif which == 1:
+            state, label = W, "w"
+        elif which == 2:
+            state, label = StateSpec(StateKind.CUSTOM, custom=random_pure_state(rng)), "pure"
+        else:
+            state, label = StateSpec(StateKind.CUSTOM, custom=random_mixed_state(rng)), "mixed"
+        name = f"seeded-{case}-{scenario.value}-{kind.value}-{label}-n{n}"
+        chains[name] = ScenarioSpec(
+            scenario=scenario, inequality=kind, state=state, observers=observers
+        )
+    return chains
