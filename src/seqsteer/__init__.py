@@ -9,9 +9,6 @@ violating, and how long the chain can get.
 """
 
 from .qop import (
-    ALICE,
-    BOB,
-    CHARLIE,
     BlochDirection,
     X_DIR,
     Y_DIR,
@@ -75,9 +72,6 @@ from .search import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALICE",
-    "BOB",
-    "CHARLIE",
     "BlochDirection",
     "CascadeResult",
     "GHZ",

@@ -14,6 +14,9 @@ command line win.  Recognized sections and keys:
   [run]     state, scenario, direction, ineq, lambdas, format, out
   [search]  tol, optimizer
 
+optimizer (fixed-xyz or grid-refine) has no flag.  threshold and table
+default to fixed-xyz, optimize to grid-refine.
+
 A value is checked the same way whether it comes from a flag or from
 the config file; a bad one exits with status 2.
 """
@@ -227,12 +230,17 @@ def _spec_from(opts, lambdas):
     return xyz_spec(opts["scenario"], opts["inequality"], opts["state"], lambdas)
 
 
-def _cmd_cascade(opts):
+def _chain_lambdas(opts):
+    """The given sharpness values, ending on a projective observer."""
     lambdas = list(opts["lambdas"] or (1.0,))
     if lambdas[-1] != 1.0:
         # the final observer has nobody downstream, so they measure sharply
         lambdas.append(1.0)
-    result = run_cascade(_spec_from(opts, lambdas))
+    return lambdas
+
+
+def _cmd_cascade(opts):
+    result = run_cascade(_spec_from(opts, _chain_lambdas(opts)))
     if opts["format"] == "json":
         return result.to_json() + "\n", 0
     if opts["format"] == "csv":
@@ -318,11 +326,7 @@ def _cmd_optimize(opts):
 
 
 def _cmd_audit(opts):
-    lambdas = list(opts["lambdas"] or (1.0,))
-    if lambdas[-1] != 1.0:
-        lambdas.append(1.0)
-    spec = _spec_from(opts, lambdas)
-    deviation = no_signalling_audit(spec)
+    deviation = no_signalling_audit(_spec_from(opts, _chain_lambdas(opts)))
     passed = deviation <= AUDIT_BOUND
     code = 0 if passed else 1
     if opts["format"] == "json":

@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-ALICE, BOB, CHARLIE = 0, 1, 2
-
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
@@ -112,15 +110,16 @@ def effect_sqrt(d: BlochDirection, lam, outcome):
     return root_a * projector(d, outcome) + root_b * projector(d, -outcome)
 
 
-def validate_density(rho, dim=8, name="state"):
-    """Check Hermiticity, unit trace and positive semidefiniteness.
+def validate_density(rho, name="state"):
+    """Check an 8x8 state for Hermiticity, unit trace and positive
+    semidefiniteness.
 
     Returns the matrix as a complex ndarray; raises ValueError with the
     offending property otherwise.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (dim, dim):
-        raise ValueError(f"{name} must be {dim}x{dim}, got {rho.shape}")
+    if rho.shape != (8, 8):
+        raise ValueError(f"{name} must be 8x8, got {rho.shape}")
     herm = np.max(np.abs(rho - rho.conj().T))
     if herm > HERMITICITY_TOL:
         raise ValueError(f"{name} is not Hermitian (max deviation {herm:.3e})")

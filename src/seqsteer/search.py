@@ -2,9 +2,10 @@
 
 For a fixed chain prefix the inequality value seen by the next observer
 is affine in that observer's sharpness, so the smallest violating
-sharpness is found by bisection.  Tables are built by pinning each
-observer just above their own threshold and asking how far the chain
-extends before even a projective measurement stops violating.
+sharpness is found by bisection.  A table walks one running state down
+the chain: each observer is pinned just above their own threshold and
+their averaged channel applied once, until even a projective
+measurement stops violating.
 """
 
 import json
@@ -15,15 +16,9 @@ from typing import ClassVar
 
 import numpy as np
 
-from .cascade import (
-    Scenario,
-    propagate,
-    term_expectations,
-    value_from_terms,
-    xyz_spec,
-)
+from .cascade import Scenario, propagate, term_expectations, value_from_terms
 from .inequalities import required_terms
-from .measurement import SettingTriple
+from .measurement import SettingTriple, averaged_channel
 from .qop import BlochDirection, X_DIR, Y_DIR, Z_DIR
 from .states import build_state
 
@@ -187,9 +182,14 @@ def threshold_lambda(prefix, config=None):
     seq = prefix.sequential_wing
     rho = propagate(build_state(prefix.state), seq, prefix.observers)
     terms = term_expectations(rho, prefix.inequality, seq)
+    return _threshold(terms, prefix.inequality, config)
+
+
+def _threshold(terms, inequality, config):
+    """threshold_lambda for the state whose term_expectations are terms."""
 
     def f(lam):
-        return _settings_and_value(terms, prefix.inequality, lam, config.optimizer)[1]
+        return _settings_and_value(terms, inequality, lam, config.optimizer)[1]
 
     f_sharp = f(1.0)
     if f_sharp >= -config.guard:
@@ -273,28 +273,27 @@ class ThresholdTable:
 def build_table(scenario, inequality, state, config=None):
     """Threshold ladder: sharpness minima row by row until the chain ends.
 
-    Observer m's threshold is computed with observers 1..m-1 pinned at
-    their own reported minima plus the bisection tolerance, so each of
-    them violates in their own right.  The table ends on the first
-    "none" row, or at config.max_rows if every row keeps violating.
+    One state walks down the chain: it starts as the shared state and,
+    after each row, passes through that observer's averaged channel with
+    the observer pinned at their reported minimum plus the bisection
+    tolerance, so each of them violates in their own right.  The table
+    ends on the first "none" row, or at config.max_rows if every row
+    keeps violating.
     """
     config = config or SearchConfig()
-    pins = []
+    seq = scenario.sequential_wing
+    rho = build_state(state)
     rows = []
-    truncated = False
     for m in range(1, config.max_rows + 1):
-        lam = threshold_lambda(xyz_spec(scenario, inequality, state, pins), config)
-        if lam is None:
-            rows.append((m, None))
-            break
+        lam = _threshold(term_expectations(rho, inequality, seq), inequality, config)
         rows.append((m, lam))
-        pins.append(min(1.0, lam + config.tol))
-    else:
-        truncated = True
+        if lam is None:
+            break
+        rho = averaged_channel(rho, seq, SettingTriple.xyz(min(1.0, lam + config.tol)))
     return ThresholdTable(
         state=state.kind.value,
         scenario=scenario,
         inequality=inequality,
         rows=tuple(rows),
-        truncated=truncated,
+        truncated=lam is not None,
     )

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -36,12 +37,16 @@ from seqsteer.search import _best_direction, _direction_from_vector
 from util import (
     FROZEN_LADDERS,
     TABLE_CASES,
+    ladder_bit_cases,
     random_mixed_state,
     random_triple,
     table_key,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
+LADDER_BITS = json.loads(
+    (Path(__file__).parent / "reference" / "ladder_bits.json").read_text()
+)
 
 
 def test_first_threshold_brackets_the_analytic_root():
@@ -121,6 +126,29 @@ def test_each_threshold_traces_its_state_once(monkeypatch, optimizer):
     assert len(table.rows) == len(walks) == 4
 
 
+@pytest.mark.parametrize("optimizer", list(Optimizer))
+def test_a_ladder_walks_one_state_down_the_chain(monkeypatch, optimizer):
+    # row m's state is row m-1's after one channel step; rebuilding the
+    # shared state and replaying every pinned predecessor per row would
+    # grow the channel steps quadratically in the ladder length
+    import seqsteer.cascade as cascade_mod
+    import seqsteer.search as search_mod
+
+    calls = {"averaged_channel": 0, "build_state": 0}
+    for module in (search_mod, cascade_mod):
+        for name in [n for n in calls if hasattr(module, n)]:
+            def counted(*args, _name=name, _call=getattr(module, name)):
+                calls[_name] += 1
+                return _call(*args)
+
+            monkeypatch.setattr(module, name, counted)
+    for state, scenario, kind in TABLE_CASES:
+        calls.update(averaged_channel=0, build_state=0)
+        table = build_table(scenario, kind, state, SearchConfig(optimizer=optimizer))
+        assert table.rows[-1][1] is None
+        assert calls == {"averaged_channel": len(table.rows) - 1, "build_state": 1}
+
+
 @pytest.mark.parametrize(
     "state,scenario,kind",
     TABLE_CASES,
@@ -171,6 +199,18 @@ def test_golden_json(tables):
         table = tables[key]
         name = "_".join(key) + ".json"
         assert table.to_json() + "\n" == (GOLDEN / name).read_text()
+
+
+def test_ladder_bit_cases_match_the_reference_keys():
+    assert sorted(ladder_bit_cases()) == sorted(LADDER_BITS)
+
+
+@pytest.mark.parametrize("name", sorted(LADDER_BITS))
+def test_ladder_bits_match_the_reference(name):
+    # json writes each float as its repr, so equal text is equal bits
+    scenario, kind, state, optimizer = ladder_bit_cases()[name]
+    table = build_table(scenario, kind, state, SearchConfig(optimizer=optimizer))
+    assert table.to_json() == json.dumps(LADDER_BITS[name], indent=2)
 
 
 def test_csv_layout():

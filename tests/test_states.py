@@ -60,6 +60,8 @@ def test_custom_spec_validates_density():
     not_psd = np.diag([0.5, 0.6, -0.1, 0, 0, 0, 0, 0]).astype(complex)
     with pytest.raises(ValueError, match="positive"):
         StateSpec(StateKind.CUSTOM, custom=not_psd)
+    with pytest.raises(ValueError, match=r"^custom state must be 8x8, got \(4, 4\)$"):
+        StateSpec(StateKind.CUSTOM, custom=np.eye(4) / 4)
 
 
 def test_save_load_round_trip(tmp_path):

@@ -12,10 +12,12 @@ from seqsteer import (
     GHZ,
     W,
     InequalityKind,
+    Optimizer,
     Scenario,
     ScenarioSpec,
     StateKind,
     StateSpec,
+    build_state,
     xyz_spec,
 )
 
@@ -182,3 +184,54 @@ def oracle_bit_chains():
             scenario=scenario, inequality=kind, state=state, observers=observers
         )
     return chains
+
+
+# white-noise weight and local rotation angle (radians) of the seeded
+# ladder states, drawn from [0, max): small enough that the ladders keep
+# the shape of the published ones
+NOISE_MAX = 0.05
+ROTATION_MAX = 0.15
+
+
+def _local_rotation(rng):
+    """exp(-i a n.sigma / 2) about a random axis n, by a random angle a."""
+    axis = rng.normal(size=3)
+    axis /= np.linalg.norm(axis)
+    angle = rng.uniform(0.0, ROTATION_MAX)
+    generator = sum(a * pauli(ax) for a, ax in zip(axis, "XYZ"))
+    return np.cos(angle / 2) * np.eye(2) - 1j * np.sin(angle / 2) * generator
+
+
+def noisy_rotated_state(rng, spec):
+    """spec's state under a small random unitary on each qubit, mixed
+    with white noise of random weight, as a custom StateSpec."""
+    u = np.kron(np.kron(_local_rotation(rng), _local_rotation(rng)), _local_rotation(rng))
+    noise = rng.uniform(0.0, NOISE_MAX)
+    rho = (1 - noise) * (u @ build_state(spec) @ u.conj().T) + noise * np.eye(8) / 8
+    return StateSpec(StateKind.CUSTOM, custom=(rho + rho.conj().T) / 2)
+
+
+def ladder_bit_cases():
+    """Ladders whose to_json() is pinned byte for byte in
+    reference/ladder_bits.json, keyed by a readable name, as
+    (scenario, inequality, state, optimizer).
+
+    The eight TABLE_CASES under GRID_REFINE (the golden files pin them
+    under FIXED_XYZ), then two seeded noisy, locally rotated variants of
+    each case's state, every variant under both optimizers.
+    """
+    cases = {}
+    for state, scenario, kind in TABLE_CASES:
+        name = "-".join(table_key(state, scenario, kind)) + "-grid-refine"
+        cases[name] = (scenario, kind, state, Optimizer.GRID_REFINE)
+    rng = np.random.default_rng(11)
+    for state, scenario, kind in TABLE_CASES:
+        for variant in range(2):
+            noisy = noisy_rotated_state(rng, state)
+            for optimizer in Optimizer:
+                name = "-".join(
+                    ("seeded",) + table_key(state, scenario, kind)
+                    + (str(variant), optimizer.value)
+                )
+                cases[name] = (scenario, kind, noisy, optimizer)
+    return cases
