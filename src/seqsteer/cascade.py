@@ -163,13 +163,10 @@ class CascadeResult:
         doc = {
             "inequality": self.inequality.value,
             "observers": [
-                {
-                    "observer": m + 1,
-                    "lambda": self.lambdas[m],
-                    "value": self.values[m],
-                    "detected": bool(self.values[m] < 0.0),
-                }
-                for m in range(len(self.values))
+                {"observer": m, "lambda": lam, "value": value, "detected": bool(flag)}
+                for m, (lam, value, flag) in enumerate(
+                    zip(self.lambdas, self.values, self.detected), start=1
+                )
             ],
         }
         return json.dumps(doc, indent=2)
@@ -241,19 +238,6 @@ def run_cascade_oracle(spec: ScenarioSpec) -> CascadeResult:
     return CascadeResult(spec.inequality, spec.lambdas, tuple(values))
 
 
-def _marginal(probs, wing):
-    """P(outcome = +1) on one wing, all other outcomes summed over.
-
-    probs holds the eight outcome probabilities in
-    product((1, -1), repeat=3) order.
-    """
-    total = 0.0
-    for outcomes, p in zip(product((1, -1), repeat=3), probs):
-        if outcomes[wing] == 1:
-            total += p
-    return total
-
-
 def no_signalling_audit(spec: ScenarioSpec, prob_fn=None) -> float:
     """Largest dependence of any single-wing marginal on a remote setting.
 
@@ -261,44 +245,33 @@ def no_signalling_audit(spec: ScenarioSpec, prob_fn=None) -> float:
     compared across all choices of the other wings' measurement
     directions. Quantum mechanics makes every such difference vanish, so
     anything above numerical round-off (about 1e-10) indicates a broken
-    probability model. An alternative probability function may be passed
-    to audit a foreign model with the same signature as
-    measurement.joint_probability. It is called once per observer,
-    setting, direction pair and outcome triple.
+    probability model, and a NaN anywhere makes the result NaN. An
+    alternative probability function may be passed to audit a foreign
+    model with the same signature as measurement.joint_probability. It is
+    called once per observer, setting, direction pair and outcome triple.
     """
     if prob_fn is None:
         prob_fn = joint_probability
     seq_wing = spec.sequential_wing
-    proj_wings = [w for w in (0, 1, 2) if w != seq_wing]
+    first, second = (w for w in (0, 1, 2) if w != seq_wing)
+    # p[s, i, j, k] has axes setting, first and second projective
+    # direction, outcome triple; each wing's P(+1) must not move along
+    # the axes of the other wings' choices
+    remote_axes = {seq_wing: (1, 2), first: (0, 2), second: (0, 1)}
+    outcomes = tuple(product((1, -1), repeat=3))
     candidates = (X_DIR, Y_DIR, Z_DIR)
     rho = build_state(spec.state)
-    worst = 0.0
+    spreads = []
     for m, triple in enumerate(spec.observers):
         if m > 0:
             rho = averaged_channel(rho, seq_wing, spec.observers[m - 1])
-        # the eight outcome probabilities of every setting and pair of
-        # projective directions, each asked for once
-        probs = {
-            (s, d1, d2): [
-                prob_fn(rho, seq_wing, setting, (d1, d2), outcomes)
-                for outcomes in product((1, -1), repeat=3)
-            ]
-            for s, setting in enumerate(triple.settings)
-            for d1 in candidates
-            for d2 in candidates
-        }
-        # sequential wing's marginal must ignore both projective wings
-        for s in range(3):
-            seen = [_marginal(p, seq_wing) for (t, *_), p in probs.items() if t == s]
-            worst = max(worst, max(seen) - min(seen))
-        # each projective wing's marginal must ignore the sequential
-        # setting and the other projective wing's direction
-        for probe_pos, probe_wing in enumerate(proj_wings):
-            for own in candidates:
-                seen = [
-                    _marginal(p, probe_wing)
-                    for (_, *pair), p in probs.items()
-                    if pair[probe_pos] == own
-                ]
-                worst = max(worst, max(seen) - min(seen))
-    return worst
+        p = np.array([
+            prob_fn(rho, seq_wing, setting, pair, o)
+            for setting in triple.settings
+            for pair in product(candidates, repeat=2)
+            for o in outcomes
+        ]).reshape(3, 3, 3, 8)
+        for wing, axes in remote_axes.items():
+            plus = sum(p[..., k] for k, o in enumerate(outcomes) if o[wing] == 1)
+            spreads.append(np.max(plus, axis=axes) - np.min(plus, axis=axes))
+    return float(np.max(spreads, initial=0.0))

@@ -18,7 +18,9 @@ optimizer (fixed-xyz or grid-refine) has no flag.  threshold and table
 default to fixed-xyz, optimize to grid-refine.
 
 A value is checked the same way whether it comes from a flag or from
-the config file; a bad one exits with status 2.
+the config file; a bad one exits with status 2.  Config values are read
+literally (a % is just a character), and any other section, [DEFAULT]
+included, is rejected.
 """
 
 import argparse
@@ -114,7 +116,9 @@ def _parse_tol(text):
 
 def load_config(path):
     """Flat key-value config with [run] and [search] sections."""
-    parser = configparser.ConfigParser()
+    # values are read literally, as the flags read them, and [DEFAULT] is
+    # an ordinary section, so it is rejected below like any unknown one
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
@@ -243,18 +247,19 @@ def _cmd_cascade(opts):
     result = run_cascade(_spec_from(opts, _chain_lambdas(opts)))
     if opts["format"] == "json":
         return result.to_json() + "\n", 0
+    rows = zip(result.lambdas, result.values, result.detected)
     if opts["format"] == "csv":
         lines = ["observer,lambda,value,detected"]
-        for m, (lam, value) in enumerate(zip(result.lambdas, result.values), start=1):
-            flag = "true" if value < 0.0 else "false"
+        for m, (lam, value, detected) in enumerate(rows, start=1):
+            flag = "true" if detected else "false"
             lines.append(f"{m},{lam:.6f},{value:.6f},{flag}")
         return "\n".join(lines) + "\n", 0
     lines = [
         f"inequality {result.inequality.value}, state {opts['state'].kind.value}, "
         f"scenario {opts['scenario'].value}"
     ]
-    for m, (lam, value) in enumerate(zip(result.lambdas, result.values), start=1):
-        word = "violation" if value < 0.0 else "no violation"
+    for m, (lam, value, detected) in enumerate(rows, start=1):
+        word = "violation" if detected else "no violation"
         lines.append(f"observer {m}: lambda={lam:.6f}  value={value:+.6f}  {word}")
     return "\n".join(lines) + "\n", 0
 

@@ -111,8 +111,8 @@ def effect_sqrt(d: BlochDirection, lam, outcome):
 
 
 def validate_density(rho, name="state"):
-    """Check an 8x8 state for Hermiticity, unit trace and positive
-    semidefiniteness.
+    """Check an 8x8 state for finite entries, Hermiticity, unit trace and
+    positive semidefiniteness.
 
     Returns the matrix as a complex ndarray; raises ValueError with the
     offending property otherwise.
@@ -120,6 +120,9 @@ def validate_density(rho, name="state"):
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (8, 8):
         raise ValueError(f"{name} must be 8x8, got {rho.shape}")
+    # every comparison with NaN is false, so the checks below cannot see one
+    if not np.isfinite(rho).all():
+        raise ValueError(f"{name} has a non-finite entry (NaN or inf)")
     herm = np.max(np.abs(rho - rho.conj().T))
     if herm > HERMITICITY_TOL:
         raise ValueError(f"{name} is not Hermitian (max deviation {herm:.3e})")

@@ -234,18 +234,44 @@ def test_no_signalling_on_quantum_model():
     assert no_signalling_audit(spec_b) <= 1e-10
 
 
-def test_audit_flags_a_signalling_model():
-    # corrupt the probability model so one wing's marginal leaks the
-    # remote setting choice; the audit must see it
-    from seqsteer import joint_probability
+# (leaking wing, remote choice it leaks); the projective wings are named
+# first and second in wing order, d1 and d2 are their directions
+_LEAKS = [
+    ("sequential", "d1"),
+    ("sequential", "d2"),
+    ("first", "setting"),
+    ("first", "d2"),
+    ("second", "setting"),
+    ("second", "d1"),
+]
+
+
+@pytest.mark.parametrize("scenario", list(Scenario), ids=lambda s: s.value)
+@pytest.mark.parametrize("wing, choice", _LEAKS, ids=lambda x: x)
+def test_audit_flags_a_signalling_model(scenario, wing, choice):
+    # corrupt the probability model so one wing's marginal leaks a remote
+    # choice; GHZ marginals are all 1/2, so only the leak can move them
+    first, second = (w for w in (0, 1, 2) if w != scenario.sequential_wing)
+    leaking = {"sequential": scenario.sequential_wing, "first": first, "second": second}[wing]
 
     def leaky(rho, seq_wing, setting, proj_dirs, outcomes):
         p = joint_probability(rho, seq_wing, setting, proj_dirs, outcomes)
-        bias = 0.01 * proj_dirs[0].theta * outcomes[seq_wing]
-        return p + bias / 8.0
+        remote = {"setting": setting.direction, "d1": proj_dirs[0], "d2": proj_dirs[1]}[choice]
+        return p + 0.01 * remote.theta * outcomes[leaking] / 8.0
+
+    spec = xyz_spec(scenario, InequalityKind.G1, GHZ, (0.8, 1.0))
+    assert no_signalling_audit(spec, prob_fn=leaky) > 1e-10
+
+
+@pytest.mark.parametrize("nan_where", ["everywhere", "d1 is z"])
+def test_audit_fails_a_nan_model(nan_where):
+    def broken(rho, seq_wing, setting, proj_dirs, outcomes):
+        if nan_where == "everywhere" or proj_dirs[0] == Z_DIR:
+            return float("nan")
+        return joint_probability(rho, seq_wing, setting, proj_dirs, outcomes)
 
     spec = xyz_spec(Scenario.A, InequalityKind.G1, GHZ, (0.8, 1.0))
-    assert no_signalling_audit(spec, prob_fn=leaky) > 1e-10
+    assert not no_signalling_audit(spec, prob_fn=broken) <= 1e-10
 
 
 def test_audit_asks_for_each_probability_once():

@@ -142,6 +142,18 @@ def test_malformed_state_file_is_a_runtime_error(capsys, tmp_path):
     assert "expected 8 matrix rows" in err
 
 
+@pytest.mark.parametrize("entry", ["nan+0j", "inf+0j"])
+def test_non_finite_state_file_is_a_malformed_state(capsys, tmp_path, entry):
+    path = tmp_path / "corrupt.txt"
+    save_state_file(path, ghz_state())
+    rows = path.read_text().splitlines()
+    rows[0] = " ".join([entry] + rows[0].split()[1:])
+    path.write_text("\n".join(rows) + "\n")
+    code, _, err = run(capsys, "cascade", "--state", f"custom:{path}", "--ineq", "g1")
+    assert code == 1
+    assert f"state file {path} has a non-finite entry" in err
+
+
 def test_bad_lambda_rejected(capsys):
     code, _, err = run(capsys, "cascade", "--lambdas", "0.5,1.4")
     assert code == 2
@@ -188,6 +200,24 @@ def test_unknown_config_section_rejected(capsys, tmp_path):
     code, _, err = run(capsys, "table", "--config", str(cfg))
     assert code == 2
     assert "unknown config section [misc]" in err
+
+
+def test_default_config_section_rejected(capsys, tmp_path):
+    cfg = tmp_path / "steer.ini"
+    cfg.write_text("[DEFAULT]\nstate = w\n")
+    code, out, err = run(capsys, "table", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert "unknown config section [DEFAULT]" in err
+
+
+def test_config_values_are_read_literally(capsys, tmp_path):
+    # a % in an INI value is a plain character, as it is in a flag
+    cfg = tmp_path / "steer.ini"
+    out_path = tmp_path / "100%.csv"
+    cfg.write_text(f"[run]\nformat = csv\nout = {out_path}\n")
+    code, out, err = run(capsys, "table", "--config", str(cfg))
+    assert code == 0 and out == "" and err == ""
+    assert out_path.read_text() == (GOLDEN / "ghz_A_g1.csv").read_text()
 
 
 def test_audit_passes_on_quantum_model(capsys):

@@ -62,6 +62,11 @@ def test_custom_spec_validates_density():
         StateSpec(StateKind.CUSTOM, custom=not_psd)
     with pytest.raises(ValueError, match=r"^custom state must be 8x8, got \(4, 4\)$"):
         StateSpec(StateKind.CUSTOM, custom=np.eye(4) / 4)
+    for entry in (np.nan, np.inf):
+        corrupt = ghz_state()
+        corrupt[0, 7] = entry
+        with pytest.raises(ValueError, match="^custom state has a non-finite entry"):
+            StateSpec(StateKind.CUSTOM, custom=corrupt)
 
 
 def test_save_load_round_trip(tmp_path):
