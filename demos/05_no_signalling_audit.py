@@ -33,8 +33,8 @@ def main():
             f"chain {spec.lambdas}: worst deviation {worst:.3e}"
         )
 
-    def leaky(rho, seq_wing, setting, proj_dirs, outcomes):
-        p = joint_probability(rho, seq_wing, setting, proj_dirs, outcomes)
+    def leaky(rho, seq_wing, seq_dir, lam, proj_dirs, outcomes):
+        p = joint_probability(rho, seq_wing, seq_dir, lam, proj_dirs, outcomes)
         # outcome bias that depends on a remote wing's direction: signalling
         return p + 0.002 * proj_dirs[0].theta * outcomes[seq_wing] / 8.0
 

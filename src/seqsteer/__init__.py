@@ -31,7 +31,6 @@ from .states import (
 )
 from .measurement import (
     SettingTriple,
-    UnsharpSetting,
     averaged_channel,
     bloch_shrink_factor,
     correlation,
@@ -89,7 +88,6 @@ __all__ = [
     "Term",
     "TermList",
     "ThresholdTable",
-    "UnsharpSetting",
     "W",
     "X_DIR",
     "Y_DIR",

@@ -194,10 +194,10 @@ def _term_correlation(branches, seq_wing, triple, ops):
     """
     slot, dirs = resolve(ops, seq_wing)
     # a skipped wing is marginalized, so any setting or direction serves
-    setting = triple.settings[slot or 0]
+    seq_dir = triple.directions[slot or 0]
     proj_dirs = tuple(d or Z_DIR for w, d in enumerate(dirs) if w != seq_wing)
     wings = tuple(w for w, sym in enumerate(ops) if sym != "I")
-    return correlation(branches, seq_wing, setting, proj_dirs, wings)
+    return correlation(branches, seq_wing, seq_dir, triple.lam, proj_dirs, wings)
 
 
 def run_cascade_oracle(spec: ScenarioSpec) -> CascadeResult:
@@ -230,9 +230,9 @@ def run_cascade_oracle(spec: ScenarioSpec) -> CascadeResult:
         }))
         if m + 1 < n:
             branches = [
-                luders_update(rho, seq_wing, setting, outcome)[0]
+                luders_update(rho, seq_wing, d, triple.lam, outcome)
                 for rho in branches
-                for setting in triple.settings
+                for d in triple.directions
                 for outcome in (1, -1)
             ]
     return CascadeResult(spec.inequality, spec.lambdas, tuple(values))
@@ -247,8 +247,10 @@ def no_signalling_audit(spec: ScenarioSpec, prob_fn=None) -> float:
     anything above numerical round-off (about 1e-10) indicates a broken
     probability model, and a NaN anywhere makes the result NaN. An
     alternative probability function may be passed to audit a foreign
-    model with the same signature as measurement.joint_probability. It is
-    called once per observer, setting, direction pair and outcome triple.
+    model with the same signature as measurement.joint_probability,
+    prob_fn(rho, seq_wing, seq_dir, lam, proj_dirs, outcomes). It is
+    called once per observer, sequential direction, projective direction
+    pair and outcome triple.
     """
     if prob_fn is None:
         prob_fn = joint_probability
@@ -266,8 +268,8 @@ def no_signalling_audit(spec: ScenarioSpec, prob_fn=None) -> float:
         if m > 0:
             rho = averaged_channel(rho, seq_wing, spec.observers[m - 1])
         p = np.array([
-            prob_fn(rho, seq_wing, setting, pair, o)
-            for setting in triple.settings
+            prob_fn(rho, seq_wing, d, triple.lam, pair, o)
+            for d in triple.directions
             for pair in product(candidates, repeat=2)
             for o in outcomes
         ]).reshape(3, 3, 3, 8)

@@ -18,7 +18,8 @@ optimizer (fixed-xyz or grid-refine) has no flag.  threshold and table
 default to fixed-xyz, optimize to grid-refine.
 
 A value is checked the same way whether it comes from a flag or from
-the config file; a bad one exits with status 2.  Config values are read
+the config file; a bad one exits with status 2.  An empty value is a bad
+one, not a request for the default.  Config values are read
 literally (a % is just a character), and any other section, [DEFAULT]
 included, is rejected.
 """
@@ -78,7 +79,7 @@ def _parse_lambdas(text):
     for tok in text.split(","):
         tok = tok.strip()
         if not tok:
-            continue
+            raise UsageError(f"--lambdas has an empty value in {text!r}")
         try:
             lam = float(tok)
         except ValueError:
@@ -86,8 +87,6 @@ def _parse_lambdas(text):
         if not 0.0 < lam <= 1.0:
             raise UsageError(f"sharpness {lam} outside (0, 1]")
         out.append(lam)
-    if not out:
-        raise UsageError("--lambdas needs at least one value")
     return tuple(out)
 
 
@@ -205,11 +204,14 @@ def _resolve(args):
         inequality = _FALLBACK_INEQ[key]
 
     lambdas_text = pick("lambdas")
-    lambdas = _parse_lambdas(lambdas_text) if lambdas_text else None
+    lambdas = _parse_lambdas(lambdas_text) if lambdas_text is not None else None
 
     tol_text = pick("tol")
     tol = _parse_tol(tol_text) if tol_text is not None else 1e-4
     optimizer = _parse_choice("optimizer", cfg.get("optimizer"), Optimizer)
+    out = pick("out")
+    if out == "":
+        raise UsageError("--out needs a file path")
 
     return {
         "state": state,
@@ -217,7 +219,7 @@ def _resolve(args):
         "inequality": inequality,
         "lambdas": lambdas,
         "format": _parse_choice("format", pick("format", "text"), _FORMATS),
-        "out": pick("out"),
+        "out": out,
         "tol": tol,
         "optimizer": optimizer,
     }
@@ -368,7 +370,7 @@ def main(argv=None):
     except (StateFormatError, SearchError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if opts["out"]:
+    if opts["out"] is not None:
         try:
             with open(opts["out"], "w", encoding="utf-8") as fh:
                 fh.write(text)

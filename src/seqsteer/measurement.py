@@ -29,73 +29,47 @@ from .qop import (
 
 
 @dataclass(frozen=True)
-class UnsharpSetting:
-    """A measurement direction with a sharpness lam in (0, 1]."""
+class SettingTriple:
+    """One observer's three settings: three BlochDirections, taken as a
+    tuple, and the one sharpness lam in (0, 1] that all three share."""
 
-    direction: BlochDirection
+    directions: tuple
     lam: float
 
     def __post_init__(self):
+        object.__setattr__(self, "directions", tuple(self.directions))
+        if len(self.directions) != 3:
+            raise ValueError(f"a triple needs three directions, got {len(self.directions)}")
         if not 0.0 < self.lam <= 1.0:
             raise ValueError(f"sharpness must lie in (0, 1], got {self.lam}")
 
-
-@dataclass(frozen=True)
-class SettingTriple:
-    """One observer's three settings, sharing a single sharpness."""
-
-    s0: UnsharpSetting
-    s1: UnsharpSetting
-    s2: UnsharpSetting
-
-    def __post_init__(self):
-        lams = {self.s0.lam, self.s1.lam, self.s2.lam}
-        if len(lams) != 1:
-            raise ValueError(f"all three settings must share one sharpness, got {sorted(lams)}")
-
-    @property
-    def lam(self):
-        return self.s0.lam
-
-    @property
-    def settings(self):
-        return (self.s0, self.s1, self.s2)
-
-    @property
-    def directions(self):
-        return (self.s0.direction, self.s1.direction, self.s2.direction)
-
     @classmethod
     def from_directions(cls, directions, lam):
-        d0, d1, d2 = directions
-        return cls(
-            UnsharpSetting(d0, lam), UnsharpSetting(d1, lam), UnsharpSetting(d2, lam)
-        )
+        """Same as SettingTriple(directions, lam)."""
+        return cls(directions, lam)
 
     @classmethod
     def xyz(cls, lam=1.0):
         """The x, y, z triple used as every observer's default settings."""
-        return cls.from_directions((X_DIR, Y_DIR, Z_DIR), lam)
+        return cls((X_DIR, Y_DIR, Z_DIR), lam)
 
 
-def effect(setting: UnsharpSetting, outcome):
-    """Unsharp effect lam*P_a + (1-lam)*I/2 for outcome a = +1 or -1."""
-    proj = projector(setting.direction, outcome)
-    return setting.lam * proj + (1 - setting.lam) * I2 / 2
+def effect(d: BlochDirection, lam, outcome):
+    """Unsharp effect lam*P_a + (1-lam)*I/2 for outcome a = +1 or -1
+    along d, with lam in (0, 1]."""
+    if not 0.0 < lam <= 1.0:
+        raise ValueError(f"sharpness must lie in (0, 1], got {lam}")
+    return lam * projector(d, outcome) + (1 - lam) * I2 / 2
 
 
-def luders_update(rho, wing, setting: UnsharpSetting, outcome):
-    """Selective Lueders update on one wing.
-
-    Returns the unnormalized post-measurement state sqrt(E) rho sqrt(E)
-    (identity on the other wings) and its trace, which is the outcome
-    probability Tr[rho E].
-    """
+def luders_update(rho, wing, d: BlochDirection, lam, outcome):
+    """Selective Lueders update on one wing: the unnormalized
+    post-measurement state sqrt(E) rho sqrt(E), identity on the other
+    wings. Its trace is the outcome probability Tr[rho E]."""
     mats = [I2, I2, I2]
-    mats[resolve_wing(wing)] = effect_sqrt(setting.direction, setting.lam, outcome)
+    mats[resolve_wing(wing)] = effect_sqrt(d, lam, outcome)
     k = tensor3(*mats)
-    updated = k @ rho @ k
-    return updated, float(updated.trace().real)
+    return k @ rho @ k
 
 
 def averaged_channel(rho, wing, triple: SettingTriple):
@@ -107,9 +81,9 @@ def averaged_channel(rho, wing, triple: SettingTriple):
     neither outcomes nor settings are communicated.
     """
     out = np.zeros_like(np.asarray(rho, dtype=complex))
-    for setting in triple.settings:
+    for d in triple.directions:
         for outcome in (1, -1):
-            out += luders_update(rho, wing, setting, outcome)[0]
+            out += luders_update(rho, wing, d, triple.lam, outcome)
     return validate_density(out / 3, name="channel output")
 
 
@@ -120,13 +94,13 @@ def bloch_shrink_factor(lam):
     return (1 + 2 * np.sqrt(1 - lam * lam)) / 3
 
 
-def joint_operator(seq_wing, seq_setting: UnsharpSetting, proj_dirs, outcomes):
+def joint_operator(seq_wing, seq_dir, lam, proj_dirs, outcomes):
     """The 8x8 operator E (x) P (x) P of an outcome triple, one unsharp
     wing and two projective.
 
     Args:
         seq_wing: which wing carries the unsharp measurement.
-        seq_setting: that wing's direction and sharpness.
+        seq_dir, lam: that wing's BlochDirection and sharpness.
         proj_dirs: BlochDirections of the two projective wings, in
             ascending wing order.
         outcomes: (a, b, c) for wings 0, 1, 2, each +1 or -1.
@@ -136,25 +110,25 @@ def joint_operator(seq_wing, seq_setting: UnsharpSetting, proj_dirs, outcomes):
     seq_wing = resolve_wing(seq_wing)
     others = [w for w in (0, 1, 2) if w != seq_wing]
     ops = [None, None, None]
-    ops[seq_wing] = effect(seq_setting, outcomes[seq_wing])
+    ops[seq_wing] = effect(seq_dir, lam, outcomes[seq_wing])
     for w, d in zip(others, proj_dirs):
         ops[w] = projector(d, outcomes[w])
     return tensor3(*ops)
 
 
-def joint_probability(rho, seq_wing, seq_setting: UnsharpSetting, proj_dirs, outcomes):
+def joint_probability(rho, seq_wing, seq_dir, lam, proj_dirs, outcomes):
     """Probability Tr[(E (x) P (x) P) rho] of an outcome triple on the
     8x8 state rho; the other arguments are joint_operator's."""
-    op = joint_operator(seq_wing, seq_setting, proj_dirs, outcomes)
+    op = joint_operator(seq_wing, seq_dir, lam, proj_dirs, outcomes)
     return float((op @ rho).trace().real)
 
 
-def correlation(rhos, seq_wing, seq_setting, proj_dirs, wings):
+def correlation(rhos, seq_wing, seq_dir, lam, proj_dirs, wings):
     """Expectation of the product of the outcomes on wings, every other
     wing's outcome marginalized, summed over the states in rhos.
 
-    Takes joint_operator's arguments, with wings a tuple of wing
-    indices. Each outcome's operator is built once and traced against
+    Takes joint_operator's arguments, the unsharp wing's setting as
+    (seq_dir, lam), with wings a tuple of wing indices. Each outcome's operator is built once and traced against
     every state; each state keeps its own running total over the
     outcomes, and the totals are summed in the order of rhos. A
     correlation that includes the unsharp wing is lam times the
@@ -166,7 +140,7 @@ def correlation(rhos, seq_wing, seq_setting, proj_dirs, wings):
         w = 1.0
         for wing in wings:
             w *= outcomes[wing]
-        op = joint_operator(seq_wing, seq_setting, proj_dirs, outcomes)
+        op = joint_operator(seq_wing, seq_dir, lam, proj_dirs, outcomes)
         for i, rho in enumerate(rhos):
             totals[i] += w * float((op @ rho).trace().real)
     return sum(totals)

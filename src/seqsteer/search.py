@@ -146,7 +146,7 @@ def _settings_and_value(terms, inequality, lam, optimizer):
         direction, low = _best_direction(vec)
         directions.append(direction)
         total += low
-    return SettingTriple.from_directions(directions, lam), total
+    return SettingTriple(directions, lam), total
 
 
 def optimize_angles(spec, m, config=None):

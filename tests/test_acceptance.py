@@ -17,7 +17,6 @@ from seqsteer import (
     SettingTriple,
     StateKind,
     StateSpec,
-    UnsharpSetting,
     averaged_channel,
     bloch_shrink_factor,
     correlation,
@@ -216,8 +215,9 @@ def test_oracle_equivalence_at_max_observers(kind):
 def test_properties_povm_completeness():
     rng = np.random.default_rng(101)
     for _ in range(50):
-        s = UnsharpSetting(random_direction(rng), float(rng.uniform(0.01, 1.0)))
-        assert np.allclose(effect(s, 1) + effect(s, -1), np.eye(2), atol=1e-12)
+        d = random_direction(rng)
+        lam = float(rng.uniform(0.01, 1.0))
+        assert np.allclose(effect(d, lam, 1) + effect(d, lam, -1), np.eye(2), atol=1e-12)
 
 
 def test_properties_effect_sqrt():
@@ -227,7 +227,7 @@ def test_properties_effect_sqrt():
         lam = float(rng.uniform(0.01, 1.0))
         outcome = 1 if rng.integers(2) else -1
         root = effect_sqrt(d, lam, outcome)
-        target = effect(UnsharpSetting(d, lam), outcome)
+        target = effect(d, lam, outcome)
         assert np.allclose(root @ root, target, atol=1e-12)
 
 
@@ -250,8 +250,8 @@ def test_properties_moment_scales_with_sharpness():
         d = random_direction(rng)
         dirs = (random_direction(rng), random_direction(rng))
         lam = float(rng.uniform(0.01, 1.0))
-        sharp = correlation((rho,), wing, UnsharpSetting(d, 1.0), dirs, (0, 1, 2))
-        unsharp = correlation((rho,), wing, UnsharpSetting(d, lam), dirs, (0, 1, 2))
+        sharp = correlation((rho,), wing, d, 1.0, dirs, (0, 1, 2))
+        unsharp = correlation((rho,), wing, d, lam, dirs, (0, 1, 2))
         assert abs(unsharp - lam * sharp) < 1e-12
 
 

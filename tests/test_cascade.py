@@ -254,9 +254,9 @@ def test_audit_flags_a_signalling_model(scenario, wing, choice):
     first, second = (w for w in (0, 1, 2) if w != scenario.sequential_wing)
     leaking = {"sequential": scenario.sequential_wing, "first": first, "second": second}[wing]
 
-    def leaky(rho, seq_wing, setting, proj_dirs, outcomes):
-        p = joint_probability(rho, seq_wing, setting, proj_dirs, outcomes)
-        remote = {"setting": setting.direction, "d1": proj_dirs[0], "d2": proj_dirs[1]}[choice]
+    def leaky(rho, seq_wing, seq_dir, lam, proj_dirs, outcomes):
+        p = joint_probability(rho, seq_wing, seq_dir, lam, proj_dirs, outcomes)
+        remote = {"setting": seq_dir, "d1": proj_dirs[0], "d2": proj_dirs[1]}[choice]
         return p + 0.01 * remote.theta * outcomes[leaking] / 8.0
 
     spec = xyz_spec(scenario, InequalityKind.G1, GHZ, (0.8, 1.0))
@@ -265,10 +265,10 @@ def test_audit_flags_a_signalling_model(scenario, wing, choice):
 
 @pytest.mark.parametrize("nan_where", ["everywhere", "d1 is z"])
 def test_audit_fails_a_nan_model(nan_where):
-    def broken(rho, seq_wing, setting, proj_dirs, outcomes):
+    def broken(rho, seq_wing, seq_dir, lam, proj_dirs, outcomes):
         if nan_where == "everywhere" or proj_dirs[0] == Z_DIR:
             return float("nan")
-        return joint_probability(rho, seq_wing, setting, proj_dirs, outcomes)
+        return joint_probability(rho, seq_wing, seq_dir, lam, proj_dirs, outcomes)
 
     spec = xyz_spec(Scenario.A, InequalityKind.G1, GHZ, (0.8, 1.0))
     assert not no_signalling_audit(spec, prob_fn=broken) <= 1e-10
@@ -278,9 +278,9 @@ def test_audit_asks_for_each_probability_once():
     # 3 settings x 9 direction pairs x 8 outcome triples per observer
     asked = Counter()
 
-    def counting(rho, seq_wing, setting, proj_dirs, outcomes):
-        asked[setting, proj_dirs, outcomes] += 1
-        return joint_probability(rho, seq_wing, setting, proj_dirs, outcomes)
+    def counting(rho, seq_wing, seq_dir, lam, proj_dirs, outcomes):
+        asked[seq_dir, lam, proj_dirs, outcomes] += 1
+        return joint_probability(rho, seq_wing, seq_dir, lam, proj_dirs, outcomes)
 
     rng = np.random.default_rng(43)
     spec = ScenarioSpec(
@@ -293,9 +293,9 @@ def test_audit_asks_for_each_probability_once():
     assert sum(asked.values()) == 216 * len(spec.observers)
     dirs = (X_DIR, Y_DIR, Z_DIR)
     assert set(asked) == {
-        (setting, pair, outcomes)
+        (d, triple.lam, pair, outcomes)
         for triple in spec.observers
-        for setting in triple.settings
+        for d in triple.directions
         for pair in product(dirs, repeat=2)
         for outcomes in product((1, -1), repeat=3)
     }

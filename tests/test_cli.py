@@ -256,6 +256,9 @@ BAD_VALUES = [
     ("run", "format", "xml"),
     ("run", "state", "bell"),
     ("run", "lambdas", "0.5,1.4"),
+    ("run", "lambdas", ""),
+    ("run", "lambdas", "0.7,,1.0"),
+    ("run", "out", ""),
     ("search", "tol", "abc"),
     ("search", "tol", "5"),
 ]

@@ -9,7 +9,6 @@ from seqsteer import (
     GHZ,
     BlochDirection,
     SettingTriple,
-    UnsharpSetting,
     X_DIR,
     Y_DIR,
     Z_DIR,
@@ -43,50 +42,49 @@ angles = st.tuples(
 
 def test_sharpness_range_enforced():
     with pytest.raises(ValueError):
-        UnsharpSetting(Z_DIR, 1.0001)
+        SettingTriple.xyz(1.0001)
     with pytest.raises(ValueError):
         SettingTriple.xyz(-0.3)
+    with pytest.raises(ValueError):
+        effect(Z_DIR, 1.0001, 1)
 
 
-def test_triple_requires_shared_sharpness():
-    a = UnsharpSetting(X_DIR, 0.5)
-    b = UnsharpSetting(Y_DIR, 0.5)
-    c = UnsharpSetting(Z_DIR, 0.7)
-    with pytest.raises(ValueError, match="share"):
-        SettingTriple(a, b, c)
+@pytest.mark.parametrize("directions", [(X_DIR, Y_DIR), (X_DIR, Y_DIR, Z_DIR, X_DIR)])
+def test_triple_requires_three_directions(directions):
+    with pytest.raises(ValueError, match="three directions"):
+        SettingTriple(directions, 0.5)
 
 
 @settings(max_examples=60)
 @given(angles, lams)
 def test_povm_completeness(angle, lam):
-    s = UnsharpSetting(BlochDirection(*angle), lam)
-    total = effect(s, 1) + effect(s, -1)
+    d = BlochDirection(*angle)
+    total = effect(d, lam, 1) + effect(d, lam, -1)
     assert np.allclose(total, np.eye(2), atol=1e-12)
 
 
 @settings(max_examples=60)
 @given(angles, lams, st.sampled_from([1, -1]))
 def test_effects_are_positive(angle, lam, outcome):
-    s = UnsharpSetting(BlochDirection(*angle), lam)
-    evals = np.linalg.eigvalsh(effect(s, outcome))
+    evals = np.linalg.eigvalsh(effect(BlochDirection(*angle), lam, outcome))
     assert evals.min() >= -1e-12
 
 
 def test_projective_limit_recovers_projectors():
-    s = UnsharpSetting(Z_DIR, 1.0)
-    assert np.allclose(effect(s, 1), np.diag([1.0, 0.0]))
-    assert np.allclose(effect(s, -1), np.diag([0.0, 1.0]))
+    assert np.allclose(effect(Z_DIR, 1.0, 1), np.diag([1.0, 0.0]))
+    assert np.allclose(effect(Z_DIR, 1.0, -1), np.diag([0.0, 1.0]))
 
 
 def test_luders_update_trace_is_born_probability():
     rng = np.random.default_rng(5)
     rho = random_pure_state(rng)
-    s = UnsharpSetting(random_direction(rng), 0.73)
+    d = random_direction(rng)
     for wing in range(3):
         for outcome in (1, -1):
-            updated, prob = luders_update(rho, wing, s, outcome)
+            updated = luders_update(rho, wing, d, 0.73, outcome)
+            prob = float(updated.trace().real)
             op = [np.eye(2)] * 3
-            op[wing] = effect(s, outcome)
+            op[wing] = effect(d, 0.73, outcome)
             born = float(np.trace(tensor3(*op) @ rho).real)
             assert prob == pytest.approx(born, abs=1e-12)
             assert np.trace(updated).real == pytest.approx(born, abs=1e-12)
@@ -96,18 +94,17 @@ def test_luders_update_trace_is_born_probability():
 def test_wings_outside_0_1_2_are_rejected(wing):
     # a negative index would otherwise silently measure Charlie
     rho = build_state(GHZ)
-    s = UnsharpSetting(Z_DIR, 0.5)
     with pytest.raises(ValueError, match="expected 0, 1 or 2"):
-        luders_update(rho, wing, s, 1)
+        luders_update(rho, wing, Z_DIR, 0.5, 1)
     with pytest.raises(ValueError, match="expected 0, 1 or 2"):
-        joint_probability(rho, wing, s, (Z_DIR, Z_DIR), (1, 1, 1))
+        joint_probability(rho, wing, Z_DIR, 0.5, (Z_DIR, Z_DIR), (1, 1, 1))
 
 
 def test_luders_outcomes_sum_to_one():
     rng = np.random.default_rng(6)
     rho = random_mixed_state(rng)
-    s = UnsharpSetting(random_direction(rng), 0.41)
-    probs = [luders_update(rho, 1, s, o)[1] for o in (1, -1)]
+    d = random_direction(rng)
+    probs = [float(luders_update(rho, 1, d, 0.41, o).trace().real) for o in (1, -1)]
     assert sum(probs) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -155,10 +152,10 @@ def test_orthogonal_triple_shrinks_bloch_vector_isotropically():
 def test_joint_probabilities_form_a_distribution():
     rng = np.random.default_rng(12)
     rho = random_mixed_state(rng)
-    s = UnsharpSetting(random_direction(rng), 0.66)
+    d = random_direction(rng)
     dirs = (random_direction(rng), random_direction(rng))
     probs = [
-        joint_probability(rho, 0, s, dirs, outcomes)
+        joint_probability(rho, 0, d, 0.66, dirs, outcomes)
         for outcomes in product((1, -1), repeat=3)
     ]
     assert all(p >= -1e-12 for p in probs)
@@ -174,32 +171,32 @@ def test_correlation_moment_scales_with_sharpness():
         dirs = (random_direction(rng), random_direction(rng))
         lam = float(rng.uniform(0.05, 0.999))
         wing = int(rng.integers(0, 3))
-        sharp = correlation((rho,), wing, UnsharpSetting(d, 1.0), dirs, (0, 1, 2))
-        unsharp = correlation((rho,), wing, UnsharpSetting(d, lam), dirs, (0, 1, 2))
+        sharp = correlation((rho,), wing, d, 1.0, dirs, (0, 1, 2))
+        unsharp = correlation((rho,), wing, d, lam, dirs, (0, 1, 2))
         assert unsharp == pytest.approx(lam * sharp, abs=1e-12)
 
 
 def test_marginal_correlations_drop_the_right_wing():
     # marginalizing the unsharp wing of GHZ leaves <Z Z> = 1 on the rest
     rho = build_state(GHZ)
-    s = UnsharpSetting(X_DIR, 0.5)
-    two = correlation((rho,), 0, s, (Z_DIR, Z_DIR), (1, 2))
+    two = correlation((rho,), 0, X_DIR, 0.5, (Z_DIR, Z_DIR), (1, 2))
     assert two == pytest.approx(1.0, abs=1e-12)
-    one = correlation((rho,), 0, s, (Z_DIR, Z_DIR), (1,))
+    one = correlation((rho,), 0, X_DIR, 0.5, (Z_DIR, Z_DIR), (1,))
     assert one == pytest.approx(0.0, abs=1e-12)
 
 
 def test_correlation3_on_ghz_stabilizers():
     rho = build_state(GHZ)
-    s = UnsharpSetting(X_DIR, 1.0)
     all3 = (0, 1, 2)
-    assert correlation((rho,), 0, s, (X_DIR, X_DIR), all3) == pytest.approx(1.0, abs=1e-12)
     assert correlation(
-        (rho,), 0, UnsharpSetting(Y_DIR, 1.0), (Y_DIR, X_DIR), all3
+        (rho,), 0, X_DIR, 1.0, (X_DIR, X_DIR), all3
+    ) == pytest.approx(1.0, abs=1e-12)
+    assert correlation(
+        (rho,), 0, Y_DIR, 1.0, (Y_DIR, X_DIR), all3
     ) == pytest.approx(-1.0, abs=1e-12)
     # correlations with an unsharp first wing scale by lam
     assert correlation(
-        (rho,), 0, UnsharpSetting(X_DIR, 0.25), (X_DIR, X_DIR), all3
+        (rho,), 0, X_DIR, 0.25, (X_DIR, X_DIR), all3
     ) == pytest.approx(0.25, abs=1e-12)
 
 
@@ -210,18 +207,19 @@ def test_correlation_on_every_wing_subset_is_a_trace():
     subsets = [tuple(w for w in range(3) if mask >> w & 1) for mask in range(1, 8)]
     for _ in range(30):
         rho = random_mixed_state(rng)
-        setting = UnsharpSetting(random_direction(rng), float(rng.uniform(0.05, 1.0)))
+        seq_dir = random_direction(rng)
+        lam = float(rng.uniform(0.05, 1.0))
         dirs = (random_direction(rng), random_direction(rng))
         for seq_wing in range(3):
             others = [w for w in range(3) if w != seq_wing]
             obs = [None, None, None]
-            obs[seq_wing] = setting.lam * direction_observable(setting.direction)
+            obs[seq_wing] = lam * direction_observable(seq_dir)
             for w, d in zip(others, dirs):
                 obs[w] = direction_observable(d)
             for wings in subsets:
                 mats = [obs[w] if w in wings else np.eye(2) for w in range(3)]
                 expected = float(np.trace(rho @ tensor3(*mats)).real)
-                got = correlation((rho,), seq_wing, setting, dirs, wings)
+                got = correlation((rho,), seq_wing, seq_dir, lam, dirs, wings)
                 assert abs(got - expected) < 1e-12, (seq_wing, wings)
 
 
@@ -230,20 +228,20 @@ def test_correlation_of_several_states_is_the_sum_of_each():
     # the order given, so the bits equal the sum of single-state calls
     rng = np.random.default_rng(31)
     rhos = [random_mixed_state(rng) for _ in range(7)]
-    setting = UnsharpSetting(random_direction(rng), 0.6)
+    d = random_direction(rng)
     dirs = (random_direction(rng), random_direction(rng))
     for wings in ((0,), (1, 2), (0, 1, 2)):
-        each = sum(correlation((rho,), 1, setting, dirs, wings) for rho in rhos)
-        assert correlation(rhos, 1, setting, dirs, wings) == each
+        each = sum(correlation((rho,), 1, d, 0.6, dirs, wings) for rho in rhos)
+        assert correlation(rhos, 1, d, 0.6, dirs, wings) == each
 
 
 def test_joint_operator_places_each_factor_on_its_wing():
     # the unsharp effect on the sequential wing, the projectors on the
     # others in ascending wing order
     rng = np.random.default_rng(37)
-    setting = UnsharpSetting(random_direction(rng), 0.3)
+    d = random_direction(rng)
     dirs = (random_direction(rng), random_direction(rng))
     for a, b, c in product((1, -1), repeat=3):
-        op = joint_operator(2, setting, dirs, (a, b, c))
-        want = tensor3(projector(dirs[0], a), projector(dirs[1], b), effect(setting, c))
+        op = joint_operator(2, d, 0.3, dirs, (a, b, c))
+        want = tensor3(projector(dirs[0], a), projector(dirs[1], b), effect(d, 0.3, c))
         assert op.tobytes() == want.tobytes()

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from seqsteer import (
     BlochDirection,
-    UnsharpSetting,
     X_DIR,
     Y_DIR,
     Z_DIR,
@@ -89,7 +88,7 @@ def test_tensor3_is_kron_bit_for_bit():
         lam = float(rng.uniform(0.05, 1.0))
         for outcome in (1, -1):
             factors.append(projector(d, outcome))
-            factors.append(effect(UnsharpSetting(d, lam), outcome))
+            factors.append(effect(d, lam, outcome))
             factors.append(effect_sqrt(d, lam, outcome))
     triples += [
         tuple(factors[int(i)] for i in rng.integers(len(factors), size=3))

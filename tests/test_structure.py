@@ -1,6 +1,8 @@
 """Layering rules of the package, checked on its source."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -21,3 +23,42 @@ def test_modules_import_no_private_names_from_each_other(path):
         if alias.name.startswith("_")
     ]
     assert not private, f"{path.name} imports private names: {private}"
+
+
+def _chains_on(tree, root):
+    """Every dotted name root.a.b... spelled out in tree, in its longest
+    form only: seqsteer.Optimizer.FIXED_XYZ, not also seqsteer.Optimizer."""
+    chains = set()
+    for node in ast.walk(tree):
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        if parts and isinstance(node, ast.Name) and node.id == root:
+            chains.add(".".join([root, *reversed(parts)]))
+    return {c for c in chains if not any(o.startswith(c + ".") for o in chains)}
+
+
+def _resolves(chain):
+    """Whether chain names an object, importing submodules on the way."""
+    obj = importlib.import_module(chain.split(".")[0])
+    for part in chain.split(".")[1:]:
+        if not hasattr(obj, part) and inspect.ismodule(obj):
+            try:
+                importlib.import_module(f"{obj.__name__}.{part}")
+            except ModuleNotFoundError:
+                return False
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
+def test_every_package_name_the_benchmark_uses_exists():
+    # the benchmark's workloads reach the package only through attribute
+    # chains on seqsteer; one that no longer resolves fails every op there
+    workloads = Path(__file__).parents[1] / "bench" / "workloads.py"
+    chains = _chains_on(ast.parse(workloads.read_text()), "seqsteer")
+    assert "seqsteer.SettingTriple.from_directions" in chains
+    missing = sorted(c for c in chains if not _resolves(c))
+    assert not missing, f"bench/workloads.py uses names the package lacks: {missing}"

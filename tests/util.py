@@ -101,7 +101,7 @@ def random_triple(rng, lam):
     from seqsteer import SettingTriple
 
     dirs = tuple(random_direction(rng) for _ in range(3))
-    return SettingTriple.from_directions(dirs, lam)
+    return SettingTriple(dirs, lam)
 
 
 _PAULI = {
