@@ -1,9 +1,10 @@
 """Sharpness thresholds, observer-count tables and setting-angle search.
 
 For a fixed chain prefix the inequality value seen by the next observer
-is affine in that observer's sharpness, so the smallest violating
-sharpness is found by bisection.  A table walks one running state down
-the chain: each observer is pinned just above their own threshold and
+is affine in that observer's sharpness, so two evaluations give its
+root in closed form; the threshold is the upper end of the dyadic
+tol-bracket replayed around that root.  A table walks one running state
+down the chain: each observer is pinned just above their own threshold and
 their averaged channel applied once, until even a projective
 measurement stops violating.
 """
@@ -27,15 +28,12 @@ from .states import build_state
 VIOLATION_GUARD = 1e-9
 
 # Smallest sharpness probed.  Exactly zero is not a valid measurement
-# (the effects become trivial), so the bisection bracket starts here.
+# (the effects become trivial), so the threshold bracket starts here.
 LAMBDA_FLOOR = 1e-9
-
-# Bisection steps before giving up; a tolerance of 1e-4 needs 14.
-MAX_BISECTION_STEPS = 200
 
 
 class SearchError(RuntimeError):
-    """A search precondition failed or an iteration cap was hit."""
+    """A search precondition failed or the threshold bracket stalled."""
 
 
 class Optimizer(Enum):
@@ -172,11 +170,11 @@ def threshold_lambda(prefix, config=None):
 
     prefix is a ScenarioSpec holding the observers that have already
     measured (possibly none).  The candidate observer is appended with
-    settings chosen per the configured optimizer and their sharpness is
-    bisected, each step re-weighting the state's term expectations.
-    Returns the smallest sharpness verified to violate, to within
-    config.tol, or None when even a projective measurement does not
-    violate.
+    settings chosen per the configured optimizer.  The value is
+    evaluated at sharpness 1 and near 0 only; the closed-form root of
+    that affine law is bracketed by replaying the dyadic bisection to
+    config.tol.  Returns the bracket's upper end, which violates, or
+    None when even a projective measurement does not violate.
     """
     config = config or SearchConfig()
     seq = prefix.sequential_wing
@@ -198,21 +196,21 @@ def _threshold(terms, inequality, config):
     if not f_sharp < f_floor:
         raise SearchError(
             "the inequality value does not decrease with sharpness "
-            f"({f_sharp:.6g} at 1 vs {f_floor:.6g} near 0); bisection "
-            "would return a wrong root"
+            f"({f_sharp:.6g} at 1 vs {f_floor:.6g} near 0); its root "
+            "would be wrong"
         )
-
+    # f is affine in lam, so a midpoint violates exactly when it lies
+    # above the root; the bracket is replayed without evaluating f again
+    span = 1.0 - LAMBDA_FLOOR
+    root = LAMBDA_FLOOR + (-config.guard - f_floor) * span / (f_sharp - f_floor)
     lo, hi = LAMBDA_FLOOR, 1.0
-    iterations = 0
     while hi - lo > config.tol:
-        iterations += 1
-        if iterations > MAX_BISECTION_STEPS:
-            raise SearchError(
-                f"bisection failed to converge within {MAX_BISECTION_STEPS} "
-                f"iterations; bracket [{lo}, {hi}]"
-            )
         mid = 0.5 * (lo + hi)
-        if f(mid) < -config.guard:
+        if not lo < mid < hi:
+            raise SearchError(
+                f"bracket failed to converge to tol {config.tol}; it stalls at [{lo}, {hi}]"
+            )
+        if mid > root:
             hi = mid
         else:
             lo = mid
@@ -275,10 +273,10 @@ def build_table(scenario, inequality, state, config=None):
 
     One state walks down the chain: it starts as the shared state and,
     after each row, passes through that observer's averaged channel with
-    the observer pinned at their reported minimum plus the bisection
-    tolerance, so each of them violates in their own right.  The table
-    ends on the first "none" row, or at config.max_rows if every row
-    keeps violating.
+    the observer pinned at their reported minimum (the upper end of the
+    tol-bracket around the closed-form root) plus the tolerance, so each
+    of them violates in their own right.  The table ends on the first
+    "none" row, or at config.max_rows if every row keeps violating.
     """
     config = config or SearchConfig()
     seq = scenario.sequential_wing

@@ -261,6 +261,8 @@ BAD_VALUES = [
     ("run", "out", ""),
     ("search", "tol", "abc"),
     ("search", "tol", "5"),
+    ("search", "tol", "0"),
+    ("search", "tol", "nan"),
 ]
 
 
@@ -278,6 +280,22 @@ def test_bad_values_are_usage_errors(capsys, tmp_path, source, section, key, val
     assert out == ""
     assert err.startswith("error: ")
     assert value.split(",")[-1] in err
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_unreachable_tolerance_is_a_runtime_error(capsys, tmp_path, source):
+    # 1e-17 is below the float spacing at the root, so the threshold
+    # bracket stalls before it is met
+    if source == "flag":
+        argv = ["--tol", "1e-17"]
+    else:
+        cfg = tmp_path / "steer.ini"
+        cfg.write_text("[search]\ntol = 1e-17\n")
+        argv = ["--config", str(cfg)]
+    code, out, err = run(capsys, "threshold", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "failed to converge" in err
 
 
 def test_retired_search_knobs_are_rejected(capsys, tmp_path):

@@ -33,13 +33,21 @@ from seqsteer import (
     value_from_state,
     xyz_spec,
 )
-from seqsteer.search import _best_direction, _direction_from_vector
+from seqsteer.cascade import term_expectations
+from seqsteer.search import (
+    LAMBDA_FLOOR,
+    _best_direction,
+    _direction_from_vector,
+    _settings_and_value,
+)
 from util import (
     FROZEN_LADDERS,
     TABLE_CASES,
     ladder_bit_cases,
+    noisy_rotated_state,
     random_mixed_state,
     random_triple,
+    reference_threshold_lambda,
     table_key,
 )
 
@@ -103,27 +111,31 @@ def test_bisection_iteration_cap(monkeypatch):
 
 @pytest.mark.parametrize("optimizer", list(Optimizer))
 def test_each_threshold_traces_its_state_once(monkeypatch, optimizer):
-    # the bisection only re-weights the term expectations; tracing the
-    # state again per step would multiply the cost of every ladder row
+    # a threshold traces its state once and evaluates the value at
+    # sharpness 1 and, when that violates, near 0: the root follows in
+    # closed form, so no bracket midpoint is ever evaluated
     import seqsteer.search as search_mod
 
-    walks = []
-    walk = search_mod.term_expectations
+    walks, evals = [], []
+    for name, log in (("term_expectations", walks), ("_settings_and_value", evals)):
+        def counted(*args, _call=getattr(search_mod, name), _log=log):
+            _log.append(args)
+            return _call(*args)
 
-    def counted(*args):
-        walks.append(args)
-        return walk(*args)
-
-    monkeypatch.setattr(search_mod, "term_expectations", counted)
+        monkeypatch.setattr(search_mod, name, counted)
     cfg = SearchConfig(optimizer=optimizer)
     # the last prefix leaves no violation, so its threshold is None
-    for lambdas in ((), (0.627,), (0.577493, 0.657998, 0.787698)):
+    for lambdas, expected in (((), 2), ((0.627,), 2), ((0.577493, 0.657998, 0.787698), 1)):
         walks.clear()
+        evals.clear()
         threshold_lambda(xyz_spec(Scenario.A, InequalityKind.G1, GHZ, lambdas), cfg)
-        assert len(walks) == 1
+        assert (len(walks), len(evals)) == (1, expected)
     walks.clear()
+    evals.clear()
     table = build_table(Scenario.A, InequalityKind.G1, GHZ, cfg)
     assert len(table.rows) == len(walks) == 4
+    # three violating rows and the closing "none" row
+    assert len(evals) == 2 * 3 + 1
 
 
 @pytest.mark.parametrize("optimizer", list(Optimizer))
@@ -290,8 +302,9 @@ def test_optimize_angles_validates_observer_index():
 def test_angle_grid_validation():
     with pytest.raises(ValueError):
         SearchConfig(tol=0.0)
-    # the bisection cap, guard band and row cap are constants, not knobs,
-    # and every table pins each observer just above their own threshold
+    # the guard band and row cap are constants, not knobs, there is no
+    # iteration cap to set, and every table pins each observer just
+    # above their own threshold
     for knob in (
         {"max_iter": 200},
         {"guard": 1e-6},
@@ -322,6 +335,65 @@ def test_optimized_value_is_the_closed_form_optimum(seed, scenario, kind, prefix
     assert best == pytest.approx(base - sum(np.linalg.norm(v) for v in vecs), abs=1e-12)
     _, xyz = optimize_angles(spec, m, SearchConfig())
     assert best <= xyz + 1e-12
+
+
+def _seeded_prefix(seed, state, scenario, kind, predecessors):
+    """A noisy, rotated GHZ or W state under 0-2 random predecessors."""
+    rng = np.random.default_rng(seed)
+    observers = tuple(random_triple(rng, rng.uniform(0.05, 1.0)) for _ in range(predecessors))
+    return ScenarioSpec(scenario, kind, noisy_rotated_state(rng, state), observers)
+
+
+prefix_draws = dict(
+    seed=st.integers(0, 2**32 - 1),
+    state=st.sampled_from([GHZ, W]),
+    scenario=st.sampled_from(list(Scenario)),
+    kind=st.sampled_from(list(InequalityKind)),
+    predecessors=st.integers(0, 2),
+    optimizer=st.sampled_from(list(Optimizer)),
+)
+
+
+def _outcome(search, *args):
+    try:
+        return search(*args)
+    except SearchError as exc:
+        return "does not decrease" if "does not decrease" in str(exc) else "stalls"
+
+
+@settings(max_examples=150, deadline=None)
+@given(**prefix_draws, log_tol=st.floats(math.log(1e-12), math.log(0.5)))
+def test_replayed_bracket_matches_the_evaluated_bisection(
+    seed, state, scenario, kind, predecessors, optimizer, log_tol
+):
+    # the closed-form root decides every midpoint the way evaluating the
+    # affine value there does, so both searches end on the same bits
+    prefix = _seeded_prefix(seed, state, scenario, kind, predecessors)
+    cfg = SearchConfig(tol=math.exp(log_tol), optimizer=optimizer)
+    assert _outcome(threshold_lambda, prefix, cfg) == _outcome(
+        reference_threshold_lambda, prefix, cfg
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(**prefix_draws, lams=st.lists(st.floats(LAMBDA_FLOOR, 1.0), min_size=1, max_size=5))
+def test_next_observer_value_is_affine_in_sharpness(
+    seed, state, scenario, kind, predecessors, optimizer, lams
+):
+    # the closed-form root rests on this: the line through the value at
+    # the floor and at 1 gives the value at every sharpness
+    prefix = _seeded_prefix(seed, state, scenario, kind, predecessors)
+    seq = prefix.sequential_wing
+    rho = propagate(build_state(prefix.state), seq, prefix.observers)
+    terms = term_expectations(rho, kind, seq)
+
+    def f(lam):
+        return _settings_and_value(terms, kind, lam, optimizer)[1]
+
+    f_floor, f_sharp = f(LAMBDA_FLOOR), f(1.0)
+    for lam in lams:
+        line = f_floor + (lam - LAMBDA_FLOOR) * (f_sharp - f_floor) / (1.0 - LAMBDA_FLOOR)
+        assert f(lam) == pytest.approx(line, abs=1e-12)
 
 
 def test_axis_ties_keep_exact_angles(capsys):

@@ -15,11 +15,15 @@ from seqsteer import (
     Optimizer,
     Scenario,
     ScenarioSpec,
+    SearchError,
     StateKind,
     StateSpec,
     build_state,
+    propagate,
     xyz_spec,
 )
+from seqsteer.cascade import term_expectations
+from seqsteer.search import LAMBDA_FLOOR, _settings_and_value
 
 # ladder of minimal sharpness values per observer, bisection tolerance
 # 1e-4, upper bracket endpoint reported, predecessors pinned at their
@@ -235,3 +239,49 @@ def ladder_bit_cases():
                 )
                 cases[name] = (scenario, kind, noisy, optimizer)
     return cases
+
+
+# the evaluated bisection's iteration cap; a tolerance of 1e-4 needs 14
+REFERENCE_MAX_BISECTION_STEPS = 200
+
+
+def reference_threshold_lambda(prefix, config):
+    """threshold_lambda as an evaluated bisection: the value is computed
+    at every midpoint, and the loop gives up after a fixed step count.
+
+    This is the search the closed-form root replaced, kept literally so
+    that the replayed bracket can be checked against it.
+    """
+    seq = prefix.sequential_wing
+    rho = propagate(build_state(prefix.state), seq, prefix.observers)
+    terms = term_expectations(rho, prefix.inequality, seq)
+
+    def f(lam):
+        return _settings_and_value(terms, prefix.inequality, lam, config.optimizer)[1]
+
+    f_sharp = f(1.0)
+    if f_sharp >= -config.guard:
+        return None
+    f_floor = f(LAMBDA_FLOOR)
+    if not f_sharp < f_floor:
+        raise SearchError(
+            "the inequality value does not decrease with sharpness "
+            f"({f_sharp:.6g} at 1 vs {f_floor:.6g} near 0); bisection "
+            "would return a wrong root"
+        )
+
+    lo, hi = LAMBDA_FLOOR, 1.0
+    iterations = 0
+    while hi - lo > config.tol:
+        iterations += 1
+        if iterations > REFERENCE_MAX_BISECTION_STEPS:
+            raise SearchError(
+                f"bisection failed to converge within {REFERENCE_MAX_BISECTION_STEPS} "
+                f"iterations; bracket [{lo}, {hi}]"
+            )
+        mid = 0.5 * (lo + hi)
+        if f(mid) < -config.guard:
+            hi = mid
+        else:
+            lo = mid
+    return hi
