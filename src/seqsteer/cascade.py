@@ -29,7 +29,7 @@ from .measurement import (
     joint_probability,
     luders_update,
 )
-from .qop import I2, X_DIR, Y_DIR, Z_DIR, direction_observable, tensor3
+from .qop import I2, XYZ, Z_DIR, direction_observable, tensor3
 from .states import StateSpec, build_state
 
 ORACLE_MAX_OBSERVERS = 4
@@ -45,7 +45,7 @@ class Scenario(Enum):
 
 # n.sigma along x, y, z from direction_observable, not the exact Paulis:
 # the last bits of direction_coefficients depend on its cos(pi/2) terms
-_SIGMAS = tuple(direction_observable(d) for d in (X_DIR, Y_DIR, Z_DIR))
+_SIGMAS = tuple(direction_observable(d) for d in XYZ)
 
 
 @dataclass(frozen=True)
@@ -104,8 +104,8 @@ def term_expectations(rho, inequality, seq_wing):
     """
     table = {}
     for term in required_terms(inequality).terms:
-        slot, dirs = resolve(term.ops, seq_wing)
-        mats = [I2 if d is None else direction_observable(d) for d in dirs]
+        slot, axes = resolve(term.ops, seq_wing)
+        mats = [I2 if a is None else _SIGMAS[a] for a in axes]
         if slot is None:
             table[term.ops] = (slot, float(np.trace(rho @ tensor3(*mats)).real))
             continue
@@ -192,10 +192,12 @@ def _term_correlation(branches, seq_wing, triple, ops):
     Linear in each state, so unnormalized branch states may be passed
     directly. Wings the term skips are marginalized over.
     """
-    slot, dirs = resolve(ops, seq_wing)
+    slot, axes = resolve(ops, seq_wing)
     # a skipped wing is marginalized, so any setting or direction serves
     seq_dir = triple.directions[slot or 0]
-    proj_dirs = tuple(d or Z_DIR for w, d in enumerate(dirs) if w != seq_wing)
+    proj_dirs = tuple(
+        Z_DIR if a is None else XYZ[a] for w, a in enumerate(axes) if w != seq_wing
+    )
     wings = tuple(w for w, sym in enumerate(ops) if sym != "I")
     return correlation(branches, seq_wing, seq_dir, triple.lam, proj_dirs, wings)
 
@@ -261,7 +263,6 @@ def no_signalling_audit(spec: ScenarioSpec, prob_fn=None) -> float:
     # the axes of the other wings' choices
     remote_axes = {seq_wing: (1, 2), first: (0, 2), second: (0, 1)}
     outcomes = tuple(product((1, -1), repeat=3))
-    candidates = (X_DIR, Y_DIR, Z_DIR)
     rho = build_state(spec.state)
     spreads = []
     for m, triple in enumerate(spec.observers):
@@ -270,7 +271,7 @@ def no_signalling_audit(spec: ScenarioSpec, prob_fn=None) -> float:
         p = np.array([
             prob_fn(rho, seq_wing, d, triple.lam, pair, o)
             for d in triple.directions
-            for pair in product(candidates, repeat=2)
+            for pair in product(XYZ, repeat=2)
             for o in outcomes
         ]).reshape(3, 3, 3, 8)
         for wing, axes in remote_axes.items():

@@ -17,11 +17,11 @@ command line win.  Recognized sections and keys:
 optimizer (fixed-xyz or grid-refine) has no flag.  threshold and table
 default to fixed-xyz, optimize to grid-refine.
 
-A value is checked the same way whether it comes from a flag or from
-the config file; a bad one exits with status 2.  An empty value is a bad
-one, not a request for the default.  Config values are read
-literally (a % is just a character), and any other section, [DEFAULT]
-included, is rejected.
+A value is checked the same way whether it comes from a flag or from the
+config file; a bad one exits with status 2.  So do an empty value (it is
+not a request for the default) and a tol below 2**-53, which the threshold
+bracket could never meet.  Config values are read literally (a % is just
+a character), and any other section, [DEFAULT] included, is rejected.
 """
 
 import argparse
@@ -32,6 +32,7 @@ import sys
 from .cascade import Scenario, no_signalling_audit, run_cascade, xyz_spec
 from .inequalities import InequalityKind, SteeringDirection
 from .search import (
+    MIN_TOL,
     Optimizer,
     SearchConfig,
     SearchError,
@@ -108,8 +109,8 @@ def _parse_tol(text):
         tol = float(text)
     except ValueError:
         raise UsageError(f"cannot parse tolerance {text!r} as a number")
-    if not 0.0 < tol < 1.0:
-        raise UsageError(f"tolerance {tol} outside (0, 1)")
+    if not MIN_TOL <= tol < 1.0:
+        raise UsageError(f"tolerance {tol} outside [2**-53 = {MIN_TOL:.3g}, 1)")
     return tol
 
 
@@ -166,7 +167,7 @@ def _build_parser():
         p.add_argument("--lambdas", help="comma-separated sharpness list, e.g. 0.627,0.736")
         p.add_argument("--format", help="text, csv or json (default text)")
         p.add_argument("--out", help="write output to this file instead of stdout")
-        p.add_argument("--tol", help="bisection tolerance in (0, 1) (default 1e-4)")
+        p.add_argument("--tol", help="threshold bracket width in [2**-53, 1) (default 1e-4)")
 
     add_common(sub.add_parser("cascade", help="run a chain and report every value"))
     add_common(sub.add_parser("threshold", help="minimal violating sharpness"))

@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .qop import X_DIR, Y_DIR, Z_DIR
-
 
 class SteeringDirection(Enum):
     """Who steers whom: one untrusted party steering two trusted ones, or
@@ -182,28 +180,25 @@ def required_terms(kind: InequalityKind) -> TermList:
 
 
 # Setting slot of each symbol on the sequential wing and its fixed axis
-# elsewhere; numbered settings of other wings stay at the published optimum.
+# (0, 1, 2 for x, y, z) elsewhere; numbered settings of other wings stay
+# at the published optimum.
 _AXIS = {"X": 0, "Y": 1, "Z": 2, "A1": 0, "A2": 1, "A3": 2, "B1": 0, "B2": 1, "B3": 2}
-_AXIS_DIRS = (X_DIR, Y_DIR, Z_DIR)
 
 
 def resolve(ops, seq_wing):
-    """What one term measures, as (slot, dirs).
+    """What one term measures, as (slot, axes).
 
     slot is the sequential observer's setting the term uses, or None
-    when it skips that wing; dirs holds each wing's fixed BlochDirection,
-    None for the identity and for the sequential wing.
+    when it skips that wing; axes holds each wing's fixed axis, 0, 1 or
+    2 for x, y or z, and None for the identity and the sequential wing.
     """
-    slot, dirs = None, []
+    slot, axes = None, []
     for wing, sym in enumerate(ops):
-        if sym == "I":
-            dirs.append(None)
-        elif wing == seq_wing:
-            slot = _AXIS[sym]
-            dirs.append(None)
-        else:
-            dirs.append(_AXIS_DIRS[_AXIS[sym]])
-    return slot, tuple(dirs)
+        axis = None if sym == "I" else _AXIS[sym]
+        if wing == seq_wing:
+            slot, axis = axis, None
+        axes.append(axis)
+    return slot, tuple(axes)
 
 
 def evaluate(kind: InequalityKind, expectations) -> float:

@@ -16,10 +16,8 @@ import numpy as np
 
 from .qop import (
     I2,
+    XYZ,
     BlochDirection,
-    X_DIR,
-    Y_DIR,
-    Z_DIR,
     effect_sqrt,
     projector,
     resolve_wing,
@@ -51,7 +49,7 @@ class SettingTriple:
     @classmethod
     def xyz(cls, lam=1.0):
         """The x, y, z triple used as every observer's default settings."""
-        return cls((X_DIR, Y_DIR, Z_DIR), lam)
+        return cls(XYZ, lam)
 
 
 def effect(d: BlochDirection, lam, outcome):

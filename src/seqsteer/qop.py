@@ -58,6 +58,7 @@ class BlochDirection:
 X_DIR = BlochDirection(np.pi / 2, 0.0)
 Y_DIR = BlochDirection(np.pi / 2, np.pi / 2)
 Z_DIR = BlochDirection(0.0, 0.0)
+XYZ = (X_DIR, Y_DIR, Z_DIR)
 
 
 def direction_observable(d: BlochDirection):

@@ -3,10 +3,10 @@
 For a fixed chain prefix the inequality value seen by the next observer
 is affine in that observer's sharpness, so two evaluations give its
 root in closed form; the threshold is the upper end of the dyadic
-tol-bracket replayed around that root.  A table walks one running state
-down the chain: each observer is pinned just above their own threshold and
-their averaged channel applied once, until even a projective
-measurement stops violating.
+tol-bracket replayed around that root, with tol at least MIN_TOL so that
+the replay always ends.  A table walks one running state down the chain:
+each observer is pinned just above their own threshold and their averaged
+channel applied once, until even a projective measurement stops violating.
 """
 
 import json
@@ -31,9 +31,14 @@ VIOLATION_GUARD = 1e-9
 # (the effects become trivial), so the threshold bracket starts here.
 LAMBDA_FLOOR = 1e-9
 
+# Smallest tol, 2**-53, the float spacing just below 1: while hi - lo > tol
+# with hi <= 1, a rounded midpoint is off by at most 2**-54, so it lies
+# strictly inside the bracket and the bracket always shrinks.
+MIN_TOL = 2.0**-53
+
 
 class SearchError(RuntimeError):
-    """A search precondition failed or the threshold bracket stalled."""
+    """A search precondition failed: the value must decrease with sharpness."""
 
 
 class Optimizer(Enum):
@@ -58,8 +63,8 @@ class SearchConfig:
     optimizer: Optimizer = Optimizer.FIXED_XYZ
 
     def __post_init__(self):
-        if not 0.0 < self.tol < 1.0:
-            raise ValueError("tol must lie in (0, 1)")
+        if not MIN_TOL <= self.tol < 1.0:
+            raise ValueError(f"tol must lie in [2**-53 = {MIN_TOL:.3g}, 1), got {self.tol}")
 
 
 def direction_coefficients(rho, scenario, inequality, lam):
@@ -206,10 +211,6 @@ def _threshold(terms, inequality, config):
     lo, hi = LAMBDA_FLOOR, 1.0
     while hi - lo > config.tol:
         mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            raise SearchError(
-                f"bracket failed to converge to tol {config.tol}; it stalls at [{lo}, {hi}]"
-            )
         if mid > root:
             hi = mid
         else:

@@ -3,8 +3,21 @@ from pathlib import Path
 
 import pytest
 
-from seqsteer import ghz_state
+from seqsteer import (
+    GHZ,
+    W,
+    InequalityKind,
+    Optimizer,
+    Scenario,
+    SearchConfig,
+    SettingTriple,
+    build_state,
+    build_table,
+    ghz_state,
+    value_from_state,
+)
 from seqsteer.cli import main
+from seqsteer.qop import XYZ
 from util import save_state_file
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -87,6 +100,17 @@ def test_identical_invocations_are_byte_identical(capsys):
     _, first, _ = run(capsys, *args)
     _, second, _ = run(capsys, *args)
     assert first == second
+
+
+def test_unwritable_out_is_a_runtime_error(capsys, tmp_path):
+    code, out, err = run(capsys, "cascade", "--out", str(tmp_path))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: cannot write {tmp_path}: ")
+
+
+def test_threshold_text_when_no_sharpness_violates(capsys):
+    code, out, err = run(capsys, "threshold", "--lambdas", "0.577493,0.657998,0.787698")
+    assert (code, out, err) == (0, "observer 4: no violating sharpness exists\n", "")
 
 
 def test_out_writes_file_instead_of_stdout(capsys, tmp_path):
@@ -210,6 +234,44 @@ def test_default_config_section_rejected(capsys, tmp_path):
     assert "unknown config section [DEFAULT]" in err
 
 
+@pytest.mark.parametrize(
+    "body,message",
+    [(None, "cannot read config file"), ("state = w\n", "cannot parse config file")],
+)
+def test_unreadable_config_file_is_a_usage_error(capsys, tmp_path, body, message):
+    # a missing file, then one whose key sits above any section header
+    cfg = tmp_path / "steer.ini"
+    if body is not None:
+        cfg.write_text(body)
+    code, out, err = run(capsys, "table", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {message} {cfg}")
+
+
+def test_config_optimizer_selects_grid_refine(capsys, tmp_path):
+    cfg = tmp_path / "steer.ini"
+    cfg.write_text("[search]\noptimizer = grid-refine\n")
+    code, out, err = run(capsys, "table", "--config", str(cfg), "--format", "json")
+    assert code == 0 and err == ""
+    config = SearchConfig(optimizer=Optimizer.GRID_REFINE)
+    assert out == build_table(Scenario.A, InequalityKind.G1, GHZ, config).to_json() + "\n"
+
+
+def test_config_optimizer_selects_fixed_xyz(capsys, tmp_path):
+    # optimize defaults to grid-refine; the key keeps the x, y, z settings
+    cfg = tmp_path / "steer.ini"
+    cfg.write_text("[search]\noptimizer = fixed-xyz\n")
+    code, out, err = run(
+        capsys, "optimize", "--config", str(cfg), "--state", "w", "--ineq", "w1",
+        "--lambdas", "0.83", "--format", "json",
+    )
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert [(s["theta"], s["phi"]) for s in doc["settings"]] == [(d.theta, d.phi) for d in XYZ]
+    triple = SettingTriple.xyz(0.83)
+    assert doc["value"] == value_from_state(build_state(W), Scenario.A, InequalityKind.W1, triple)
+
+
 def test_config_values_are_read_literally(capsys, tmp_path):
     # a % in an INI value is a plain character, as it is in a flag
     cfg = tmp_path / "steer.ini"
@@ -258,11 +320,15 @@ BAD_VALUES = [
     ("run", "lambdas", "0.5,1.4"),
     ("run", "lambdas", ""),
     ("run", "lambdas", "0.7,,1.0"),
+    ("run", "lambdas", "0.7,abc"),
+    ("run", "state", "custom:"),
     ("run", "out", ""),
     ("search", "tol", "abc"),
     ("search", "tol", "5"),
     ("search", "tol", "0"),
     ("search", "tol", "nan"),
+    ("search", "tol", "1e-16"),
+    ("search", "tol", "1e-17"),
 ]
 
 
@@ -280,22 +346,6 @@ def test_bad_values_are_usage_errors(capsys, tmp_path, source, section, key, val
     assert out == ""
     assert err.startswith("error: ")
     assert value.split(",")[-1] in err
-
-
-@pytest.mark.parametrize("source", ["flag", "config"])
-def test_unreachable_tolerance_is_a_runtime_error(capsys, tmp_path, source):
-    # 1e-17 is below the float spacing at the root, so the threshold
-    # bracket stalls before it is met
-    if source == "flag":
-        argv = ["--tol", "1e-17"]
-    else:
-        cfg = tmp_path / "steer.ini"
-        cfg.write_text("[search]\ntol = 1e-17\n")
-        argv = ["--config", str(cfg)]
-    code, out, err = run(capsys, "threshold", *argv)
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: ") and "failed to converge" in err
 
 
 def test_retired_search_knobs_are_rejected(capsys, tmp_path):

@@ -14,7 +14,7 @@ from seqsteer import (
     tensor3,
 )
 from seqsteer.cascade import _SIGMAS
-from seqsteer.qop import I2, projector
+from seqsteer.qop import I2, projector, validate_density
 from util import (
     partial_trace,
     pauli,
@@ -59,6 +59,13 @@ def test_direction_observable_is_a_spin_component(angle):
     # eigenvalues of n.sigma are exactly +1 and -1
     evals = np.sort(np.linalg.eigvalsh(obs))
     assert np.allclose(evals, [-1.0, 1.0], atol=1e-12)
+
+
+def test_validate_density_rejects_an_asymmetric_matrix():
+    rho = np.eye(8, dtype=complex) / 8
+    rho[0, 1] = 1e-6
+    with pytest.raises(ValueError, match=r"^state is not Hermitian \(max deviation 1\.000e-06\)$"):
+        validate_density(rho)
 
 
 def test_direction_angle_ranges_validated():

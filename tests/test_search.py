@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from seqsteer import (
     GHZ,
     W,
+    Z_DIR,
     BlochDirection,
     InequalityKind,
     Optimizer,
@@ -36,6 +37,8 @@ from seqsteer import (
 from seqsteer.cascade import term_expectations
 from seqsteer.search import (
     LAMBDA_FLOOR,
+    MIN_TOL,
+    VIOLATION_GUARD,
     _best_direction,
     _direction_from_vector,
     _settings_and_value,
@@ -94,19 +97,24 @@ def test_threshold_monotonicity_precondition(monkeypatch):
         threshold_lambda(xyz_spec(Scenario.A, InequalityKind.G1, GHZ, ()))
 
 
-def test_bisection_iteration_cap(monkeypatch):
-    # near the root 0.5 the bracket cannot shrink below the float
-    # spacing, so a tolerance of 1e-17 is never met and the cap trips
+def test_tolerance_floor_ends_every_bracket(monkeypatch):
+    # below 2**-53, the float spacing just below 1, a bracket around a
+    # root near 0.5 could never shrink to tol, so such a tol is refused;
+    # at the floor itself the bracket ends, here near 1, 0.5 and the floor
     import seqsteer.search as search_mod
 
-    monkeypatch.setattr(
-        search_mod,
-        "value_from_terms",
-        lambda terms, kind, triple: 0.5 - triple.lam,
-    )
-    cfg = SearchConfig(tol=1e-17)
-    with pytest.raises(SearchError, match="failed to converge"):
-        threshold_lambda(xyz_spec(Scenario.A, InequalityKind.G1, GHZ, ()), cfg)
+    assert MIN_TOL == sys.float_info.epsilon / 2 == 2.0**-53
+    with pytest.raises(ValueError, match=r"\[2\*\*-53 = 1.11e-16, 1\), got 1e-17"):
+        SearchConfig(tol=1e-17)
+    cfg = SearchConfig(tol=MIN_TOL)
+    prefix = xyz_spec(Scenario.A, InequalityKind.G1, GHZ, ())
+    for root in (1.0 - 2e-9, 0.5, 0.5 + 2.0**-52, 3 * LAMBDA_FLOOR):
+        monkeypatch.setattr(
+            search_mod, "value_from_terms", lambda terms, kind, triple, r=root: r - triple.lam
+        )
+        lam = threshold_lambda(prefix, cfg)
+        # the guard band moves the root up by VIOLATION_GUARD
+        assert lam == pytest.approx(root + VIOLATION_GUARD, rel=0, abs=1e-15)
 
 
 @pytest.mark.parametrize("optimizer", list(Optimizer))
@@ -409,6 +417,13 @@ def test_axis_ties_keep_exact_angles(capsys):
         '    {\n      "theta": 1.5707963267948966,\n      "phi": 1.5707963267948966\n    },\n'
         '    {\n      "theta": 0.0,\n      "phi": 0.0\n    }\n  ]\n}\n'
     )
+
+
+def test_zero_vector_keeps_z():
+    # a setting that no term uses has no preferred direction; it stays on
+    # Z instead of dividing by a zero norm
+    assert _direction_from_vector(np.zeros(3)) == Z_DIR
+    assert _best_direction(np.zeros(3)) == (Z_DIR, 0.0)
 
 
 @pytest.mark.parametrize("sign,phi", [(1.0, math.pi), (-1.0, 0.0)])

@@ -62,3 +62,18 @@ def test_every_package_name_the_benchmark_uses_exists():
     assert "seqsteer.SettingTriple.from_directions" in chains
     missing = sorted(c for c in chains if not _resolves(c))
     assert not missing, f"bench/workloads.py uses names the package lacks: {missing}"
+
+
+def test_inequalities_imports_no_sibling_module():
+    # a functional is symbols, coefficients and arithmetic; what a symbol
+    # measures as an operator is for the layers that trace it to decide
+    tree = ast.parse((PACKAGE / "inequalities.py").read_text())
+    siblings = [
+        ast.unparse(node)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or node.module.split(".")[0] == "seqsteer")
+        or isinstance(node, ast.Import)
+        and any(a.name.split(".")[0] == "seqsteer" for a in node.names)
+    ]
+    assert not siblings, f"inequalities.py imports from the package: {siblings}"
