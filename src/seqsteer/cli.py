@@ -14,8 +14,9 @@ command line win.  Recognized sections and keys:
   [run]     state, scenario, direction, ineq, lambdas, format, out
   [search]  tol, optimizer
 
-optimizer (fixed-xyz or grid-refine) has no flag.  threshold and table
-default to fixed-xyz, optimize to grid-refine.
+optimizer (fixed-xyz or grid-refine) has no flag; only the config file
+sets it.  threshold and table default to fixed-xyz, optimize to
+grid-refine.
 
 A value is checked the same way whether it comes from a flag or from the
 config file; a bad one exits with status 2.  So do an empty value (it is
@@ -40,13 +41,9 @@ from .search import (
     optimize_angles,
     threshold_lambda,
 )
-from .states import GHZ, W, StateFormatError, StateKind, custom_spec
+from .states import GHZ, W, StateKind, custom_spec
 
 AUDIT_BOUND = 1e-10
-
-_RUN_KEYS = ("state", "scenario", "direction", "ineq", "lambdas", "format", "out")
-_SEARCH_KEYS = ("tol", "optimizer")
-_FORMATS = ("text", "csv", "json")
 
 _FALLBACK_INEQ = {
     (StateKind.GHZ, SteeringDirection.ONE_TO_TWO): InequalityKind.G1,
@@ -91,17 +88,19 @@ def _parse_lambdas(text):
     return tuple(out)
 
 
-def _parse_choice(name, text, choices):
-    """The member of choices (enum members or strings) named by text,
-    or None when text is None."""
-    if text is None:
-        return None
+def _parse_choice(name, choices):
+    """A parser giving the member of choices (enum members or strings)
+    that its text names."""
     names = [getattr(c, "value", c) for c in choices]
-    if text not in names:
-        raise UsageError(
-            f"unknown {name} {text!r}; expected one of " + ", ".join(names)
-        )
-    return list(choices)[names.index(text)]
+
+    def parse(text):
+        if text not in names:
+            raise UsageError(
+                f"unknown {name} {text!r}; expected one of " + ", ".join(names)
+            )
+        return list(choices)[names.index(text)]
+
+    return parse
 
 
 def _parse_tol(text):
@@ -112,6 +111,35 @@ def _parse_tol(text):
     if not MIN_TOL <= tol < 1.0:
         raise UsageError(f"tolerance {tol} outside [2**-53 = {MIN_TOL:.3g}, 1)")
     return tol
+
+
+def _parse_out(text):
+    if not text:
+        raise UsageError("--out needs a file path")
+    return text
+
+
+# Every option once: its INI section, the one parser that a flag value
+# and an INI value both go through, the value when neither is given, and
+# the flag's help (None: no flag, the config file only).  Flags, INI
+# keys, valid-keys lists and parsing all follow this order.
+_OPTIONS = {
+    "state": ("run", _parse_state, GHZ, "ghz, w or custom:<path>"),
+    "scenario": ("run", _parse_choice("scenario", Scenario), Scenario.A,
+                 "A or B: which wing hosts the chain (default A)"),
+    "direction": ("run", _parse_choice("direction", SteeringDirection), None,
+                  "1to2 or 2to1: picks the inequality for ghz/w states"),
+    "ineq": ("run", _parse_choice("ineq", InequalityKind), None,
+             "g1, g2, w1 or w2: inequality to evaluate (required for custom states)"),
+    "lambdas": ("run", _parse_lambdas, None,
+                "comma-separated sharpness list, e.g. 0.627,0.736"),
+    "format": ("run", _parse_choice("format", ("text", "csv", "json")), "text",
+               "text, csv or json (default text)"),
+    "out": ("run", _parse_out, None, "write output to this file instead of stdout"),
+    "tol": ("search", _parse_tol, SearchConfig.tol,
+            "threshold bracket width in [2**-53, 1) (default 1e-4)"),
+    "optimizer": ("search", _parse_choice("optimizer", Optimizer), None, None),
+}
 
 
 def load_config(path):
@@ -126,7 +154,9 @@ def load_config(path):
         raise UsageError(f"cannot read config file {path}: {exc}")
     except configparser.Error as exc:
         raise UsageError(f"cannot parse config file {path}: {exc}")
-    valid = {"run": _RUN_KEYS, "search": _SEARCH_KEYS}
+    valid = {}
+    for name, (section, *_) in _OPTIONS.items():
+        valid.setdefault(section, []).append(name)
     values = {}
     for section in parser.sections():
         if section not in valid:
@@ -151,47 +181,26 @@ def _build_parser():
         "state, scored against genuine tripartite steering inequalities.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for command, (_, command_help) in _COMMANDS.items():
+        p = sub.add_parser(command, help=command_help)
         p.add_argument("--config", help="INI config file preloading any flag")
-        p.add_argument("--state", help="ghz, w or custom:<path>")
-        p.add_argument("--scenario", help="A or B: which wing hosts the chain (default A)")
-        p.add_argument(
-            "--direction",
-            help="1to2 or 2to1: picks the inequality for ghz/w states",
-        )
-        p.add_argument(
-            "--ineq",
-            help="g1, g2, w1 or w2: inequality to evaluate (required for custom states)",
-        )
-        p.add_argument("--lambdas", help="comma-separated sharpness list, e.g. 0.627,0.736")
-        p.add_argument("--format", help="text, csv or json (default text)")
-        p.add_argument("--out", help="write output to this file instead of stdout")
-        p.add_argument("--tol", help="threshold bracket width in [2**-53, 1) (default 1e-4)")
-
-    add_common(sub.add_parser("cascade", help="run a chain and report every value"))
-    add_common(sub.add_parser("threshold", help="minimal violating sharpness"))
-    add_common(sub.add_parser("table", help="threshold ladder until the chain ends"))
-    add_common(sub.add_parser("optimize", help="best directions for the last observer"))
-    add_common(sub.add_parser("audit", help="no-signalling marginal check"))
+        for name, (*_, flag_help) in _OPTIONS.items():
+            if flag_help is not None:
+                p.add_argument(f"--{name}", help=flag_help)
     return parser
 
 
 def _resolve(args):
     """Merge config file and flags into a settled options dict."""
     cfg = load_config(args.config) if args.config else {}
+    opts = {}
+    for name, (_, parse, default, _) in _OPTIONS.items():
+        text = getattr(args, name, None)
+        if text is None:
+            text = cfg.get(name)
+        opts[name] = default if text is None else parse(text)
 
-    def pick(name, default=None):
-        flag = getattr(args, name, None)
-        if flag is not None:
-            return flag
-        return cfg.get(name, default)
-
-    state = _parse_state(pick("state", "ghz"))
-    scenario = _parse_choice("scenario", pick("scenario", "A"), Scenario)
-
-    direction = _parse_choice("direction", pick("direction"), SteeringDirection)
-    inequality = _parse_choice("ineq", pick("ineq"), InequalityKind)
+    direction, inequality = opts["direction"], opts["ineq"]
     if inequality is not None:
         if direction is not None and inequality.direction is not direction:
             raise UsageError(
@@ -199,31 +208,11 @@ def _resolve(args):
                 f"inequality, which contradicts --direction {direction.value}"
             )
     else:
-        key = (state.kind, direction or SteeringDirection.ONE_TO_TWO)
+        key = (opts["state"].kind, direction or SteeringDirection.ONE_TO_TWO)
         if key not in _FALLBACK_INEQ:
             raise UsageError("a custom state needs an explicit --ineq")
-        inequality = _FALLBACK_INEQ[key]
-
-    lambdas_text = pick("lambdas")
-    lambdas = _parse_lambdas(lambdas_text) if lambdas_text is not None else None
-
-    tol_text = pick("tol")
-    tol = _parse_tol(tol_text) if tol_text is not None else 1e-4
-    optimizer = _parse_choice("optimizer", cfg.get("optimizer"), Optimizer)
-    out = pick("out")
-    if out == "":
-        raise UsageError("--out needs a file path")
-
-    return {
-        "state": state,
-        "scenario": scenario,
-        "inequality": inequality,
-        "lambdas": lambdas,
-        "format": _parse_choice("format", pick("format", "text"), _FORMATS),
-        "out": out,
-        "tol": tol,
-        "optimizer": optimizer,
-    }
+        opts["ineq"] = _FALLBACK_INEQ[key]
+    return opts
 
 
 def _search_config(opts, default_optimizer=Optimizer.FIXED_XYZ):
@@ -234,7 +223,7 @@ def _search_config(opts, default_optimizer=Optimizer.FIXED_XYZ):
 
 
 def _spec_from(opts, lambdas):
-    return xyz_spec(opts["scenario"], opts["inequality"], opts["state"], lambdas)
+    return xyz_spec(opts["scenario"], opts["ineq"], opts["state"], lambdas)
 
 
 def _chain_lambdas(opts):
@@ -288,7 +277,7 @@ def _cmd_table(opts):
     if opts["lambdas"] is not None:
         raise UsageError("table derives every sharpness itself; drop --lambdas")
     table = build_table(
-        opts["scenario"], opts["inequality"], opts["state"], _search_config(opts)
+        opts["scenario"], opts["ineq"], opts["state"], _search_config(opts)
     )
     if opts["format"] == "json":
         return table.to_json() + "\n", 0
@@ -326,7 +315,7 @@ def _cmd_optimize(opts):
         for k, d in enumerate(directions, start=1):
             lines.append(f"{m},{k},{d.theta:.6f},{d.phi:.6f},{value:.6f}")
         return "\n".join(lines) + "\n", 0
-    lines = [f"observer {m}, inequality {opts['inequality'].value}"]
+    lines = [f"observer {m}, inequality {opts['ineq'].value}"]
     for k, d in enumerate(directions, start=1):
         lines.append(f"setting {k}: theta={d.theta:.6f} phi={d.phi:.6f}")
     lines.append(f"value = {value:+.6f}")
@@ -351,11 +340,11 @@ def _cmd_audit(opts):
 
 
 _COMMANDS = {
-    "cascade": _cmd_cascade,
-    "threshold": _cmd_threshold,
-    "table": _cmd_table,
-    "optimize": _cmd_optimize,
-    "audit": _cmd_audit,
+    "cascade": (_cmd_cascade, "run a chain and report every value"),
+    "threshold": (_cmd_threshold, "minimal violating sharpness"),
+    "table": (_cmd_table, "threshold ladder until the chain ends"),
+    "optimize": (_cmd_optimize, "best directions for the last observer"),
+    "audit": (_cmd_audit, "no-signalling marginal check"),
 }
 
 
@@ -364,11 +353,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         opts = _resolve(args)
-        text, code = _COMMANDS[args.command](opts)
+        text, code = _COMMANDS[args.command][0](opts)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (StateFormatError, SearchError, ValueError, OSError) as exc:
+    except (SearchError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if opts["out"] is not None:

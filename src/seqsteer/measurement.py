@@ -126,9 +126,10 @@ def correlation(rhos, seq_wing, seq_dir, lam, proj_dirs, wings):
     wing's outcome marginalized, summed over the states in rhos.
 
     Takes joint_operator's arguments, the unsharp wing's setting as
-    (seq_dir, lam), with wings a tuple of wing indices. Each outcome's operator is built once and traced against
-    every state; each state keeps its own running total over the
-    outcomes, and the totals are summed in the order of rhos. A
+    (seq_dir, lam), with wings a tuple of wing indices. Each outcome's
+    operator is built once and traced against every state; each state
+    keeps its own running total over the outcomes, and the totals are
+    summed in the order of rhos. A
     correlation that includes the unsharp wing is lam times the
     projective one, since the unsharp observable's moment operator is
     E(+) - E(-) = lam * n.sigma.

@@ -20,7 +20,9 @@ class StateKind(Enum):
 class StateSpec:
     """Which initial state to share between the three wings.
 
-    For CUSTOM, `custom` holds a validated 8x8 density matrix.
+    For CUSTOM, `custom` holds a validated, read-only complex copy of
+    the 8x8 density matrix given, so the caller's array can change
+    without changing the spec.
     """
 
     kind: StateKind
@@ -30,7 +32,10 @@ class StateSpec:
         if self.kind is StateKind.CUSTOM:
             if self.custom is None:
                 raise ValueError("custom state requires an 8x8 density matrix")
-            validate_density(self.custom, name="custom state")
+            custom = np.array(self.custom, dtype=complex)
+            validate_density(custom, name="custom state")
+            custom.flags.writeable = False
+            object.__setattr__(self, "custom", custom)
         elif self.custom is not None:
             raise ValueError(f"{self.kind.value} state takes no custom matrix")
 

@@ -348,6 +348,44 @@ def test_bad_values_are_usage_errors(capsys, tmp_path, source, section, key, val
     assert value.split(",")[-1] in err
 
 
+def _flag_and_config_runs(capsys, tmp_path, command, section, key, value):
+    """(code, out, err) of the value given as a flag, then as an INI key."""
+    cfg = tmp_path / "steer.ini"
+    cfg.write_text(f"[{section}]\n{key} = {value}\n")
+    return (
+        run(capsys, command, f"--{key}", value),
+        run(capsys, command, "--config", str(cfg)),
+    )
+
+
+@pytest.mark.parametrize("section,key,value", BAD_VALUES)
+def test_bad_value_reads_the_same_from_flag_and_config(capsys, tmp_path, section, key, value):
+    # one parser per option: the source of a value never changes the verdict
+    from_flag, from_config = _flag_and_config_runs(
+        capsys, tmp_path, "cascade", section, key, value
+    )
+    assert from_flag == from_config
+
+
+@pytest.mark.parametrize(
+    "section,key,value",
+    [
+        ("run", "state", "w"),
+        ("run", "scenario", "B"),
+        ("run", "ineq", "g2"),
+        ("run", "lambdas", "0.6, 0.7"),
+        ("search", "tol", "1e-3"),
+        ("run", "format", "json"),
+    ],
+)
+def test_good_value_reads_the_same_from_flag_and_config(capsys, tmp_path, section, key, value):
+    from_flag, from_config = _flag_and_config_runs(
+        capsys, tmp_path, "threshold", section, key, value
+    )
+    assert from_flag[0] == 0 and from_flag[2] == ""
+    assert from_flag == from_config
+
+
 def test_retired_search_knobs_are_rejected(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["optimize", "--grid", "7"])

@@ -4,6 +4,8 @@ import pytest
 from seqsteer import (
     GHZ,
     W,
+    InequalityKind,
+    Scenario,
     StateFormatError,
     StateKind,
     StateSpec,
@@ -11,7 +13,9 @@ from seqsteer import (
     custom_spec,
     ghz_state,
     load_state_file,
+    run_cascade,
     w_state,
+    xyz_spec,
 )
 from util import partial_trace, random_pure_state, save_state_file
 
@@ -84,6 +88,28 @@ def test_custom_spec_from_file(tmp_path):
     spec = custom_spec(path)
     assert spec.kind is StateKind.CUSTOM
     assert np.allclose(build_state(spec), ghz_state())
+
+
+def test_custom_spec_keeps_its_own_read_only_copy():
+    # the spec describes the state it validated, whatever the caller later
+    # writes into the array it passed in
+    a = ghz_state()
+    spec = StateSpec(StateKind.CUSTOM, a)
+
+    def values():
+        return run_cascade(xyz_spec(Scenario.A, InequalityKind.G1, spec, (0.7, 1.0))).values
+
+    before = values()
+    assert np.allclose(before, (-0.2453, -0.4642), atol=1e-4)
+    a[0, 0] = 5.0
+    assert values() == before
+    a[:] = w_state()
+    assert values() == before
+    with pytest.raises(ValueError, match="read-only"):
+        spec.custom[0, 0] = 5.0
+    built = build_state(spec)
+    built[0, 0] = 5.0
+    assert spec.custom[0, 0] == ghz_state()[0, 0]
 
 
 def test_load_reports_row_count(tmp_path):
