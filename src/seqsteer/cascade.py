@@ -202,15 +202,27 @@ def _term_correlation(branches, seq_wing, triple, ops):
     return correlation(branches, seq_wing, seq_dir, triple.lam, proj_dirs, wings)
 
 
+def _grow_branches(branches, seq_wing, triple):
+    """The (6n, 8, 8) stack of every branch's six children, one
+    luders_update per (direction, outcome) on the whole (n, 8, 8) stack;
+    a branch's children sit together, in direction, then outcome order."""
+    return np.stack([
+        luders_update(branches, seq_wing, d, triple.lam, outcome)
+        for d in triple.directions
+        for outcome in (1, -1)
+    ], axis=1).reshape(-1, 8, 8)
+
+
 def run_cascade_oracle(spec: ScenarioSpec) -> CascadeResult:
     """Tree-path evaluation: identical contract to run_cascade, computed
     by explicit enumeration instead of the averaged channel.
 
     The branches over predecessor settings and outcomes grow along the
-    chain as unnormalized states, each setting weighted 1/3. For each
-    observer and term, every outcome's joint operator is built once and
-    traced against all branches. Cost grows as 6^(n-1), so chains longer
-    than 4 are refused.
+    chain as one (6^m, 8, 8) stack of unnormalized states, each setting
+    weighted 1/3, and each (direction, outcome) update is applied to the
+    whole stack at once. For each observer and term, every outcome's
+    joint operator is built once and traced against the whole stack.
+    Cost grows as 6^(n-1), so chains longer than 4 are refused.
     """
     spec.require_projective_last()
     n = len(spec.observers)
@@ -222,7 +234,7 @@ def run_cascade_oracle(spec: ScenarioSpec) -> CascadeResult:
         )
     seq_wing = spec.sequential_wing
     terms = required_terms(spec.inequality).terms
-    branches = [build_state(spec.state)]
+    branches = build_state(spec.state)[None]
     values = []
     for m, triple in enumerate(spec.observers):
         weight = (1.0 / 3.0) ** m
@@ -231,12 +243,7 @@ def run_cascade_oracle(spec: ScenarioSpec) -> CascadeResult:
             for term in terms
         }))
         if m + 1 < n:
-            branches = [
-                luders_update(rho, seq_wing, d, triple.lam, outcome)
-                for rho in branches
-                for d in triple.directions
-                for outcome in (1, -1)
-            ]
+            branches = _grow_branches(branches, seq_wing, triple)
     return CascadeResult(spec.inequality, spec.lambdas, tuple(values))
 
 

@@ -63,7 +63,10 @@ def effect(d: BlochDirection, lam, outcome):
 def luders_update(rho, wing, d: BlochDirection, lam, outcome):
     """Selective Lueders update on one wing: the unnormalized
     post-measurement state sqrt(E) rho sqrt(E), identity on the other
-    wings. Its trace is the outcome probability Tr[rho E]."""
+    wings. Its trace is the outcome probability Tr[rho E].
+
+    rho may also be a stack of states, shape (..., 8, 8); each is
+    updated as if passed alone."""
     mats = [I2, I2, I2]
     mats[resolve_wing(wing)] = effect_sqrt(d, lam, outcome)
     k = tensor3(*mats)
@@ -126,20 +129,21 @@ def correlation(rhos, seq_wing, seq_dir, lam, proj_dirs, wings):
     wing's outcome marginalized, summed over the states in rhos.
 
     Takes joint_operator's arguments, the unsharp wing's setting as
-    (seq_dir, lam), with wings a tuple of wing indices. Each outcome's
-    operator is built once and traced against every state; each state
-    keeps its own running total over the outcomes, and the totals are
-    summed in the order of rhos. A
+    (seq_dir, lam), with wings a tuple of wing indices; rhos is a
+    sequence or an (n, 8, 8) stack of states. Each outcome's operator is
+    built once and traced against the whole stack in one product; each
+    state keeps its own running total over the outcomes, and the totals
+    are summed in the order of rhos. A
     correlation that includes the unsharp wing is lam times the
     projective one, since the unsharp observable's moment operator is
     E(+) - E(-) = lam * n.sigma.
     """
-    totals = [0.0] * len(rhos)
+    stack = np.asarray(rhos)
+    totals = np.zeros(len(stack))
     for outcomes in product((1, -1), repeat=3):
         w = 1.0
         for wing in wings:
             w *= outcomes[wing]
         op = joint_operator(seq_wing, seq_dir, lam, proj_dirs, outcomes)
-        for i, rho in enumerate(rhos):
-            totals[i] += w * float((op @ rho).trace().real)
-    return sum(totals)
+        totals += w * (op @ stack).trace(axis1=1, axis2=2).real
+    return sum(totals.tolist())

@@ -8,6 +8,7 @@ ordering is fixed throughout the package: index 0 is Alice, 1 is Bob,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,12 +48,37 @@ class BlochDirection:
         if not 0.0 <= self.phi <= 2 * np.pi + 1e-12:
             raise ValueError(f"phi must lie in [0, 2*pi], got {self.phi}")
 
-    def unit_vector(self):
-        """Cartesian components (sin t cos p, sin t sin p, cos t)."""
+    # Each direction builds its arrays once, on first use, into its own
+    # __dict__, so fields, eq, hash and repr are untouched. A cache shared
+    # between equal directions would not do: BlochDirection(0.0, 0.0) ==
+    # BlochDirection(-0.0, 0.0), but their unit vectors differ in the
+    # sign of zero.
+
+    @cached_property
+    def _unit(self):
         st = np.sin(self.theta)
-        return np.array(
-            [st * np.cos(self.phi), st * np.sin(self.phi), np.cos(self.theta)]
+        return _read_only(
+            np.array([st * np.cos(self.phi), st * np.sin(self.phi), np.cos(self.theta)])
         )
+
+    @cached_property
+    def _observable(self):
+        n = self._unit
+        return _read_only(n[0] * _PAULI["X"] + n[1] * _PAULI["Y"] + n[2] * _PAULI["Z"])
+
+    @cached_property
+    def _projectors(self):
+        return {a: _read_only((I2 + a * self._observable) / 2) for a in (1, -1)}
+
+    def unit_vector(self):
+        """Cartesian components (sin t cos p, sin t sin p, cos t), as an
+        array shared by every call on this direction and read-only."""
+        return self._unit
+
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
 
 
 X_DIR = BlochDirection(np.pi / 2, 0.0)
@@ -64,17 +90,21 @@ XYZ = (X_DIR, Y_DIR, Z_DIR)
 def direction_observable(d: BlochDirection):
     """Spin component observable n.sigma for the direction d.
 
-    Hermitian with eigenvalues +1 and -1.
+    Hermitian with eigenvalues +1 and -1. Built once per direction: every
+    call on d returns the same read-only array.
     """
-    n = d.unit_vector()
-    return n[0] * _PAULI["X"] + n[1] * _PAULI["Y"] + n[2] * _PAULI["Z"]
+    return d._observable
 
 
 def projector(d: BlochDirection, outcome):
-    """Projector (I + a n.sigma)/2 onto outcome a = +1 or -1 along d."""
+    """Projector (I + a n.sigma)/2 onto outcome a = +1 or -1 along d.
+
+    Built once per direction and outcome: every call returns the same
+    read-only array.
+    """
     if outcome not in (1, -1):
         raise ValueError(f"outcome must be +1 or -1, got {outcome}")
-    return (I2 + outcome * direction_observable(d)) / 2
+    return d._projectors[outcome]
 
 
 def tensor3(a, b, c):

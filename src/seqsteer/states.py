@@ -22,7 +22,8 @@ class StateSpec:
 
     For CUSTOM, `custom` holds a validated, read-only complex copy of
     the 8x8 density matrix given, so the caller's array can change
-    without changing the spec.
+    without changing the spec. Two specs are equal, and hash alike, when
+    their kinds are equal and their matrices are equal bit for bit.
     """
 
     kind: StateKind
@@ -38,6 +39,19 @@ class StateSpec:
             object.__setattr__(self, "custom", custom)
         elif self.custom is not None:
             raise ValueError(f"{self.kind.value} state takes no custom matrix")
+
+    def _key(self):
+        # the bits, so that eq and hash agree: np.array_equal calls -0.0
+        # and 0.0 equal, and no hash of the bits could follow it
+        return self.kind, None if self.custom is None else self.custom.tobytes()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 GHZ = StateSpec(StateKind.GHZ)

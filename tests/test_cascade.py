@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqsteer import (
     GHZ,
@@ -30,14 +32,17 @@ from seqsteer import (
     value_from_state,
     xyz_spec,
 )
-from seqsteer import cascade
+from seqsteer import cascade, measurement
+from seqsteer.inequalities import required_terms
 from util import (
     FROZEN_CHAINS,
     FROZEN_PRODUCT_STATE_VALUES,
     FROZEN_PURE_VALUES,
     oracle_bit_chains,
+    random_mixed_state,
     random_pure_state,
     random_triple,
+    reference_grow_branches,
 )
 
 
@@ -181,6 +186,64 @@ def test_oracle_never_touches_the_channel_path(monkeypatch):
         monkeypatch.setattr(cascade, name, forbidden)
     slow = run_cascade_oracle(spec)
     assert max(abs(a - b) for a, b in zip(fast.values, slow.values)) < 1e-10
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    count=st.integers(min_value=1, max_value=216),
+    seq_wing=st.integers(min_value=0, max_value=2),
+    lam=st.floats(min_value=1e-3, max_value=1.0),
+)
+def test_stacked_branch_growth_is_the_list_bit_for_bit(seed, count, seq_wing, lam):
+    rng = np.random.default_rng(seed)
+    branches = [random_mixed_state(rng) for _ in range(count)]
+    triple = random_triple(rng, lam)
+    want = np.array(reference_grow_branches(branches, seq_wing, triple))
+    got = cascade._grow_branches(np.array(branches), seq_wing, triple)
+    assert got.shape == want.shape == (6 * count, 8, 8)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_the_oracle_updates_and_traces_whole_stacks(monkeypatch):
+    # per grown observer, one luders_update per (direction, outcome) on
+    # the whole stack, not one per branch; per term, 8 joint operators
+    # however many branches there are
+    rng = np.random.default_rng(47)
+    lams = (0.4, 0.6, 0.8, 1.0)
+    spec = ScenarioSpec(
+        scenario=Scenario.A,
+        inequality=InequalityKind.W2,
+        state=W,
+        observers=tuple(random_triple(rng, lam) for lam in lams),
+    )
+    unpatched = run_cascade_oracle(spec)
+    updates, operators, traced = Counter(), [0], Counter()
+    real_update = cascade.luders_update
+    real_operator = measurement.joint_operator
+    real_correlation = cascade.correlation
+
+    def counted_update(rho, *args):
+        updates[rho.shape] += 1
+        return real_update(rho, *args)
+
+    def counted_operator(*args):
+        operators[0] += 1
+        return real_operator(*args)
+
+    def counted_correlation(rhos, *args):
+        before = operators[0]
+        value = real_correlation(rhos, *args)
+        traced[len(rhos), operators[0] - before] += 1
+        return value
+
+    monkeypatch.setattr(cascade, "luders_update", counted_update)
+    monkeypatch.setattr(measurement, "joint_operator", counted_operator)
+    monkeypatch.setattr(cascade, "correlation", counted_correlation)
+    assert run_cascade_oracle(spec) == unpatched
+    assert updates == {(6**m, 8, 8): 6 for m in range(len(lams) - 1)}
+    n_terms = len(required_terms(spec.inequality).terms)
+    assert traced == {(6**m, 8): n_terms for m in range(len(lams))}
 
 
 ORACLE_BITS = json.loads(

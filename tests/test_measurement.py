@@ -31,6 +31,7 @@ from util import (
     random_mixed_state,
     random_pure_state,
     random_triple,
+    reference_correlation,
 )
 
 lams = st.floats(min_value=1e-3, max_value=1.0)
@@ -233,6 +234,27 @@ def test_correlation_of_several_states_is_the_sum_of_each():
     for wings in ((0,), (1, 2), (0, 1, 2)):
         each = sum(correlation((rho,), 1, d, 0.6, dirs, wings) for rho in rhos)
         assert correlation(rhos, 1, d, 0.6, dirs, wings) == each
+
+
+WING_SUBSETS = [tuple(w for w in range(3) if mask >> w & 1) for mask in range(1, 8)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    count=st.integers(min_value=1, max_value=216),
+    seq_wing=st.integers(min_value=0, max_value=2),
+    wings=st.sampled_from(WING_SUBSETS),
+    lam=lams,
+)
+def test_stacked_correlation_is_the_per_state_loop_bit_for_bit(seed, count, seq_wing, wings, lam):
+    rng = np.random.default_rng(seed)
+    rhos = [random_mixed_state(rng) for _ in range(count)]
+    seq_dir = random_direction(rng)
+    dirs = (random_direction(rng), random_direction(rng))
+    want = repr(reference_correlation(rhos, seq_wing, seq_dir, lam, dirs, wings))
+    assert repr(correlation(rhos, seq_wing, seq_dir, lam, dirs, wings)) == want
+    assert repr(correlation(np.array(rhos), seq_wing, seq_dir, lam, dirs, wings)) == want
 
 
 def test_joint_operator_places_each_factor_on_its_wing():

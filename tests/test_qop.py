@@ -61,6 +61,38 @@ def test_direction_observable_is_a_spin_component(angle):
     assert np.allclose(evals, [-1.0, 1.0], atol=1e-12)
 
 
+def test_direction_arrays_are_built_once_and_read_only():
+    d = BlochDirection(0.7, 2.1)
+    assert d.unit_vector() is d.unit_vector()
+    assert direction_observable(d) is direction_observable(d)
+    assert projector(d, 1) is projector(d, 1)
+    assert projector(d, -1) is projector(d, -1)
+    for a in (d.unit_vector(), direction_observable(d), projector(d, 1), projector(d, -1)):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+
+
+def test_equal_directions_keep_their_own_signed_zeros():
+    # equal directions that hash alike may still differ in their bits,
+    # so no direction may be handed another one's arrays
+    plus, minus = BlochDirection(0.0, 0.0), BlochDirection(-0.0, 0.0)
+    assert plus == minus and hash(plus) == hash(minus)
+    assert not np.signbit(plus.unit_vector()[:2]).any()
+    direction_observable(plus)
+    assert np.signbit(minus.unit_vector()[:2]).all()
+    assert np.signbit(minus.theta)
+    assert plus == minus
+
+
+def test_direction_eq_hash_and_repr_ignore_the_cache():
+    fresh, used = BlochDirection(1.1, 0.4), BlochDirection(1.1, 0.4)
+    before = (hash(used), repr(used))
+    direction_observable(used)
+    projector(used, -1)
+    assert used == fresh and fresh == used
+    assert (hash(used), repr(used)) == before == (hash(fresh), repr(fresh))
+
+
 def test_validate_density_rejects_an_asymmetric_matrix():
     rho = np.eye(8, dtype=complex) / 8
     rho[0, 1] = 1e-6

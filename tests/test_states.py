@@ -112,6 +112,31 @@ def test_custom_spec_keeps_its_own_read_only_copy():
     assert spec.custom[0, 0] == ghz_state()[0, 0]
 
 
+def test_custom_specs_compare_and_hash_by_their_bits():
+    a = StateSpec(StateKind.CUSTOM, ghz_state())
+    b = StateSpec(StateKind.CUSTOM, ghz_state())
+    assert a == b and hash(a) == hash(b)
+    assert {a: "ghz"}[b] == "ghz"
+    assert a != StateSpec(StateKind.CUSTOM, w_state())
+    assert a != GHZ and GHZ != a
+    # -0.0 == 0.0, but a hash of the bits tells them apart, so eq must too
+    signed = ghz_state()
+    signed[0, 1] = -0.0
+    assert StateSpec(StateKind.CUSTOM, signed) != a
+    # so does a chain on a custom state
+    chain = xyz_spec(Scenario.A, InequalityKind.G1, a, (0.7, 1.0))
+    same = xyz_spec(Scenario.A, InequalityKind.G1, b, (0.7, 1.0))
+    assert chain == same and hash(chain) == hash(same)
+
+
+def test_ghz_and_w_specs_compare_as_before():
+    assert GHZ == StateSpec(StateKind.GHZ) and hash(GHZ) == hash(StateSpec(StateKind.GHZ))
+    assert W == StateSpec(StateKind.W) and hash(W) == hash(StateSpec(StateKind.W))
+    assert GHZ != W
+    assert len({GHZ, W, StateSpec(StateKind.GHZ)}) == 2
+    assert repr(GHZ) == "StateSpec(kind=<StateKind.GHZ: 'ghz'>, custom=None)"
+
+
 def test_load_reports_row_count(tmp_path):
     path = tmp_path / "short.txt"
     path.write_text("1+0j " * 8 + "\n")

@@ -77,3 +77,26 @@ def test_inequalities_imports_no_sibling_module():
         and any(a.name.split(".")[0] == "seqsteer" for a in node.names)
     ]
     assert not siblings, f"inequalities.py imports from the package: {siblings}"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_level_cache(path):
+    # a cache shared across calls outlives its inputs and can hand one
+    # input another's bits: BlochDirection(0.0, 0.0) and (-0.0, 0.0) are
+    # equal and hash alike, but their unit vectors differ in the sign of
+    # zero; per-instance caches (functools.cached_property) are the rule
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "functools"
+        for alias in node.names
+    } | {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "functools"
+    }
+    shared = sorted(names & {"lru_cache", "cache"})
+    assert not shared, f"{path.name} uses a module-level cache: {shared}"

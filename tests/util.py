@@ -6,6 +6,8 @@ frozen here so regressions in the package cannot silently re-derive
 them.
 """
 
+from itertools import product
+
 import numpy as np
 
 from seqsteer import (
@@ -23,6 +25,7 @@ from seqsteer import (
     xyz_spec,
 )
 from seqsteer.cascade import term_expectations
+from seqsteer.measurement import joint_operator, luders_update
 from seqsteer.search import LAMBDA_FLOOR, _settings_and_value
 
 # ladder of minimal sharpness values per observer, bisection tolerance
@@ -285,3 +288,36 @@ def reference_threshold_lambda(prefix, config):
         else:
             lo = mid
     return hi
+
+
+def reference_correlation(rhos, seq_wing, seq_dir, lam, proj_dirs, wings):
+    """correlation as a loop over the states, one trace per state and
+    outcome.
+
+    This is the loop the stacked trace replaced, kept literally so that
+    the stacked trace can be checked against it bit for bit.
+    """
+    totals = [0.0] * len(rhos)
+    for outcomes in product((1, -1), repeat=3):
+        w = 1.0
+        for wing in wings:
+            w *= outcomes[wing]
+        op = joint_operator(seq_wing, seq_dir, lam, proj_dirs, outcomes)
+        for i, rho in enumerate(rhos):
+            totals[i] += w * float((op @ rho).trace().real)
+    return sum(totals)
+
+
+def reference_grow_branches(branches, seq_wing, triple):
+    """The oracle's branch growth as a list, one luders_update per
+    branch, direction and outcome.
+
+    This is the growth the stacked update replaced, kept literally so
+    that the stacked update can be checked against it bit for bit.
+    """
+    return [
+        luders_update(rho, seq_wing, d, triple.lam, outcome)
+        for rho in branches
+        for d in triple.directions
+        for outcome in (1, -1)
+    ]
