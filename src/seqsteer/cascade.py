@@ -23,10 +23,11 @@ import numpy as np
 
 from .inequalities import InequalityKind, evaluate, required_terms, resolve
 from .measurement import (
+    OUTCOMES,
     SettingTriple,
     averaged_channel,
     correlation,
-    joint_probability,
+    joint_operators,
     luders_update,
 )
 from .qop import I2, XYZ, Z_DIR, direction_observable, tensor3
@@ -63,7 +64,7 @@ class ScenarioSpec:
 
     def __post_init__(self):
         # an empty chain is allowed as a search prefix; running a cascade
-        # on it is rejected by require_projective_last
+        # or an audit on it is rejected by require_observers
         object.__setattr__(self, "observers", tuple(self.observers))
 
     @property
@@ -74,9 +75,12 @@ class ScenarioSpec:
     def lambdas(self):
         return tuple(t.lam for t in self.observers)
 
-    def require_projective_last(self):
+    def require_observers(self):
         if not self.observers:
             raise ValueError("the chain has no observers")
+
+    def require_projective_last(self):
+        self.require_observers()
         if self.observers[-1].lam != 1.0:
             raise ValueError(
                 f"the last observer's measurement must be projective "
@@ -254,34 +258,45 @@ def no_signalling_audit(spec: ScenarioSpec, prob_fn=None) -> float:
     compared across all choices of the other wings' measurement
     directions. Quantum mechanics makes every such difference vanish, so
     anything above numerical round-off (about 1e-10) indicates a broken
-    probability model, and a NaN anywhere makes the result NaN. An
-    alternative probability function may be passed to audit a foreign
-    model with the same signature as measurement.joint_probability,
+    probability model, and a NaN anywhere makes the result NaN. An empty
+    chain is refused with ValueError.
+
+    By default each observer's 216 probabilities (3 settings, 9
+    projective direction pairs, 8 outcome triples) are read as one table:
+    the (216, 8, 8) stack of their joint_operators rows, traced against
+    the state in one product. An alternative probability function may be
+    passed to audit a foreign model with the same signature as
+    measurement.joint_probability,
     prob_fn(rho, seq_wing, seq_dir, lam, proj_dirs, outcomes). It is
     called once per observer, sequential direction, projective direction
-    pair and outcome triple.
+    pair and outcome triple, 216 times per observer.
     """
-    if prob_fn is None:
-        prob_fn = joint_probability
+    spec.require_observers()
     seq_wing = spec.sequential_wing
     first, second = (w for w in (0, 1, 2) if w != seq_wing)
     # p[s, i, j, k] has axes setting, first and second projective
     # direction, outcome triple; each wing's P(+1) must not move along
     # the axes of the other wings' choices
     remote_axes = {seq_wing: (1, 2), first: (0, 2), second: (0, 1)}
-    outcomes = tuple(product((1, -1), repeat=3))
     rho = build_state(spec.state)
     spreads = []
     for m, triple in enumerate(spec.observers):
         if m > 0:
             rho = averaged_channel(rho, seq_wing, spec.observers[m - 1])
-        p = np.array([
-            prob_fn(rho, seq_wing, d, triple.lam, pair, o)
-            for d in triple.directions
-            for pair in product(XYZ, repeat=2)
-            for o in outcomes
-        ]).reshape(3, 3, 3, 8)
+        settings = [(d, pair) for d in triple.directions for pair in product(XYZ, repeat=2)]
+        if prob_fn is None:
+            ops = np.concatenate([
+                joint_operators(seq_wing, d, triple.lam, pair) for d, pair in settings
+            ])
+            p = (ops @ rho).trace(axis1=1, axis2=2).real
+        else:
+            p = np.array([
+                prob_fn(rho, seq_wing, d, triple.lam, pair, o)
+                for d, pair in settings
+                for o in OUTCOMES
+            ])
+        p = p.reshape(3, 3, 3, 8)
         for wing, axes in remote_axes.items():
-            plus = sum(p[..., k] for k, o in enumerate(outcomes) if o[wing] == 1)
+            plus = sum(p[..., k] for k, o in enumerate(OUTCOMES) if o[wing] == 1)
             spreads.append(np.max(plus, axis=axes) - np.min(plus, axis=axes))
-    return float(np.max(spreads, initial=0.0))
+    return float(np.max(spreads))

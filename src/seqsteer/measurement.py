@@ -95,26 +95,46 @@ def bloch_shrink_factor(lam):
     return (1 + 2 * np.sqrt(1 - lam * lam)) / 3
 
 
-def joint_operator(seq_wing, seq_dir, lam, proj_dirs, outcomes):
-    """The 8x8 operator E (x) P (x) P of an outcome triple, one unsharp
-    wing and two projective.
+# every outcome triple (a, b, c) for wings 0, 1, 2, in the order of the
+# rows of joint_operators
+OUTCOMES = tuple(product((1, -1), repeat=3))
+
+# wing w's factors for outcomes +1 and -1 lie along axis w of a 2x2x2
+# grid of outcome triples
+_GRID_SHAPES = ((2, 1, 1, 2, 2), (1, 2, 1, 2, 2), (1, 1, 2, 2, 2))
+
+
+def joint_operators(seq_wing, seq_dir, lam, proj_dirs):
+    """The (8, 8, 8) stack of the operators E (x) P (x) P of every
+    outcome triple, one unsharp wing and two projective, row k for the
+    triple OUTCOMES[k].
 
     Args:
         seq_wing: which wing carries the unsharp measurement.
         seq_dir, lam: that wing's BlochDirection and sharpness.
         proj_dirs: BlochDirections of the two projective wings, in
             ascending wing order.
-        outcomes: (a, b, c) for wings 0, 1, 2, each +1 or -1.
 
-    The factors are placed on their wings.
+    The factors are placed on their wings, and the stack is one tensor3
+    product over a grid of outcome triples.
     """
     seq_wing = resolve_wing(seq_wing)
-    others = [w for w in (0, 1, 2) if w != seq_wing]
-    ops = [None, None, None]
-    ops[seq_wing] = effect(seq_dir, lam, outcomes[seq_wing])
-    for w, d in zip(others, proj_dirs):
-        ops[w] = projector(d, outcomes[w])
-    return tensor3(*ops)
+    factors = [[projector(d, a) for a in (1, -1)] for d in proj_dirs]
+    factors.insert(seq_wing, [effect(seq_dir, lam, a) for a in (1, -1)])
+    grid = [np.reshape(f, shape) for f, shape in zip(factors, _GRID_SHAPES)]
+    return tensor3(*grid).reshape(8, 8, 8)
+
+
+def joint_operator(seq_wing, seq_dir, lam, proj_dirs, outcomes):
+    """The 8x8 operator E (x) P (x) P of one outcome triple: its row of
+    joint_operators, which takes the other arguments.
+
+    outcomes is (a, b, c) for wings 0, 1, 2, each +1 or -1.
+    """
+    key = tuple(outcomes)
+    if key not in OUTCOMES:
+        raise ValueError(f"outcomes must be three of +1 or -1, got {outcomes}")
+    return joint_operators(seq_wing, seq_dir, lam, proj_dirs)[OUTCOMES.index(key)]
 
 
 def joint_probability(rho, seq_wing, seq_dir, lam, proj_dirs, outcomes):
@@ -128,22 +148,22 @@ def correlation(rhos, seq_wing, seq_dir, lam, proj_dirs, wings):
     """Expectation of the product of the outcomes on wings, every other
     wing's outcome marginalized, summed over the states in rhos.
 
-    Takes joint_operator's arguments, the unsharp wing's setting as
+    Takes joint_operators' arguments, the unsharp wing's setting as
     (seq_dir, lam), with wings a tuple of wing indices; rhos is a
-    sequence or an (n, 8, 8) stack of states. Each outcome's operator is
-    built once and traced against the whole stack in one product; each
-    state keeps its own running total over the outcomes, and the totals
-    are summed in the order of rhos. A
-    correlation that includes the unsharp wing is lam times the
-    projective one, since the unsharp observable's moment operator is
-    E(+) - E(-) = lam * n.sigma.
+    sequence or an (n, 8, 8) stack of states. The eight outcome
+    operators are built as one joint_operators stack, and each is traced
+    against the whole state stack in one product; each state keeps its
+    own running total over the outcomes, and the totals are summed in
+    the order of rhos. A correlation that includes the unsharp wing is
+    lam times the projective one, since the unsharp observable's moment
+    operator is E(+) - E(-) = lam * n.sigma.
     """
     stack = np.asarray(rhos)
     totals = np.zeros(len(stack))
-    for outcomes in product((1, -1), repeat=3):
+    ops = joint_operators(seq_wing, seq_dir, lam, proj_dirs)
+    for op, outcomes in zip(ops, OUTCOMES):
         w = 1.0
         for wing in wings:
             w *= outcomes[wing]
-        op = joint_operator(seq_wing, seq_dir, lam, proj_dirs, outcomes)
         totals += w * (op @ stack).trace(axis1=1, axis2=2).real
     return sum(totals.tolist())

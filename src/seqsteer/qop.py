@@ -16,12 +16,19 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
 
-I2 = np.eye(2, dtype=complex)
+
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+# read-only, since every projector and effect is built from them
+I2 = _read_only(np.eye(2, dtype=complex))
 
 _PAULI = {
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+    "X": _read_only(np.array([[0, 1], [1, 0]], dtype=complex)),
+    "Y": _read_only(np.array([[0, -1j], [1j, 0]], dtype=complex)),
+    "Z": _read_only(np.array([[1, 0], [0, -1]], dtype=complex)),
 }
 
 
@@ -76,11 +83,6 @@ class BlochDirection:
         return self._unit
 
 
-def _read_only(a):
-    a.flags.writeable = False
-    return a
-
-
 X_DIR = BlochDirection(np.pi / 2, 0.0)
 Y_DIR = BlochDirection(np.pi / 2, np.pi / 2)
 Z_DIR = BlochDirection(0.0, 0.0)
@@ -109,18 +111,24 @@ def projector(d: BlochDirection, outcome):
 
 def tensor3(a, b, c):
     """Kronecker product a (x) b (x) c of three 2x2 matrices, wing order
-    Alice (x) Bob (x) Charlie."""
-    for name, m in (("a", a), ("b", b), ("c", c)):
-        if np.shape(m) != (2, 2):
-            raise ValueError(f"tensor3 factor {name} must be 2x2, got {np.shape(m)}")
+    Alice (x) Bob (x) Charlie.
+
+    Each factor may also be a stack of 2x2 matrices, shape (..., 2, 2);
+    the stacks broadcast against each other and every 8x8 product is
+    taken as if its three factors were passed alone.
+    """
     a, b, c = np.asarray(a), np.asarray(b), np.asarray(c)
+    for name, m in (("a", a), ("b", b), ("c", c)):
+        if m.shape[-2:] != (2, 2):
+            raise ValueError(f"tensor3 factor {name} must be 2x2 or a stack of 2x2, got {m.shape}")
     # entry (ikm, jln) is (a_ij * b_kl) * c_mn, the products np.kron takes
     # in the same order, so the bits match kron(kron(a, b), c)
-    return (
-        a[:, None, None, :, None, None]
-        * b[None, :, None, None, :, None]
-        * c[None, None, :, None, None, :]
-    ).reshape(8, 8)
+    out = (
+        a[..., :, None, None, :, None, None]
+        * b[..., None, :, None, None, :, None]
+        * c[..., None, None, :, None, None, :]
+    )
+    return out.reshape(out.shape[:-6] + (8, 8))
 
 
 def effect_sqrt(d: BlochDirection, lam, outcome):

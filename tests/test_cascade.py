@@ -75,6 +75,16 @@ def test_cascade_requires_observers():
         run_cascade(spec)
 
 
+def test_audit_requires_observers():
+    # an empty chain has no probabilities, and a deviation of 0.0 would
+    # read as a pass
+    spec = xyz_spec(Scenario.A, InequalityKind.G1, GHZ, ())
+    with pytest.raises(ValueError, match="no observers"):
+        no_signalling_audit(spec)
+    with pytest.raises(ValueError, match="no observers"):
+        no_signalling_audit(spec, prob_fn=joint_probability)
+
+
 @pytest.mark.parametrize(
     "state,kind",
     [
@@ -207,8 +217,8 @@ def test_stacked_branch_growth_is_the_list_bit_for_bit(seed, count, seq_wing, la
 
 def test_the_oracle_updates_and_traces_whole_stacks(monkeypatch):
     # per grown observer, one luders_update per (direction, outcome) on
-    # the whole stack, not one per branch; per term, 8 joint operators
-    # however many branches there are
+    # the whole stack, not one per branch; per term, one stacked build
+    # of the 8 joint operators however many branches there are
     rng = np.random.default_rng(47)
     lams = (0.4, 0.6, 0.8, 1.0)
     spec = ScenarioSpec(
@@ -218,32 +228,37 @@ def test_the_oracle_updates_and_traces_whole_stacks(monkeypatch):
         observers=tuple(random_triple(rng, lam) for lam in lams),
     )
     unpatched = run_cascade_oracle(spec)
-    updates, operators, traced = Counter(), [0], Counter()
+    updates, builds, traced = Counter(), [], Counter()
     real_update = cascade.luders_update
-    real_operator = measurement.joint_operator
+    real_operators = measurement.joint_operators
     real_correlation = cascade.correlation
 
     def counted_update(rho, *args):
         updates[rho.shape] += 1
         return real_update(rho, *args)
 
-    def counted_operator(*args):
-        operators[0] += 1
-        return real_operator(*args)
+    def counted_operators(*args):
+        ops = real_operators(*args)
+        builds.append(ops.shape)
+        return ops
 
     def counted_correlation(rhos, *args):
-        before = operators[0]
+        before = len(builds)
         value = real_correlation(rhos, *args)
-        traced[len(rhos), operators[0] - before] += 1
+        traced[len(rhos), tuple(builds[before:])] += 1
         return value
 
+    def forbidden(*args):
+        raise AssertionError("an operator was built for one outcome alone")
+
     monkeypatch.setattr(cascade, "luders_update", counted_update)
-    monkeypatch.setattr(measurement, "joint_operator", counted_operator)
+    monkeypatch.setattr(measurement, "joint_operators", counted_operators)
+    monkeypatch.setattr(measurement, "joint_operator", forbidden)
     monkeypatch.setattr(cascade, "correlation", counted_correlation)
     assert run_cascade_oracle(spec) == unpatched
     assert updates == {(6**m, 8, 8): 6 for m in range(len(lams) - 1)}
     n_terms = len(required_terms(spec.inequality).terms)
-    assert traced == {(6**m, 8): n_terms for m in range(len(lams))}
+    assert traced == {(6**m, ((8, 8, 8),)): n_terms for m in range(len(lams))}
 
 
 ORACLE_BITS = json.loads(
@@ -335,6 +350,55 @@ def test_audit_fails_a_nan_model(nan_where):
 
     spec = xyz_spec(Scenario.A, InequalityKind.G1, GHZ, (0.8, 1.0))
     assert not no_signalling_audit(spec, prob_fn=broken) <= 1e-10
+
+
+def test_the_default_audit_reads_one_stacked_table(monkeypatch):
+    # 27 outcome stacks per observer, one per setting and projective
+    # direction pair, and never a probability at a time
+    rng = np.random.default_rng(53)
+    spec = ScenarioSpec(
+        scenario=Scenario.B,
+        inequality=InequalityKind.W1,
+        state=W,
+        observers=(random_triple(rng, 0.35), random_triple(rng, 0.8), random_triple(rng, 1.0)),
+    )
+    unpatched = no_signalling_audit(spec)
+    builds = Counter()
+    real_operators = cascade.joint_operators
+
+    def counted_operators(*args):
+        ops = real_operators(*args)
+        builds[ops.shape] += 1
+        return ops
+
+    def forbidden(*args):
+        raise AssertionError("the default audit asked for one outcome at a time")
+
+    for module in (cascade, measurement):
+        for name in ("joint_probability", "joint_operator"):
+            monkeypatch.setattr(module, name, forbidden, raising=False)
+    monkeypatch.setattr(cascade, "joint_operators", counted_operators)
+    assert repr(no_signalling_audit(spec)) == repr(unpatched)
+    assert builds == {(8, 8, 8): 27 * len(spec.observers)}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    scenario=st.sampled_from(list(Scenario)),
+    kind=st.sampled_from(list(InequalityKind)),
+    n=st.integers(min_value=1, max_value=4),
+)
+def test_stacked_audit_is_the_probability_loop_bit_for_bit(seed, scenario, kind, n):
+    rng = np.random.default_rng(seed)
+    spec = ScenarioSpec(
+        scenario=scenario,
+        inequality=kind,
+        state=StateSpec(StateKind.CUSTOM, custom=random_mixed_state(rng)),
+        observers=tuple(random_triple(rng, float(rng.uniform(0.05, 1.0))) for _ in range(n)),
+    )
+    want = repr(no_signalling_audit(spec, prob_fn=joint_probability))
+    assert repr(no_signalling_audit(spec)) == want
 
 
 def test_audit_asks_for_each_probability_once():

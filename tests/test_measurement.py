@@ -22,7 +22,7 @@ from seqsteer import (
     luders_update,
     tensor3,
 )
-from seqsteer.measurement import joint_operator
+from seqsteer.measurement import OUTCOMES, joint_operator, joint_operators
 from seqsteer.qop import projector
 from util import (
     bloch_vector,
@@ -32,6 +32,7 @@ from util import (
     random_pure_state,
     random_triple,
     reference_correlation,
+    reference_joint_operator,
 )
 
 lams = st.floats(min_value=1e-3, max_value=1.0)
@@ -267,3 +268,29 @@ def test_joint_operator_places_each_factor_on_its_wing():
         op = joint_operator(2, d, 0.3, dirs, (a, b, c))
         want = tensor3(projector(dirs[0], a), projector(dirs[1], b), effect(d, 0.3, c))
         assert op.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    seq_wing=st.integers(min_value=0, max_value=2),
+    lam=lams,
+)
+def test_each_row_of_the_outcome_stack_is_the_per_outcome_operator(seed, seq_wing, lam):
+    rng = np.random.default_rng(seed)
+    seq_dir = random_direction(rng)
+    dirs = (random_direction(rng), random_direction(rng))
+    stack = joint_operators(seq_wing, seq_dir, lam, dirs)
+    assert stack.shape == (8, 8, 8)
+    assert OUTCOMES == tuple(product((1, -1), repeat=3))
+    for row, outcomes in zip(stack, OUTCOMES):
+        want = reference_joint_operator(seq_wing, seq_dir, lam, dirs, outcomes)
+        assert row.dtype == want.dtype
+        assert row.tobytes() == want.tobytes()
+        assert joint_operator(seq_wing, seq_dir, lam, dirs, outcomes).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("outcomes", [(1, 0, 1), (1, -1), (1, 1, 1, 1), (2, 1, -1)])
+def test_joint_operator_rejects_an_outcome_outside_plus_minus_one(outcomes):
+    with pytest.raises(ValueError, match="outcomes must be three of"):
+        joint_operator(0, Z_DIR, 0.5, (Z_DIR, Z_DIR), outcomes)

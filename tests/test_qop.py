@@ -14,7 +14,7 @@ from seqsteer import (
     tensor3,
 )
 from seqsteer.cascade import _SIGMAS
-from seqsteer.qop import I2, projector, validate_density
+from seqsteer.qop import _PAULI, I2, projector, validate_density
 from util import (
     partial_trace,
     pauli,
@@ -70,6 +70,19 @@ def test_direction_arrays_are_built_once_and_read_only():
     for a in (d.unit_vector(), direction_observable(d), projector(d, 1), projector(d, -1)):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0.0
+
+
+def test_identity_and_paulis_are_read_only():
+    # every projector and effect is built from them, so a write would
+    # change the physics of every direction built after it
+    before = projector(BlochDirection(0.3, 0.2), 1).tobytes()
+    for a in (I2, *_PAULI.values()):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 2
+    assert projector(BlochDirection(0.3, 0.2), 1).tobytes() == before
+    assert I2.tobytes() == np.eye(2, dtype=complex).tobytes()
+    for axis, m in _PAULI.items():
+        assert m.tobytes() == pauli(axis).tobytes()
 
 
 def test_equal_directions_keep_their_own_signed_zeros():
@@ -139,9 +152,42 @@ def test_tensor3_is_kron_bit_for_bit():
         assert got.tobytes() == want.tobytes()
 
 
+# leading stack shape of each factor, drawn so that the three broadcast
+_lead = st.lists(st.integers(min_value=1, max_value=3), min_size=0, max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    lead=_lead,
+    masks=st.tuples(*[st.lists(st.booleans(), min_size=3, max_size=3)] * 3),
+    drops=st.tuples(*[st.integers(min_value=0, max_value=3)] * 3),
+)
+def test_stacked_tensor3_is_kron_bit_for_bit(seed, lead, masks, drops):
+    # each factor keeps the trailing dims of the common leading shape,
+    # with some of them broadcast as 1; every 8x8 product must be the
+    # kron of its three 2x2 factors, bit for bit
+    rng = np.random.default_rng(seed)
+    shapes = [
+        tuple(1 if keep else n for n, keep in zip(lead, mask))[min(drop, len(lead)):]
+        for mask, drop in zip(masks, drops)
+    ]
+    factors = [rng.normal(size=s + (2, 2)) + 1j * rng.normal(size=s + (2, 2)) for s in shapes]
+    got = tensor3(*factors)
+    full = np.broadcast_shapes(*shapes)
+    assert got.shape == full + (8, 8)
+    wide = [np.broadcast_to(f, full + (2, 2)) for f in factors]
+    for idx in np.ndindex(*full):
+        want = np.kron(np.kron(wide[0][idx], wide[1][idx]), wide[2][idx])
+        assert got[idx].dtype == want.dtype
+        assert got[idx].tobytes() == want.tobytes()
+
+
 def test_tensor3_rejects_wrong_shapes():
     with pytest.raises(ValueError):
         tensor3(np.eye(2), np.eye(4), np.eye(2))
+    with pytest.raises(ValueError, match="factor c"):
+        tensor3(np.eye(2), np.eye(2), np.ones((3, 2, 3)))
 
 
 def test_partial_trace_of_product_state():

@@ -25,7 +25,8 @@ from seqsteer import (
     xyz_spec,
 )
 from seqsteer.cascade import term_expectations
-from seqsteer.measurement import joint_operator, luders_update
+from seqsteer.measurement import effect, luders_update
+from seqsteer.qop import projector, resolve_wing
 from seqsteer.search import LAMBDA_FLOOR, _settings_and_value
 
 # ladder of minimal sharpness values per observer, bisection tolerance
@@ -290,9 +291,27 @@ def reference_threshold_lambda(prefix, config):
     return hi
 
 
+def reference_joint_operator(seq_wing, seq_dir, lam, proj_dirs, outcomes):
+    """joint_operator as one outcome triple's three factors and one
+    Kronecker product.
+
+    This is the per-outcome build the stacked one replaced, kept
+    literally so that each row of the stack can be checked against it
+    bit for bit; np.kron stands in for the 2x2 tensor3, which matches
+    it bit for bit.
+    """
+    seq_wing = resolve_wing(seq_wing)
+    others = [w for w in (0, 1, 2) if w != seq_wing]
+    ops = [None, None, None]
+    ops[seq_wing] = effect(seq_dir, lam, outcomes[seq_wing])
+    for w, d in zip(others, proj_dirs):
+        ops[w] = projector(d, outcomes[w])
+    return np.kron(np.kron(ops[0], ops[1]), ops[2])
+
+
 def reference_correlation(rhos, seq_wing, seq_dir, lam, proj_dirs, wings):
-    """correlation as a loop over the states, one trace per state and
-    outcome.
+    """correlation as a loop over the states, one operator per outcome
+    and one trace per state and outcome.
 
     This is the loop the stacked trace replaced, kept literally so that
     the stacked trace can be checked against it bit for bit.
@@ -302,7 +321,7 @@ def reference_correlation(rhos, seq_wing, seq_dir, lam, proj_dirs, wings):
         w = 1.0
         for wing in wings:
             w *= outcomes[wing]
-        op = joint_operator(seq_wing, seq_dir, lam, proj_dirs, outcomes)
+        op = reference_joint_operator(seq_wing, seq_dir, lam, proj_dirs, outcomes)
         for i, rho in enumerate(rhos):
             totals[i] += w * float((op @ rho).trace().real)
     return sum(totals)
