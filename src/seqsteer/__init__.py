@@ -51,9 +51,9 @@ from .cascade import (
     Scenario,
     ScenarioSpec,
     no_signalling_audit,
-    propagate,
     run_cascade,
     run_cascade_oracle,
+    states_along,
     value_from_state,
     xyz_spec,
 )
@@ -109,10 +109,10 @@ __all__ = [
     "luders_update",
     "no_signalling_audit",
     "optimize_angles",
-    "propagate",
     "required_terms",
     "run_cascade",
     "run_cascade_oracle",
+    "states_along",
     "tensor3",
     "threshold_lambda",
     "value_from_state",

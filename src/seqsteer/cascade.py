@@ -28,7 +28,7 @@ from .measurement import (
     averaged_channel,
     correlation,
     joint_operators,
-    luders_update,
+    selective_updates,
 )
 from .qop import I2, XYZ, Z_DIR, direction_observable, tensor3
 from .states import StateSpec, build_state
@@ -142,11 +142,14 @@ def value_from_state(rho, scenario, inequality, triple):
     return value_from_terms(term_expectations(rho, inequality, seq_wing), inequality, triple)
 
 
-def propagate(rho, seq_wing, triples):
-    """Fold the averaged channel over a list of predecessor triples."""
+def states_along(rho, seq_wing, triples):
+    """rho, then the state after each triple's averaged channel in turn,
+    each step run lazily: zipped with a chain's observers, observers
+    first, it applies no channel after the last one."""
+    yield rho
     for triple in triples:
         rho = averaged_channel(rho, seq_wing, triple)
-    return rho
+        yield rho
 
 
 @dataclass(frozen=True)
@@ -179,14 +182,12 @@ class CascadeResult:
 def run_cascade(spec: ScenarioSpec) -> CascadeResult:
     """Channel-path evaluation of every observer in the chain."""
     spec.require_projective_last()
-    seq_wing = spec.sequential_wing
-    rho = build_state(spec.state)
-    values = []
-    for m, triple in enumerate(spec.observers):
-        values.append(value_from_state(rho, spec.scenario, spec.inequality, triple))
-        if m + 1 < len(spec.observers):
-            rho = averaged_channel(rho, seq_wing, triple)
-    return CascadeResult(spec.inequality, spec.lambdas, tuple(values))
+    rhos = states_along(build_state(spec.state), spec.sequential_wing, spec.observers)
+    values = tuple(
+        value_from_state(rho, spec.scenario, spec.inequality, triple)
+        for triple, rho in zip(spec.observers, rhos)
+    )
+    return CascadeResult(spec.inequality, spec.lambdas, values)
 
 
 def _term_correlation(branches, seq_wing, triple, ops):
@@ -204,17 +205,6 @@ def _term_correlation(branches, seq_wing, triple, ops):
     )
     wings = tuple(w for w, sym in enumerate(ops) if sym != "I")
     return correlation(branches, seq_wing, seq_dir, triple.lam, proj_dirs, wings)
-
-
-def _grow_branches(branches, seq_wing, triple):
-    """The (6n, 8, 8) stack of every branch's six children, one
-    luders_update per (direction, outcome) on the whole (n, 8, 8) stack;
-    a branch's children sit together, in direction, then outcome order."""
-    return np.stack([
-        luders_update(branches, seq_wing, d, triple.lam, outcome)
-        for d in triple.directions
-        for outcome in (1, -1)
-    ], axis=1).reshape(-1, 8, 8)
 
 
 def run_cascade_oracle(spec: ScenarioSpec) -> CascadeResult:
@@ -247,7 +237,9 @@ def run_cascade_oracle(spec: ScenarioSpec) -> CascadeResult:
             for term in terms
         }))
         if m + 1 < n:
-            branches = _grow_branches(branches, seq_wing, triple)
+            # a branch's six children sit together, in selective_updates order
+            children = selective_updates(branches, seq_wing, triple)
+            branches = np.stack(children, axis=1).reshape(-1, 8, 8)
     return CascadeResult(spec.inequality, spec.lambdas, tuple(values))
 
 
@@ -278,11 +270,9 @@ def no_signalling_audit(spec: ScenarioSpec, prob_fn=None) -> float:
     # direction, outcome triple; each wing's P(+1) must not move along
     # the axes of the other wings' choices
     remote_axes = {seq_wing: (1, 2), first: (0, 2), second: (0, 1)}
-    rho = build_state(spec.state)
+    rhos = states_along(build_state(spec.state), seq_wing, spec.observers)
     spreads = []
-    for m, triple in enumerate(spec.observers):
-        if m > 0:
-            rho = averaged_channel(rho, seq_wing, spec.observers[m - 1])
+    for triple, rho in zip(spec.observers, rhos):
         settings = [(d, pair) for d in triple.directions for pair in product(XYZ, repeat=2)]
         if prob_fn is None:
             ops = np.concatenate([

@@ -73,6 +73,17 @@ def luders_update(rho, wing, d: BlochDirection, lam, outcome):
     return k @ rho @ k
 
 
+def selective_updates(rho, wing, triple: SettingTriple):
+    """The six luders_update results of one observer on rho, a state or
+    a stack: one per (direction, outcome), in direction, then outcome
+    (+1, -1) order."""
+    return [
+        luders_update(rho, wing, d, triple.lam, outcome)
+        for d in triple.directions
+        for outcome in (1, -1)
+    ]
+
+
 def averaged_channel(rho, wing, triple: SettingTriple):
     """Non-selective update averaged over the three settings.
 
@@ -82,9 +93,8 @@ def averaged_channel(rho, wing, triple: SettingTriple):
     neither outcomes nor settings are communicated.
     """
     out = np.zeros_like(np.asarray(rho, dtype=complex))
-    for d in triple.directions:
-        for outcome in (1, -1):
-            out += luders_update(rho, wing, d, triple.lam, outcome)
+    for update in selective_updates(rho, wing, triple):
+        out += update
     return validate_density(out / 3, name="channel output")
 
 
@@ -125,22 +135,14 @@ def joint_operators(seq_wing, seq_dir, lam, proj_dirs):
     return tensor3(*grid).reshape(8, 8, 8)
 
 
-def joint_operator(seq_wing, seq_dir, lam, proj_dirs, outcomes):
-    """The 8x8 operator E (x) P (x) P of one outcome triple: its row of
-    joint_operators, which takes the other arguments.
-
-    outcomes is (a, b, c) for wings 0, 1, 2, each +1 or -1.
-    """
+def joint_probability(rho, seq_wing, seq_dir, lam, proj_dirs, outcomes):
+    """Probability Tr[(E (x) P (x) P) rho] of the outcome triple (a, b, c)
+    for wings 0, 1, 2, each +1 or -1, on the 8x8 state rho: its row of
+    joint_operators, which takes the other arguments, traced against rho."""
     key = tuple(outcomes)
     if key not in OUTCOMES:
         raise ValueError(f"outcomes must be three of +1 or -1, got {outcomes}")
-    return joint_operators(seq_wing, seq_dir, lam, proj_dirs)[OUTCOMES.index(key)]
-
-
-def joint_probability(rho, seq_wing, seq_dir, lam, proj_dirs, outcomes):
-    """Probability Tr[(E (x) P (x) P) rho] of an outcome triple on the
-    8x8 state rho; the other arguments are joint_operator's."""
-    op = joint_operator(seq_wing, seq_dir, lam, proj_dirs, outcomes)
+    op = joint_operators(seq_wing, seq_dir, lam, proj_dirs)[OUTCOMES.index(key)]
     return float((op @ rho).trace().real)
 
 

@@ -17,15 +17,11 @@ from typing import ClassVar
 
 import numpy as np
 
-from .cascade import Scenario, propagate, term_expectations, value_from_terms
+from .cascade import Scenario, states_along, term_expectations, value_from_terms
 from .inequalities import required_terms
 from .measurement import SettingTriple, averaged_channel
 from .qop import BlochDirection, X_DIR, Y_DIR, Z_DIR
 from .states import build_state
-
-# Strict violation means strictly negative; the guard band keeps
-# floating-point zeros from being counted as violations.
-VIOLATION_GUARD = 1e-9
 
 # Smallest sharpness probed.  Exactly zero is not a valid measurement
 # (the effects become trivial), so the threshold bracket starts here.
@@ -56,8 +52,9 @@ class Optimizer(Enum):
 
 @dataclass(frozen=True)
 class SearchConfig:
-    # constants, not fields: the violation guard band and the table row cap
-    guard: ClassVar[float] = VIOLATION_GUARD
+    # constants, not fields: the guard band that keeps floating-point
+    # zeros from counting as strict violations, and the table row cap
+    guard: ClassVar[float] = 1e-9
     max_rows: ClassVar[int] = 64
     tol: float = 1e-4
     optimizer: Optimizer = Optimizer.FIXED_XYZ
@@ -164,7 +161,7 @@ def optimize_angles(spec, m, config=None):
     if not 1 <= m <= len(spec.observers):
         raise ValueError(f"observer index must lie in 1..{len(spec.observers)}, got {m}")
     seq = spec.sequential_wing
-    rho = propagate(build_state(spec.state), seq, spec.observers[: m - 1])
+    *_, rho = states_along(build_state(spec.state), seq, spec.observers[: m - 1])
     terms = term_expectations(rho, spec.inequality, seq)
     lam = spec.observers[m - 1].lam
     return _settings_and_value(terms, spec.inequality, lam, config.optimizer)
@@ -183,7 +180,7 @@ def threshold_lambda(prefix, config=None):
     """
     config = config or SearchConfig()
     seq = prefix.sequential_wing
-    rho = propagate(build_state(prefix.state), seq, prefix.observers)
+    *_, rho = states_along(build_state(prefix.state), seq, prefix.observers)
     terms = term_expectations(rho, prefix.inequality, seq)
     return _threshold(terms, prefix.inequality, config)
 

@@ -14,6 +14,7 @@ from seqsteer import (
     InequalityKind,
     Scenario,
     ScenarioSpec,
+    SearchConfig,
     SettingTriple,
     StateKind,
     StateSpec,
@@ -29,6 +30,7 @@ from seqsteer import (
 )
 from seqsteer.cascade import ORACLE_MAX_OBSERVERS
 from util import (
+    TABLE_CASES,
     bloch_vector,
     partial_trace,
     random_direction,
@@ -205,6 +207,59 @@ def test_oracle_equivalence_at_max_observers(kind):
     slow = run_cascade_oracle(spec)
     assert len(slow.values) == n
     assert max(abs(a - b) for a, b in zip(fast.values, slow.values)) <= 1e-10
+
+
+# ---------------------------------------------------------------- #
+# published ladders rechecked by explicit enumeration, each row      #
+# whose chain fits in ORACLE_MAX_OBSERVERS                           #
+# ---------------------------------------------------------------- #
+
+
+def oracle_ladder_rows(state, table):
+    """(m, lambda_min, fast, oracle) for each row of state's published
+    x/y/z ladder whose chain fits the oracle: the predecessors pinned at
+    min(1, lambda + tol) as build_table pins them, then the candidate
+    at its reported minimum (projective on a "none" row), then, after a
+    numeric row, a projective last observer."""
+    tol = SearchConfig().tol
+    pins, rows = (), []
+    for m, lam in table.rows:
+        candidate = (SettingTriple.xyz(1.0),) if lam is None else (
+            SettingTriple.xyz(lam), SettingTriple.xyz(1.0)
+        )
+        if len(pins + candidate) > ORACLE_MAX_OBSERVERS:
+            break
+        spec = ScenarioSpec(table.scenario, table.inequality, state, pins + candidate)
+        rows.append((m, lam, run_cascade(spec), run_cascade_oracle(spec)))
+        if lam is not None:
+            pins += (SettingTriple.xyz(min(1.0, lam + tol)),)
+    return rows
+
+
+@pytest.mark.parametrize(
+    "state,scenario,kind",
+    TABLE_CASES,
+    ids=[f"{s.kind.value}-{sc.value}-{k.value}" for s, sc, k in TABLE_CASES],
+)
+def test_oracle_confirms_the_published_ladder(state, scenario, kind, tables):
+    # every predecessor violates, and the candidate violates exactly on
+    # an "ok" row; the oracle agrees with the channel path throughout
+    rows = oracle_ladder_rows(state, tables[table_key(state, scenario, kind)])
+    assert rows
+    for m, lam, fast, oracle in rows:
+        assert max(abs(a - b) for a, b in zip(fast.values, oracle.values)) <= 1e-12
+        assert oracle.detected[:m] == (True,) * (m - 1) + (lam is not None,)
+
+
+def test_oracle_also_finds_three_observers_for_w_A_w1(tables):
+    # the paper counts 2 for W/A/w1 (test_observer_count above stays red);
+    # the oracle, without the averaged channel, confirms 3 violating rows
+    # and then the "none" row, so the gap does not come from the channel
+    rows = oracle_ladder_rows(W, tables[("w", "A", "w1")])
+    assert [(m, lam is None) for m, lam, _, _ in rows] == [
+        (1, False), (2, False), (3, False), (4, True)
+    ]
+    assert [oracle.values[m - 1] < 0.0 for m, _, _, oracle in rows] == [True] * 3 + [False]
 
 
 # ---------------------------------------------------------------- #

@@ -26,14 +26,17 @@ from seqsteer import (
     ghz_state,
     joint_probability,
     no_signalling_audit,
-    propagate,
+    optimize_angles,
     run_cascade,
     run_cascade_oracle,
+    states_along,
+    threshold_lambda,
     value_from_state,
     xyz_spec,
 )
 from seqsteer import cascade, measurement
 from seqsteer.inequalities import required_terms
+from seqsteer.measurement import selective_updates
 from util import (
     FROZEN_CHAINS,
     FROZEN_PRODUCT_STATE_VALUES,
@@ -140,7 +143,7 @@ def test_value_from_state_matches_run_cascade():
     result = run_cascade(spec)
     rho = build_state(GHZ)
     for m, triple in enumerate(spec.observers):
-        rho_m = propagate(build_state(GHZ), 2, spec.observers[:m])
+        *_, rho_m = states_along(build_state(GHZ), 2, spec.observers[:m])
         direct = value_from_state(rho_m, Scenario.B, InequalityKind.G1, triple)
         assert direct == pytest.approx(result.values[m], abs=1e-12)
     assert np.allclose(rho, build_state(GHZ))  # inputs never mutated
@@ -192,7 +195,7 @@ def test_oracle_never_touches_the_channel_path(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the oracle used the channel path")
 
-    for name in ("averaged_channel", "propagate", "term_expectations"):
+    for name in ("averaged_channel", "states_along", "term_expectations"):
         monkeypatch.setattr(cascade, name, forbidden)
     slow = run_cascade_oracle(spec)
     assert max(abs(a - b) for a, b in zip(fast.values, slow.values)) < 1e-10
@@ -210,7 +213,8 @@ def test_stacked_branch_growth_is_the_list_bit_for_bit(seed, count, seq_wing, la
     branches = [random_mixed_state(rng) for _ in range(count)]
     triple = random_triple(rng, lam)
     want = np.array(reference_grow_branches(branches, seq_wing, triple))
-    got = cascade._grow_branches(np.array(branches), seq_wing, triple)
+    children = selective_updates(np.array(branches), seq_wing, triple)
+    got = np.stack(children, axis=1).reshape(-1, 8, 8)
     assert got.shape == want.shape == (6 * count, 8, 8)
     assert got.tobytes() == want.tobytes()
 
@@ -229,7 +233,7 @@ def test_the_oracle_updates_and_traces_whole_stacks(monkeypatch):
     )
     unpatched = run_cascade_oracle(spec)
     updates, builds, traced = Counter(), [], Counter()
-    real_update = cascade.luders_update
+    real_update = measurement.luders_update
     real_operators = measurement.joint_operators
     real_correlation = cascade.correlation
 
@@ -248,17 +252,47 @@ def test_the_oracle_updates_and_traces_whole_stacks(monkeypatch):
         traced[len(rhos), tuple(builds[before:])] += 1
         return value
 
-    def forbidden(*args):
-        raise AssertionError("an operator was built for one outcome alone")
-
-    monkeypatch.setattr(cascade, "luders_update", counted_update)
+    monkeypatch.setattr(measurement, "luders_update", counted_update)
     monkeypatch.setattr(measurement, "joint_operators", counted_operators)
-    monkeypatch.setattr(measurement, "joint_operator", forbidden)
     monkeypatch.setattr(cascade, "correlation", counted_correlation)
     assert run_cascade_oracle(spec) == unpatched
     assert updates == {(6**m, 8, 8): 6 for m in range(len(lams) - 1)}
     n_terms = len(required_terms(spec.inequality).terms)
     assert traced == {(6**m, ((8, 8, 8),)): n_terms for m in range(len(lams))}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_every_walk_applies_one_channel_per_predecessor(monkeypatch, n):
+    # the walks share states_along, which is lazy and zipped observers
+    # first, so none of them applies a channel after the last state it
+    # reads: n - 1 steps for a chain of n, m - 1 to reach observer m
+    rng = np.random.default_rng(59 + n)
+    lams = tuple(float(rng.uniform(0.3, 0.9)) for _ in range(n - 1)) + (1.0,)
+    spec = ScenarioSpec(
+        scenario=Scenario.B,
+        inequality=InequalityKind.W1,
+        state=W,
+        observers=tuple(random_triple(rng, lam) for lam in lams),
+    )
+    steps = []
+    real_channel = cascade.averaged_channel
+
+    def counted_channel(*args):
+        steps.append(args)
+        return real_channel(*args)
+
+    def channel_steps(fn, *args):
+        steps.clear()
+        fn(*args)
+        return len(steps)
+
+    monkeypatch.setattr(cascade, "averaged_channel", counted_channel)
+    assert channel_steps(run_cascade, spec) == n - 1
+    assert channel_steps(no_signalling_audit, spec) == n - 1
+    # as a prefix, the whole chain has measured before the candidate
+    assert channel_steps(threshold_lambda, spec) == len(spec.observers)
+    for m in range(1, n + 1):
+        assert channel_steps(optimize_angles, spec, m) == m - 1
 
 
 ORACLE_BITS = json.loads(
@@ -375,8 +409,7 @@ def test_the_default_audit_reads_one_stacked_table(monkeypatch):
         raise AssertionError("the default audit asked for one outcome at a time")
 
     for module in (cascade, measurement):
-        for name in ("joint_probability", "joint_operator"):
-            monkeypatch.setattr(module, name, forbidden, raising=False)
+        monkeypatch.setattr(module, "joint_probability", forbidden, raising=False)
     monkeypatch.setattr(cascade, "joint_operators", counted_operators)
     assert repr(no_signalling_audit(spec)) == repr(unpatched)
     assert builds == {(8, 8, 8): 27 * len(spec.observers)}

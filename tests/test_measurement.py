@@ -22,7 +22,7 @@ from seqsteer import (
     luders_update,
     tensor3,
 )
-from seqsteer.measurement import OUTCOMES, joint_operator, joint_operators
+from seqsteer.measurement import OUTCOMES, joint_operators
 from seqsteer.qop import projector
 from util import (
     bloch_vector,
@@ -31,6 +31,7 @@ from util import (
     random_mixed_state,
     random_pure_state,
     random_triple,
+    reference_averaged_channel,
     reference_correlation,
     reference_joint_operator,
 )
@@ -120,6 +121,22 @@ def test_averaged_channel_preserves_trace_and_hermiticity():
         assert abs(np.trace(out).real - 1.0) < 1e-12
         assert np.max(np.abs(out - out.conj().T)) < 1e-12
         assert np.linalg.eigvalsh(out).min() > -1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    wing=st.integers(min_value=0, max_value=2),
+    lam=lams,
+)
+def test_averaged_channel_is_the_direction_outcome_loop_bit_for_bit(seed, wing, lam):
+    # selective_updates hands the channel the same six updates, in the
+    # same order, as the loop it replaced, and they are added the same way
+    rng = np.random.default_rng(seed)
+    rho = random_mixed_state(rng)
+    triple = random_triple(rng, lam)
+    want = reference_averaged_channel(rho, wing, triple)
+    assert averaged_channel(rho, wing, triple).tobytes() == want.tobytes()
 
 
 def test_channel_leaves_other_wings_untouched():
@@ -258,14 +275,13 @@ def test_stacked_correlation_is_the_per_state_loop_bit_for_bit(seed, count, seq_
     assert repr(correlation(np.array(rhos), seq_wing, seq_dir, lam, dirs, wings)) == want
 
 
-def test_joint_operator_places_each_factor_on_its_wing():
+def test_outcome_stack_places_each_factor_on_its_wing():
     # the unsharp effect on the sequential wing, the projectors on the
     # others in ascending wing order
     rng = np.random.default_rng(37)
     d = random_direction(rng)
     dirs = (random_direction(rng), random_direction(rng))
-    for a, b, c in product((1, -1), repeat=3):
-        op = joint_operator(2, d, 0.3, dirs, (a, b, c))
+    for op, (a, b, c) in zip(joint_operators(2, d, 0.3, dirs), OUTCOMES):
         want = tensor3(projector(dirs[0], a), projector(dirs[1], b), effect(d, 0.3, c))
         assert op.tobytes() == want.tobytes()
 
@@ -287,10 +303,10 @@ def test_each_row_of_the_outcome_stack_is_the_per_outcome_operator(seed, seq_win
         want = reference_joint_operator(seq_wing, seq_dir, lam, dirs, outcomes)
         assert row.dtype == want.dtype
         assert row.tobytes() == want.tobytes()
-        assert joint_operator(seq_wing, seq_dir, lam, dirs, outcomes).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("outcomes", [(1, 0, 1), (1, -1), (1, 1, 1, 1), (2, 1, -1)])
-def test_joint_operator_rejects_an_outcome_outside_plus_minus_one(outcomes):
+def test_joint_probability_rejects_an_outcome_outside_plus_minus_one(outcomes):
+    rho = build_state(GHZ)
     with pytest.raises(ValueError, match="outcomes must be three of"):
-        joint_operator(0, Z_DIR, 0.5, (Z_DIR, Z_DIR), outcomes)
+        joint_probability(rho, 0, Z_DIR, 0.5, (Z_DIR, Z_DIR), outcomes)

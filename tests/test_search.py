@@ -29,7 +29,7 @@ from seqsteer import (
     build_table,
     direction_coefficients,
     optimize_angles,
-    propagate,
+    states_along,
     threshold_lambda,
     value_from_state,
     xyz_spec,
@@ -38,7 +38,6 @@ from seqsteer.cascade import term_expectations
 from seqsteer.search import (
     LAMBDA_FLOOR,
     MIN_TOL,
-    VIOLATION_GUARD,
     _best_direction,
     _direction_from_vector,
     _settings_and_value,
@@ -113,8 +112,8 @@ def test_tolerance_floor_ends_every_bracket(monkeypatch):
             search_mod, "value_from_terms", lambda terms, kind, triple, r=root: r - triple.lam
         )
         lam = threshold_lambda(prefix, cfg)
-        # the guard band moves the root up by VIOLATION_GUARD
-        assert lam == pytest.approx(root + VIOLATION_GUARD, rel=0, abs=1e-15)
+        # the guard band moves the root up by SearchConfig.guard
+        assert lam == pytest.approx(root + SearchConfig.guard, rel=0, abs=1e-15)
 
 
 @pytest.mark.parametrize("optimizer", list(Optimizer))
@@ -254,9 +253,7 @@ def test_row_cap_truncates_the_table(monkeypatch):
 
 def test_direction_decomposition_matches_direct_value():
     rng = np.random.default_rng(40)
-    rho = propagate(
-        build_state(W), 2, (SettingTriple.xyz(0.7),)
-    )
+    *_, rho = states_along(build_state(W), 2, (SettingTriple.xyz(0.7),))
     base, vecs = direction_coefficients(rho, Scenario.B, InequalityKind.W2, 0.85)
     for _ in range(10):
         triple = random_triple(rng, 0.85)
@@ -337,7 +334,7 @@ def test_optimized_value_is_the_closed_form_optimum(seed, scenario, kind, prefix
     observers = tuple(random_triple(rng, p) for p in prefix) + (SettingTriple.xyz(lam),)
     spec = ScenarioSpec(scenario, kind, state, observers)
     m = len(observers)
-    rho = propagate(build_state(state), spec.sequential_wing, observers[:-1])
+    *_, rho = states_along(build_state(state), spec.sequential_wing, observers[:-1])
     base, vecs = direction_coefficients(rho, scenario, kind, lam)
     _, best = optimize_angles(spec, m, SearchConfig(optimizer=Optimizer.GRID_REFINE))
     assert best == pytest.approx(base - sum(np.linalg.norm(v) for v in vecs), abs=1e-12)
@@ -392,7 +389,7 @@ def test_next_observer_value_is_affine_in_sharpness(
     # the floor and at 1 gives the value at every sharpness
     prefix = _seeded_prefix(seed, state, scenario, kind, predecessors)
     seq = prefix.sequential_wing
-    rho = propagate(build_state(prefix.state), seq, prefix.observers)
+    *_, rho = states_along(build_state(prefix.state), seq, prefix.observers)
     terms = term_expectations(rho, kind, seq)
 
     def f(lam):

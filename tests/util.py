@@ -21,12 +21,12 @@ from seqsteer import (
     StateKind,
     StateSpec,
     build_state,
-    propagate,
+    states_along,
     xyz_spec,
 )
 from seqsteer.cascade import term_expectations
 from seqsteer.measurement import effect, luders_update
-from seqsteer.qop import projector, resolve_wing
+from seqsteer.qop import projector, resolve_wing, validate_density
 from seqsteer.search import LAMBDA_FLOOR, _settings_and_value
 
 # ladder of minimal sharpness values per observer, bisection tolerance
@@ -257,7 +257,7 @@ def reference_threshold_lambda(prefix, config):
     that the replayed bracket can be checked against it.
     """
     seq = prefix.sequential_wing
-    rho = propagate(build_state(prefix.state), seq, prefix.observers)
+    *_, rho = states_along(build_state(prefix.state), seq, prefix.observers)
     terms = term_expectations(rho, prefix.inequality, seq)
 
     def f(lam):
@@ -292,8 +292,8 @@ def reference_threshold_lambda(prefix, config):
 
 
 def reference_joint_operator(seq_wing, seq_dir, lam, proj_dirs, outcomes):
-    """joint_operator as one outcome triple's three factors and one
-    Kronecker product.
+    """One outcome triple's row of joint_operators as its three factors
+    and one Kronecker product.
 
     This is the per-outcome build the stacked one replaced, kept
     literally so that each row of the stack can be checked against it
@@ -340,3 +340,17 @@ def reference_grow_branches(branches, seq_wing, triple):
         for d in triple.directions
         for outcome in (1, -1)
     ]
+
+
+def reference_averaged_channel(rho, wing, triple):
+    """averaged_channel as its own loop over directions and outcomes,
+    each luders_update added to the running sum as it is made.
+
+    This is the loop that selective_updates replaced, kept literally so
+    that the channel can be checked against it bit for bit.
+    """
+    out = np.zeros_like(np.asarray(rho, dtype=complex))
+    for d in triple.directions:
+        for outcome in (1, -1):
+            out += luders_update(rho, wing, d, triple.lam, outcome)
+    return validate_density(out / 3, name="channel output")
