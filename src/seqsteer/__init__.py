@@ -36,7 +36,7 @@ from .measurement import (
     correlation,
     effect,
     joint_probability,
-    luders_update,
+    selective_updates,
 )
 from .inequalities import (
     InequalityKind,
@@ -106,12 +106,12 @@ __all__ = [
     "ghz_state",
     "joint_probability",
     "load_state_file",
-    "luders_update",
     "no_signalling_audit",
     "optimize_angles",
     "required_terms",
     "run_cascade",
     "run_cascade_oracle",
+    "selective_updates",
     "states_along",
     "tensor3",
     "threshold_lambda",

@@ -238,8 +238,7 @@ def run_cascade_oracle(spec: ScenarioSpec) -> CascadeResult:
         }))
         if m + 1 < n:
             # a branch's six children sit together, in selective_updates order
-            children = selective_updates(branches, seq_wing, triple)
-            branches = np.stack(children, axis=1).reshape(-1, 8, 8)
+            branches = selective_updates(branches, seq_wing, triple).reshape(-1, 8, 8)
     return CascadeResult(spec.inequality, spec.lambdas, tuple(values))
 
 

@@ -152,7 +152,7 @@ def load_config(path):
             parser.read_file(fh)
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}")
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot parse config file {path}: {exc}")
     valid = {}
     for name, (section, *_) in _OPTIONS.items():

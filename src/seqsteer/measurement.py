@@ -60,28 +60,18 @@ def effect(d: BlochDirection, lam, outcome):
     return lam * projector(d, outcome) + (1 - lam) * I2 / 2
 
 
-def luders_update(rho, wing, d: BlochDirection, lam, outcome):
-    """Selective Lueders update on one wing: the unnormalized
-    post-measurement state sqrt(E) rho sqrt(E), identity on the other
-    wings. Its trace is the outcome probability Tr[rho E].
-
-    rho may also be a stack of states, shape (..., 8, 8); each is
-    updated as if passed alone."""
-    mats = [I2, I2, I2]
-    mats[resolve_wing(wing)] = effect_sqrt(d, lam, outcome)
-    k = tensor3(*mats)
-    return k @ rho @ k
-
-
 def selective_updates(rho, wing, triple: SettingTriple):
-    """The six luders_update results of one observer on rho, a state or
-    a stack: one per (direction, outcome), in direction, then outcome
-    (+1, -1) order."""
-    return [
-        luders_update(rho, wing, d, triple.lam, outcome)
-        for d in triple.directions
-        for outcome in (1, -1)
+    """One observer's six Lueders updates sqrt(E) rho sqrt(E) on one
+    wing, identity on the others, as one (..., 6, 8, 8) array for rho
+    of shape (..., 8, 8): row 2*i + j is the unnormalized state after
+    directions[i] gave outcome (1, -1)[j], and its trace is that
+    outcome's probability Tr[rho E]."""
+    mats = [I2, I2, I2]
+    mats[resolve_wing(wing)] = [
+        effect_sqrt(d, triple.lam, a) for d in triple.directions for a in (1, -1)
     ]
+    k = tensor3(*mats)  # the six Kraus operators as one stack
+    return k @ np.expand_dims(rho, -3) @ k
 
 
 def averaged_channel(rho, wing, triple: SettingTriple):

@@ -92,8 +92,11 @@ def load_state_file(path):
     like `0.5+0.0j` or `-0.25-0.1j`. Parse failures report the offending
     row and column (1-based).
     """
-    with open(path) as fh:
-        lines = [ln for ln in (raw.strip() for raw in fh) if ln]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [ln for ln in (raw.strip() for raw in fh) if ln]
+    except UnicodeDecodeError as exc:
+        raise StateFormatError(f"{path}: not UTF-8 text ({exc})") from None
     if len(lines) != 8:
         raise StateFormatError(f"{path}: expected 8 matrix rows, found {len(lines)}")
     mat = np.zeros((8, 8), dtype=complex)

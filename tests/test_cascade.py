@@ -213,15 +213,14 @@ def test_stacked_branch_growth_is_the_list_bit_for_bit(seed, count, seq_wing, la
     branches = [random_mixed_state(rng) for _ in range(count)]
     triple = random_triple(rng, lam)
     want = np.array(reference_grow_branches(branches, seq_wing, triple))
-    children = selective_updates(np.array(branches), seq_wing, triple)
-    got = np.stack(children, axis=1).reshape(-1, 8, 8)
+    got = selective_updates(np.array(branches), seq_wing, triple).reshape(-1, 8, 8)
     assert got.shape == want.shape == (6 * count, 8, 8)
     assert got.tobytes() == want.tobytes()
 
 
 def test_the_oracle_updates_and_traces_whole_stacks(monkeypatch):
-    # per grown observer, one luders_update per (direction, outcome) on
-    # the whole stack, not one per branch; per term, one stacked build
+    # per grown observer, one selective_updates on the whole stack, not
+    # one per branch or per (direction, outcome); per term, one stacked build
     # of the 8 joint operators however many branches there are
     rng = np.random.default_rng(47)
     lams = (0.4, 0.6, 0.8, 1.0)
@@ -233,7 +232,7 @@ def test_the_oracle_updates_and_traces_whole_stacks(monkeypatch):
     )
     unpatched = run_cascade_oracle(spec)
     updates, builds, traced = Counter(), [], Counter()
-    real_update = measurement.luders_update
+    real_update = cascade.selective_updates
     real_operators = measurement.joint_operators
     real_correlation = cascade.correlation
 
@@ -252,11 +251,11 @@ def test_the_oracle_updates_and_traces_whole_stacks(monkeypatch):
         traced[len(rhos), tuple(builds[before:])] += 1
         return value
 
-    monkeypatch.setattr(measurement, "luders_update", counted_update)
+    monkeypatch.setattr(cascade, "selective_updates", counted_update)
     monkeypatch.setattr(measurement, "joint_operators", counted_operators)
     monkeypatch.setattr(cascade, "correlation", counted_correlation)
     assert run_cascade_oracle(spec) == unpatched
-    assert updates == {(6**m, 8, 8): 6 for m in range(len(lams) - 1)}
+    assert updates == {(6**m, 8, 8): 1 for m in range(len(lams) - 1)}
     n_terms = len(required_terms(spec.inequality).terms)
     assert traced == {(6**m, ((8, 8, 8),)): n_terms for m in range(len(lams))}
 

@@ -166,6 +166,15 @@ def test_malformed_state_file_is_a_runtime_error(capsys, tmp_path):
     assert "expected 8 matrix rows" in err
 
 
+def test_state_file_that_is_not_utf8_is_a_malformed_state(capsys, tmp_path):
+    path = tmp_path / "utf16.txt"
+    save_state_file(path, ghz_state())
+    path.write_bytes(path.read_text().encode("utf-16"))
+    code, out, err = run(capsys, "cascade", "--state", f"custom:{path}", "--ineq", "g1")
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {path}: not UTF-8 text")
+
+
 @pytest.mark.parametrize("entry", ["nan+0j", "inf+0j"])
 def test_non_finite_state_file_is_a_malformed_state(capsys, tmp_path, entry):
     path = tmp_path / "corrupt.txt"
@@ -236,13 +245,18 @@ def test_default_config_section_rejected(capsys, tmp_path):
 
 @pytest.mark.parametrize(
     "body,message",
-    [(None, "cannot read config file"), ("state = w\n", "cannot parse config file")],
+    [
+        (None, "cannot read config file"),
+        (b"state = w\n", "cannot parse config file"),
+        (b"[run]\nstate = gh\xffz\n", "cannot parse config file"),
+    ],
 )
 def test_unreadable_config_file_is_a_usage_error(capsys, tmp_path, body, message):
-    # a missing file, then one whose key sits above any section header
+    # a missing file, one whose key sits above any section header, and
+    # one that is not UTF-8
     cfg = tmp_path / "steer.ini"
     if body is not None:
-        cfg.write_text(body)
+        cfg.write_bytes(body)
     code, out, err = run(capsys, "table", "--config", str(cfg))
     assert code == 2 and out == ""
     assert err.startswith(f"error: {message} {cfg}")

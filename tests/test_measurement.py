@@ -19,7 +19,7 @@ from seqsteer import (
     direction_observable,
     effect,
     joint_probability,
-    luders_update,
+    selective_updates,
     tensor3,
 )
 from seqsteer.measurement import OUTCOMES, joint_operators
@@ -79,18 +79,20 @@ def test_projective_limit_recovers_projectors():
 
 
 def test_luders_update_trace_is_born_probability():
+    # row 2*i + j is directions[i] with outcome (1, -1)[j], and its trace
+    # is that outcome's Born probability
     rng = np.random.default_rng(5)
     rho = random_pure_state(rng)
-    d = random_direction(rng)
+    triple = random_triple(rng, 0.73)
     for wing in range(3):
-        for outcome in (1, -1):
-            updated = luders_update(rho, wing, d, 0.73, outcome)
-            prob = float(updated.trace().real)
+        updated = selective_updates(rho, wing, triple)
+        assert updated.shape == (6, 8, 8)
+        for (i, d), (j, outcome) in product(enumerate(triple.directions), enumerate((1, -1))):
+            prob = float(updated[2 * i + j].trace().real)
             op = [np.eye(2)] * 3
             op[wing] = effect(d, 0.73, outcome)
             born = float(np.trace(tensor3(*op) @ rho).real)
             assert prob == pytest.approx(born, abs=1e-12)
-            assert np.trace(updated).real == pytest.approx(born, abs=1e-12)
 
 
 @pytest.mark.parametrize("wing", [3, -1, "alice"])
@@ -98,7 +100,7 @@ def test_wings_outside_0_1_2_are_rejected(wing):
     # a negative index would otherwise silently measure Charlie
     rho = build_state(GHZ)
     with pytest.raises(ValueError, match="expected 0, 1 or 2"):
-        luders_update(rho, wing, Z_DIR, 0.5, 1)
+        selective_updates(rho, wing, SettingTriple.xyz(0.5))
     with pytest.raises(ValueError, match="expected 0, 1 or 2"):
         joint_probability(rho, wing, Z_DIR, 0.5, (Z_DIR, Z_DIR), (1, 1, 1))
 
@@ -106,9 +108,27 @@ def test_wings_outside_0_1_2_are_rejected(wing):
 def test_luders_outcomes_sum_to_one():
     rng = np.random.default_rng(6)
     rho = random_mixed_state(rng)
-    d = random_direction(rng)
-    probs = [float(luders_update(rho, 1, d, 0.41, o).trace().real) for o in (1, -1)]
-    assert sum(probs) == pytest.approx(1.0, abs=1e-12)
+    triple = random_triple(rng, 0.41)
+    probs = selective_updates(rho, 1, triple).trace(axis1=-2, axis2=-1).real
+    for i in range(3):
+        assert probs[2 * i] + probs[2 * i + 1] == pytest.approx(1.0, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    count=st.integers(min_value=1, max_value=36),
+    wing=st.integers(min_value=0, max_value=2),
+    lam=lams,
+)
+def test_a_stack_of_states_is_updated_state_by_state(seed, count, wing, lam):
+    rng = np.random.default_rng(seed)
+    stack = np.array([random_mixed_state(rng) for _ in range(count)])
+    triple = random_triple(rng, lam)
+    got = selective_updates(stack, wing, triple)
+    assert got.shape == (count, 6, 8, 8)
+    for s, rho in enumerate(stack):
+        assert got[s].tobytes() == selective_updates(rho, wing, triple).tobytes()
 
 
 def test_averaged_channel_preserves_trace_and_hermiticity():

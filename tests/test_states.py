@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -172,4 +174,13 @@ def test_load_rejects_invalid_density(tmp_path):
     rows[0] = " ".join(cells)
     path.write_text("\n".join(rows) + "\n")
     with pytest.raises(StateFormatError, match="trace"):
+        load_state_file(path)
+
+
+def test_load_names_a_file_that_is_not_utf8(tmp_path):
+    # a UTF-16 file starts with the bytes ff fe, which UTF-8 cannot decode
+    path = tmp_path / "utf16.txt"
+    save_state_file(path, ghz_state())
+    path.write_bytes(path.read_text().encode("utf-16"))
+    with pytest.raises(StateFormatError, match=f"^{re.escape(str(path))}: not UTF-8 text"):
         load_state_file(path)

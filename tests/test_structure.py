@@ -64,6 +64,19 @@ def test_every_package_name_the_benchmark_uses_exists():
     assert not missing, f"bench/workloads.py uses names the package lacks: {missing}"
 
 
+def test_every_exported_name_resolves_once_and_star_imports():
+    # a name left in __all__ after its function is removed would break
+    # `from seqsteer import *` while every direct import still works
+    package = importlib.import_module("seqsteer")
+    names = package.__all__
+    assert len(names) == len(set(names)), "__all__ lists a name twice"
+    missing = [name for name in names if not hasattr(package, name)]
+    assert not missing, f"__all__ names the package lacks: {missing}"
+    namespace = {}
+    exec("from seqsteer import *", namespace)
+    assert set(names) <= set(namespace)
+
+
 def test_inequalities_imports_no_sibling_module():
     # a functional is symbols, coefficients and arithmetic; what a symbol
     # measures as an operator is for the layers that trace it to decide

@@ -25,8 +25,8 @@ from seqsteer import (
     xyz_spec,
 )
 from seqsteer.cascade import term_expectations
-from seqsteer.measurement import effect, luders_update
-from seqsteer.qop import projector, resolve_wing, validate_density
+from seqsteer.measurement import effect
+from seqsteer.qop import I2, effect_sqrt, projector, resolve_wing, tensor3, validate_density
 from seqsteer.search import LAMBDA_FLOOR, _settings_and_value
 
 # ladder of minimal sharpness values per observer, bisection tolerance
@@ -327,15 +327,28 @@ def reference_correlation(rhos, seq_wing, seq_dir, lam, proj_dirs, wings):
     return sum(totals)
 
 
+def reference_luders_update(rho, wing, d, lam, outcome):
+    """One selective Lueders update sqrt(E) rho sqrt(E) on one wing,
+    identity on the others, one Kraus operator per call.
+
+    This is the update that the stacked selective_updates replaced, kept
+    literally so that the stack can be checked against it bit for bit.
+    """
+    mats = [I2, I2, I2]
+    mats[resolve_wing(wing)] = effect_sqrt(d, lam, outcome)
+    k = tensor3(*mats)
+    return k @ rho @ k
+
+
 def reference_grow_branches(branches, seq_wing, triple):
-    """The oracle's branch growth as a list, one luders_update per
+    """The oracle's branch growth as a list, one reference_luders_update per
     branch, direction and outcome.
 
     This is the growth the stacked update replaced, kept literally so
     that the stacked update can be checked against it bit for bit.
     """
     return [
-        luders_update(rho, seq_wing, d, triple.lam, outcome)
+        reference_luders_update(rho, seq_wing, d, triple.lam, outcome)
         for rho in branches
         for d in triple.directions
         for outcome in (1, -1)
@@ -344,7 +357,7 @@ def reference_grow_branches(branches, seq_wing, triple):
 
 def reference_averaged_channel(rho, wing, triple):
     """averaged_channel as its own loop over directions and outcomes,
-    each luders_update added to the running sum as it is made.
+    each reference_luders_update added to the running sum as it is made.
 
     This is the loop that selective_updates replaced, kept literally so
     that the channel can be checked against it bit for bit.
@@ -352,5 +365,5 @@ def reference_averaged_channel(rho, wing, triple):
     out = np.zeros_like(np.asarray(rho, dtype=complex))
     for d in triple.directions:
         for outcome in (1, -1):
-            out += luders_update(rho, wing, d, triple.lam, outcome)
+            out += reference_luders_update(rho, wing, d, triple.lam, outcome)
     return validate_density(out / 3, name="channel output")
