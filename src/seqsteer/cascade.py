@@ -26,11 +26,12 @@ from .measurement import (
     OUTCOMES,
     SettingTriple,
     averaged_channel,
-    correlation,
     joint_operators,
+    outcome_table,
     selective_updates,
+    table_correlation,
 )
-from .qop import I2, XYZ, Z_DIR, direction_observable, tensor3
+from .qop import I2, XYZ, direction_observable, tensor3
 from .states import StateSpec, build_state
 
 ORACLE_MAX_OBSERVERS = 4
@@ -190,23 +191,6 @@ def run_cascade(spec: ScenarioSpec) -> CascadeResult:
     return CascadeResult(spec.inequality, spec.lambdas, values)
 
 
-def _term_correlation(branches, seq_wing, triple, ops):
-    """One term's expectation from outcome probabilities, summed over
-    the branch states.
-
-    Linear in each state, so unnormalized branch states may be passed
-    directly. Wings the term skips are marginalized over.
-    """
-    slot, axes = resolve(ops, seq_wing)
-    # a skipped wing is marginalized, so any setting or direction serves
-    seq_dir = triple.directions[slot or 0]
-    proj_dirs = tuple(
-        Z_DIR if a is None else XYZ[a] for w, a in enumerate(axes) if w != seq_wing
-    )
-    wings = tuple(w for w, sym in enumerate(ops) if sym != "I")
-    return correlation(branches, seq_wing, seq_dir, triple.lam, proj_dirs, wings)
-
-
 def run_cascade_oracle(spec: ScenarioSpec) -> CascadeResult:
     """Tree-path evaluation: identical contract to run_cascade, computed
     by explicit enumeration instead of the averaged channel.
@@ -214,9 +198,11 @@ def run_cascade_oracle(spec: ScenarioSpec) -> CascadeResult:
     The branches over predecessor settings and outcomes grow along the
     chain as one (6^m, 8, 8) stack of unnormalized states, each setting
     weighted 1/3, and each (direction, outcome) update is applied to the
-    whole stack at once. For each observer and term, every outcome's
-    joint operator is built once and traced against the whole stack.
-    Cost grows as 6^(n-1), so chains longer than 4 are refused.
+    whole stack at once. Each observer's joint operators are built as one
+    grid over its directions and x, y, z on both projective wings; each
+    setting a term reads is traced once against the whole stack, into an
+    outcome table every such term shares. Cost grows as 6^(n-1), so
+    chains longer than 4 are refused.
     """
     spec.require_projective_last()
     n = len(spec.observers)
@@ -227,14 +213,22 @@ def run_cascade_oracle(spec: ScenarioSpec) -> CascadeResult:
             "Use run_cascade for longer chains."
         )
     seq_wing = spec.sequential_wing
-    terms = required_terms(spec.inequality).terms
+    # each term's cell of an observer's grid, and the wings it multiplies; a
+    # skipped wing is marginalized, so any setting or direction serves
+    readings = {}
+    for term in required_terms(spec.inequality).terms:
+        slot, axes = resolve(term.ops, seq_wing)
+        setting = (slot or 0, *(2 if a is None else a for w, a in enumerate(axes) if w != seq_wing))
+        readings[term.ops] = setting, tuple(w for w, sym in enumerate(term.ops) if sym != "I")
     branches = build_state(spec.state)[None]
     values = []
     for m, triple in enumerate(spec.observers):
+        grid = joint_operators(seq_wing, triple.directions, triple.lam, (XYZ, XYZ))
+        tables = {s: outcome_table(branches, grid[s]) for s in {s for s, _ in readings.values()}}
         weight = (1.0 / 3.0) ** m
         values.append(evaluate(spec.inequality, {
-            term.ops: weight * _term_correlation(branches, seq_wing, triple, term.ops)
-            for term in terms
+            ops: weight * table_correlation(tables[s], wings)
+            for ops, (s, wings) in readings.items()
         }))
         if m + 1 < n:
             # a branch's six children sit together, in selective_updates order
@@ -254,8 +248,8 @@ def no_signalling_audit(spec: ScenarioSpec, prob_fn=None) -> float:
 
     By default each observer's 216 probabilities (3 settings, 9
     projective direction pairs, 8 outcome triples) are read as one table:
-    the (216, 8, 8) stack of their joint_operators rows, traced against
-    the state in one product. An alternative probability function may be
+    their (3, 3, 3, 8, 8, 8) joint_operators grid, traced against the
+    state in one product. An alternative probability function may be
     passed to audit a foreign model with the same signature as
     measurement.joint_probability,
     prob_fn(rho, seq_wing, seq_dir, lam, proj_dirs, outcomes). It is
@@ -272,17 +266,13 @@ def no_signalling_audit(spec: ScenarioSpec, prob_fn=None) -> float:
     rhos = states_along(build_state(spec.state), seq_wing, spec.observers)
     spreads = []
     for triple, rho in zip(spec.observers, rhos):
-        settings = [(d, pair) for d in triple.directions for pair in product(XYZ, repeat=2)]
         if prob_fn is None:
-            ops = np.concatenate([
-                joint_operators(seq_wing, d, triple.lam, pair) for d, pair in settings
-            ])
-            p = (ops @ rho).trace(axis1=1, axis2=2).real
+            ops = joint_operators(seq_wing, triple.directions, triple.lam, (XYZ, XYZ))
+            p = (ops.reshape(216, 8, 8) @ rho).trace(axis1=1, axis2=2).real
         else:
             p = np.array([
                 prob_fn(rho, seq_wing, d, triple.lam, pair, o)
-                for d, pair in settings
-                for o in OUTCOMES
+                for d, pair, o in product(triple.directions, product(XYZ, repeat=2), OUTCOMES)
             ])
         p = p.reshape(3, 3, 3, 8)
         for wing, axes in remote_axes.items():

@@ -9,6 +9,7 @@ that update over both outcomes and all three equally likely settings.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -99,10 +100,6 @@ def bloch_shrink_factor(lam):
 # rows of joint_operators
 OUTCOMES = tuple(product((1, -1), repeat=3))
 
-# wing w's factors for outcomes +1 and -1 lie along axis w of a 2x2x2
-# grid of outcome triples
-_GRID_SHAPES = ((2, 1, 1, 2, 2), (1, 2, 1, 2, 2), (1, 1, 2, 2, 2))
-
 
 def joint_operators(seq_wing, seq_dir, lam, proj_dirs):
     """The (8, 8, 8) stack of the operators E (x) P (x) P of every
@@ -115,14 +112,21 @@ def joint_operators(seq_wing, seq_dir, lam, proj_dirs):
         proj_dirs: BlochDirections of the two projective wings, in
             ascending wing order.
 
-    The factors are placed on their wings, and the stack is one tensor3
-    product over a grid of outcome triples.
+    Any of the three directions may be a tuple of them instead, which
+    adds a leading axis, in argument order: the stacks of every
+    combination, built as one tensor3 product over one grid.
     """
     seq_wing = resolve_wing(seq_wing)
-    factors = [[projector(d, a) for a in (1, -1)] for d in proj_dirs]
-    factors.insert(seq_wing, [effect(seq_dir, lam, a) for a in (1, -1)])
-    grid = [np.reshape(f, shape) for f, shape in zip(factors, _GRID_SHAPES)]
-    return tensor3(*grid).reshape(8, 8, 8)
+    wings = [seq_wing] + [w for w in (0, 1, 2) if w != seq_wing]
+    lead = tuple(len(dirs) for dirs in (seq_dir, *proj_dirs) if isinstance(dirs, tuple))
+    grid = [None] * 3
+    for axis, (dirs, wing) in enumerate(zip((seq_dir, *proj_dirs), wings)):
+        build = projector if axis else lambda d, a: effect(d, lam, a)
+        dirs = dirs if isinstance(dirs, tuple) else (dirs,)
+        shape = [1] * 6 + [2, 2]  # setting axes, outcome axes, then the 2x2 factor
+        shape[axis], shape[3 + wing] = len(dirs), 2
+        grid[wing] = np.reshape([[build(d, a) for a in (1, -1)] for d in dirs], shape)
+    return tensor3(*grid).reshape(lead + (8, 8, 8))
 
 
 def joint_probability(rho, seq_wing, seq_dir, lam, proj_dirs, outcomes):
@@ -136,26 +140,32 @@ def joint_probability(rho, seq_wing, seq_dir, lam, proj_dirs, outcomes):
     return float((op @ rho).trace().real)
 
 
-def correlation(rhos, seq_wing, seq_dir, lam, proj_dirs, wings):
-    """Expectation of the product of the outcomes on wings, every other
-    wing's outcome marginalized, summed over the states in rhos.
+def outcome_table(rhos, ops):
+    """The (8, n) table of a joint_operators stack traced against n states,
+    a sequence or an (n, 8, 8) stack: entry [k, i] is P(OUTCOMES[k]) on
+    state i. Each operator multiplies the states side by side, (8, 8n),
+    and each 8x8 block's diagonal is summed as ndarray.trace sums it."""
+    wide = np.asarray(rhos).transpose(1, 0, 2).reshape(8, -1)
+    return np.array([
+        np.ascontiguousarray((op @ wide).reshape(8, -1, 8).diagonal(0, 0, 2)).sum(-1).real
+        for op in ops
+    ])
 
-    Takes joint_operators' arguments, the unsharp wing's setting as
-    (seq_dir, lam), with wings a tuple of wing indices; rhos is a
-    sequence or an (n, 8, 8) stack of states. The eight outcome
-    operators are built as one joint_operators stack, and each is traced
-    against the whole state stack in one product; each state keeps its
-    own running total over the outcomes, and the totals are summed in
-    the order of rhos. A correlation that includes the unsharp wing is
-    lam times the projective one, since the unsharp observable's moment
-    operator is E(+) - E(-) = lam * n.sigma.
-    """
-    stack = np.asarray(rhos)
-    totals = np.zeros(len(stack))
-    ops = joint_operators(seq_wing, seq_dir, lam, proj_dirs)
-    for op, outcomes in zip(ops, OUTCOMES):
-        w = 1.0
-        for wing in wings:
-            w *= outcomes[wing]
-        totals += w * (op @ stack).trace(axis1=1, axis2=2).real
+
+def table_correlation(table, wings):
+    """correlation from an outcome_table: each state keeps its own running
+    total over the outcomes, and the totals are summed in state order."""
+    totals = np.zeros(table.shape[1])
+    for row, outcomes in zip(table, OUTCOMES):
+        totals += math.prod(outcomes[wing] for wing in wings) * row
     return sum(totals.tolist())
+
+
+def correlation(rhos, seq_wing, seq_dir, lam, proj_dirs, wings):
+    """Expectation of the product of the outcomes on wings (a tuple of
+    wing indices), every other wing's outcome marginalized, summed over
+    rhos, a sequence or (n, 8, 8) stack of states, from the outcome_table
+    of the joint_operators stack of the other arguments. On the unsharp
+    wing it is lam times the projective one: E(+) - E(-) is lam * n.sigma."""
+    ops = joint_operators(seq_wing, seq_dir, lam, proj_dirs)
+    return table_correlation(outcome_table(rhos, ops), wings)

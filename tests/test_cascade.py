@@ -35,7 +35,7 @@ from seqsteer import (
     xyz_spec,
 )
 from seqsteer import cascade, measurement
-from seqsteer.inequalities import required_terms
+from seqsteer.inequalities import required_terms, resolve
 from seqsteer.measurement import selective_updates
 from util import (
     FROZEN_CHAINS,
@@ -220,8 +220,9 @@ def test_stacked_branch_growth_is_the_list_bit_for_bit(seed, count, seq_wing, la
 
 def test_the_oracle_updates_and_traces_whole_stacks(monkeypatch):
     # per grown observer, one selective_updates on the whole stack, not
-    # one per branch or per (direction, outcome); per term, one stacked build
-    # of the 8 joint operators however many branches there are
+    # one per branch or per (direction, outcome); per observer, one grid of
+    # joint operators, and one outcome table per setting the terms read,
+    # shared by every term that reads it, however many branches there are
     rng = np.random.default_rng(47)
     lams = (0.4, 0.6, 0.8, 1.0)
     spec = ScenarioSpec(
@@ -231,10 +232,10 @@ def test_the_oracle_updates_and_traces_whole_stacks(monkeypatch):
         observers=tuple(random_triple(rng, lam) for lam in lams),
     )
     unpatched = run_cascade_oracle(spec)
-    updates, builds, traced = Counter(), [], Counter()
+    updates, builds, traced = Counter(), Counter(), Counter()
     real_update = cascade.selective_updates
-    real_operators = measurement.joint_operators
-    real_correlation = cascade.correlation
+    real_operators = cascade.joint_operators
+    real_table = cascade.outcome_table
 
     def counted_update(rho, *args):
         updates[rho.shape] += 1
@@ -242,22 +243,26 @@ def test_the_oracle_updates_and_traces_whole_stacks(monkeypatch):
 
     def counted_operators(*args):
         ops = real_operators(*args)
-        builds.append(ops.shape)
+        builds[ops.shape] += 1
         return ops
 
-    def counted_correlation(rhos, *args):
-        before = len(builds)
-        value = real_correlation(rhos, *args)
-        traced[len(rhos), tuple(builds[before:])] += 1
-        return value
+    def counted_table(rhos, ops):
+        traced[rhos.shape, ops.shape] += 1
+        return real_table(rhos, ops)
 
     monkeypatch.setattr(cascade, "selective_updates", counted_update)
-    monkeypatch.setattr(measurement, "joint_operators", counted_operators)
-    monkeypatch.setattr(cascade, "correlation", counted_correlation)
+    monkeypatch.setattr(cascade, "joint_operators", counted_operators)
+    monkeypatch.setattr(cascade, "outcome_table", counted_table)
     assert run_cascade_oracle(spec) == unpatched
     assert updates == {(6**m, 8, 8): 1 for m in range(len(lams) - 1)}
-    n_terms = len(required_terms(spec.inequality).terms)
-    assert traced == {(6**m, ((8, 8, 8),)): n_terms for m in range(len(lams))}
+    assert builds == {(3, 3, 3, 8, 8, 8): len(lams)}
+    # a wing a term skips is read at the first setting and along z
+    settings = {
+        (slot or 0, *(2 if a is None else a for a in axes[1:]))
+        for slot, axes in (resolve(t.ops, 0) for t in required_terms(spec.inequality).terms)
+    }
+    assert len(settings) < len(required_terms(spec.inequality).terms)
+    assert traced == {((6**m, 8, 8), (8, 8, 8)): len(settings) for m in range(len(lams))}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -386,8 +391,8 @@ def test_audit_fails_a_nan_model(nan_where):
 
 
 def test_the_default_audit_reads_one_stacked_table(monkeypatch):
-    # 27 outcome stacks per observer, one per setting and projective
-    # direction pair, and never a probability at a time
+    # one grid of outcome stacks per observer, over its settings and the
+    # projective direction pairs, and never a probability at a time
     rng = np.random.default_rng(53)
     spec = ScenarioSpec(
         scenario=Scenario.B,
@@ -411,7 +416,7 @@ def test_the_default_audit_reads_one_stacked_table(monkeypatch):
         monkeypatch.setattr(module, "joint_probability", forbidden, raising=False)
     monkeypatch.setattr(cascade, "joint_operators", counted_operators)
     assert repr(no_signalling_audit(spec)) == repr(unpatched)
-    assert builds == {(8, 8, 8): 27 * len(spec.observers)}
+    assert builds == {(3, 3, 3, 8, 8, 8): len(spec.observers)}
 
 
 @settings(max_examples=30, deadline=None)

@@ -22,7 +22,7 @@ from seqsteer import (
     selective_updates,
     tensor3,
 )
-from seqsteer.measurement import OUTCOMES, joint_operators
+from seqsteer.measurement import OUTCOMES, joint_operators, outcome_table
 from seqsteer.qop import projector
 from util import (
     bloch_vector,
@@ -323,6 +323,44 @@ def test_each_row_of_the_outcome_stack_is_the_per_outcome_operator(seed, seq_win
         want = reference_joint_operator(seq_wing, seq_dir, lam, dirs, outcomes)
         assert row.dtype == want.dtype
         assert row.tobytes() == want.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    seq_wing=st.integers(min_value=0, max_value=2),
+    sizes=st.tuples(*[st.integers(min_value=1, max_value=3)] * 3),
+    lam=lams,
+)
+def test_each_cell_of_the_operator_grid_is_the_single_setting_stack(seed, seq_wing, sizes, lam):
+    # tuples of directions give one leading axis each, in argument order
+    rng = np.random.default_rng(seed)
+    seq_dirs, first, second = (tuple(random_direction(rng) for _ in range(k)) for k in sizes)
+    grid = joint_operators(seq_wing, seq_dirs, lam, (first, second))
+    assert grid.shape == sizes + (8, 8, 8)
+    for i, j, k in product(*(range(k) for k in sizes)):
+        want = joint_operators(seq_wing, seq_dirs[i], lam, (first[j], second[k]))
+        assert grid[i, j, k].tobytes() == want.tobytes()
+    mixed = joint_operators(seq_wing, seq_dirs[0], lam, (first, second[0]))
+    assert mixed.shape == (sizes[1], 8, 8, 8)
+    assert mixed.tobytes() == grid[0, :, 0].tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    count=st.integers(min_value=1, max_value=216),
+)
+def test_the_outcome_table_is_each_operators_stacked_trace_bit_for_bit(seed, count):
+    # the side-by-side product gives the bits of one 8x8 product and one
+    # trace per state
+    rng = np.random.default_rng(seed)
+    stack = np.array([random_mixed_state(rng) for _ in range(count)])
+    ops = joint_operators(int(rng.integers(3)), random_direction(rng), 0.7, (X_DIR, Y_DIR))
+    table = outcome_table(stack, ops)
+    assert table.shape == (8, count)
+    for row, op in zip(table, ops):
+        assert row.tobytes() == (op @ stack).trace(axis1=1, axis2=2).real.tobytes()
 
 
 @pytest.mark.parametrize("outcomes", [(1, 0, 1), (1, -1), (1, 1, 1, 1), (2, 1, -1)])
