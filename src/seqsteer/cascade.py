@@ -200,9 +200,9 @@ def run_cascade_oracle(spec: ScenarioSpec) -> CascadeResult:
     weighted 1/3, and each (direction, outcome) update is applied to the
     whole stack at once. Each observer's joint operators are built as one
     grid over its directions and x, y, z on both projective wings; each
-    setting a term reads is traced once against the whole stack, into an
-    outcome table every such term shares. Cost grows as 6^(n-1), so
-    chains longer than 4 are refused.
+    cell a term reads has its eight operators traced against the whole
+    stack in one product, into an outcome table every such term shares.
+    Cost grows as 6^(n-1), so chains longer than 4 are refused.
     """
     spec.require_projective_last()
     n = len(spec.observers)

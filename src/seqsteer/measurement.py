@@ -9,7 +9,9 @@ that update over both outcomes and all three equally likely settings.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from itertools import product
 
@@ -141,24 +143,31 @@ def joint_probability(rho, seq_wing, seq_dir, lam, proj_dirs, outcomes):
 
 
 def outcome_table(rhos, ops):
-    """The (8, n) table of a joint_operators stack traced against n states,
-    a sequence or an (n, 8, 8) stack: entry [k, i] is P(OUTCOMES[k]) on
-    state i. Each operator multiplies the states side by side, (8, 8n),
-    and each 8x8 block's diagonal is summed as ndarray.trace sums it."""
+    """The (..., 8, n) table of joint_operators stacks, shape (..., 8, 8, 8),
+    traced against n states, a sequence or an (n, 8, 8) stack: entry
+    [..., k, i] is P(OUTCOMES[k]) on state i. Each stack's eight operators
+    multiply the states side by side, (8, 8n), in one product, one stack
+    at a time, and each 8x8 block's diagonal is summed as trace sums it."""
     wide = np.asarray(rhos).transpose(1, 0, 2).reshape(8, -1)
-    return np.array([
-        np.ascontiguousarray((op @ wide).reshape(8, -1, 8).diagonal(0, 0, 2)).sum(-1).real
-        for op in ops
-    ])
+    return np.reshape([
+        np.ascontiguousarray((cell @ wide).reshape(8, 8, -1, 8).diagonal(0, 1, 3)).sum(-1).real
+        for cell in np.reshape(ops, (-1, 8, 8, 8))
+    ], np.shape(ops)[:-2] + (-1,))
+
+
+# each wing subset's column of outcome-product signs, in OUTCOMES order
+_SIGNS = {
+    wings: np.array([[math.prod(o[w] for w in wings)] for o in OUTCOMES], dtype=float)
+    for wings in ((), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2))
+}
 
 
 def table_correlation(table, wings):
-    """correlation from an outcome_table: each state keeps its own running
-    total over the outcomes, and the totals are summed in state order."""
-    totals = np.zeros(table.shape[1])
-    for row, outcomes in zip(table, OUTCOMES):
-        totals += math.prod(outcomes[wing] for wing in wings) * row
-    return sum(totals.tolist())
+    """correlation from an (8, n) outcome_table: each state's signed sum
+    over the outcomes is one ordered running total, and the totals are
+    added left to right from 0.0 (builtin sum compensates from 3.12 on)."""
+    totals = np.cumsum(_SIGNS[tuple(sorted(wings))] * table, axis=0)[-1]
+    return functools.reduce(operator.add, totals.tolist(), 0.0)
 
 
 def correlation(rhos, seq_wing, seq_dir, lam, proj_dirs, wings):

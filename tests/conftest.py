@@ -1,3 +1,6 @@
+import platform
+
+import numpy as np
 import pytest
 
 from seqsteer import build_table
@@ -11,3 +14,12 @@ def tables():
         table_key(state, scenario, ineq): build_table(scenario, ineq, state)
         for state, scenario, ineq in TABLE_CASES
     }
+
+
+def pytest_report_header(config):
+    """The interpreter and numpy running, beside those the bit pins (the
+    goldens, FROZEN_* values and *_bits.json files) were recorded on."""
+    return (
+        f"python {platform.python_version()}, numpy {np.__version__}; "
+        "bit pins recorded on python 3.11.7, numpy 2.4.6"
+    )

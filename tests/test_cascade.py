@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from collections import Counter
 from itertools import product
 from pathlib import Path
@@ -221,8 +222,9 @@ def test_stacked_branch_growth_is_the_list_bit_for_bit(seed, count, seq_wing, la
 def test_the_oracle_updates_and_traces_whole_stacks(monkeypatch):
     # per grown observer, one selective_updates on the whole stack, not
     # one per branch or per (direction, outcome); per observer, one grid of
-    # joint operators, and one outcome table per setting the terms read,
-    # shared by every term that reads it, however many branches there are
+    # joint operators, and one stacked product of the eight operators of
+    # each distinct cell the terms read against the whole branch stack,
+    # shared by every term that reads the cell, however many branches
     rng = np.random.default_rng(47)
     lams = (0.4, 0.6, 0.8, 1.0)
     spec = ScenarioSpec(
@@ -247,7 +249,8 @@ def test_the_oracle_updates_and_traces_whole_stacks(monkeypatch):
         return ops
 
     def counted_table(rhos, ops):
-        traced[rhos.shape, ops.shape] += 1
+        # outcome_table makes one product per (8, 8, 8) cell it is given
+        traced[rhos.shape] += np.reshape(ops, (-1, 8, 8, 8)).shape[0]
         return real_table(rhos, ops)
 
     monkeypatch.setattr(cascade, "selective_updates", counted_update)
@@ -262,7 +265,27 @@ def test_the_oracle_updates_and_traces_whole_stacks(monkeypatch):
         for slot, axes in (resolve(t.ops, 0) for t in required_terms(spec.inequality).terms)
     }
     assert len(settings) < len(required_terms(spec.inequality).terms)
-    assert traced == {((6**m, 8, 8), (8, 8, 8)): len(settings) for m in range(len(lams))}
+    assert traced == {(6**m, 8, 8): len(settings) for m in range(len(lams))}
+
+
+def test_the_oracle_holds_one_cells_product_at_a_time():
+    # the last of 4 observers reads 216 branches; a product over all of a
+    # grid's cells at once would hold several MB per cell read
+    rng = np.random.default_rng(53)
+    spec = ScenarioSpec(
+        scenario=Scenario.B,
+        inequality=InequalityKind.W1,
+        state=GHZ,
+        observers=tuple(random_triple(rng, lam) for lam in (0.5, 0.6, 0.7, 1.0)),
+    )
+    run_cascade_oracle(spec)
+    tracemalloc.start()
+    try:
+        run_cascade_oracle(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -22,10 +22,11 @@ from seqsteer import (
     selective_updates,
     tensor3,
 )
-from seqsteer.measurement import OUTCOMES, joint_operators, outcome_table
+from seqsteer.measurement import OUTCOMES, joint_operators, outcome_table, table_correlation
 from seqsteer.qop import projector
 from util import (
     bloch_vector,
+    left_sum,
     partial_trace,
     random_direction,
     random_mixed_state,
@@ -34,6 +35,8 @@ from util import (
     reference_averaged_channel,
     reference_correlation,
     reference_joint_operator,
+    reference_outcome_table,
+    reference_table_correlation,
 )
 
 lams = st.floats(min_value=1e-3, max_value=1.0)
@@ -270,7 +273,7 @@ def test_correlation_of_several_states_is_the_sum_of_each():
     d = random_direction(rng)
     dirs = (random_direction(rng), random_direction(rng))
     for wings in ((0,), (1, 2), (0, 1, 2)):
-        each = sum(correlation((rho,), 1, d, 0.6, dirs, wings) for rho in rhos)
+        each = left_sum(correlation((rho,), 1, d, 0.6, dirs, wings) for rho in rhos)
         assert correlation(rhos, 1, d, 0.6, dirs, wings) == each
 
 
@@ -361,6 +364,64 @@ def test_the_outcome_table_is_each_operators_stacked_trace_bit_for_bit(seed, cou
     assert table.shape == (8, count)
     for row, op in zip(table, ops):
         assert row.tobytes() == (op @ stack).trace(axis1=1, axis2=2).real.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    count=st.integers(min_value=1, max_value=216),
+    sizes=st.tuples(*[st.integers(min_value=1, max_value=3)] * 2),
+)
+def test_each_cell_of_an_outcome_table_is_the_per_operator_loop_bit_for_bit(seed, count, sizes):
+    # one product per cell of eight operators gives the bits of one
+    # product per operator, for a single stack and for every grid cell
+    rng = np.random.default_rng(seed)
+    rhos = [random_mixed_state(rng) for _ in range(count)]
+    seq_dirs, first = (tuple(random_direction(rng) for _ in range(k)) for k in sizes)
+    seq_wing, lam = int(rng.integers(3)), float(rng.uniform(0.05, 1.0))
+    grid = joint_operators(seq_wing, seq_dirs, lam, (first, random_direction(rng)))
+    table = outcome_table(np.array(rhos), grid)
+    assert table.shape == sizes + (8, count)
+    for idx in np.ndindex(*sizes):
+        assert table[idx].tobytes() == reference_outcome_table(rhos, grid[idx]).tobytes()
+    assert outcome_table(rhos, grid[0, 0]).tobytes() == table[0, 0].tobytes()
+
+
+def _spread_table(rng, count):
+    # magnitudes over several decades, so that any change in the order of
+    # the additions shows in the last bits
+    return rng.normal(size=(8, count)) * 10.0 ** rng.integers(-4, 5, size=(8, count))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    count=st.integers(min_value=1, max_value=216),
+    wings=st.sampled_from([()] + WING_SUBSETS),
+)
+def test_the_signed_reduction_is_the_eight_row_loop_bit_for_bit(seed, count, wings):
+    table = _spread_table(np.random.default_rng(seed), count)
+    want = repr(reference_table_correlation(table, wings))
+    assert repr(table_correlation(table, wings)) == want
+    assert repr(table_correlation(table, wings[::-1])) == want
+
+
+@pytest.mark.parametrize("wings", [()] + WING_SUBSETS)
+def test_the_signed_reduction_of_one_state_is_the_eight_row_loop_bit_for_bit(wings):
+    # with one state, a pairwise sum over the outcomes gives other bits
+    rng = np.random.default_rng(59)
+    for _ in range(200):
+        table = _spread_table(rng, 1)
+        want = repr(reference_table_correlation(table, wings))
+        assert repr(table_correlation(table, wings)) == want
+
+
+def test_the_branch_totals_are_added_left_to_right_from_zero():
+    # a compensated sum, as builtin sum is from Python 3.12 on, gives 1.0
+    table = np.zeros((8, 3))
+    table[0] = [1e16, 1.0, -1e16]
+    for wings in WING_SUBSETS:
+        assert table_correlation(table, wings) == 0.0
 
 
 @pytest.mark.parametrize("outcomes", [(1, 0, 1), (1, -1), (1, 1, 1, 1), (2, 1, -1)])

@@ -6,6 +6,9 @@ frozen here so regressions in the package cannot silently re-derive
 them.
 """
 
+import functools
+import math
+import operator
 from itertools import product
 
 import numpy as np
@@ -25,7 +28,7 @@ from seqsteer import (
     xyz_spec,
 )
 from seqsteer.cascade import term_expectations
-from seqsteer.measurement import effect
+from seqsteer.measurement import OUTCOMES, effect
 from seqsteer.qop import I2, effect_sqrt, projector, resolve_wing, tensor3, validate_density
 from seqsteer.search import LAMBDA_FLOOR, _settings_and_value
 
@@ -324,7 +327,41 @@ def reference_correlation(rhos, seq_wing, seq_dir, lam, proj_dirs, wings):
         op = reference_joint_operator(seq_wing, seq_dir, lam, proj_dirs, outcomes)
         for i, rho in enumerate(rhos):
             totals[i] += w * float((op @ rho).trace().real)
-    return sum(totals)
+    return left_sum(totals)
+
+
+def left_sum(values):
+    """values added left to right from 0.0: what builtin sum does with
+    floats up to Python 3.11; from 3.12 on, sum compensates."""
+    return functools.reduce(operator.add, values, 0.0)
+
+
+def reference_outcome_table(rhos, ops):
+    """outcome_table of one (8, 8, 8) stack, one product per operator.
+
+    This is the per-operator loop that the one product per stack
+    replaced, kept literally so that the table can be checked against it
+    bit for bit.
+    """
+    wide = np.asarray(rhos).transpose(1, 0, 2).reshape(8, -1)
+    return np.array([
+        np.ascontiguousarray((op @ wide).reshape(8, -1, 8).diagonal(0, 0, 2)).sum(-1).real
+        for op in ops
+    ])
+
+
+def reference_table_correlation(table, wings):
+    """table_correlation as a loop over the eight rows, each added with
+    its sign to every state's running total.
+
+    This is the loop that the ordered reduction replaced, kept literally
+    so that the reduction can be checked against it bit for bit; its
+    final builtin sum is spelled as the left_sum it was up to 3.11.
+    """
+    totals = np.zeros(table.shape[1])
+    for row, outcomes in zip(table, OUTCOMES):
+        totals += math.prod(outcomes[wing] for wing in wings) * row
+    return left_sum(totals.tolist())
 
 
 def reference_luders_update(rho, wing, d, lam, outcome):
