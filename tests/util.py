@@ -312,6 +312,12 @@ def reference_joint_operator(seq_wing, seq_dir, lam, proj_dirs, outcomes):
     return np.kron(np.kron(ops[0], ops[1]), ops[2])
 
 
+def left_sum(values):
+    """values added left to right from 0.0: what builtin sum does with
+    floats up to Python 3.11; from 3.12 on, sum compensates."""
+    return functools.reduce(operator.add, values, 0.0)
+
+
 def reference_correlation(rhos, seq_wing, seq_dir, lam, proj_dirs, wings):
     """correlation as a loop over the states, one operator per outcome
     and one trace per state and outcome.
@@ -328,12 +334,6 @@ def reference_correlation(rhos, seq_wing, seq_dir, lam, proj_dirs, wings):
         for i, rho in enumerate(rhos):
             totals[i] += w * float((op @ rho).trace().real)
     return left_sum(totals)
-
-
-def left_sum(values):
-    """values added left to right from 0.0: what builtin sum does with
-    floats up to Python 3.11; from 3.12 on, sum compensates."""
-    return functools.reduce(operator.add, values, 0.0)
 
 
 def reference_outcome_table(rhos, ops):
