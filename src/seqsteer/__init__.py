@@ -42,7 +42,6 @@ from .inequalities import (
     InequalityKind,
     SteeringDirection,
     Term,
-    TermList,
     evaluate,
     required_terms,
 )
@@ -86,7 +85,6 @@ __all__ = [
     "StateSpec",
     "SteeringDirection",
     "Term",
-    "TermList",
     "ThresholdTable",
     "W",
     "X_DIR",

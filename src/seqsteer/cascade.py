@@ -21,7 +21,7 @@ from itertools import product
 
 import numpy as np
 
-from .inequalities import InequalityKind, evaluate, required_terms, resolve
+from .inequalities import InequalityKind, check_expectation, evaluate, required_terms, resolve
 from .measurement import (
     OUTCOMES,
     SettingTriple,
@@ -105,19 +105,22 @@ def term_expectations(rho, inequality, seq_wing):
 
     slot is resolve's; x is the term's expectation when slot is None, and
     otherwise the 3-vector of its expectations with sigma_x, sigma_y,
-    sigma_z on the sequential wing, sharpness not applied.
+    sigma_z on the sequential wing, sharpness not applied. Any traced
+    value outside [-1, 1] raises check_expectation's ValueError.
     """
     table = {}
-    for term in required_terms(inequality).terms:
+    for term in required_terms(inequality):
         slot, axes = resolve(term.ops, seq_wing)
         mats = [I2 if a is None else _SIGMAS[a] for a in axes]
         if slot is None:
-            table[term.ops] = (slot, float(np.trace(rho @ tensor3(*mats)).real))
-            continue
-        x = np.empty(3)
-        for k, sigma in enumerate(_SIGMAS):
-            mats[seq_wing] = sigma
-            x[k] = np.trace(rho @ tensor3(*mats)).real
+            x = float(np.trace(rho @ tensor3(*mats)).real)
+        else:
+            x = np.empty(3)
+            for k, sigma in enumerate(_SIGMAS):
+                mats[seq_wing] = sigma
+                x[k] = np.trace(rho @ tensor3(*mats)).real
+        for e in [x] if slot is None else x.tolist():
+            check_expectation(term.ops, e)
         table[term.ops] = (slot, x)
     return table
 
@@ -216,7 +219,7 @@ def run_cascade_oracle(spec: ScenarioSpec) -> CascadeResult:
     # each term's cell of an observer's grid, and the wings it multiplies; a
     # skipped wing is marginalized, so any setting or direction serves
     readings = {}
-    for term in required_terms(spec.inequality).terms:
+    for term in required_terms(spec.inequality):
         slot, axes = resolve(term.ops, seq_wing)
         setting = (slot or 0, *(2 if a is None else a for w, a in enumerate(axes) if w != seq_wing))
         readings[term.ops] = setting, tuple(w for w, sym in enumerate(term.ops) if sym != "I")
@@ -248,8 +251,8 @@ def no_signalling_audit(spec: ScenarioSpec, prob_fn=None) -> float:
 
     By default each observer's 216 probabilities (3 settings, 9
     projective direction pairs, 8 outcome triples) are read as one table:
-    their (3, 3, 3, 8, 8, 8) joint_operators grid, traced against the
-    state in one product. An alternative probability function may be
+    the outcome_table of their (3, 3, 3, 8, 8, 8) joint_operators grid,
+    one product. An alternative probability function may be
     passed to audit a foreign model with the same signature as
     measurement.joint_probability,
     prob_fn(rho, seq_wing, seq_dir, lam, proj_dirs, outcomes). It is
@@ -268,7 +271,7 @@ def no_signalling_audit(spec: ScenarioSpec, prob_fn=None) -> float:
     for triple, rho in zip(spec.observers, rhos):
         if prob_fn is None:
             ops = joint_operators(seq_wing, triple.directions, triple.lam, (XYZ, XYZ))
-            p = (ops.reshape(216, 8, 8) @ rho).trace(axis1=1, axis2=2).real
+            p = outcome_table((rho,), ops)
         else:
             p = np.array([
                 prob_fn(rho, seq_wing, d, triple.lam, pair, o)

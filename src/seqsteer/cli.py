@@ -235,25 +235,22 @@ def _chain_lambdas(opts):
     return lambdas
 
 
+# Each command returns (doc, csv, text, exit code): its JSON document,
+# a dict or a string already serialized, and its CSV and text lines;
+# _render alone picks which of them is printed.
 def _cmd_cascade(opts):
     result = run_cascade(_spec_from(opts, _chain_lambdas(opts)))
-    if opts["format"] == "json":
-        return result.to_json() + "\n", 0
-    rows = zip(result.lambdas, result.values, result.detected)
-    if opts["format"] == "csv":
-        lines = ["observer,lambda,value,detected"]
-        for m, (lam, value, detected) in enumerate(rows, start=1):
-            flag = "true" if detected else "false"
-            lines.append(f"{m},{lam:.6f},{value:.6f},{flag}")
-        return "\n".join(lines) + "\n", 0
-    lines = [
+    csv = ["observer,lambda,value,detected"]
+    text = [
         f"inequality {result.inequality.value}, state {opts['state'].kind.value}, "
         f"scenario {opts['scenario'].value}"
     ]
+    rows = zip(result.lambdas, result.values, result.detected)
     for m, (lam, value, detected) in enumerate(rows, start=1):
+        csv.append(f"{m},{lam:.6f},{value:.6f},{str(detected).lower()}")
         word = "violation" if detected else "no violation"
-        lines.append(f"observer {m}: lambda={lam:.6f}  value={value:+.6f}  {word}")
-    return "\n".join(lines) + "\n", 0
+        text.append(f"observer {m}: lambda={lam:.6f}  value={value:+.6f}  {word}")
+    return result.to_json(), csv, text, 0
 
 
 def _cmd_threshold(opts):
@@ -262,15 +259,10 @@ def _cmd_threshold(opts):
     lam = threshold_lambda(prefix, _search_config(opts))
     m = len(prefix_lambdas) + 1
     status = "none" if lam is None else "ok"
-    if opts["format"] == "json":
-        doc = {"m": m, "lambda_min": lam, "status": status}
-        return json.dumps(doc, indent=2) + "\n", 0
-    if opts["format"] == "csv":
-        cell = "" if lam is None else f"{lam:.6f}"
-        return f"m,lambda_min,status\n{m},{cell},{status}\n", 0
-    if lam is None:
-        return f"observer {m}: no violating sharpness exists\n", 0
-    return f"observer {m}: lambda_min = {lam:.6f}\n", 0
+    cell = "" if lam is None else f"{lam:.6f}"
+    found = "no violating sharpness exists" if lam is None else f"lambda_min = {cell}"
+    doc = {"m": m, "lambda_min": lam, "status": status}
+    return doc, ["m,lambda_min,status", f"{m},{cell},{status}"], [f"observer {m}: {found}"], 0
 
 
 def _cmd_table(opts):
@@ -279,19 +271,15 @@ def _cmd_table(opts):
     table = build_table(
         opts["scenario"], opts["ineq"], opts["state"], _search_config(opts)
     )
-    if opts["format"] == "json":
-        return table.to_json() + "\n", 0
-    if opts["format"] == "csv":
-        return table.to_csv(), 0
-    lines = [
+    text = [
         f"inequality {table.inequality.value}, state {table.state}, "
         f"scenario {table.scenario.value}: up to {table.max_observers} "
         "observers can violate"
     ]
     for m, lam in table.rows:
         cell = "none" if lam is None else f"{lam:.6f}"
-        lines.append(f"observer {m}: lambda_min = {cell}")
-    return "\n".join(lines) + "\n", 0
+        text.append(f"observer {m}: lambda_min = {cell}")
+    return table.to_json(), table.to_csv().splitlines(), text, 0
 
 
 def _cmd_optimize(opts):
@@ -300,43 +288,33 @@ def _cmd_optimize(opts):
     m = len(lambdas)
     config = _search_config(opts, default_optimizer=Optimizer.GRID_REFINE)
     triple, value = optimize_angles(spec, m, config)
-    directions = triple.directions
-    if opts["format"] == "json":
-        doc = {
-            "observer": m,
-            "value": value,
-            "settings": [
-                {"theta": d.theta, "phi": d.phi} for d in directions
-            ],
-        }
-        return json.dumps(doc, indent=2) + "\n", 0
-    if opts["format"] == "csv":
-        lines = ["observer,setting,theta,phi,value"]
-        for k, d in enumerate(directions, start=1):
-            lines.append(f"{m},{k},{d.theta:.6f},{d.phi:.6f},{value:.6f}")
-        return "\n".join(lines) + "\n", 0
-    lines = [f"observer {m}, inequality {opts['ineq'].value}"]
-    for k, d in enumerate(directions, start=1):
-        lines.append(f"setting {k}: theta={d.theta:.6f} phi={d.phi:.6f}")
-    lines.append(f"value = {value:+.6f}")
-    return "\n".join(lines) + "\n", 0
+    doc = {"observer": m, "value": value, "settings": []}
+    csv = ["observer,setting,theta,phi,value"]
+    text = [f"observer {m}, inequality {opts['ineq'].value}"]
+    for k, d in enumerate(triple.directions, start=1):
+        doc["settings"].append({"theta": d.theta, "phi": d.phi})
+        csv.append(f"{m},{k},{d.theta:.6f},{d.phi:.6f},{value:.6f}")
+        text.append(f"setting {k}: theta={d.theta:.6f} phi={d.phi:.6f}")
+    return doc, csv, text + [f"value = {value:+.6f}"], 0
 
 
 def _cmd_audit(opts):
     deviation = no_signalling_audit(_spec_from(opts, _chain_lambdas(opts)))
     passed = deviation <= AUDIT_BOUND
-    code = 0 if passed else 1
-    if opts["format"] == "json":
-        doc = {"deviation": deviation, "bound": AUDIT_BOUND, "pass": passed}
-        return json.dumps(doc, indent=2) + "\n", code
-    if opts["format"] == "csv":
-        flag = "true" if passed else "false"
-        return f"deviation,bound,pass\n{deviation:.3e},{AUDIT_BOUND:.0e},{flag}\n", code
+    doc = {"deviation": deviation, "bound": AUDIT_BOUND, "pass": passed}
+    csv = ["deviation,bound,pass", f"{deviation:.3e},{AUDIT_BOUND:.0e},{str(passed).lower()}"]
     word = "PASS" if passed else "FAIL"
-    return (
-        f"worst marginal deviation = {deviation:.3e} (bound {AUDIT_BOUND:.0e}): {word}\n",
-        code,
-    )
+    text = [f"worst marginal deviation = {deviation:.3e} (bound {AUDIT_BOUND:.0e}): {word}"]
+    return doc, csv, text, 0 if passed else 1
+
+
+def _render(fmt, doc, csv, text):
+    """The one place an output format is chosen: the JSON document,
+    serialized with indent 2 unless it already is, or the CSV or text
+    lines, each ending in a newline."""
+    if fmt == "json":
+        return (doc if isinstance(doc, str) else json.dumps(doc, indent=2)) + "\n"
+    return "".join(line + "\n" for line in (csv if fmt == "csv" else text))
 
 
 _COMMANDS = {
@@ -353,22 +331,23 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         opts = _resolve(args)
-        text, code = _COMMANDS[args.command][0](opts)
+        doc, csv, text, code = _COMMANDS[args.command][0](opts)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SearchError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    output = _render(opts["format"], doc, csv, text)
     if opts["out"] is not None:
         try:
             with open(opts["out"], "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.write(output)
         except OSError as exc:
             print(f"error: cannot write {opts['out']}: {exc}", file=sys.stderr)
             return 1
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(output)
     return code
 
 

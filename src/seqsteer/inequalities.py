@@ -1,6 +1,6 @@
 """The four genuine tripartite steering functionals.
 
-Each functional is a constant plus a signed sum of one-, two- and
+Each functional is 1 plus a signed sum of one-, two- and
 three-party correlations. A value below zero certifies genuine tripartite
 steering; zero or above is consistent with a non-genuine model.
 
@@ -45,138 +45,97 @@ class Term:
     ops: tuple  # (wing0 symbol, wing1 symbol, wing2 symbol)
 
 
-@dataclass(frozen=True)
-class TermList:
-    constant: float
-    terms: tuple
+# The paper's coefficients under its names: g_alpha and 1/3 in g1, alpha
+# and beta in g2, w_alpha to w_phi in w1 and w_kappa to w_xi in w2.
+G_ALPHA = 0.1547
+THIRD = 1.0 / 3.0
+ALPHA = 0.183
+BETA = 0.258
+W_ALPHA = 0.4405
+W_BETA = 0.0037
+W_GAMMA = 0.1570
+W_DELTA = 0.2424
+W_EPSILON = 0.1848
+W_PHI = 0.2533
+W_KAPPA = 0.2517
+W_LAMBDA = 0.3520
+W_ETA = 0.1112
+W_MU = 0.1296
+W_NU = 0.1943
+W_OMEGA = 0.2277
+W_PI = 0.1590
+W_THETA = 0.2228
+W_XI = 0.2298
 
-
-COEFFICIENTS = {
-    InequalityKind.G1: {"g_alpha": 0.1547},
-    InequalityKind.G2: {"alpha": 0.183, "beta": 0.258},
-    InequalityKind.W1: {
-        "w_alpha": 0.4405,
-        "w_beta": 0.0037,
-        "w_gamma": 0.1570,
-        "w_delta": 0.2424,
-        "w_epsilon": 0.1848,
-        "w_phi": 0.2533,
-    },
-    InequalityKind.W2: {
-        "w_kappa": 0.2517,
-        "w_lambda": 0.3520,
-        "w_eta": 0.1112,
-        "w_mu": 0.1296,
-        "w_nu": 0.1943,
-        "w_omega": 0.2277,
-        "w_pi": 0.1590,
-        "w_theta": 0.2228,
-        "w_xi": 0.2298,
-    },
+# Each functional's value is 1 plus the signed sum of its terms.
+_TERMS = {
+    InequalityKind.G1: (
+        Term(G_ALPHA, ("I", "Z", "Z")),
+        Term(-THIRD, ("A3", "Z", "I")),
+        Term(-THIRD, ("A3", "I", "Z")),
+        Term(-THIRD, ("A1", "X", "X")),
+        Term(THIRD, ("A1", "Y", "Y")),
+        Term(THIRD, ("A2", "X", "Y")),
+        Term(THIRD, ("A2", "Y", "X")),
+    ),
+    InequalityKind.G2: (
+        Term(-ALPHA, ("A3", "B3", "I")),
+        Term(-ALPHA, ("A3", "I", "Z")),
+        Term(-ALPHA, ("I", "B3", "Z")),
+        Term(-BETA, ("A1", "B1", "X")),
+        Term(BETA, ("A1", "B2", "Y")),
+        Term(BETA, ("A2", "B1", "Y")),
+        Term(BETA, ("A2", "B2", "X")),
+    ),
+    InequalityKind.W1: (
+        Term(W_ALPHA, ("I", "Z", "I")),
+        Term(W_ALPHA, ("I", "I", "Z")),
+        Term(-W_BETA, ("I", "Z", "Z")),
+        Term(-W_GAMMA, ("I", "X", "X")),
+        Term(-W_GAMMA, ("I", "Y", "Y")),
+        Term(-W_GAMMA, ("A3", "X", "X")),
+        Term(-W_GAMMA, ("A3", "Y", "Y")),
+        Term(W_DELTA, ("A3", "I", "I")),
+        Term(W_DELTA, ("A3", "Z", "Z")),
+        Term(W_EPSILON, ("A3", "Z", "I")),
+        Term(W_EPSILON, ("A3", "I", "Z")),
+        Term(-W_PHI, ("A1", "X", "I")),
+        Term(-W_PHI, ("A1", "I", "X")),
+        Term(-W_PHI, ("A2", "Y", "I")),
+        Term(-W_PHI, ("A2", "I", "Y")),
+        Term(-W_PHI, ("A1", "X", "Z")),
+        Term(-W_PHI, ("A1", "Z", "X")),
+        Term(-W_PHI, ("A2", "Y", "Z")),
+        Term(-W_PHI, ("A2", "Z", "Y")),
+    ),
+    InequalityKind.W2: (
+        Term(W_KAPPA, ("A3", "I", "I")),
+        Term(W_KAPPA, ("I", "B3", "I")),
+        Term(W_LAMBDA, ("I", "I", "Z")),
+        Term(-W_ETA, ("A1", "I", "X")),
+        Term(-W_ETA, ("A2", "I", "Y")),
+        Term(-W_ETA, ("I", "B1", "X")),
+        Term(-W_ETA, ("I", "B2", "Y")),
+        Term(W_MU, ("A3", "I", "Z")),
+        Term(W_MU, ("I", "B3", "Z")),
+        Term(-W_NU, ("A1", "B1", "I")),
+        Term(-W_NU, ("A2", "B2", "I")),
+        Term(W_OMEGA, ("A3", "B3", "I")),
+        Term(-W_PI, ("A1", "B1", "Z")),
+        Term(-W_PI, ("A2", "B2", "Z")),
+        Term(W_THETA, ("A3", "B3", "Z")),
+        Term(-W_XI, ("A1", "B3", "X")),
+        Term(-W_XI, ("A2", "B3", "Y")),
+        Term(-W_XI, ("A3", "B1", "X")),
+        Term(-W_XI, ("A3", "B2", "Y")),
+    ),
 }
 
 
-def _g1_terms():
-    g = COEFFICIENTS[InequalityKind.G1]["g_alpha"]
-    third = 1.0 / 3.0
-    return TermList(
-        constant=1.0,
-        terms=(
-            Term(g, ("I", "Z", "Z")),
-            Term(-third, ("A3", "Z", "I")),
-            Term(-third, ("A3", "I", "Z")),
-            Term(-third, ("A1", "X", "X")),
-            Term(third, ("A1", "Y", "Y")),
-            Term(third, ("A2", "X", "Y")),
-            Term(third, ("A2", "Y", "X")),
-        ),
-    )
-
-
-def _g2_terms():
-    c = COEFFICIENTS[InequalityKind.G2]
-    a, b = c["alpha"], c["beta"]
-    return TermList(
-        constant=1.0,
-        terms=(
-            Term(-a, ("A3", "B3", "I")),
-            Term(-a, ("A3", "I", "Z")),
-            Term(-a, ("I", "B3", "Z")),
-            Term(-b, ("A1", "B1", "X")),
-            Term(b, ("A1", "B2", "Y")),
-            Term(b, ("A2", "B1", "Y")),
-            Term(b, ("A2", "B2", "X")),
-        ),
-    )
-
-
-def _w1_terms():
-    c = COEFFICIENTS[InequalityKind.W1]
-    return TermList(
-        constant=1.0,
-        terms=(
-            Term(c["w_alpha"], ("I", "Z", "I")),
-            Term(c["w_alpha"], ("I", "I", "Z")),
-            Term(-c["w_beta"], ("I", "Z", "Z")),
-            Term(-c["w_gamma"], ("I", "X", "X")),
-            Term(-c["w_gamma"], ("I", "Y", "Y")),
-            Term(-c["w_gamma"], ("A3", "X", "X")),
-            Term(-c["w_gamma"], ("A3", "Y", "Y")),
-            Term(c["w_delta"], ("A3", "I", "I")),
-            Term(c["w_delta"], ("A3", "Z", "Z")),
-            Term(c["w_epsilon"], ("A3", "Z", "I")),
-            Term(c["w_epsilon"], ("A3", "I", "Z")),
-            Term(-c["w_phi"], ("A1", "X", "I")),
-            Term(-c["w_phi"], ("A1", "I", "X")),
-            Term(-c["w_phi"], ("A2", "Y", "I")),
-            Term(-c["w_phi"], ("A2", "I", "Y")),
-            Term(-c["w_phi"], ("A1", "X", "Z")),
-            Term(-c["w_phi"], ("A1", "Z", "X")),
-            Term(-c["w_phi"], ("A2", "Y", "Z")),
-            Term(-c["w_phi"], ("A2", "Z", "Y")),
-        ),
-    )
-
-
-def _w2_terms():
-    c = COEFFICIENTS[InequalityKind.W2]
-    return TermList(
-        constant=1.0,
-        terms=(
-            Term(c["w_kappa"], ("A3", "I", "I")),
-            Term(c["w_kappa"], ("I", "B3", "I")),
-            Term(c["w_lambda"], ("I", "I", "Z")),
-            Term(-c["w_eta"], ("A1", "I", "X")),
-            Term(-c["w_eta"], ("A2", "I", "Y")),
-            Term(-c["w_eta"], ("I", "B1", "X")),
-            Term(-c["w_eta"], ("I", "B2", "Y")),
-            Term(c["w_mu"], ("A3", "I", "Z")),
-            Term(c["w_mu"], ("I", "B3", "Z")),
-            Term(-c["w_nu"], ("A1", "B1", "I")),
-            Term(-c["w_nu"], ("A2", "B2", "I")),
-            Term(c["w_omega"], ("A3", "B3", "I")),
-            Term(-c["w_pi"], ("A1", "B1", "Z")),
-            Term(-c["w_pi"], ("A2", "B2", "Z")),
-            Term(c["w_theta"], ("A3", "B3", "Z")),
-            Term(-c["w_xi"], ("A1", "B3", "X")),
-            Term(-c["w_xi"], ("A2", "B3", "Y")),
-            Term(-c["w_xi"], ("A3", "B1", "X")),
-            Term(-c["w_xi"], ("A3", "B2", "Y")),
-        ),
-    )
-
-
-_TERM_TABLES = {
-    InequalityKind.G1: _g1_terms(),
-    InequalityKind.G2: _g2_terms(),
-    InequalityKind.W1: _w1_terms(),
-    InequalityKind.W2: _w2_terms(),
-}
-
-
-def required_terms(kind: InequalityKind) -> TermList:
-    """Every correlation term the functional needs, with signed coefficients."""
-    return _TERM_TABLES[kind]
+def required_terms(kind: InequalityKind) -> tuple:
+    """Every correlation term the functional needs, with signed
+    coefficients, as a tuple of Terms; the value is 1 plus their sum."""
+    return _TERMS[kind]
 
 
 # Setting slot of each symbol on the sequential wing and its fixed axis
@@ -201,6 +160,13 @@ def resolve(ops, seq_wing):
     return slot, tuple(axes)
 
 
+def check_expectation(ops, e):
+    """Raise ValueError unless e, the expectation of the term ops, lies
+    in [-1, 1] up to 1e-9 (a NaN does not)."""
+    if not -1.0 - 1e-9 <= e <= 1.0 + 1e-9:
+        raise ValueError(f"expectation for {ops} out of [-1, 1]: {e}")
+
+
 def evaluate(kind: InequalityKind, expectations) -> float:
     """Value of the functional given a mapping from each term's ops tuple
     to its expectation.
@@ -209,13 +175,11 @@ def evaluate(kind: InequalityKind, expectations) -> float:
     counts as not detected. A missing term raises LookupError naming it,
     and an expectation outside [-1, 1] raises ValueError.
     """
-    tl = required_terms(kind)
-    value = tl.constant
-    for term in tl.terms:
+    value = 1.0
+    for term in required_terms(kind):
         if term.ops not in expectations:
             raise LookupError(f"correlation term not supplied: {term.ops}")
         e = expectations[term.ops]
-        if not -1.0 - 1e-9 <= e <= 1.0 + 1e-9:
-            raise ValueError(f"expectation for {term.ops} out of [-1, 1]: {e}")
+        check_expectation(term.ops, e)
         value += term.coeff * e
     return float(value)

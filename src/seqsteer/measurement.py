@@ -134,25 +134,26 @@ def joint_operators(seq_wing, seq_dir, lam, proj_dirs):
 def joint_probability(rho, seq_wing, seq_dir, lam, proj_dirs, outcomes):
     """Probability Tr[(E (x) P (x) P) rho] of the outcome triple (a, b, c)
     for wings 0, 1, 2, each +1 or -1, on the 8x8 state rho: its row of
-    joint_operators, which takes the other arguments, traced against rho."""
+    joint_operators, which takes the other arguments, read by outcome_table."""
     key = tuple(outcomes)
     if key not in OUTCOMES:
         raise ValueError(f"outcomes must be three of +1 or -1, got {outcomes}")
     op = joint_operators(seq_wing, seq_dir, lam, proj_dirs)[OUTCOMES.index(key)]
-    return float((op @ rho).trace().real)
+    return float(outcome_table((rho,), op)[0])
 
 
 def outcome_table(rhos, ops):
-    """The (..., 8, n) table of joint_operators stacks, shape (..., 8, 8, 8),
-    traced against n states, a sequence or an (n, 8, 8) stack: entry
-    [..., k, i] is P(OUTCOMES[k]) on state i. Each stack's eight operators
-    multiply the states side by side, (8, 8n), in one product, one stack
-    at a time, and each 8x8 block's diagonal is summed as trace sums it."""
-    wide = np.asarray(rhos).transpose(1, 0, 2).reshape(8, -1)
-    return np.reshape([
-        np.ascontiguousarray((cell @ wide).reshape(8, 8, -1, 8).diagonal(0, 1, 3)).sum(-1).real
-        for cell in np.reshape(ops, (-1, 8, 8, 8))
-    ], np.shape(ops)[:-2] + (-1,))
+    """Tr[op rho] of each operator of a stack, shape (..., 8, 8), on n
+    states, a sequence or an (n, 8, 8) stack, as a (..., n) array; for a
+    joint_operators stack, shape (..., 8, 8, 8), entry [..., k, i] is
+    P(OUTCOMES[k]) on state i. All the operators multiply the states side
+    by side, (8, 8n), in one product, and each 8x8 block's diagonal is
+    summed as trace sums it."""
+    rhos = np.asarray(rhos)
+    wide = rhos.transpose(1, 0, 2).reshape(8, -1)
+    blocks = (np.reshape(ops, (-1, 8, 8)) @ wide).reshape(-1, 8, len(rhos), 8)
+    traces = np.ascontiguousarray(blocks.diagonal(0, 1, 3)).sum(-1).real
+    return traces.reshape(np.shape(ops)[:-2] + (-1,))
 
 
 # each wing subset's column of outcome-product signs, in OUTCOMES order

@@ -83,10 +83,9 @@ def direction_coefficients(rho, scenario, inequality, lam):
 
 def _coefficients(terms, inequality, lam):
     """direction_coefficients from the state's term_expectations."""
-    tl = required_terms(inequality)
-    base = tl.constant
+    base = 1.0
     vecs = [np.zeros(3) for _ in range(3)]
-    for term in tl.terms:
+    for term in required_terms(inequality):
         slot, x = terms[term.ops]
         if slot is None:
             base += term.coeff * x

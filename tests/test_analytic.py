@@ -67,7 +67,7 @@ def linear_form(kind, seq_wing, triple):
     """
     units = [d.unit_vector() for d in triple.directions]
     form = np.zeros((4, 4, 4))
-    for term in required_terms(kind).terms:
+    for term in required_terms(kind):
         vectors = []
         for wing, sym in enumerate(term.ops):
             v = np.zeros(4)
@@ -81,7 +81,7 @@ def linear_form(kind, seq_wing, triple):
                     v[1 + k] = 1.0
             vectors.append(v)
         form += term.coeff * np.einsum("a,b,c->abc", *vectors)
-    return required_terms(kind).constant, form
+    return 1.0, form
 
 
 @pytest.mark.parametrize("case", TABLE_CASES, ids=lambda c: "-".join(table_key(*c)))

@@ -14,6 +14,7 @@ from seqsteer import (
     W,
     CascadeResult,
     InequalityKind,
+    Optimizer,
     Scenario,
     ScenarioSpec,
     SettingTriple,
@@ -24,6 +25,7 @@ from seqsteer import (
     Z_DIR,
     bloch_shrink_factor,
     build_state,
+    direction_coefficients,
     ghz_state,
     joint_probability,
     no_signalling_audit,
@@ -38,6 +40,7 @@ from seqsteer import (
 from seqsteer import cascade, measurement
 from seqsteer.inequalities import required_terms, resolve
 from seqsteer.measurement import selective_updates
+from seqsteer.search import _settings_and_value
 from util import (
     FROZEN_CHAINS,
     FROZEN_PRODUCT_STATE_VALUES,
@@ -152,11 +155,17 @@ def test_value_from_state_matches_run_cascade():
 
 def test_value_from_state_rejects_correlations_outside_the_unit_range():
     # twice a state is not a state: its ('I', 'Z', 'Z') correlation is 2,
-    # and evaluate, the one sum every value goes through, refuses it
-    with pytest.raises(ValueError, match=r"out of \[-1, 1\]"):
-        value_from_state(
-            2 * ghz_state(), Scenario.A, InequalityKind.G1, SettingTriple.xyz(1.0)
-        )
+    # and term_expectations, the one trace every walk goes through,
+    # refuses it, so the optimized directions never score it either
+    rho, kind = 2 * ghz_state(), InequalityKind.G1
+    message = r"expectation for \('I', 'Z', 'Z'\) out of \[-1, 1\]"
+    with pytest.raises(ValueError, match=message):
+        value_from_state(rho, Scenario.A, kind, SettingTriple.xyz(1.0))
+    with pytest.raises(ValueError, match=message):
+        direction_coefficients(rho, Scenario.A, kind, 1.0)
+    with pytest.raises(ValueError, match=message):
+        terms = cascade.term_expectations(rho, kind, Scenario.A.sequential_wing)
+        _settings_and_value(terms, kind, 1.0, Optimizer.GRID_REFINE)
 
 
 def test_oracle_agrees_with_channel_path():
@@ -249,7 +258,7 @@ def test_the_oracle_updates_and_traces_whole_stacks(monkeypatch):
         return ops
 
     def counted_table(rhos, ops):
-        # outcome_table makes one product per (8, 8, 8) cell it is given
+        # outcome_table makes one product per call; count the cells it reads
         traced[rhos.shape] += np.reshape(ops, (-1, 8, 8, 8)).shape[0]
         return real_table(rhos, ops)
 
@@ -262,9 +271,9 @@ def test_the_oracle_updates_and_traces_whole_stacks(monkeypatch):
     # a wing a term skips is read at the first setting and along z
     settings = {
         (slot or 0, *(2 if a is None else a for a in axes[1:]))
-        for slot, axes in (resolve(t.ops, 0) for t in required_terms(spec.inequality).terms)
+        for slot, axes in (resolve(t.ops, 0) for t in required_terms(spec.inequality))
     }
-    assert len(settings) < len(required_terms(spec.inequality).terms)
+    assert len(settings) < len(required_terms(spec.inequality))
     assert traced == {(6**m, 8, 8): len(settings) for m in range(len(lams))}
 
 

@@ -423,3 +423,49 @@ def test_stdout_matches_the_recorded_reference(capsys, command):
     code, out, err = run(capsys, *command.split())
     assert code == 0 and err == ""
     assert out == CLI_REFERENCE[command]
+
+
+# negative branches: bytes recorded before the formats shared one renderer
+NO_VIOLATION_CASCADE = {
+    "text": "inequality w1, state w, scenario A\n"
+    "observer 1: lambda=0.300000  value=+0.532047  no violation\n"
+    "observer 2: lambda=1.000000  value=-0.702843  violation\n",
+    "csv": "observer,lambda,value,detected\n"
+    "1,0.300000,0.532047,false\n"
+    "2,1.000000,-0.702843,true\n",
+    "json": '{\n  "inequality": "w1",\n  "observers": [\n    {\n      "observer": 1,\n'
+    '      "lambda": 0.3,\n      "value": 0.5320466666666662,\n      "detected": false\n'
+    '    },\n    {\n      "observer": 2,\n      "lambda": 1.0,\n'
+    '      "value": -0.7028431705962402,\n      "detected": true\n    }\n  ]\n}\n',
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(NO_VIOLATION_CASCADE))
+def test_cascade_reports_an_observer_that_does_not_violate(capsys, fmt):
+    code, out, err = run(
+        capsys, "cascade", "--state", "w", "--ineq", "w1", "--lambdas", "0.3", "--format", fmt
+    )
+    assert (code, out, err) == (0, NO_VIOLATION_CASCADE[fmt], "")
+
+
+def test_threshold_json_when_no_sharpness_violates(capsys):
+    code, out, err = run(
+        capsys, "threshold", "--state", "w", "--ineq", "w1", "--lambdas", "0.6,0.7,0.82",
+        "--format", "json",
+    )
+    assert (code, err) == (0, "")
+    assert out == '{\n  "m": 4,\n  "lambda_min": null,\n  "status": "none"\n}\n'
+
+
+FAILED_AUDIT = {
+    "text": "worst marginal deviation = 1.000e-09 (bound 1e-10): FAIL\n",
+    "csv": "deviation,bound,pass\n1.000e-09,1e-10,false\n",
+    "json": '{\n  "deviation": 1e-09,\n  "bound": 1e-10,\n  "pass": false\n}\n',
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(FAILED_AUDIT))
+def test_audit_above_the_bound_fails_with_exit_code_1(capsys, monkeypatch, fmt):
+    monkeypatch.setattr("seqsteer.cli.no_signalling_audit", lambda spec: 1e-9)
+    code, out, err = run(capsys, "audit", "--format", fmt)
+    assert (code, out, err) == (1, FAILED_AUDIT[fmt], "")

@@ -3,6 +3,7 @@ import pytest
 from seqsteer import (
     InequalityKind,
     SteeringDirection,
+    Term,
     evaluate,
     required_terms,
 )
@@ -17,14 +18,14 @@ EXPECTED_TERM_COUNTS = {
 
 @pytest.mark.parametrize("kind", list(InequalityKind))
 def test_term_counts(kind):
-    tl = required_terms(kind)
-    assert tl.constant == 1.0
-    assert len(tl.terms) == EXPECTED_TERM_COUNTS[kind]
+    terms = required_terms(kind)
+    assert isinstance(terms, tuple) and all(isinstance(t, Term) for t in terms)
+    assert len(terms) == EXPECTED_TERM_COUNTS[kind]
 
 
 @pytest.mark.parametrize("kind", list(InequalityKind))
 def test_every_term_is_unique(kind):
-    ops = [t.ops for t in required_terms(kind).terms]
+    ops = [t.ops for t in required_terms(kind)]
     assert len(ops) == len(set(ops))
 
 
@@ -40,14 +41,14 @@ def test_direction_pairing():
 def test_one_to_two_terms_never_number_the_trusted_wings():
     # with one untrusted party, wings 1 and 2 only carry fixed Paulis
     for kind in (InequalityKind.G1, InequalityKind.W1):
-        for term in required_terms(kind).terms:
+        for term in required_terms(kind):
             for sym in term.ops[1:]:
                 assert sym in ("I", "X", "Y", "Z")
 
 
 def test_two_to_one_terms_number_both_untrusted_wings():
     seen_numbered_bob = False
-    for term in required_terms(InequalityKind.G2).terms:
+    for term in required_terms(InequalityKind.G2):
         assert term.ops[2] in ("I", "X", "Y", "Z")
         if term.ops[1].startswith("B"):
             seen_numbered_bob = True
@@ -55,8 +56,7 @@ def test_two_to_one_terms_number_both_untrusted_wings():
 
 
 def test_g1_coefficients():
-    tl = required_terms(InequalityKind.G1)
-    by_ops = {t.ops: t.coeff for t in tl.terms}
+    by_ops = {t.ops: t.coeff for t in required_terms(InequalityKind.G1)}
     assert by_ops[("I", "Z", "Z")] == pytest.approx(0.1547)
     assert by_ops[("A3", "Z", "I")] == pytest.approx(-1 / 3)
     assert by_ops[("A1", "X", "X")] == pytest.approx(-1 / 3)
@@ -65,7 +65,7 @@ def test_g1_coefficients():
 
 
 def test_g2_coefficients():
-    by_ops = {t.ops: t.coeff for t in required_terms(InequalityKind.G2).terms}
+    by_ops = {t.ops: t.coeff for t in required_terms(InequalityKind.G2)}
     assert by_ops[("A3", "B3", "I")] == pytest.approx(-0.183)
     assert by_ops[("A1", "B1", "X")] == pytest.approx(-0.258)
     assert by_ops[("A1", "B2", "Y")] == pytest.approx(0.258)
@@ -73,7 +73,7 @@ def test_g2_coefficients():
 
 def test_evaluate_from_mapping():
     # product state with every correlation zero scores the bare constant
-    table = {t.ops: 0.0 for t in required_terms(InequalityKind.G1).terms}
+    table = {t.ops: 0.0 for t in required_terms(InequalityKind.G1)}
     assert evaluate(InequalityKind.G1, table) == pytest.approx(1.0)
 
 
@@ -92,21 +92,21 @@ def test_evaluate_detects_ghz_violation():
 
 
 def test_evaluate_rejects_out_of_range_expectations():
-    table = {t.ops: 0.0 for t in required_terms(InequalityKind.G1).terms}
+    table = {t.ops: 0.0 for t in required_terms(InequalityKind.G1)}
     table[("A3", "Z", "I")] = 3.0
     with pytest.raises(ValueError, match="out of"):
         evaluate(InequalityKind.G1, table)
 
 
 def test_missing_term_is_a_hard_error_naming_it():
-    table = {t.ops: 0.0 for t in required_terms(InequalityKind.G2).terms}
+    table = {t.ops: 0.0 for t in required_terms(InequalityKind.G2)}
     del table[("A1", "B2", "Y")]
     with pytest.raises(LookupError, match=r"\('A1', 'B2', 'Y'\)"):
         evaluate(InequalityKind.G2, table)
 
 
 def test_w1_zz_coefficient_is_small_and_negative():
-    by_ops = {t.ops: t.coeff for t in required_terms(InequalityKind.W1).terms}
+    by_ops = {t.ops: t.coeff for t in required_terms(InequalityKind.W1)}
     assert by_ops[("I", "Z", "Z")] == pytest.approx(-0.0037)
     # the eight cross terms share one magnitude
     for ops in (
@@ -123,7 +123,7 @@ def test_w1_zz_coefficient_is_small_and_negative():
 
 
 def test_w2_coefficients_spot_checks():
-    by_ops = {t.ops: t.coeff for t in required_terms(InequalityKind.W2).terms}
+    by_ops = {t.ops: t.coeff for t in required_terms(InequalityKind.W2)}
     assert by_ops[("I", "I", "Z")] == pytest.approx(0.3520)
     assert by_ops[("A3", "B3", "Z")] == pytest.approx(0.2228)
     assert by_ops[("A1", "B3", "X")] == pytest.approx(-0.2298)

@@ -23,7 +23,7 @@ from seqsteer import (
     tensor3,
 )
 from seqsteer.measurement import OUTCOMES, joint_operators, outcome_table, table_correlation
-from seqsteer.qop import projector
+from seqsteer.qop import XYZ, projector
 from util import (
     bloch_vector,
     left_sum,
@@ -373,8 +373,8 @@ def test_the_outcome_table_is_each_operators_stacked_trace_bit_for_bit(seed, cou
     sizes=st.tuples(*[st.integers(min_value=1, max_value=3)] * 2),
 )
 def test_each_cell_of_an_outcome_table_is_the_per_operator_loop_bit_for_bit(seed, count, sizes):
-    # one product per cell of eight operators gives the bits of one
-    # product per operator, for a single stack and for every grid cell
+    # one product over every operator of a grid gives the bits of one
+    # product per operator, for every grid cell and for a single cell
     rng = np.random.default_rng(seed)
     rhos = [random_mixed_state(rng) for _ in range(count)]
     seq_dirs, first = (tuple(random_direction(rng) for _ in range(k)) for k in sizes)
@@ -385,6 +385,24 @@ def test_each_cell_of_an_outcome_table_is_the_per_operator_loop_bit_for_bit(seed
     for idx in np.ndindex(*sizes):
         assert table[idx].tobytes() == reference_outcome_table(rhos, grid[idx]).tobytes()
     assert outcome_table(rhos, grid[0, 0]).tobytes() == table[0, 0].tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_the_audit_table_and_joint_probability_are_their_own_traces_bit_for_bit(seed):
+    # both read outcome_table, and keep the bits of the trace expressions
+    # they had before: the audit's (216, 8, 8) stack and one 8x8 product
+    rng = np.random.default_rng(seed)
+    rho = random_mixed_state(rng)
+    seq_wing, triple = int(rng.integers(3)), random_triple(rng, float(rng.uniform(0.05, 1.0)))
+    grid = joint_operators(seq_wing, triple.directions, triple.lam, (XYZ, XYZ))
+    want = (grid.reshape(216, 8, 8) @ rho).trace(axis1=1, axis2=2).real
+    assert outcome_table((rho,), grid).reshape(-1).tobytes() == want.tobytes()
+    proj_dirs = (random_direction(rng), random_direction(rng))
+    ops = joint_operators(seq_wing, triple.directions[0], triple.lam, proj_dirs)
+    for op, outcomes in zip(ops, OUTCOMES):
+        got = joint_probability(rho, seq_wing, triple.directions[0], triple.lam, proj_dirs, outcomes)
+        assert repr(got) == repr(float((op @ rho).trace().real))
 
 
 def _spread_table(rng, count):

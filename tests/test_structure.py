@@ -113,3 +113,36 @@ def test_no_module_level_cache(path):
     }
     shared = sorted(names & {"lru_cache", "cache"})
     assert not shared, f"{path.name} uses a module-level cache: {shared}"
+
+
+def _format_comparisons(tree):
+    """Every comparison in tree that names the json or csv format."""
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and any(
+            isinstance(c, ast.Constant) and c.value in ("json", "csv")
+            for operand in (node.left, *node.comparators)
+            for c in ast.walk(operand)
+        )
+    ]
+
+
+def test_only_the_renderer_compares_against_a_format_name():
+    # each command builds its JSON document and its CSV and text lines,
+    # and one function picks the format, so a new format is one branch
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    render = next(
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_render"
+    )
+    inside = _format_comparisons(render)
+    assert inside, "_render no longer picks the format"
+    assert len(_format_comparisons(tree)) == len(inside), "a format is chosen outside _render"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_modules_parse_as_the_oldest_supported_python(path):
+    # pyproject.toml declares requires-python >= 3.10, so no module may use
+    # syntax that only a later parser accepts
+    ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
