@@ -46,8 +46,10 @@ class Scenario(Enum):
         return 0 if self is Scenario.A else 2
 
 # n.sigma along x, y, z from direction_observable, not the exact Paulis:
-# the last bits of direction_coefficients depend on its cos(pi/2) terms
-_SIGMAS = tuple(direction_observable(d) for d in XYZ)
+# the last bits of direction_coefficients depend on its cos(pi/2) terms.
+# One stack on the sequential wing gives a slot term's three operators.
+_SIGMAS = np.stack([direction_observable(d) for d in XYZ])
+_SIGMAS.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -112,16 +114,12 @@ def term_expectations(rho, inequality, seq_wing):
     for term in required_terms(inequality):
         slot, axes = resolve(term.ops, seq_wing)
         mats = [I2 if a is None else _SIGMAS[a] for a in axes]
-        if slot is None:
-            x = float(np.trace(rho @ tensor3(*mats)).real)
-        else:
-            x = np.empty(3)
-            for k, sigma in enumerate(_SIGMAS):
-                mats[seq_wing] = sigma
-                x[k] = np.trace(rho @ tensor3(*mats)).real
-        for e in [x] if slot is None else x.tolist():
+        if slot is not None:
+            mats[seq_wing] = _SIGMAS
+        x = (rho @ tensor3(*mats)).trace(axis1=-2, axis2=-1).real
+        for e in x.reshape(-1).tolist():
             check_expectation(term.ops, e)
-        table[term.ops] = (slot, x)
+        table[term.ops] = (slot, float(x) if slot is None else x)
     return table
 
 

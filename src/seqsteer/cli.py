@@ -38,6 +38,7 @@ from .search import (
     SearchConfig,
     SearchError,
     build_table,
+    ladder_rows,
     optimize_angles,
     threshold_lambda,
 )
@@ -258,11 +259,9 @@ def _cmd_threshold(opts):
     prefix = _spec_from(opts, prefix_lambdas)
     lam = threshold_lambda(prefix, _search_config(opts))
     m = len(prefix_lambdas) + 1
-    status = "none" if lam is None else "ok"
-    cell = "" if lam is None else f"{lam:.6f}"
-    found = "no violating sharpness exists" if lam is None else f"lambda_min = {cell}"
-    doc = {"m": m, "lambda_min": lam, "status": status}
-    return doc, ["m,lambda_min,status", f"{m},{cell},{status}"], [f"observer {m}: {found}"], 0
+    (doc,), csv = ladder_rows([(m, lam)])
+    found = "no violating sharpness exists" if lam is None else f"lambda_min = {lam:.6f}"
+    return doc, csv, [f"observer {m}: {found}"], 0
 
 
 def _cmd_table(opts):

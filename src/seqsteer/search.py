@@ -214,6 +214,18 @@ def _threshold(terms, inequality, config):
     return hi
 
 
+def ladder_rows(rows):
+    """Ladder rows (m, lambda_min) as their JSON objects and as CSV lines
+    under the header; lambda_min None is the chain's "none" row."""
+    docs, lines = [], ["m,lambda_min,status"]
+    for m, lam in rows:
+        status = "none" if lam is None else "ok"
+        cell = "" if lam is None else f"{lam:.6f}"
+        docs.append({"m": m, "lambda_min": lam, "status": status})
+        lines.append(f"{m},{cell},{status}")
+    return docs, lines
+
+
 @dataclass(frozen=True)
 class ThresholdTable:
     """Per-observer minimal sharpness for one scenario column.
@@ -234,31 +246,16 @@ class ThresholdTable:
         return sum(1 for _, lam in self.rows if lam is not None)
 
     def to_csv(self):
-        lines = ["m,lambda_min,status"]
-        for m, lam in self.rows:
-            if lam is None:
-                lines.append(f"{m},,none")
-            else:
-                lines.append(f"{m},{lam:.6f},ok")
-        return "\n".join(lines) + "\n"
+        return "\n".join(ladder_rows(self.rows)[1]) + "\n"
 
     def to_json(self):
-        rows = []
-        for m, lam in self.rows:
-            rows.append(
-                {
-                    "m": m,
-                    "lambda_min": lam,
-                    "status": "none" if lam is None else "ok",
-                }
-            )
         return json.dumps(
             {
                 "state": self.state,
                 "scenario": self.scenario.value,
                 "direction": self.inequality.direction.value,
                 "inequality": self.inequality.value,
-                "rows": rows,
+                "rows": ladder_rows(self.rows)[0],
                 "truncated": self.truncated,
             },
             indent=2,

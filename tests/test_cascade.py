@@ -40,7 +40,7 @@ from seqsteer import (
 from seqsteer import cascade, measurement
 from seqsteer.inequalities import required_terms, resolve
 from seqsteer.measurement import selective_updates
-from seqsteer.search import _settings_and_value
+from seqsteer.search import _coefficients, _settings_and_value
 from util import (
     FROZEN_CHAINS,
     FROZEN_PRODUCT_STATE_VALUES,
@@ -50,6 +50,7 @@ from util import (
     random_pure_state,
     random_triple,
     reference_grow_branches,
+    reference_term_expectations,
 )
 
 
@@ -166,6 +167,57 @@ def test_value_from_state_rejects_correlations_outside_the_unit_range():
     with pytest.raises(ValueError, match=message):
         terms = cascade.term_expectations(rho, kind, Scenario.A.sequential_wing)
         _settings_and_value(terms, kind, 1.0, Optimizer.GRID_REFINE)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    which=st.sampled_from(["ghz", "w", "mixed"]),
+    kind=st.sampled_from(list(InequalityKind)),
+    seq_wing=st.integers(min_value=0, max_value=2),
+    lam=st.floats(min_value=1e-3, max_value=1.0),
+)
+def test_stacked_term_walk_is_the_per_sigma_loop_bit_for_bit(seed, which, kind, seq_wing, lam):
+    rng = np.random.default_rng(seed)
+    state = {"ghz": GHZ, "w": W}.get(which)
+    rho = random_mixed_state(rng) if state is None else build_state(state)
+    got = cascade.term_expectations(rho, kind, seq_wing)
+    want = reference_term_expectations(rho, kind, seq_wing)
+    assert list(got) == list(want)
+    for ops, (slot, x) in want.items():
+        assert got[ops][0] == slot
+        assert type(got[ops][1]) is type(x)
+        assert np.asarray(got[ops][1]).tobytes() == np.asarray(x).tobytes()
+    triple = random_triple(rng, lam)
+    assert repr(cascade.value_from_terms(got, kind, triple)) == repr(
+        cascade.value_from_terms(want, kind, triple)
+    )
+    # _coefficients is direction_coefficients on a state's term walk
+    (got_base, got_vecs), (want_base, want_vecs) = (
+        _coefficients(terms, kind, lam) for terms in (got, want)
+    )
+    assert repr(got_base) == repr(want_base)
+    assert [v.tobytes() for v in got_vecs] == [v.tobytes() for v in want_vecs]
+
+
+def test_the_term_walk_makes_one_tensor3_call_per_term(monkeypatch):
+    # a term that reads the observer's setting puts the three sigmas on
+    # the sequential wing as one stack, so it is one call, not three:
+    # W/w2 on Charlie's wing is 19 calls, where one per sigma made 47
+    calls = []
+    real = cascade.tensor3
+
+    def counted(*mats):
+        calls.append(mats)
+        return real(*mats)
+
+    monkeypatch.setattr(cascade, "tensor3", counted)
+    cascade.term_expectations(build_state(W), InequalityKind.W2, 2)
+    assert len(calls) == len(required_terms(InequalityKind.W2)) == 19
+    for kind, seq_wing in product(InequalityKind, (0, 1, 2)):
+        calls.clear()
+        cascade.term_expectations(build_state(GHZ), kind, seq_wing)
+        assert len(calls) == len(required_terms(kind))
 
 
 def test_oracle_agrees_with_channel_path():

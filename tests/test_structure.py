@@ -141,6 +141,20 @@ def test_only_the_renderer_compares_against_a_format_name():
     assert len(_format_comparisons(tree)) == len(inside), "a format is chosen outside _render"
 
 
+def test_the_ladder_row_is_spelled_once():
+    # threshold's output and both of a table's are built by one row
+    # function, so the CSV header and the "ok" status cannot drift apart
+    constants = [
+        node.value
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Constant)
+    ]
+    for literal in ("m,lambda_min,status", "ok"):
+        count = constants.count(literal)
+        assert count == 1, f"{literal!r} is spelled {count} times in src/"
+
+
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_modules_parse_as_the_oldest_supported_python(path):
     # pyproject.toml declares requires-python >= 3.10, so no module may use

@@ -28,8 +28,18 @@ from seqsteer import (
     xyz_spec,
 )
 from seqsteer.cascade import term_expectations
+from seqsteer.inequalities import check_expectation, required_terms, resolve
 from seqsteer.measurement import OUTCOMES, effect
-from seqsteer.qop import I2, effect_sqrt, projector, resolve_wing, tensor3, validate_density
+from seqsteer.qop import (
+    I2,
+    XYZ,
+    direction_observable,
+    effect_sqrt,
+    projector,
+    resolve_wing,
+    tensor3,
+    validate_density,
+)
 from seqsteer.search import LAMBDA_FLOOR, _settings_and_value
 
 # ladder of minimal sharpness values per observer, bisection tolerance
@@ -404,3 +414,28 @@ def reference_averaged_channel(rho, wing, triple):
         for outcome in (1, -1):
             out += reference_luders_update(rho, wing, d, triple.lam, outcome)
     return validate_density(out / 3, name="channel output")
+
+
+def reference_term_expectations(rho, inequality, seq_wing):
+    """term_expectations as a loop over sigma_x, sigma_y, sigma_z for a
+    term with a setting slot, one tensor3 call and one trace per sigma.
+
+    This is the loop that the stacked trace replaced, kept literally so
+    that the stacked trace can be checked against it bit for bit.
+    """
+    sigmas = tuple(direction_observable(d) for d in XYZ)
+    table = {}
+    for term in required_terms(inequality):
+        slot, axes = resolve(term.ops, seq_wing)
+        mats = [I2 if a is None else sigmas[a] for a in axes]
+        if slot is None:
+            x = float(np.trace(rho @ tensor3(*mats)).real)
+        else:
+            x = np.empty(3)
+            for k, sigma in enumerate(sigmas):
+                mats[seq_wing] = sigma
+                x[k] = np.trace(rho @ tensor3(*mats)).real
+        for e in [x] if slot is None else x.tolist():
+            check_expectation(term.ops, e)
+        table[term.ops] = (slot, x)
+    return table
