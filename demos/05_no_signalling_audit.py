@@ -33,10 +33,10 @@ def main():
             f"chain {spec.lambdas}: worst deviation {worst:.3e}"
         )
 
-    def leaky(rho, seq_wing, seq_dir, lam, proj_dirs, outcomes):
-        p = joint_probability(rho, seq_wing, seq_dir, lam, proj_dirs, outcomes)
+    def leaky(rho, seq_wing, lam, dirs, outcomes):
+        p = joint_probability(rho, seq_wing, lam, dirs, outcomes)
         # outcome bias that depends on a remote wing's direction: signalling
-        return p + 0.002 * proj_dirs[0].theta * outcomes[seq_wing] / 8.0
+        return p + 0.002 * dirs[1].theta * outcomes[seq_wing] / 8.0
 
     worst = no_signalling_audit(specs[0], prob_fn=leaky)
     print(f"\ncorrupted model: worst deviation {worst:.3e} (audit catches it)")

@@ -33,7 +33,6 @@ from .measurement import (
     SettingTriple,
     averaged_channel,
     bloch_shrink_factor,
-    correlation,
     effect,
     joint_probability,
     selective_updates,
@@ -94,7 +93,6 @@ __all__ = [
     "bloch_shrink_factor",
     "build_state",
     "build_table",
-    "correlation",
     "custom_spec",
     "direction_coefficients",
     "direction_observable",

@@ -105,14 +105,16 @@ def xyz_spec(scenario, inequality, state, lambdas):
 def term_expectations(rho, inequality, seq_wing):
     """Each term of the functional traced once on rho, as ops -> (slot, x).
 
-    slot is resolve's; x is the term's expectation when slot is None, and
-    otherwise the 3-vector of its expectations with sigma_x, sigma_y,
-    sigma_z on the sequential wing, sharpness not applied. Any traced
-    value outside [-1, 1] raises check_expectation's ValueError.
+    slot is resolve's axis of the sequential wing; x is the term's
+    expectation when slot is None, and otherwise the 3-vector of its
+    expectations with sigma_x, sigma_y, sigma_z on the sequential wing,
+    sharpness not applied. Any traced value outside [-1, 1] raises
+    check_expectation's ValueError.
     """
     table = {}
     for term in required_terms(inequality):
-        slot, axes = resolve(term.ops, seq_wing)
+        axes = resolve(term.ops)
+        slot = axes[seq_wing]
         mats = [I2 if a is None else _SIGMAS[a] for a in axes]
         if slot is not None:
             mats[seq_wing] = _SIGMAS
@@ -192,6 +194,12 @@ def run_cascade(spec: ScenarioSpec) -> CascadeResult:
     return CascadeResult(spec.inequality, spec.lambdas, values)
 
 
+def _wing_directions(seq_wing, triple):
+    """Each wing's directions in wing order: the triple's on the
+    sequential wing and x, y, z on the projective ones."""
+    return tuple(triple.directions if w == seq_wing else XYZ for w in (0, 1, 2))
+
+
 def run_cascade_oracle(spec: ScenarioSpec) -> CascadeResult:
     """Tree-path evaluation: identical contract to run_cascade, computed
     by explicit enumeration instead of the averaged channel.
@@ -215,16 +223,18 @@ def run_cascade_oracle(spec: ScenarioSpec) -> CascadeResult:
         )
     seq_wing = spec.sequential_wing
     # each term's cell of an observer's grid, and the wings it multiplies; a
-    # skipped wing is marginalized, so any setting or direction serves
+    # skipped wing is marginalized, so any direction serves; the first
+    # setting on the sequential wing and z on the others keep the last
+    # bits of the values that oracle_bits.json pins
     readings = {}
     for term in required_terms(spec.inequality):
-        slot, axes = resolve(term.ops, seq_wing)
-        setting = (slot or 0, *(2 if a is None else a for w, a in enumerate(axes) if w != seq_wing))
-        readings[term.ops] = setting, tuple(w for w, sym in enumerate(term.ops) if sym != "I")
+        axes = resolve(term.ops)
+        cell = tuple((0 if w == seq_wing else 2) if a is None else a for w, a in enumerate(axes))
+        readings[term.ops] = cell, tuple(w for w, a in enumerate(axes) if a is not None)
     branches = build_state(spec.state)[None]
     values = []
     for m, triple in enumerate(spec.observers):
-        grid = joint_operators(seq_wing, triple.directions, triple.lam, (XYZ, XYZ))
+        grid = joint_operators(seq_wing, triple.lam, _wing_directions(seq_wing, triple))
         tables = {s: outcome_table(branches, grid[s]) for s in {s for s, _ in readings.values()}}
         weight = (1.0 / 3.0) ** m
         values.append(evaluate(spec.inequality, {
@@ -247,36 +257,34 @@ def no_signalling_audit(spec: ScenarioSpec, prob_fn=None) -> float:
     probability model, and a NaN anywhere makes the result NaN. An empty
     chain is refused with ValueError.
 
-    By default each observer's 216 probabilities (3 settings, 9
-    projective direction pairs, 8 outcome triples) are read as one table:
-    the outcome_table of their (3, 3, 3, 8, 8, 8) joint_operators grid,
-    one product. An alternative probability function may be
-    passed to audit a foreign model with the same signature as
-    measurement.joint_probability,
-    prob_fn(rho, seq_wing, seq_dir, lam, proj_dirs, outcomes). It is
-    called once per observer, sequential direction, projective direction
-    pair and outcome triple, 216 times per observer.
+    By default each observer's 216 probabilities (3 directions on each
+    wing, 8 outcome triples) are read as one table: the outcome_table of
+    their (3, 3, 3, 8, 8, 8) joint_operators grid, one product. An
+    alternative probability function may be passed to audit a foreign
+    model with the same signature as measurement.joint_probability,
+    prob_fn(rho, seq_wing, lam, dirs, outcomes), dirs holding one
+    direction per wing. It is called once per observer, direction triple
+    and outcome triple, 216 times per observer.
     """
     spec.require_observers()
     seq_wing = spec.sequential_wing
-    first, second = (w for w in (0, 1, 2) if w != seq_wing)
-    # p[s, i, j, k] has axes setting, first and second projective
-    # direction, outcome triple; each wing's P(+1) must not move along
-    # the axes of the other wings' choices
-    remote_axes = {seq_wing: (1, 2), first: (0, 2), second: (0, 1)}
     rhos = states_along(build_state(spec.state), seq_wing, spec.observers)
     spreads = []
     for triple, rho in zip(spec.observers, rhos):
+        dirs = _wing_directions(seq_wing, triple)
         if prob_fn is None:
-            ops = joint_operators(seq_wing, triple.directions, triple.lam, (XYZ, XYZ))
-            p = outcome_table((rho,), ops)
+            p = outcome_table((rho,), joint_operators(seq_wing, triple.lam, dirs))
         else:
             p = np.array([
-                prob_fn(rho, seq_wing, d, triple.lam, pair, o)
-                for d, pair, o in product(triple.directions, product(XYZ, repeat=2), OUTCOMES)
+                prob_fn(rho, seq_wing, triple.lam, choice, o)
+                for choice in product(*dirs)
+                for o in OUTCOMES
             ])
+        # p[i, j, k, o] has axes wing 0's, 1's and 2's direction, then the
+        # outcome triple; each wing's P(+1) must not move along the others'
         p = p.reshape(3, 3, 3, 8)
-        for wing, axes in remote_axes.items():
+        for wing in (0, 1, 2):
             plus = sum(p[..., k] for k, o in enumerate(OUTCOMES) if o[wing] == 1)
-            spreads.append(np.max(plus, axis=axes) - np.min(plus, axis=axes))
+            remote = tuple(a for a in (0, 1, 2) if a != wing)
+            spreads.append(np.max(plus, axis=remote) - np.min(plus, axis=remote))
     return float(np.max(spreads))

@@ -138,26 +138,16 @@ def required_terms(kind: InequalityKind) -> tuple:
     return _TERMS[kind]
 
 
-# Setting slot of each symbol on the sequential wing and its fixed axis
-# (0, 1, 2 for x, y, z) elsewhere; numbered settings of other wings stay
-# at the published optimum.
+# Each symbol's axis (0, 1, 2 for x, y, z): a fixed Pauli's, or a
+# numbered setting's at the published optimum.
 _AXIS = {"X": 0, "Y": 1, "Z": 2, "A1": 0, "A2": 1, "A3": 2, "B1": 0, "B2": 1, "B3": 2}
 
 
-def resolve(ops, seq_wing):
-    """What one term measures, as (slot, axes).
-
-    slot is the sequential observer's setting the term uses, or None
-    when it skips that wing; axes holds each wing's fixed axis, 0, 1 or
-    2 for x, y or z, and None for the identity and the sequential wing.
-    """
-    slot, axes = None, []
-    for wing, sym in enumerate(ops):
-        axis = None if sym == "I" else _AXIS[sym]
-        if wing == seq_wing:
-            slot, axis = axis, None
-        axes.append(axis)
-    return slot, tuple(axes)
+def resolve(ops):
+    """What one term measures: each wing's axis in wing order, 0, 1 or 2
+    for x, y or z, and None where the term skips the wing. On the
+    sequential wing the axis is the observer's setting slot."""
+    return tuple(None if sym == "I" else _AXIS[sym] for sym in ops)
 
 
 def check_expectation(ops, e):

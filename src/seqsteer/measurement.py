@@ -103,42 +103,35 @@ def bloch_shrink_factor(lam):
 OUTCOMES = tuple(product((1, -1), repeat=3))
 
 
-def joint_operators(seq_wing, seq_dir, lam, proj_dirs):
-    """The (8, 8, 8) stack of the operators E (x) P (x) P of every
-    outcome triple, one unsharp wing and two projective, row k for the
-    triple OUTCOMES[k].
+def joint_operators(seq_wing, lam, dirs):
+    """The (8, 8, 8) stacks of the operators E (x) P (x) P of every
+    outcome triple, the unsharp effect on seq_wing with sharpness lam and
+    projectors elsewhere, row k for the triple OUTCOMES[k].
 
-    Args:
-        seq_wing: which wing carries the unsharp measurement.
-        seq_dir, lam: that wing's BlochDirection and sharpness.
-        proj_dirs: BlochDirections of the two projective wings, in
-            ascending wing order.
-
-    Any of the three directions may be a tuple of them instead, which
-    adds a leading axis, in argument order: the stacks of every
-    combination, built as one tensor3 product over one grid.
+    dirs holds one tuple of BlochDirections per wing, in wing order; the
+    result, shape (len(dirs[0]), len(dirs[1]), len(dirs[2]), 8, 8, 8),
+    has the stack of every combination, built as one tensor3 product over
+    one grid.
     """
     seq_wing = resolve_wing(seq_wing)
-    wings = [seq_wing] + [w for w in (0, 1, 2) if w != seq_wing]
-    lead = tuple(len(dirs) for dirs in (seq_dir, *proj_dirs) if isinstance(dirs, tuple))
-    grid = [None] * 3
-    for axis, (dirs, wing) in enumerate(zip((seq_dir, *proj_dirs), wings)):
-        build = projector if axis else lambda d, a: effect(d, lam, a)
-        dirs = dirs if isinstance(dirs, tuple) else (dirs,)
+    grid = []
+    for wing, wing_dirs in enumerate(dirs):
+        build = (lambda d, a: effect(d, lam, a)) if wing == seq_wing else projector
         shape = [1] * 6 + [2, 2]  # setting axes, outcome axes, then the 2x2 factor
-        shape[axis], shape[3 + wing] = len(dirs), 2
-        grid[wing] = np.reshape([[build(d, a) for a in (1, -1)] for d in dirs], shape)
-    return tensor3(*grid).reshape(lead + (8, 8, 8))
+        shape[wing], shape[3 + wing] = len(wing_dirs), 2
+        grid.append(np.reshape([[build(d, a) for a in (1, -1)] for d in wing_dirs], shape))
+    return tensor3(*grid).reshape(tuple(map(len, dirs)) + (8, 8, 8))
 
 
-def joint_probability(rho, seq_wing, seq_dir, lam, proj_dirs, outcomes):
+def joint_probability(rho, seq_wing, lam, dirs, outcomes):
     """Probability Tr[(E (x) P (x) P) rho] of the outcome triple (a, b, c)
-    for wings 0, 1, 2, each +1 or -1, on the 8x8 state rho: its row of
-    joint_operators, which takes the other arguments, read by outcome_table."""
+    for wings 0, 1, 2, each +1 or -1, on the 8x8 state rho, with one
+    BlochDirection per wing in dirs: its row of joint_operators, which
+    takes the other arguments, read by outcome_table."""
     key = tuple(outcomes)
     if key not in OUTCOMES:
         raise ValueError(f"outcomes must be three of +1 or -1, got {outcomes}")
-    op = joint_operators(seq_wing, seq_dir, lam, proj_dirs)[OUTCOMES.index(key)]
+    op = joint_operators(seq_wing, lam, [(d,) for d in dirs])[0, 0, 0, OUTCOMES.index(key)]
     return float(outcome_table((rho,), op)[0])
 
 
@@ -164,18 +157,12 @@ _SIGNS = {
 
 
 def table_correlation(table, wings):
-    """correlation from an (8, n) outcome_table: each state's signed sum
-    over the outcomes is one ordered running total, and the totals are
+    """Expectation of the product of the outcomes on wings (a tuple of
+    wing indices), every other wing marginalized, summed over the states
+    of an (8, n) outcome_table; on the unsharp wing it is lam times the
+    projective one, as E(+) - E(-) is lam * n.sigma. Each state's signed
+    sum over the outcomes is one ordered running total, and the totals are
     added left to right from 0.0 (builtin sum compensates from 3.12 on)."""
     totals = np.cumsum(_SIGNS[tuple(sorted(wings))] * table, axis=0)[-1]
     return functools.reduce(operator.add, totals.tolist(), 0.0)
 
-
-def correlation(rhos, seq_wing, seq_dir, lam, proj_dirs, wings):
-    """Expectation of the product of the outcomes on wings (a tuple of
-    wing indices), every other wing's outcome marginalized, summed over
-    rhos, a sequence or (n, 8, 8) stack of states, from the outcome_table
-    of the joint_operators stack of the other arguments. On the unsharp
-    wing it is lam times the projective one: E(+) - E(-) is lam * n.sigma."""
-    ops = joint_operators(seq_wing, seq_dir, lam, proj_dirs)
-    return table_correlation(outcome_table(rhos, ops), wings)

@@ -20,7 +20,7 @@ from seqsteer import (
     StateSpec,
     averaged_channel,
     bloch_shrink_factor,
-    correlation,
+    build_table,
     effect,
     effect_sqrt,
     no_signalling_audit,
@@ -38,6 +38,7 @@ from util import (
     random_mixed_state,
     random_pure_state,
     random_triple,
+    stacked_correlation,
     table_key,
 )
 
@@ -141,6 +142,63 @@ COUNT_TARGETS = [
 )
 def test_observer_count(state, scenario, kind, expected, tables):
     assert tables[table_key(state, scenario, kind)].max_observers == expected
+
+
+# ---------------------------------------------------------------- #
+# the abstract's two claims on the computed ladders: one-to-two     #
+# steering outlasts two-to-one, and GHZ outlasts W                  #
+# ---------------------------------------------------------------- #
+
+# (state, its one-to-two functional, its two-to-one functional)
+FAMILIES = [
+    (GHZ, InequalityKind.G1, InequalityKind.G2),
+    (W, InequalityKind.W1, InequalityKind.W2),
+]
+
+
+@pytest.mark.parametrize("scenario", list(Scenario), ids=lambda s: s.value)
+@pytest.mark.parametrize("state,one_to_two,two_to_one", FAMILIES, ids=["ghz", "w"])
+def test_one_to_two_steering_needs_less_sharpness_and_lasts_longer(
+    state, one_to_two, two_to_one, scenario, tables
+):
+    easy = tables[table_key(state, scenario, one_to_two)]
+    hard = tables[table_key(state, scenario, two_to_one)]
+    # a two-to-one row that is "none" or past the end of its ladder would
+    # need more than a projective measurement
+    hard_rows = dict(hard.rows)
+    rows = [(lam, hard_rows.get(m)) for m, lam in easy.rows if lam is not None]
+    compared = [(lam, other) for lam, other in rows if other is not None]
+    assert compared
+    assert all(lam < other for lam, other in compared), rows
+    assert easy.max_observers >= hard.max_observers
+
+
+@pytest.mark.parametrize("scenario", list(Scenario), ids=lambda s: s.value)
+@pytest.mark.parametrize(
+    "ghz_kind,w_kind",
+    [(InequalityKind.G1, InequalityKind.W1), (InequalityKind.G2, InequalityKind.W2)],
+    ids=["1to2", "2to1"],
+)
+def test_ghz_supports_at_least_as_many_observers_as_w(scenario, ghz_kind, w_kind, tables):
+    ghz = tables[table_key(GHZ, scenario, ghz_kind)].max_observers
+    w = tables[table_key(W, scenario, w_kind)].max_observers
+    assert ghz >= w
+
+
+def test_ghz_supports_the_longest_chain(tables):
+    longest = {"ghz": 0, "w": 0}
+    for (state, _, _), table in tables.items():
+        longest[state] = max(longest[state], table.max_observers)
+    assert longest == {"ghz": 6, "w": 4}
+
+
+def test_the_longest_ladder_gains_a_seventh_observer_at_a_finer_pin_margin(tables):
+    # ladders pin each observer at min(1, lambda_min + tol); the headline
+    # count of 6 holds at the default tol of 1e-4, and a pin margin ten
+    # times finer leaves a projective seventh observer a violation
+    assert tables[("ghz", "B", "g1")].max_observers == 6
+    finer = build_table(Scenario.B, InequalityKind.G1, GHZ, SearchConfig(tol=1e-5))
+    assert finer.max_observers == 7
 
 
 # ---------------------------------------------------------------- #
@@ -310,11 +368,10 @@ def test_properties_moment_scales_with_sharpness():
     for _ in range(50):
         rho = random_pure_state(rng)
         wing = int(rng.integers(0, 3))
-        d = random_direction(rng)
-        dirs = (random_direction(rng), random_direction(rng))
+        dirs = tuple(random_direction(rng) for _ in range(3))
         lam = float(rng.uniform(0.01, 1.0))
-        sharp = correlation((rho,), wing, d, 1.0, dirs, (0, 1, 2))
-        unsharp = correlation((rho,), wing, d, lam, dirs, (0, 1, 2))
+        sharp = stacked_correlation((rho,), wing, 1.0, dirs, (0, 1, 2))
+        unsharp = stacked_correlation((rho,), wing, lam, dirs, (0, 1, 2))
         assert abs(unsharp - lam * sharp) < 1e-12
 
 

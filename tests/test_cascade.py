@@ -320,10 +320,11 @@ def test_the_oracle_updates_and_traces_whole_stacks(monkeypatch):
     assert run_cascade_oracle(spec) == unpatched
     assert updates == {(6**m, 8, 8): 1 for m in range(len(lams) - 1)}
     assert builds == {(3, 3, 3, 8, 8, 8): len(lams)}
-    # a wing a term skips is read at the first setting and along z
+    # a term reads a skipped sequential wing (wing 0 here) at its first
+    # setting and any other skipped wing along z
     settings = {
-        (slot or 0, *(2 if a is None else a for a in axes[1:]))
-        for slot, axes in (resolve(t.ops, 0) for t in required_terms(spec.inequality))
+        (axes[0] or 0, *(2 if a is None else a for a in axes[1:]))
+        for axes in (resolve(t.ops) for t in required_terms(spec.inequality))
     }
     assert len(settings) < len(required_terms(spec.inequality))
     assert traced == {(6**m, 8, 8): len(settings) for m in range(len(lams))}
@@ -434,41 +435,29 @@ def test_no_signalling_on_quantum_model():
     assert no_signalling_audit(spec_b) <= 1e-10
 
 
-# (leaking wing, remote choice it leaks); the projective wings are named
-# first and second in wing order, d1 and d2 are their directions
-_LEAKS = [
-    ("sequential", "d1"),
-    ("sequential", "d2"),
-    ("first", "setting"),
-    ("first", "d2"),
-    ("second", "setting"),
-    ("second", "d1"),
-]
+# (leaking wing, remote wing whose direction it leaks)
+_LEAKS = [(leaking, remote) for leaking in range(3) for remote in range(3) if remote != leaking]
 
 
 @pytest.mark.parametrize("scenario", list(Scenario), ids=lambda s: s.value)
-@pytest.mark.parametrize("wing, choice", _LEAKS, ids=lambda x: x)
-def test_audit_flags_a_signalling_model(scenario, wing, choice):
+@pytest.mark.parametrize("leaking, remote", _LEAKS, ids=lambda w: f"wing{w}")
+def test_audit_flags_a_signalling_model(scenario, leaking, remote):
     # corrupt the probability model so one wing's marginal leaks a remote
     # choice; GHZ marginals are all 1/2, so only the leak can move them
-    first, second = (w for w in (0, 1, 2) if w != scenario.sequential_wing)
-    leaking = {"sequential": scenario.sequential_wing, "first": first, "second": second}[wing]
-
-    def leaky(rho, seq_wing, seq_dir, lam, proj_dirs, outcomes):
-        p = joint_probability(rho, seq_wing, seq_dir, lam, proj_dirs, outcomes)
-        remote = {"setting": seq_dir, "d1": proj_dirs[0], "d2": proj_dirs[1]}[choice]
-        return p + 0.01 * remote.theta * outcomes[leaking] / 8.0
+    def leaky(rho, seq_wing, lam, dirs, outcomes):
+        p = joint_probability(rho, seq_wing, lam, dirs, outcomes)
+        return p + 0.01 * dirs[remote].theta * outcomes[leaking] / 8.0
 
     spec = xyz_spec(scenario, InequalityKind.G1, GHZ, (0.8, 1.0))
     assert no_signalling_audit(spec, prob_fn=leaky) > 1e-10
 
 
-@pytest.mark.parametrize("nan_where", ["everywhere", "d1 is z"])
+@pytest.mark.parametrize("nan_where", ["everywhere", "wing 1 along z"])
 def test_audit_fails_a_nan_model(nan_where):
-    def broken(rho, seq_wing, seq_dir, lam, proj_dirs, outcomes):
-        if nan_where == "everywhere" or proj_dirs[0] == Z_DIR:
+    def broken(rho, seq_wing, lam, dirs, outcomes):
+        if nan_where == "everywhere" or dirs[1] == Z_DIR:
             return float("nan")
-        return joint_probability(rho, seq_wing, seq_dir, lam, proj_dirs, outcomes)
+        return joint_probability(rho, seq_wing, lam, dirs, outcomes)
 
     spec = xyz_spec(Scenario.A, InequalityKind.G1, GHZ, (0.8, 1.0))
     assert not no_signalling_audit(spec, prob_fn=broken) <= 1e-10
@@ -523,12 +512,12 @@ def test_stacked_audit_is_the_probability_loop_bit_for_bit(seed, scenario, kind,
 
 
 def test_audit_asks_for_each_probability_once():
-    # 3 settings x 9 direction pairs x 8 outcome triples per observer
+    # 3 directions on each of the 3 wings x 8 outcome triples per observer
     asked = Counter()
 
-    def counting(rho, seq_wing, seq_dir, lam, proj_dirs, outcomes):
-        asked[seq_dir, lam, proj_dirs, outcomes] += 1
-        return joint_probability(rho, seq_wing, seq_dir, lam, proj_dirs, outcomes)
+    def counting(rho, seq_wing, lam, dirs, outcomes):
+        asked[lam, dirs, outcomes] += 1
+        return joint_probability(rho, seq_wing, lam, dirs, outcomes)
 
     rng = np.random.default_rng(43)
     spec = ScenarioSpec(
@@ -539,12 +528,12 @@ def test_audit_asks_for_each_probability_once():
     )
     assert no_signalling_audit(spec, prob_fn=counting) <= 1e-10
     assert sum(asked.values()) == 216 * len(spec.observers)
-    dirs = (X_DIR, Y_DIR, Z_DIR)
+    xyz = (X_DIR, Y_DIR, Z_DIR)
     assert set(asked) == {
-        (d, triple.lam, pair, outcomes)
+        (triple.lam, (d, *pair), outcomes)
         for triple in spec.observers
         for d in triple.directions
-        for pair in product(dirs, repeat=2)
+        for pair in product(xyz, repeat=2)
         for outcomes in product((1, -1), repeat=3)
     }
     assert set(asked.values()) == {1}

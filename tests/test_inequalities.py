@@ -7,6 +7,7 @@ from seqsteer import (
     evaluate,
     required_terms,
 )
+from seqsteer.inequalities import resolve
 
 EXPECTED_TERM_COUNTS = {
     InequalityKind.G1: 7,
@@ -27,6 +28,14 @@ def test_term_counts(kind):
 def test_every_term_is_unique(kind):
     ops = [t.ops for t in required_terms(kind)]
     assert len(ops) == len(set(ops))
+
+
+def test_resolve_gives_each_wings_axis_in_wing_order():
+    # a numbered setting's axis is its slot, so the sequential observer's
+    # slot is its wing's entry, whichever wing hosts the chain
+    assert resolve(("A3", "Z", "I")) == (2, 2, None)
+    assert resolve(("A1", "B2", "Y")) == (0, 1, 1)
+    assert resolve(("I", "I", "X")) == (None, None, 0)
 
 
 def test_direction_pairing():

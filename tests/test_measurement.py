@@ -15,7 +15,6 @@ from seqsteer import (
     averaged_channel,
     bloch_shrink_factor,
     build_state,
-    correlation,
     direction_observable,
     effect,
     joint_probability,
@@ -37,6 +36,7 @@ from util import (
     reference_joint_operator,
     reference_outcome_table,
     reference_table_correlation,
+    stacked_correlation,
 )
 
 lams = st.floats(min_value=1e-3, max_value=1.0)
@@ -105,7 +105,7 @@ def test_wings_outside_0_1_2_are_rejected(wing):
     with pytest.raises(ValueError, match="expected 0, 1 or 2"):
         selective_updates(rho, wing, SettingTriple.xyz(0.5))
     with pytest.raises(ValueError, match="expected 0, 1 or 2"):
-        joint_probability(rho, wing, Z_DIR, 0.5, (Z_DIR, Z_DIR), (1, 1, 1))
+        joint_probability(rho, wing, 0.5, (Z_DIR, Z_DIR, Z_DIR), (1, 1, 1))
 
 
 def test_luders_outcomes_sum_to_one():
@@ -194,10 +194,9 @@ def test_orthogonal_triple_shrinks_bloch_vector_isotropically():
 def test_joint_probabilities_form_a_distribution():
     rng = np.random.default_rng(12)
     rho = random_mixed_state(rng)
-    d = random_direction(rng)
-    dirs = (random_direction(rng), random_direction(rng))
+    dirs = tuple(random_direction(rng) for _ in range(3))
     probs = [
-        joint_probability(rho, 0, d, 0.66, dirs, outcomes)
+        joint_probability(rho, 0, 0.66, dirs, outcomes)
         for outcomes in product((1, -1), repeat=3)
     ]
     assert all(p >= -1e-12 for p in probs)
@@ -209,37 +208,31 @@ def test_correlation_moment_scales_with_sharpness():
     rng = np.random.default_rng(14)
     for _ in range(50):
         rho = random_pure_state(rng)
-        d = random_direction(rng)
-        dirs = (random_direction(rng), random_direction(rng))
+        dirs = tuple(random_direction(rng) for _ in range(3))
         lam = float(rng.uniform(0.05, 0.999))
         wing = int(rng.integers(0, 3))
-        sharp = correlation((rho,), wing, d, 1.0, dirs, (0, 1, 2))
-        unsharp = correlation((rho,), wing, d, lam, dirs, (0, 1, 2))
+        sharp = stacked_correlation((rho,), wing, 1.0, dirs, (0, 1, 2))
+        unsharp = stacked_correlation((rho,), wing, lam, dirs, (0, 1, 2))
         assert unsharp == pytest.approx(lam * sharp, abs=1e-12)
 
 
 def test_marginal_correlations_drop_the_right_wing():
     # marginalizing the unsharp wing of GHZ leaves <Z Z> = 1 on the rest
     rho = build_state(GHZ)
-    two = correlation((rho,), 0, X_DIR, 0.5, (Z_DIR, Z_DIR), (1, 2))
+    two = stacked_correlation((rho,), 0, 0.5, (X_DIR, Z_DIR, Z_DIR), (1, 2))
     assert two == pytest.approx(1.0, abs=1e-12)
-    one = correlation((rho,), 0, X_DIR, 0.5, (Z_DIR, Z_DIR), (1,))
+    one = stacked_correlation((rho,), 0, 0.5, (X_DIR, Z_DIR, Z_DIR), (1,))
     assert one == pytest.approx(0.0, abs=1e-12)
 
 
 def test_correlation3_on_ghz_stabilizers():
     rho = build_state(GHZ)
     all3 = (0, 1, 2)
-    assert correlation(
-        (rho,), 0, X_DIR, 1.0, (X_DIR, X_DIR), all3
-    ) == pytest.approx(1.0, abs=1e-12)
-    assert correlation(
-        (rho,), 0, Y_DIR, 1.0, (Y_DIR, X_DIR), all3
-    ) == pytest.approx(-1.0, abs=1e-12)
+    xxx, yyx = (X_DIR, X_DIR, X_DIR), (Y_DIR, Y_DIR, X_DIR)
+    assert stacked_correlation((rho,), 0, 1.0, xxx, all3) == pytest.approx(1.0, abs=1e-12)
+    assert stacked_correlation((rho,), 0, 1.0, yyx, all3) == pytest.approx(-1.0, abs=1e-12)
     # correlations with an unsharp first wing scale by lam
-    assert correlation(
-        (rho,), 0, X_DIR, 0.25, (X_DIR, X_DIR), all3
-    ) == pytest.approx(0.25, abs=1e-12)
+    assert stacked_correlation((rho,), 0, 0.25, xxx, all3) == pytest.approx(0.25, abs=1e-12)
 
 
 def test_correlation_on_every_wing_subset_is_a_trace():
@@ -249,19 +242,15 @@ def test_correlation_on_every_wing_subset_is_a_trace():
     subsets = [tuple(w for w in range(3) if mask >> w & 1) for mask in range(1, 8)]
     for _ in range(30):
         rho = random_mixed_state(rng)
-        seq_dir = random_direction(rng)
         lam = float(rng.uniform(0.05, 1.0))
-        dirs = (random_direction(rng), random_direction(rng))
+        dirs = tuple(random_direction(rng) for _ in range(3))
         for seq_wing in range(3):
-            others = [w for w in range(3) if w != seq_wing]
-            obs = [None, None, None]
-            obs[seq_wing] = lam * direction_observable(seq_dir)
-            for w, d in zip(others, dirs):
-                obs[w] = direction_observable(d)
+            obs = [direction_observable(d) for d in dirs]
+            obs[seq_wing] = lam * obs[seq_wing]
             for wings in subsets:
                 mats = [obs[w] if w in wings else np.eye(2) for w in range(3)]
                 expected = float(np.trace(rho @ tensor3(*mats)).real)
-                got = correlation((rho,), seq_wing, seq_dir, lam, dirs, wings)
+                got = stacked_correlation((rho,), seq_wing, lam, dirs, wings)
                 assert abs(got - expected) < 1e-12, (seq_wing, wings)
 
 
@@ -270,11 +259,10 @@ def test_correlation_of_several_states_is_the_sum_of_each():
     # the order given, so the bits equal the sum of single-state calls
     rng = np.random.default_rng(31)
     rhos = [random_mixed_state(rng) for _ in range(7)]
-    d = random_direction(rng)
-    dirs = (random_direction(rng), random_direction(rng))
+    dirs = tuple(random_direction(rng) for _ in range(3))
     for wings in ((0,), (1, 2), (0, 1, 2)):
-        each = left_sum(correlation((rho,), 1, d, 0.6, dirs, wings) for rho in rhos)
-        assert correlation(rhos, 1, d, 0.6, dirs, wings) == each
+        each = left_sum(stacked_correlation((rho,), 1, 0.6, dirs, wings) for rho in rhos)
+        assert stacked_correlation(rhos, 1, 0.6, dirs, wings) == each
 
 
 WING_SUBSETS = [tuple(w for w in range(3) if mask >> w & 1) for mask in range(1, 8)]
@@ -291,21 +279,19 @@ WING_SUBSETS = [tuple(w for w in range(3) if mask >> w & 1) for mask in range(1,
 def test_stacked_correlation_is_the_per_state_loop_bit_for_bit(seed, count, seq_wing, wings, lam):
     rng = np.random.default_rng(seed)
     rhos = [random_mixed_state(rng) for _ in range(count)]
-    seq_dir = random_direction(rng)
-    dirs = (random_direction(rng), random_direction(rng))
-    want = repr(reference_correlation(rhos, seq_wing, seq_dir, lam, dirs, wings))
-    assert repr(correlation(rhos, seq_wing, seq_dir, lam, dirs, wings)) == want
-    assert repr(correlation(np.array(rhos), seq_wing, seq_dir, lam, dirs, wings)) == want
+    dirs = tuple(random_direction(rng) for _ in range(3))
+    want = repr(reference_correlation(rhos, seq_wing, lam, dirs, wings))
+    assert repr(stacked_correlation(rhos, seq_wing, lam, dirs, wings)) == want
+    assert repr(stacked_correlation(np.array(rhos), seq_wing, lam, dirs, wings)) == want
 
 
 def test_outcome_stack_places_each_factor_on_its_wing():
     # the unsharp effect on the sequential wing, the projectors on the
-    # others in ascending wing order
+    # others, each along its own wing's direction
     rng = np.random.default_rng(37)
-    d = random_direction(rng)
-    dirs = (random_direction(rng), random_direction(rng))
-    for op, (a, b, c) in zip(joint_operators(2, d, 0.3, dirs), OUTCOMES):
-        want = tensor3(projector(dirs[0], a), projector(dirs[1], b), effect(d, 0.3, c))
+    d0, d1, d2 = (random_direction(rng) for _ in range(3))
+    for op, (a, b, c) in zip(joint_operators(2, 0.3, ((d0,), (d1,), (d2,)))[0, 0, 0], OUTCOMES):
+        want = tensor3(projector(d0, a), projector(d1, b), effect(d2, 0.3, c))
         assert op.tobytes() == want.tobytes()
 
 
@@ -317,13 +303,12 @@ def test_outcome_stack_places_each_factor_on_its_wing():
 )
 def test_each_row_of_the_outcome_stack_is_the_per_outcome_operator(seed, seq_wing, lam):
     rng = np.random.default_rng(seed)
-    seq_dir = random_direction(rng)
-    dirs = (random_direction(rng), random_direction(rng))
-    stack = joint_operators(seq_wing, seq_dir, lam, dirs)
-    assert stack.shape == (8, 8, 8)
+    dirs = tuple(random_direction(rng) for _ in range(3))
+    stack = joint_operators(seq_wing, lam, [(d,) for d in dirs])
+    assert stack.shape == (1, 1, 1, 8, 8, 8)
     assert OUTCOMES == tuple(product((1, -1), repeat=3))
-    for row, outcomes in zip(stack, OUTCOMES):
-        want = reference_joint_operator(seq_wing, seq_dir, lam, dirs, outcomes)
+    for row, outcomes in zip(stack[0, 0, 0], OUTCOMES):
+        want = reference_joint_operator(seq_wing, lam, dirs, outcomes)
         assert row.dtype == want.dtype
         assert row.tobytes() == want.tobytes()
 
@@ -336,17 +321,14 @@ def test_each_row_of_the_outcome_stack_is_the_per_outcome_operator(seed, seq_win
     lam=lams,
 )
 def test_each_cell_of_the_operator_grid_is_the_single_setting_stack(seed, seq_wing, sizes, lam):
-    # tuples of directions give one leading axis each, in argument order
+    # each wing's tuple of directions gives one leading axis, in wing order
     rng = np.random.default_rng(seed)
-    seq_dirs, first, second = (tuple(random_direction(rng) for _ in range(k)) for k in sizes)
-    grid = joint_operators(seq_wing, seq_dirs, lam, (first, second))
+    dirs = tuple(tuple(random_direction(rng) for _ in range(k)) for k in sizes)
+    grid = joint_operators(seq_wing, lam, dirs)
     assert grid.shape == sizes + (8, 8, 8)
     for i, j, k in product(*(range(k) for k in sizes)):
-        want = joint_operators(seq_wing, seq_dirs[i], lam, (first[j], second[k]))
+        want = joint_operators(seq_wing, lam, ((dirs[0][i],), (dirs[1][j],), (dirs[2][k],)))
         assert grid[i, j, k].tobytes() == want.tobytes()
-    mixed = joint_operators(seq_wing, seq_dirs[0], lam, (first, second[0]))
-    assert mixed.shape == (sizes[1], 8, 8, 8)
-    assert mixed.tobytes() == grid[0, :, 0].tobytes()
 
 
 @settings(max_examples=30, deadline=None)
@@ -359,7 +341,8 @@ def test_the_outcome_table_is_each_operators_stacked_trace_bit_for_bit(seed, cou
     # trace per state
     rng = np.random.default_rng(seed)
     stack = np.array([random_mixed_state(rng) for _ in range(count)])
-    ops = joint_operators(int(rng.integers(3)), random_direction(rng), 0.7, (X_DIR, Y_DIR))
+    dirs = ((random_direction(rng),), (X_DIR,), (Y_DIR,))
+    ops = joint_operators(int(rng.integers(3)), 0.7, dirs)[0, 0, 0]
     table = outcome_table(stack, ops)
     assert table.shape == (8, count)
     for row, op in zip(table, ops):
@@ -377,9 +360,9 @@ def test_each_cell_of_an_outcome_table_is_the_per_operator_loop_bit_for_bit(seed
     # product per operator, for every grid cell and for a single cell
     rng = np.random.default_rng(seed)
     rhos = [random_mixed_state(rng) for _ in range(count)]
-    seq_dirs, first = (tuple(random_direction(rng) for _ in range(k)) for k in sizes)
+    dirs = [tuple(random_direction(rng) for _ in range(k)) for k in sizes]
     seq_wing, lam = int(rng.integers(3)), float(rng.uniform(0.05, 1.0))
-    grid = joint_operators(seq_wing, seq_dirs, lam, (first, random_direction(rng)))
+    grid = joint_operators(seq_wing, lam, (*dirs, (random_direction(rng),)))[:, :, 0]
     table = outcome_table(np.array(rhos), grid)
     assert table.shape == sizes + (8, count)
     for idx in np.ndindex(*sizes):
@@ -395,13 +378,14 @@ def test_the_audit_table_and_joint_probability_are_their_own_traces_bit_for_bit(
     rng = np.random.default_rng(seed)
     rho = random_mixed_state(rng)
     seq_wing, triple = int(rng.integers(3)), random_triple(rng, float(rng.uniform(0.05, 1.0)))
-    grid = joint_operators(seq_wing, triple.directions, triple.lam, (XYZ, XYZ))
+    wing_dirs = [triple.directions if w == seq_wing else XYZ for w in range(3)]
+    grid = joint_operators(seq_wing, triple.lam, wing_dirs)
     want = (grid.reshape(216, 8, 8) @ rho).trace(axis1=1, axis2=2).real
     assert outcome_table((rho,), grid).reshape(-1).tobytes() == want.tobytes()
-    proj_dirs = (random_direction(rng), random_direction(rng))
-    ops = joint_operators(seq_wing, triple.directions[0], triple.lam, proj_dirs)
+    dirs = tuple(random_direction(rng) for _ in range(3))
+    ops = joint_operators(seq_wing, triple.lam, [(d,) for d in dirs])[0, 0, 0]
     for op, outcomes in zip(ops, OUTCOMES):
-        got = joint_probability(rho, seq_wing, triple.directions[0], triple.lam, proj_dirs, outcomes)
+        got = joint_probability(rho, seq_wing, triple.lam, dirs, outcomes)
         assert repr(got) == repr(float((op @ rho).trace().real))
 
 
@@ -446,4 +430,4 @@ def test_the_branch_totals_are_added_left_to_right_from_zero():
 def test_joint_probability_rejects_an_outcome_outside_plus_minus_one(outcomes):
     rho = build_state(GHZ)
     with pytest.raises(ValueError, match="outcomes must be three of"):
-        joint_probability(rho, 0, Z_DIR, 0.5, (Z_DIR, Z_DIR), outcomes)
+        joint_probability(rho, 0, 0.5, (Z_DIR, Z_DIR, Z_DIR), outcomes)

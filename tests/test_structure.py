@@ -115,18 +115,21 @@ def test_no_module_level_cache(path):
     assert not shared, f"{path.name} uses a module-level cache: {shared}"
 
 
-def _format_comparisons(tree):
-    """Every comparison in tree that names the json or csv format."""
+def _comparisons_against(tree, literals):
+    """Every comparison in tree that names one of the literals."""
     return [
         node
         for node in ast.walk(tree)
         if isinstance(node, ast.Compare)
         and any(
-            isinstance(c, ast.Constant) and c.value in ("json", "csv")
+            isinstance(c, ast.Constant) and c.value in literals
             for operand in (node.left, *node.comparators)
             for c in ast.walk(operand)
         )
     ]
+
+
+_FORMATS = ("json", "csv")
 
 
 def test_only_the_renderer_compares_against_a_format_name():
@@ -136,9 +139,59 @@ def test_only_the_renderer_compares_against_a_format_name():
     render = next(
         node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_render"
     )
-    inside = _format_comparisons(render)
+    inside = _comparisons_against(render, _FORMATS)
     assert inside, "_render no longer picks the format"
-    assert len(_format_comparisons(tree)) == len(inside), "a format is chosen outside _render"
+    assert len(_comparisons_against(tree, _FORMATS)) == len(inside), (
+        "a format is chosen outside _render"
+    )
+
+
+_SYMBOLS = ("I", "X", "Y", "Z", "A1", "A2", "A3", "B1", "B2", "B3")
+
+
+def test_the_inequalities_module_reads_every_term_symbol():
+    # inequalities.resolve turns a term's symbols into each wing's axis,
+    # so every other layer reads axes and a new symbol is one table entry
+    assert _comparisons_against(ast.parse((PACKAGE / "inequalities.py").read_text()), _SYMBOLS)
+    readers = {
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "inequalities.py"
+        for node in _comparisons_against(ast.parse(path.read_text()), _SYMBOLS)
+    }
+    assert not readers, f"term symbols compared outside inequalities.py: {sorted(readers)}"
+
+
+def _names_used(path):
+    """Every name path reads, imports or takes as an attribute, outside
+    the top-level definition that binds that name."""
+    used = set()
+    for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+        names = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+        used |= names - {getattr(stmt, "name", None)}
+    return used
+
+
+def test_every_exported_name_has_a_caller_outside_the_tests():
+    # a name only tests call is test scaffolding; it belongs in tests/util.py
+    # and not in the public surface
+    root = PACKAGE.parents[1]
+    paths = [
+        path
+        for folder in (PACKAGE, root / "demos", root / "bench")
+        for path in sorted(folder.glob("*.py"))
+        if path != PACKAGE / "__init__.py"
+    ]
+    used = set().union(*map(_names_used, paths))
+    unused = sorted(set(importlib.import_module("seqsteer").__all__) - used)
+    assert not unused, f"__all__ names with no caller in src/, demos/ or bench/: {unused}"
 
 
 def test_the_ladder_row_is_spelled_once():

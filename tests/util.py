@@ -29,7 +29,13 @@ from seqsteer import (
 )
 from seqsteer.cascade import term_expectations
 from seqsteer.inequalities import check_expectation, required_terms, resolve
-from seqsteer.measurement import OUTCOMES, effect
+from seqsteer.measurement import (
+    OUTCOMES,
+    effect,
+    joint_operators,
+    outcome_table,
+    table_correlation,
+)
 from seqsteer.qop import (
     I2,
     XYZ,
@@ -304,9 +310,9 @@ def reference_threshold_lambda(prefix, config):
     return hi
 
 
-def reference_joint_operator(seq_wing, seq_dir, lam, proj_dirs, outcomes):
-    """One outcome triple's row of joint_operators as its three factors
-    and one Kronecker product.
+def reference_joint_operator(seq_wing, lam, dirs, outcomes):
+    """One outcome triple's row of joint_operators, for one direction per
+    wing in dirs, as its three factors and one Kronecker product.
 
     This is the per-outcome build the stacked one replaced, kept
     literally so that each row of the stack can be checked against it
@@ -314,11 +320,10 @@ def reference_joint_operator(seq_wing, seq_dir, lam, proj_dirs, outcomes):
     it bit for bit.
     """
     seq_wing = resolve_wing(seq_wing)
-    others = [w for w in (0, 1, 2) if w != seq_wing]
-    ops = [None, None, None]
-    ops[seq_wing] = effect(seq_dir, lam, outcomes[seq_wing])
-    for w, d in zip(others, proj_dirs):
-        ops[w] = projector(d, outcomes[w])
+    ops = [
+        effect(d, lam, a) if w == seq_wing else projector(d, a)
+        for w, (d, a) in enumerate(zip(dirs, outcomes))
+    ]
     return np.kron(np.kron(ops[0], ops[1]), ops[2])
 
 
@@ -328,9 +333,17 @@ def left_sum(values):
     return functools.reduce(operator.add, values, 0.0)
 
 
-def reference_correlation(rhos, seq_wing, seq_dir, lam, proj_dirs, wings):
-    """correlation as a loop over the states, one operator per outcome
-    and one trace per state and outcome.
+def stacked_correlation(rhos, seq_wing, lam, dirs, wings):
+    """The oracle's correlation of the outcomes on wings, summed over
+    rhos, for one direction per wing in dirs: table_correlation of the
+    outcome_table of one joint_operators stack."""
+    ops = joint_operators(seq_wing, lam, [(d,) for d in dirs])[0, 0, 0]
+    return table_correlation(outcome_table(rhos, ops), wings)
+
+
+def reference_correlation(rhos, seq_wing, lam, dirs, wings):
+    """stacked_correlation as a loop over the states, one operator per
+    outcome and one trace per state and outcome.
 
     This is the loop the stacked trace replaced, kept literally so that
     the stacked trace can be checked against it bit for bit.
@@ -340,7 +353,7 @@ def reference_correlation(rhos, seq_wing, seq_dir, lam, proj_dirs, wings):
         w = 1.0
         for wing in wings:
             w *= outcomes[wing]
-        op = reference_joint_operator(seq_wing, seq_dir, lam, proj_dirs, outcomes)
+        op = reference_joint_operator(seq_wing, lam, dirs, outcomes)
         for i, rho in enumerate(rhos):
             totals[i] += w * float((op @ rho).trace().real)
     return left_sum(totals)
@@ -426,7 +439,8 @@ def reference_term_expectations(rho, inequality, seq_wing):
     sigmas = tuple(direction_observable(d) for d in XYZ)
     table = {}
     for term in required_terms(inequality):
-        slot, axes = resolve(term.ops, seq_wing)
+        axes = resolve(term.ops)
+        slot = axes[seq_wing]
         mats = [I2 if a is None else sigmas[a] for a in axes]
         if slot is None:
             x = float(np.trace(rho @ tensor3(*mats)).real)
