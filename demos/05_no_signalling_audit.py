@@ -8,6 +8,8 @@ probability model is broken. A deliberately corrupted model is audited
 last to show the check has teeth.
 """
 
+import numpy as np
+
 from seqsteer import (
     GHZ,
     W,
@@ -17,6 +19,7 @@ from seqsteer import (
     no_signalling_audit,
     xyz_spec,
 )
+from seqsteer.measurement import OUTCOMES
 
 
 def main():
@@ -33,10 +36,12 @@ def main():
             f"chain {spec.lambdas}: worst deviation {worst:.3e}"
         )
 
-    def leaky(rho, seq_wing, lam, dirs, outcomes):
-        p = joint_probability(rho, seq_wing, lam, dirs, outcomes)
+    def leaky(rho, seq_wing, lam, dirs):
+        p = joint_probability(rho, seq_wing, lam, dirs)
+        theta = np.array([d.theta for d in dirs[1]])
+        sign = np.array(OUTCOMES)[:, seq_wing]
         # outcome bias that depends on a remote wing's direction: signalling
-        return p + 0.002 * dirs[1].theta * outcomes[seq_wing] / 8.0
+        return p + 0.002 * theta[None, :, None, None] * sign / 8.0
 
     worst = no_signalling_audit(specs[0], prob_fn=leaky)
     print(f"\ncorrupted model: worst deviation {worst:.3e} (audit catches it)")

@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from itertools import product
 
 import numpy as np
 
@@ -27,6 +26,7 @@ from .measurement import (
     SettingTriple,
     averaged_channel,
     joint_operators,
+    joint_probability,
     outcome_table,
     selective_updates,
     table_correlation,
@@ -56,8 +56,7 @@ _SIGMAS.flags.writeable = False
 class ScenarioSpec:
     """A full chain description: who measures, what they measure, on what.
 
-    observers holds one SettingTriple per chain member in order; the
-    steering direction is the one the inequality is built for.
+    observers holds one SettingTriple per chain member in order.
     """
 
     scenario: Scenario
@@ -211,7 +210,8 @@ def run_cascade_oracle(spec: ScenarioSpec) -> CascadeResult:
     grid over its directions and x, y, z on both projective wings; each
     cell a term reads has its eight operators traced against the whole
     stack in one product, into an outcome table every such term shares.
-    Cost grows as 6^(n-1), so chains longer than 4 are refused.
+    Cost grows as 6^(n-1), so chains longer than ORACLE_MAX_OBSERVERS
+    are refused.
     """
     spec.require_projective_last()
     n = len(spec.observers)
@@ -257,32 +257,23 @@ def no_signalling_audit(spec: ScenarioSpec, prob_fn=None) -> float:
     probability model, and a NaN anywhere makes the result NaN. An empty
     chain is refused with ValueError.
 
-    By default each observer's 216 probabilities (3 directions on each
-    wing, 8 outcome triples) are read as one table: the outcome_table of
-    their (3, 3, 3, 8, 8, 8) joint_operators grid, one product. An
-    alternative probability function may be passed to audit a foreign
-    model with the same signature as measurement.joint_probability,
-    prob_fn(rho, seq_wing, lam, dirs, outcomes), dirs holding one
-    direction per wing. It is called once per observer, direction triple
-    and outcome triple, 216 times per observer.
+    The model is asked once per observer for its (3, 3, 3, 8) table of
+    probabilities, 3 directions on each wing and the 8 outcome triples:
+    prob_fn(rho, seq_wing, lam, dirs), with the signature of
+    measurement.joint_probability, the quantum model used when prob_fn is
+    None; dirs holds each wing's three directions, in wing order. A table
+    of any other size raises ValueError.
     """
     spec.require_observers()
+    prob_fn = prob_fn or joint_probability
     seq_wing = spec.sequential_wing
     rhos = states_along(build_state(spec.state), seq_wing, spec.observers)
     spreads = []
     for triple, rho in zip(spec.observers, rhos):
-        dirs = _wing_directions(seq_wing, triple)
-        if prob_fn is None:
-            p = outcome_table((rho,), joint_operators(seq_wing, triple.lam, dirs))
-        else:
-            p = np.array([
-                prob_fn(rho, seq_wing, triple.lam, choice, o)
-                for choice in product(*dirs)
-                for o in OUTCOMES
-            ])
+        p = prob_fn(rho, seq_wing, triple.lam, _wing_directions(seq_wing, triple))
         # p[i, j, k, o] has axes wing 0's, 1's and 2's direction, then the
         # outcome triple; each wing's P(+1) must not move along the others'
-        p = p.reshape(3, 3, 3, 8)
+        p = np.reshape(p, (3, 3, 3, 8))
         for wing in (0, 1, 2):
             plus = sum(p[..., k] for k, o in enumerate(OUTCOMES) if o[wing] == 1)
             remote = tuple(a for a in (0, 1, 2) if a != wing)

@@ -149,7 +149,7 @@ def load_config(path):
     # an ordinary section, so it is rejected below like any unknown one
     parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             parser.read_file(fh)
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}")

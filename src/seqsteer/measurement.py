@@ -123,16 +123,14 @@ def joint_operators(seq_wing, lam, dirs):
     return tensor3(*grid).reshape(tuple(map(len, dirs)) + (8, 8, 8))
 
 
-def joint_probability(rho, seq_wing, lam, dirs, outcomes):
-    """Probability Tr[(E (x) P (x) P) rho] of the outcome triple (a, b, c)
-    for wings 0, 1, 2, each +1 or -1, on the 8x8 state rho, with one
-    BlochDirection per wing in dirs: its row of joint_operators, which
-    takes the other arguments, read by outcome_table."""
-    key = tuple(outcomes)
-    if key not in OUTCOMES:
-        raise ValueError(f"outcomes must be three of +1 or -1, got {outcomes}")
-    op = joint_operators(seq_wing, lam, [(d,) for d in dirs])[0, 0, 0, OUTCOMES.index(key)]
-    return float(outcome_table((rho,), op)[0])
+def joint_probability(rho, seq_wing, lam, dirs):
+    """Probability Tr[(E (x) P (x) P) rho] of every outcome triple on the
+    8x8 state rho for every combination of dirs, one tuple of
+    BlochDirections per wing in wing order: the outcome_table of
+    joint_operators, which takes the other arguments, as a
+    (len(dirs[0]), len(dirs[1]), len(dirs[2]), 8) table whose last axis
+    is in OUTCOMES order."""
+    return outcome_table((rho,), joint_operators(seq_wing, lam, dirs))[..., 0]
 
 
 def outcome_table(rhos, ops):

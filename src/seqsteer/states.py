@@ -93,7 +93,7 @@ def load_state_file(path):
     row and column (1-based).
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = [ln for ln in (raw.strip() for raw in fh) if ln]
     except UnicodeDecodeError as exc:
         raise StateFormatError(f"{path}: not UTF-8 text ({exc})") from None

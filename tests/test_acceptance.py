@@ -201,6 +201,37 @@ def test_the_longest_ladder_gains_a_seventh_observer_at_a_finer_pin_margin(table
     assert finer.max_observers == 7
 
 
+# the channel value of a projective observer on each published
+# ladder's stop row, its predecessors pinned as build_table pins them
+STOP_ROW_MARGINS = {
+    ("ghz", "A", "g1"): 6.379e-2,
+    ("ghz", "A", "g2"): 7.978e-2,
+    ("ghz", "B", "g1"): 2.547e-4,
+    ("ghz", "B", "g2"): 7.978e-2,
+    ("w", "A", "w1"): 1.323e-1,
+    ("w", "A", "w2"): 1.360e-1,
+    ("w", "B", "w1"): 5.039e-2,
+    ("w", "B", "w2"): 3.885e-1,
+}
+
+
+@pytest.mark.parametrize(
+    "state,scenario,kind",
+    TABLE_CASES,
+    ids=[f"{s.kind.value}-{sc.value}-{k.value}" for s, sc, k in TABLE_CASES],
+)
+def test_the_stop_row_margin_of_each_published_ladder(state, scenario, kind, tables):
+    # only the headline ladder stops within a few pin margins of zero;
+    # every other stop row reads at least +5.0e-2
+    tol = SearchConfig().tol
+    *rows, (_, stop) = tables[table_key(state, scenario, kind)].rows
+    assert stop is None
+    pins = tuple(SettingTriple.xyz(min(1.0, lam + tol)) for _, lam in rows)
+    spec = ScenarioSpec(scenario, kind, state, pins + (SettingTriple.xyz(1.0),))
+    margin = run_cascade(spec).values[-1]
+    assert margin == pytest.approx(STOP_ROW_MARGINS[table_key(state, scenario, kind)], rel=5e-4)
+
+
 # ---------------------------------------------------------------- #
 # channel path vs explicit enumeration on randomized chains         #
 # ---------------------------------------------------------------- #
@@ -270,7 +301,7 @@ def test_oracle_equivalence_at_max_observers(kind):
 
 # ---------------------------------------------------------------- #
 # published ladders rechecked by explicit enumeration, each row      #
-# whose chain has at most 5 observers                                #
+# whose chain has at most 6 observers                                #
 # ---------------------------------------------------------------- #
 
 
@@ -304,9 +335,9 @@ def oracle_ladder_rows(state, table, max_observers=ORACLE_MAX_OBSERVERS):
 def test_oracle_confirms_the_published_ladder(state, scenario, kind, tables, monkeypatch):
     # every predecessor violates, and the candidate violates exactly on
     # an "ok" row; the oracle agrees with the channel path throughout.
-    # The oracle's cap is lifted to 5 observers (1,296 branches) for this
-    # test alone, which reaches w/B/w1's "none" row and ghz/B/g1's row 4
-    cap = 5
+    # The oracle's cap is lifted to 6 observers (7,776 branches) for this
+    # test alone, which reaches w/B/w1's "none" row and ghz/B/g1's row 5
+    cap = 6
     monkeypatch.setattr(cascade, "ORACLE_MAX_OBSERVERS", cap)
     table = tables[table_key(state, scenario, kind)]
     rows = oracle_ladder_rows(state, table, max_observers=cap)

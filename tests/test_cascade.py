@@ -39,7 +39,7 @@ from seqsteer import (
 )
 from seqsteer import cascade, measurement
 from seqsteer.inequalities import required_terms, resolve
-from seqsteer.measurement import selective_updates
+from seqsteer.measurement import OUTCOMES, selective_updates
 from seqsteer.search import _coefficients, _settings_and_value
 from util import (
     FROZEN_CHAINS,
@@ -50,6 +50,7 @@ from util import (
     random_pure_state,
     random_triple,
     reference_grow_branches,
+    reference_probability_table,
     reference_term_expectations,
 )
 
@@ -444,9 +445,10 @@ _LEAKS = [(leaking, remote) for leaking in range(3) for remote in range(3) if re
 def test_audit_flags_a_signalling_model(scenario, leaking, remote):
     # corrupt the probability model so one wing's marginal leaks a remote
     # choice; GHZ marginals are all 1/2, so only the leak can move them
-    def leaky(rho, seq_wing, lam, dirs, outcomes):
-        p = joint_probability(rho, seq_wing, lam, dirs, outcomes)
-        return p + 0.01 * dirs[remote].theta * outcomes[leaking] / 8.0
+    def leaky(rho, seq_wing, lam, dirs):
+        theta = np.reshape([d.theta for d in dirs[remote]], [3 if a == remote else 1 for a in range(4)])
+        sign = np.array(OUTCOMES)[:, leaking]
+        return joint_probability(rho, seq_wing, lam, dirs) + 0.01 * theta * sign / 8.0
 
     spec = xyz_spec(scenario, InequalityKind.G1, GHZ, (0.8, 1.0))
     assert no_signalling_audit(spec, prob_fn=leaky) > 1e-10
@@ -454,18 +456,29 @@ def test_audit_flags_a_signalling_model(scenario, leaking, remote):
 
 @pytest.mark.parametrize("nan_where", ["everywhere", "wing 1 along z"])
 def test_audit_fails_a_nan_model(nan_where):
-    def broken(rho, seq_wing, lam, dirs, outcomes):
-        if nan_where == "everywhere" or dirs[1] == Z_DIR:
-            return float("nan")
-        return joint_probability(rho, seq_wing, lam, dirs, outcomes)
+    def broken(rho, seq_wing, lam, dirs):
+        p = joint_probability(rho, seq_wing, lam, dirs)
+        assert dirs[1][2] == Z_DIR
+        if nan_where == "everywhere":
+            p[:] = float("nan")
+        else:
+            p[:, 2] = float("nan")
+        return p
 
     spec = xyz_spec(Scenario.A, InequalityKind.G1, GHZ, (0.8, 1.0))
     assert not no_signalling_audit(spec, prob_fn=broken) <= 1e-10
 
 
+@pytest.mark.parametrize("shape", [(3, 3, 3, 7), (216, 2), (1, 1, 1, 8)])
+def test_audit_rejects_a_table_of_the_wrong_size(shape):
+    spec = xyz_spec(Scenario.B, InequalityKind.G2, GHZ, (0.8, 1.0))
+    with pytest.raises(ValueError):
+        no_signalling_audit(spec, prob_fn=lambda *args: np.full(shape, 0.125))
+
+
 def test_the_default_audit_reads_one_stacked_table(monkeypatch):
-    # one grid of outcome stacks per observer, over its settings and the
-    # projective direction pairs, and never a probability at a time
+    # one joint_probability table per observer, over its settings and the
+    # projective direction pairs, from one grid of outcome stacks
     rng = np.random.default_rng(53)
     spec = ScenarioSpec(
         scenario=Scenario.B,
@@ -475,21 +488,25 @@ def test_the_default_audit_reads_one_stacked_table(monkeypatch):
     )
     unpatched = no_signalling_audit(spec)
     builds = Counter()
-    real_operators = cascade.joint_operators
+    tables = Counter()
+    real_operators = measurement.joint_operators
+    real_probability = cascade.joint_probability
 
     def counted_operators(*args):
         ops = real_operators(*args)
         builds[ops.shape] += 1
         return ops
 
-    def forbidden(*args):
-        raise AssertionError("the default audit asked for one outcome at a time")
+    def counted_probability(*args):
+        p = real_probability(*args)
+        tables[p.shape] += 1
+        return p
 
-    for module in (cascade, measurement):
-        monkeypatch.setattr(module, "joint_probability", forbidden, raising=False)
-    monkeypatch.setattr(cascade, "joint_operators", counted_operators)
+    monkeypatch.setattr(measurement, "joint_operators", counted_operators)
+    monkeypatch.setattr(cascade, "joint_probability", counted_probability)
     assert repr(no_signalling_audit(spec)) == repr(unpatched)
     assert builds == {(3, 3, 3, 8, 8, 8): len(spec.observers)}
+    assert tables == {(3, 3, 3, 8): len(spec.observers)}
 
 
 @settings(max_examples=30, deadline=None)
@@ -507,17 +524,18 @@ def test_stacked_audit_is_the_probability_loop_bit_for_bit(seed, scenario, kind,
         state=StateSpec(StateKind.CUSTOM, custom=random_mixed_state(rng)),
         observers=tuple(random_triple(rng, float(rng.uniform(0.05, 1.0))) for _ in range(n)),
     )
-    want = repr(no_signalling_audit(spec, prob_fn=joint_probability))
+    want = repr(no_signalling_audit(spec, prob_fn=reference_probability_table))
     assert repr(no_signalling_audit(spec)) == want
 
 
 def test_audit_asks_for_each_probability_once():
-    # 3 directions on each of the 3 wings x 8 outcome triples per observer
+    # one table per observer: its 3 directions and x, y, z on each
+    # projective wing, every outcome triple
     asked = Counter()
 
-    def counting(rho, seq_wing, lam, dirs, outcomes):
-        asked[lam, dirs, outcomes] += 1
-        return joint_probability(rho, seq_wing, lam, dirs, outcomes)
+    def counting(rho, seq_wing, lam, dirs):
+        asked[lam, dirs] += 1
+        return joint_probability(rho, seq_wing, lam, dirs)
 
     rng = np.random.default_rng(43)
     spec = ScenarioSpec(
@@ -527,13 +545,5 @@ def test_audit_asks_for_each_probability_once():
         observers=(random_triple(rng, 0.45), random_triple(rng, 0.7), random_triple(rng, 1.0)),
     )
     assert no_signalling_audit(spec, prob_fn=counting) <= 1e-10
-    assert sum(asked.values()) == 216 * len(spec.observers)
     xyz = (X_DIR, Y_DIR, Z_DIR)
-    assert set(asked) == {
-        (triple.lam, (d, *pair), outcomes)
-        for triple in spec.observers
-        for d in triple.directions
-        for pair in product(xyz, repeat=2)
-        for outcomes in product((1, -1), repeat=3)
-    }
-    assert set(asked.values()) == {1}
+    assert asked == {(triple.lam, (triple.directions, xyz, xyz)): 1 for triple in spec.observers}

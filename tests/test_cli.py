@@ -262,6 +262,22 @@ def test_unreadable_config_file_is_a_usage_error(capsys, tmp_path, body, message
     assert err.startswith(f"error: {message} {cfg}")
 
 
+def test_a_config_file_with_a_byte_order_mark_reads_as_one_without(capsys, tmp_path):
+    # a UTF-8 file may start with the mark ef bb bf; it is not a character
+    # of the first section header
+    body = b"[run]\nstate = w\nscenario = B\n[search]\ntol = 1e-3\n"
+    plain, marked = tmp_path / "plain.ini", tmp_path / "marked.ini"
+    plain.write_bytes(body)
+    marked.write_bytes(b"\xef\xbb\xbf" + body)
+    want = run(capsys, "table", "--config", str(plain))
+    assert want[0] == 0 and want[2] == ""
+    assert run(capsys, "table", "--config", str(marked)) == want
+    marked.write_bytes(b"\xef\xbb\xbf" + body.replace(b"w", b"\xff"))
+    code, out, err = run(capsys, "table", "--config", str(marked))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot parse config file {marked}")
+
+
 def test_config_optimizer_selects_grid_refine(capsys, tmp_path):
     cfg = tmp_path / "steer.ini"
     cfg.write_text("[search]\noptimizer = grid-refine\n")

@@ -105,7 +105,7 @@ def test_wings_outside_0_1_2_are_rejected(wing):
     with pytest.raises(ValueError, match="expected 0, 1 or 2"):
         selective_updates(rho, wing, SettingTriple.xyz(0.5))
     with pytest.raises(ValueError, match="expected 0, 1 or 2"):
-        joint_probability(rho, wing, 0.5, (Z_DIR, Z_DIR, Z_DIR), (1, 1, 1))
+        joint_probability(rho, wing, 0.5, ((Z_DIR,), (Z_DIR,), (Z_DIR,)))
 
 
 def test_luders_outcomes_sum_to_one():
@@ -192,15 +192,14 @@ def test_orthogonal_triple_shrinks_bloch_vector_isotropically():
 
 
 def test_joint_probabilities_form_a_distribution():
+    # every cell of the table, one per choice of directions, sums to 1
     rng = np.random.default_rng(12)
     rho = random_mixed_state(rng)
-    dirs = tuple(random_direction(rng) for _ in range(3))
-    probs = [
-        joint_probability(rho, 0, 0.66, dirs, outcomes)
-        for outcomes in product((1, -1), repeat=3)
-    ]
-    assert all(p >= -1e-12 for p in probs)
-    assert sum(probs) == pytest.approx(1.0, abs=1e-12)
+    dirs = [tuple(random_direction(rng) for _ in range(k)) for k in (2, 3, 1)]
+    probs = joint_probability(rho, 0, 0.66, dirs)
+    assert probs.shape == (2, 3, 1, 8)
+    assert np.all(probs >= -1e-12)
+    assert np.allclose(probs.sum(-1), 1.0, rtol=0, atol=1e-12)
 
 
 def test_correlation_moment_scales_with_sharpness():
@@ -373,20 +372,22 @@ def test_each_cell_of_an_outcome_table_is_the_per_operator_loop_bit_for_bit(seed
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_the_audit_table_and_joint_probability_are_their_own_traces_bit_for_bit(seed):
-    # both read outcome_table, and keep the bits of the trace expressions
-    # they had before: the audit's (216, 8, 8) stack and one 8x8 product
+    # joint_probability reads outcome_table, and keeps the bits of the
+    # trace expressions it had before: the audit's (216, 8, 8) stack and
+    # one 8x8 product per outcome of a single cell
     rng = np.random.default_rng(seed)
     rho = random_mixed_state(rng)
     seq_wing, triple = int(rng.integers(3)), random_triple(rng, float(rng.uniform(0.05, 1.0)))
     wing_dirs = [triple.directions if w == seq_wing else XYZ for w in range(3)]
     grid = joint_operators(seq_wing, triple.lam, wing_dirs)
     want = (grid.reshape(216, 8, 8) @ rho).trace(axis1=1, axis2=2).real
-    assert outcome_table((rho,), grid).reshape(-1).tobytes() == want.tobytes()
-    dirs = tuple(random_direction(rng) for _ in range(3))
-    ops = joint_operators(seq_wing, triple.lam, [(d,) for d in dirs])[0, 0, 0]
-    for op, outcomes in zip(ops, OUTCOMES):
-        got = joint_probability(rho, seq_wing, triple.lam, dirs, outcomes)
-        assert repr(got) == repr(float((op @ rho).trace().real))
+    got = joint_probability(rho, seq_wing, triple.lam, wing_dirs)
+    assert got.shape == (3, 3, 3, 8)
+    assert got.reshape(-1).tobytes() == want.tobytes()
+    dirs = [(random_direction(rng),) for _ in range(3)]
+    ops = joint_operators(seq_wing, triple.lam, dirs)[0, 0, 0]
+    got = joint_probability(rho, seq_wing, triple.lam, dirs)[0, 0, 0]
+    assert [repr(p) for p in got.tolist()] == [repr(float((op @ rho).trace().real)) for op in ops]
 
 
 def _spread_table(rng, count):
@@ -424,10 +425,3 @@ def test_the_branch_totals_are_added_left_to_right_from_zero():
     table[0] = [1e16, 1.0, -1e16]
     for wings in WING_SUBSETS:
         assert table_correlation(table, wings) == 0.0
-
-
-@pytest.mark.parametrize("outcomes", [(1, 0, 1), (1, -1), (1, 1, 1, 1), (2, 1, -1)])
-def test_joint_probability_rejects_an_outcome_outside_plus_minus_one(outcomes):
-    rho = build_state(GHZ)
-    with pytest.raises(ValueError, match="outcomes must be three of"):
-        joint_probability(rho, 0, 0.5, (Z_DIR, Z_DIR, Z_DIR), outcomes)

@@ -184,3 +184,15 @@ def test_load_names_a_file_that_is_not_utf8(tmp_path):
     path.write_bytes(path.read_text().encode("utf-16"))
     with pytest.raises(StateFormatError, match=f"^{re.escape(str(path))}: not UTF-8 text"):
         load_state_file(path)
+
+
+def test_load_reads_past_a_byte_order_mark(tmp_path):
+    # a UTF-8 file may start with the mark ef bb bf; it is not part of the
+    # first entry, and a marked file that is not UTF-8 is still named
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    save_state_file(plain, ghz_state())
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert load_state_file(marked).tobytes() == load_state_file(plain).tobytes()
+    marked.write_bytes(b"\xef\xbb\xbf\xff" + plain.read_bytes())
+    with pytest.raises(StateFormatError, match=f"^{re.escape(str(marked))}: not UTF-8 text"):
+        load_state_file(marked)

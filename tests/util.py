@@ -327,6 +327,23 @@ def reference_joint_operator(seq_wing, lam, dirs, outcomes):
     return np.kron(np.kron(ops[0], ops[1]), ops[2])
 
 
+def reference_probability_table(rho, seq_wing, lam, dirs):
+    """joint_probability as a loop over every choice of one direction per
+    wing from dirs and every outcome triple, one operator and one trace
+    each: 216 probabilities for the audit's three directions per wing.
+
+    This is the per-probability loop the audit ran for a model passed as
+    prob_fn, kept literally and read through reference_joint_operator,
+    never joint_probability, so that the default audit's table can be
+    checked against it bit for bit.
+    """
+    return np.array([
+        float((reference_joint_operator(seq_wing, lam, choice, o) @ rho).trace().real)
+        for choice in product(*dirs)
+        for o in OUTCOMES
+    ]).reshape(tuple(map(len, dirs)) + (8,))
+
+
 def left_sum(values):
     """values added left to right from 0.0: what builtin sum does with
     floats up to Python 3.11; from 3.12 on, sum compensates."""
