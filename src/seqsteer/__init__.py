@@ -8,42 +8,10 @@ inequalities; searches find how weak a measurement can be while still
 violating, and how long the chain can get.
 """
 
-from .qop import (
-    BlochDirection,
-    X_DIR,
-    Y_DIR,
-    Z_DIR,
-    direction_observable,
-    effect_sqrt,
-    tensor3,
-)
-from .states import (
-    GHZ,
-    W,
-    StateFormatError,
-    StateKind,
-    StateSpec,
-    build_state,
-    custom_spec,
-    ghz_state,
-    load_state_file,
-    w_state,
-)
-from .measurement import (
-    SettingTriple,
-    averaged_channel,
-    bloch_shrink_factor,
-    effect,
-    joint_probability,
-    selective_updates,
-)
-from .inequalities import (
-    InequalityKind,
-    SteeringDirection,
-    Term,
-    evaluate,
-    required_terms,
-)
+from .qop import BlochDirection
+from .states import GHZ, W, StateFormatError, StateKind, StateSpec, build_state
+from .measurement import SettingTriple, bloch_shrink_factor, joint_probability
+from .inequalities import InequalityKind, SteeringDirection
 from .cascade import (
     CascadeResult,
     Scenario,
@@ -51,8 +19,6 @@ from .cascade import (
     no_signalling_audit,
     run_cascade,
     run_cascade_oracle,
-    states_along,
-    value_from_state,
     xyz_spec,
 )
 from .search import (
@@ -83,35 +49,17 @@ __all__ = [
     "StateKind",
     "StateSpec",
     "SteeringDirection",
-    "Term",
     "ThresholdTable",
     "W",
-    "X_DIR",
-    "Y_DIR",
-    "Z_DIR",
-    "averaged_channel",
     "bloch_shrink_factor",
     "build_state",
     "build_table",
-    "custom_spec",
     "direction_coefficients",
-    "direction_observable",
-    "effect",
-    "effect_sqrt",
-    "evaluate",
-    "ghz_state",
     "joint_probability",
-    "load_state_file",
     "no_signalling_audit",
     "optimize_angles",
-    "required_terms",
     "run_cascade",
     "run_cascade_oracle",
-    "selective_updates",
-    "states_along",
-    "tensor3",
     "threshold_lambda",
-    "value_from_state",
-    "w_state",
     "xyz_spec",
 ]

@@ -31,7 +31,7 @@ from .measurement import (
     selective_updates,
     table_correlation,
 )
-from .qop import I2, XYZ, direction_observable, tensor3
+from .qop import I2, XYZ, tensor3
 from .states import StateSpec, build_state
 
 ORACLE_MAX_OBSERVERS = 4
@@ -45,10 +45,10 @@ class Scenario(Enum):
     def sequential_wing(self):
         return 0 if self is Scenario.A else 2
 
-# n.sigma along x, y, z from direction_observable, not the exact Paulis:
-# the last bits of direction_coefficients depend on its cos(pi/2) terms.
-# One stack on the sequential wing gives a slot term's three operators.
-_SIGMAS = np.stack([direction_observable(d) for d in XYZ])
+# n.sigma along x, y, z from BlochDirection.observable, not the exact
+# Paulis: the last bits of direction_coefficients depend on its cos(pi/2)
+# terms. One stack on the sequential wing gives a slot term's three operators.
+_SIGMAS = np.stack([d.observable for d in XYZ])
 _SIGMAS.flags.writeable = False
 
 
@@ -132,7 +132,7 @@ def value_from_terms(terms, inequality, triple):
     sharpness, because the unsharp observable's moment operator is
     lam times the spin component.
     """
-    units = [d.unit_vector() for d in triple.directions]
+    units = [d.unit_vector for d in triple.directions]
     return evaluate(inequality, {
         ops: x if slot is None else float(units[slot] @ x) * triple.lam
         for ops, (slot, x) in terms.items()

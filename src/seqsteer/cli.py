@@ -42,7 +42,7 @@ from .search import (
     optimize_angles,
     threshold_lambda,
 )
-from .states import GHZ, W, StateKind, custom_spec
+from .states import GHZ, W, StateKind, StateSpec, load_state_file
 
 AUDIT_BOUND = 1e-10
 
@@ -67,7 +67,7 @@ def _parse_state(text):
         path = text[len("custom:") :]
         if not path:
             raise UsageError("custom state needs a path: --state custom:<path>")
-        return custom_spec(path)
+        return StateSpec(StateKind.CUSTOM, load_state_file(path))
     raise UsageError(
         f"unknown state {text!r}; expected ghz, w or custom:<path>"
     )

@@ -55,47 +55,36 @@ class BlochDirection:
         if not 0.0 <= self.phi <= 2 * np.pi + 1e-12:
             raise ValueError(f"phi must lie in [0, 2*pi], got {self.phi}")
 
-    # Each direction builds its arrays once, on first use, into its own
-    # __dict__, so fields, eq, hash and repr are untouched. A cache shared
-    # between equal directions would not do: BlochDirection(0.0, 0.0) ==
-    # BlochDirection(-0.0, 0.0), but their unit vectors differ in the
-    # sign of zero.
+    # Each direction builds its unit vector, n.sigma and both projectors
+    # once, on first use, into its own __dict__, so fields, eq, hash and
+    # repr are untouched, and every later read returns the same read-only
+    # array. A cache shared between equal directions would not do:
+    # BlochDirection(0.0, 0.0) == BlochDirection(-0.0, 0.0), but their
+    # unit vectors differ in the sign of zero.
 
     @cached_property
-    def _unit(self):
+    def unit_vector(self):
+        """Cartesian components (sin t cos p, sin t sin p, cos t)."""
         st = np.sin(self.theta)
         return _read_only(
             np.array([st * np.cos(self.phi), st * np.sin(self.phi), np.cos(self.theta)])
         )
 
     @cached_property
-    def _observable(self):
-        n = self._unit
+    def observable(self):
+        """Spin component n.sigma, Hermitian with eigenvalues +1 and -1."""
+        n = self.unit_vector
         return _read_only(n[0] * _PAULI["X"] + n[1] * _PAULI["Y"] + n[2] * _PAULI["Z"])
 
     @cached_property
     def _projectors(self):
-        return {a: _read_only((I2 + a * self._observable) / 2) for a in (1, -1)}
-
-    def unit_vector(self):
-        """Cartesian components (sin t cos p, sin t sin p, cos t), as an
-        array shared by every call on this direction and read-only."""
-        return self._unit
+        return {a: _read_only((I2 + a * self.observable) / 2) for a in (1, -1)}
 
 
 X_DIR = BlochDirection(np.pi / 2, 0.0)
 Y_DIR = BlochDirection(np.pi / 2, np.pi / 2)
 Z_DIR = BlochDirection(0.0, 0.0)
 XYZ = (X_DIR, Y_DIR, Z_DIR)
-
-
-def direction_observable(d: BlochDirection):
-    """Spin component observable n.sigma for the direction d.
-
-    Hermitian with eigenvalues +1 and -1. Built once per direction: every
-    call on d returns the same read-only array.
-    """
-    return d._observable
 
 
 def projector(d: BlochDirection, outcome):

@@ -62,6 +62,8 @@ class SearchConfig:
     def __post_init__(self):
         if not MIN_TOL <= self.tol < 1.0:
             raise ValueError(f"tol must lie in [2**-53 = {MIN_TOL:.3g}, 1), got {self.tol}")
+        if not isinstance(self.optimizer, Optimizer):
+            raise ValueError(f"optimizer must be an Optimizer, got {self.optimizer!r}")
 
 
 def direction_coefficients(rho, scenario, inequality, lam):
@@ -125,7 +127,7 @@ def _best_direction(vec):
     """
     best, low = None, math.inf
     for d in _AXES + (_direction_from_vector(-vec),):
-        value = float(d.unit_vector() @ vec)
+        value = float(d.unit_vector @ vec)
         if value < low - 1e-15:
             best, low = d, value
     return best, low

@@ -30,6 +30,8 @@ class StateSpec:
     custom: object = None
 
     def __post_init__(self):
+        if not isinstance(self.kind, StateKind):
+            raise ValueError(f"state kind must be a StateKind, got {self.kind!r}")
         if self.kind is StateKind.CUSTOM:
             if self.custom is None:
                 raise ValueError("custom state requires an 8x8 density matrix")
@@ -58,27 +60,18 @@ GHZ = StateSpec(StateKind.GHZ)
 W = StateSpec(StateKind.W)
 
 
-def ghz_state():
-    """Projector onto (|000> + |111>)/sqrt(2)."""
-    psi = np.zeros(8, dtype=complex)
-    psi[0] = psi[7] = 1 / np.sqrt(2)
-    return np.outer(psi, psi.conj())
-
-
-def w_state():
-    """Projector onto (|001> + |010> + |100>)/sqrt(3)."""
-    psi = np.zeros(8, dtype=complex)
-    psi[1] = psi[2] = psi[4] = 1 / np.sqrt(3)
-    return np.outer(psi, psi.conj())
-
-
 def build_state(spec: StateSpec):
-    """Materialize the 8x8 density matrix for a StateSpec."""
+    """Materialize the 8x8 density matrix for a StateSpec: the projector
+    onto (|000> + |111>)/sqrt(2) for GHZ, onto (|001> + |010> + |100>)/sqrt(3)
+    for W, or a copy of the custom matrix."""
+    if spec.kind is StateKind.CUSTOM:
+        return np.array(spec.custom, dtype=complex)
+    psi = np.zeros(8, dtype=complex)
     if spec.kind is StateKind.GHZ:
-        return ghz_state()
-    if spec.kind is StateKind.W:
-        return w_state()
-    return np.array(spec.custom, dtype=complex)
+        psi[0] = psi[7] = 1 / np.sqrt(2)
+    else:
+        psi[1] = psi[2] = psi[4] = 1 / np.sqrt(3)
+    return np.outer(psi, psi.conj())
 
 
 class StateFormatError(ValueError):
@@ -120,7 +113,3 @@ def load_state_file(path):
         raise StateFormatError(str(exc)) from None
     return mat
 
-
-def custom_spec(path):
-    """StateSpec for a density matrix loaded from a file."""
-    return StateSpec(StateKind.CUSTOM, load_state_file(path))

@@ -18,11 +18,8 @@ from seqsteer import (
     SettingTriple,
     StateKind,
     StateSpec,
-    averaged_channel,
     bloch_shrink_factor,
     build_table,
-    effect,
-    effect_sqrt,
     no_signalling_audit,
     run_cascade,
     run_cascade_oracle,
@@ -30,6 +27,8 @@ from seqsteer import (
 )
 from seqsteer import cascade
 from seqsteer.cascade import ORACLE_MAX_OBSERVERS
+from seqsteer.measurement import averaged_channel, effect
+from seqsteer.qop import effect_sqrt
 from util import (
     TABLE_CASES,
     bloch_vector,

@@ -14,15 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqsteer import (
-    InequalityKind,
-    Scenario,
-    SearchConfig,
-    averaged_channel,
-    bloch_shrink_factor,
-    required_terms,
-    value_from_state,
-)
+from seqsteer import InequalityKind, Scenario, SearchConfig, bloch_shrink_factor
+from seqsteer.cascade import value_from_state
+from seqsteer.inequalities import required_terms
+from seqsteer.measurement import averaged_channel
 from util import (
     TABLE_CASES,
     pauli,
@@ -52,7 +47,7 @@ def bloch_map(triple):
     """The averaged channel on one wing's index of T: the I row is kept and
     r -> F r + (1 - F)/3 sum_s n_s n_s^T r, F = sqrt(1 - lam^2)."""
     f = np.sqrt(1.0 - triple.lam**2)
-    units = [d.unit_vector() for d in triple.directions]
+    units = [d.unit_vector for d in triple.directions]
     m = np.eye(4)
     m[1:, 1:] = f * np.eye(3) + (1.0 - f) / 3.0 * sum(np.outer(n, n) for n in units)
     return m
@@ -65,7 +60,7 @@ def linear_form(kind, seq_wing, triple):
     axis elsewhere, and lam times the observer's setting direction on the
     sequential wing, whose symbol numbers the setting (X, Y, Z as 1, 2, 3).
     """
-    units = [d.unit_vector() for d in triple.directions]
+    units = [d.unit_vector for d in triple.directions]
     form = np.zeros((4, 4, 4))
     for term in required_terms(kind):
         vectors = []

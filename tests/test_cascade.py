@@ -20,26 +20,22 @@ from seqsteer import (
     SettingTriple,
     StateKind,
     StateSpec,
-    X_DIR,
-    Y_DIR,
-    Z_DIR,
     bloch_shrink_factor,
     build_state,
     direction_coefficients,
-    ghz_state,
     joint_probability,
     no_signalling_audit,
     optimize_angles,
     run_cascade,
     run_cascade_oracle,
-    states_along,
     threshold_lambda,
-    value_from_state,
     xyz_spec,
 )
 from seqsteer import cascade, measurement
+from seqsteer.cascade import states_along, value_from_state
 from seqsteer.inequalities import required_terms, resolve
 from seqsteer.measurement import OUTCOMES, selective_updates
+from seqsteer.qop import X_DIR, Y_DIR, Z_DIR
 from seqsteer.search import _coefficients, _settings_and_value
 from util import (
     FROZEN_CHAINS,
@@ -159,7 +155,7 @@ def test_value_from_state_rejects_correlations_outside_the_unit_range():
     # twice a state is not a state: its ('I', 'Z', 'Z') correlation is 2,
     # and term_expectations, the one trace every walk goes through,
     # refuses it, so the optimized directions never score it either
-    rho, kind = 2 * ghz_state(), InequalityKind.G1
+    rho, kind = 2 * build_state(GHZ), InequalityKind.G1
     message = r"expectation for \('I', 'Z', 'Z'\) out of \[-1, 1\]"
     with pytest.raises(ValueError, match=message):
         value_from_state(rho, Scenario.A, kind, SettingTriple.xyz(1.0))

@@ -13,9 +13,8 @@ from seqsteer import (
     SettingTriple,
     build_state,
     build_table,
-    ghz_state,
-    value_from_state,
 )
+from seqsteer.cascade import value_from_state
 from seqsteer.cli import main
 from seqsteer.qop import XYZ
 from util import save_state_file
@@ -140,7 +139,7 @@ def test_conflicting_direction_and_ineq(capsys):
 
 def test_custom_state_file(capsys, tmp_path):
     path = tmp_path / "ghz.txt"
-    save_state_file(path, ghz_state())
+    save_state_file(path, build_state(GHZ))
     code, out, _ = run(
         capsys, "cascade", "--state", f"custom:{path}", "--ineq", "g1",
         "--lambdas", "1.0", "--format", "json",
@@ -152,7 +151,7 @@ def test_custom_state_file(capsys, tmp_path):
 
 def test_custom_state_requires_ineq(capsys, tmp_path):
     path = tmp_path / "ghz.txt"
-    save_state_file(path, ghz_state())
+    save_state_file(path, build_state(GHZ))
     code, _, err = run(capsys, "cascade", "--state", f"custom:{path}")
     assert code == 2
     assert "--ineq" in err
@@ -168,7 +167,7 @@ def test_malformed_state_file_is_a_runtime_error(capsys, tmp_path):
 
 def test_state_file_that_is_not_utf8_is_a_malformed_state(capsys, tmp_path):
     path = tmp_path / "utf16.txt"
-    save_state_file(path, ghz_state())
+    save_state_file(path, build_state(GHZ))
     path.write_bytes(path.read_text().encode("utf-16"))
     code, out, err = run(capsys, "cascade", "--state", f"custom:{path}", "--ineq", "g1")
     assert code == 1 and out == ""
@@ -178,7 +177,7 @@ def test_state_file_that_is_not_utf8_is_a_malformed_state(capsys, tmp_path):
 @pytest.mark.parametrize("entry", ["nan+0j", "inf+0j"])
 def test_non_finite_state_file_is_a_malformed_state(capsys, tmp_path, entry):
     path = tmp_path / "corrupt.txt"
-    save_state_file(path, ghz_state())
+    save_state_file(path, build_state(GHZ))
     rows = path.read_text().splitlines()
     rows[0] = " ".join([entry] + rows[0].split()[1:])
     path.write_text("\n".join(rows) + "\n")

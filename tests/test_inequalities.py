@@ -1,13 +1,7 @@
 import pytest
 
-from seqsteer import (
-    InequalityKind,
-    SteeringDirection,
-    Term,
-    evaluate,
-    required_terms,
-)
-from seqsteer.inequalities import resolve
+from seqsteer import InequalityKind, SteeringDirection
+from seqsteer.inequalities import Term, evaluate, required_terms, resolve
 
 EXPECTED_TERM_COUNTS = {
     InequalityKind.G1: 7,

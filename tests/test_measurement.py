@@ -9,20 +9,20 @@ from seqsteer import (
     GHZ,
     BlochDirection,
     SettingTriple,
-    X_DIR,
-    Y_DIR,
-    Z_DIR,
-    averaged_channel,
     bloch_shrink_factor,
     build_state,
-    direction_observable,
-    effect,
     joint_probability,
-    selective_updates,
-    tensor3,
 )
-from seqsteer.measurement import OUTCOMES, joint_operators, outcome_table, table_correlation
-from seqsteer.qop import XYZ, projector
+from seqsteer.measurement import (
+    OUTCOMES,
+    averaged_channel,
+    effect,
+    joint_operators,
+    outcome_table,
+    selective_updates,
+    table_correlation,
+)
+from seqsteer.qop import XYZ, X_DIR, Y_DIR, Z_DIR, projector, tensor3
 from util import (
     bloch_vector,
     left_sum,
@@ -244,7 +244,7 @@ def test_correlation_on_every_wing_subset_is_a_trace():
         lam = float(rng.uniform(0.05, 1.0))
         dirs = tuple(random_direction(rng) for _ in range(3))
         for seq_wing in range(3):
-            obs = [direction_observable(d) for d in dirs]
+            obs = [d.observable for d in dirs]
             obs[seq_wing] = lam * obs[seq_wing]
             for wings in subsets:
                 mats = [obs[w] if w in wings else np.eye(2) for w in range(3)]

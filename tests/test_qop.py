@@ -1,20 +1,24 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from seqsteer import (
-    BlochDirection,
+from seqsteer import BlochDirection
+from seqsteer.cascade import _SIGMAS
+from seqsteer.measurement import effect
+from seqsteer.qop import (
+    I2,
     X_DIR,
     Y_DIR,
     Z_DIR,
-    direction_observable,
-    effect,
+    _PAULI,
     effect_sqrt,
+    projector,
     tensor3,
+    validate_density,
 )
-from seqsteer.cascade import _SIGMAS
-from seqsteer.qop import _PAULI, I2, projector, validate_density
 from util import (
     partial_trace,
     pauli,
@@ -46,15 +50,15 @@ def test_pauli_rejects_unknown_axis():
 
 
 def test_cardinal_directions_recover_paulis():
-    assert np.allclose(direction_observable(X_DIR), pauli("x"))
-    assert np.allclose(direction_observable(Y_DIR), pauli("y"))
-    assert np.allclose(direction_observable(Z_DIR), pauli("z"))
+    assert np.allclose(X_DIR.observable, pauli("x"))
+    assert np.allclose(Y_DIR.observable, pauli("y"))
+    assert np.allclose(Z_DIR.observable, pauli("z"))
 
 
 @given(angles)
 def test_direction_observable_is_a_spin_component(angle):
     d = BlochDirection(*angle)
-    obs = direction_observable(d)
+    obs = d.observable
     assert np.allclose(obs, obs.conj().T)
     # eigenvalues of n.sigma are exactly +1 and -1
     evals = np.sort(np.linalg.eigvalsh(obs))
@@ -63,13 +67,26 @@ def test_direction_observable_is_a_spin_component(angle):
 
 def test_direction_arrays_are_built_once_and_read_only():
     d = BlochDirection(0.7, 2.1)
-    assert d.unit_vector() is d.unit_vector()
-    assert direction_observable(d) is direction_observable(d)
+    assert d.unit_vector is d.unit_vector
+    assert d.observable is d.observable
     assert projector(d, 1) is projector(d, 1)
     assert projector(d, -1) is projector(d, -1)
-    for a in (d.unit_vector(), direction_observable(d), projector(d, 1), projector(d, -1)):
+    for a in (d.unit_vector, d.observable, projector(d, 1), projector(d, -1)):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0.0
+
+
+def test_direction_attributes_cannot_be_rebound():
+    # the cached arrays are attributes of a frozen direction, so neither
+    # assigning nor deleting one can hand later reads another array
+    d = BlochDirection(0.7, 2.1)
+    for name in ("unit_vector", "observable"):
+        before = getattr(d, name)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(d, name, np.zeros_like(before))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(d, name)
+        assert getattr(d, name) is before
 
 
 def test_identity_and_paulis_are_read_only():
@@ -90,9 +107,9 @@ def test_equal_directions_keep_their_own_signed_zeros():
     # so no direction may be handed another one's arrays
     plus, minus = BlochDirection(0.0, 0.0), BlochDirection(-0.0, 0.0)
     assert plus == minus and hash(plus) == hash(minus)
-    assert not np.signbit(plus.unit_vector()[:2]).any()
-    direction_observable(plus)
-    assert np.signbit(minus.unit_vector()[:2]).all()
+    assert not np.signbit(plus.unit_vector[:2]).any()
+    plus.observable
+    assert np.signbit(minus.unit_vector[:2]).all()
     assert np.signbit(minus.theta)
     assert plus == minus
 
@@ -100,7 +117,7 @@ def test_equal_directions_keep_their_own_signed_zeros():
 def test_direction_eq_hash_and_repr_ignore_the_cache():
     fresh, used = BlochDirection(1.1, 0.4), BlochDirection(1.1, 0.4)
     before = (hash(used), repr(used))
-    direction_observable(used)
+    used.observable
     projector(used, -1)
     assert used == fresh and fresh == used
     assert (hash(used), repr(used)) == before == (hash(fresh), repr(fresh))
@@ -214,7 +231,7 @@ def test_partial_trace_is_trace_preserving():
 )
 def test_effect_sqrt_squares_to_the_effect(angle, lam, outcome):
     d = BlochDirection(*angle)
-    obs = direction_observable(d)
+    obs = d.observable
     proj = (np.eye(2) + outcome * obs) / 2
     target = lam * proj + (1 - lam) * np.eye(2) / 2
     root = effect_sqrt(d, lam, outcome)
@@ -226,7 +243,7 @@ def test_effect_sqrt_squares_to_the_effect(angle, lam, outcome):
 @example(angle=(0.015625, 0.0), lam=1.0)
 def test_effect_sqrt_agrees_with_eigendecomposition(angle, lam):
     d = BlochDirection(*angle)
-    obs = direction_observable(d)
+    obs = d.observable
     proj = (np.eye(2) + obs) / 2
     target = lam * proj + (1 - lam) * np.eye(2) / 2
     # eigh's eigenvectors with the exact eigenvalues, in its ascending

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from seqsteer import (
     GHZ,
     W,
-    Z_DIR,
     BlochDirection,
     InequalityKind,
     Optimizer,
@@ -29,12 +28,11 @@ from seqsteer import (
     build_table,
     direction_coefficients,
     optimize_angles,
-    states_along,
     threshold_lambda,
-    value_from_state,
     xyz_spec,
 )
-from seqsteer.cascade import term_expectations
+from seqsteer.cascade import states_along, term_expectations, value_from_state
+from seqsteer.qop import Z_DIR
 from seqsteer.search import (
     LAMBDA_FLOOR,
     MIN_TOL,
@@ -258,7 +256,7 @@ def test_direction_decomposition_matches_direct_value():
     for _ in range(10):
         triple = random_triple(rng, 0.85)
         via = base + sum(
-            float(d.unit_vector() @ v) for d, v in zip(triple.directions, vecs)
+            float(d.unit_vector @ v) for d, v in zip(triple.directions, vecs)
         )
         direct = value_from_state(rho, Scenario.B, InequalityKind.W2, triple)
         assert via == pytest.approx(direct, abs=1e-12)
@@ -318,6 +316,14 @@ def test_angle_grid_validation():
     ):
         with pytest.raises(TypeError):
             SearchConfig(**knob)
+
+
+@pytest.mark.parametrize("optimizer", ["fixed-xyz", "grid-refine", "nonsense", None])
+def test_search_config_rejects_an_optimizer_that_is_not_an_optimizer(optimizer):
+    # any value but Optimizer.FIXED_XYZ would otherwise run the
+    # closed-form optimum, the string "fixed-xyz" included
+    with pytest.raises(ValueError, match="Optimizer"):
+        SearchConfig(optimizer=optimizer)
 
 
 @settings(max_examples=40, deadline=None)

@@ -12,18 +12,15 @@ from seqsteer import (
     StateKind,
     StateSpec,
     build_state,
-    custom_spec,
-    ghz_state,
-    load_state_file,
     run_cascade,
-    w_state,
     xyz_spec,
 )
+from seqsteer.states import load_state_file
 from util import partial_trace, random_pure_state, save_state_file
 
 
 def test_ghz_amplitudes():
-    rho = ghz_state()
+    rho = build_state(GHZ)
     assert rho[0, 0] == pytest.approx(0.5)
     assert rho[7, 7] == pytest.approx(0.5)
     assert rho[0, 7] == pytest.approx(0.5)
@@ -32,7 +29,7 @@ def test_ghz_amplitudes():
 
 
 def test_w_amplitudes():
-    rho = w_state()
+    rho = build_state(W)
     for k in (1, 2, 4):
         assert rho[k, k] == pytest.approx(1 / 3)
     assert abs(np.trace(rho) - 1.0) < 1e-15
@@ -41,15 +38,28 @@ def test_w_amplitudes():
 
 def test_w_state_single_qubit_marginals():
     # each qubit of the W state is excited with probability 1/3
-    rho = w_state()
+    rho = build_state(W)
     for wing in range(3):
         reduced = partial_trace(rho, wing)
         assert reduced[1, 1] == pytest.approx(1 / 3)
 
 
 def test_build_state_dispatch():
-    assert np.allclose(build_state(GHZ), ghz_state())
-    assert np.allclose(build_state(W), w_state())
+    # each built-in kind is the projector onto its own vector, bit for bit
+    for spec, ones, norm in ((GHZ, [0, 7], np.sqrt(2)), (W, [1, 2, 4], np.sqrt(3))):
+        psi = np.zeros(8, dtype=complex)
+        psi[ones] = 1 / norm
+        assert build_state(spec).tobytes() == np.outer(psi, psi.conj()).tobytes()
+    custom = StateSpec(StateKind.CUSTOM, np.eye(8) / 8)
+    assert build_state(custom).tobytes() == custom.custom.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["ghz", "w", "custom", None, 0])
+def test_state_spec_rejects_a_kind_that_is_not_a_state_kind(kind):
+    # a bare value would pass for no kind at all, and build_state would
+    # hand run_cascade a NaN scalar in place of a state
+    with pytest.raises(ValueError, match="StateKind"):
+        StateSpec(kind)
 
 
 def test_custom_spec_requires_matrix():
@@ -69,7 +79,7 @@ def test_custom_spec_validates_density():
     with pytest.raises(ValueError, match=r"^custom state must be 8x8, got \(4, 4\)$"):
         StateSpec(StateKind.CUSTOM, custom=np.eye(4) / 4)
     for entry in (np.nan, np.inf):
-        corrupt = ghz_state()
+        corrupt = build_state(GHZ)
         corrupt[0, 7] = entry
         with pytest.raises(ValueError, match="^custom state has a non-finite entry"):
             StateSpec(StateKind.CUSTOM, custom=corrupt)
@@ -86,16 +96,16 @@ def test_save_load_round_trip(tmp_path):
 
 def test_custom_spec_from_file(tmp_path):
     path = tmp_path / "ghz.txt"
-    save_state_file(path, ghz_state())
-    spec = custom_spec(path)
+    save_state_file(path, build_state(GHZ))
+    spec = StateSpec(StateKind.CUSTOM, load_state_file(path))
     assert spec.kind is StateKind.CUSTOM
-    assert np.allclose(build_state(spec), ghz_state())
+    assert np.allclose(build_state(spec), build_state(GHZ))
 
 
 def test_custom_spec_keeps_its_own_read_only_copy():
     # the spec describes the state it validated, whatever the caller later
     # writes into the array it passed in
-    a = ghz_state()
+    a = build_state(GHZ)
     spec = StateSpec(StateKind.CUSTOM, a)
 
     def values():
@@ -105,24 +115,24 @@ def test_custom_spec_keeps_its_own_read_only_copy():
     assert np.allclose(before, (-0.2453, -0.4642), atol=1e-4)
     a[0, 0] = 5.0
     assert values() == before
-    a[:] = w_state()
+    a[:] = build_state(W)
     assert values() == before
     with pytest.raises(ValueError, match="read-only"):
         spec.custom[0, 0] = 5.0
     built = build_state(spec)
     built[0, 0] = 5.0
-    assert spec.custom[0, 0] == ghz_state()[0, 0]
+    assert spec.custom[0, 0] == build_state(GHZ)[0, 0]
 
 
 def test_custom_specs_compare_and_hash_by_their_bits():
-    a = StateSpec(StateKind.CUSTOM, ghz_state())
-    b = StateSpec(StateKind.CUSTOM, ghz_state())
+    a = StateSpec(StateKind.CUSTOM, build_state(GHZ))
+    b = StateSpec(StateKind.CUSTOM, build_state(GHZ))
     assert a == b and hash(a) == hash(b)
     assert {a: "ghz"}[b] == "ghz"
-    assert a != StateSpec(StateKind.CUSTOM, w_state())
+    assert a != StateSpec(StateKind.CUSTOM, build_state(W))
     assert a != GHZ and GHZ != a
     # -0.0 == 0.0, but a hash of the bits tells them apart, so eq must too
-    signed = ghz_state()
+    signed = build_state(GHZ)
     signed[0, 1] = -0.0
     assert StateSpec(StateKind.CUSTOM, signed) != a
     # so does a chain on a custom state
@@ -180,7 +190,7 @@ def test_load_rejects_invalid_density(tmp_path):
 def test_load_names_a_file_that_is_not_utf8(tmp_path):
     # a UTF-16 file starts with the bytes ff fe, which UTF-8 cannot decode
     path = tmp_path / "utf16.txt"
-    save_state_file(path, ghz_state())
+    save_state_file(path, build_state(GHZ))
     path.write_bytes(path.read_text().encode("utf-16"))
     with pytest.raises(StateFormatError, match=f"^{re.escape(str(path))}: not UTF-8 text"):
         load_state_file(path)
@@ -190,7 +200,7 @@ def test_load_reads_past_a_byte_order_mark(tmp_path):
     # a UTF-8 file may start with the mark ef bb bf; it is not part of the
     # first entry, and a marked file that is not UTF-8 is still named
     plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
-    save_state_file(plain, ghz_state())
+    save_state_file(plain, build_state(GHZ))
     marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
     assert load_state_file(marked).tobytes() == load_state_file(plain).tobytes()
     marked.write_bytes(b"\xef\xbb\xbf\xff" + plain.read_bytes())

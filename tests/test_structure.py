@@ -179,19 +179,27 @@ def _names_used(path):
     return used
 
 
+# types the workflow hands its callers without their naming them
+_RECEIVED = {
+    "CascadeResult",
+    "SearchError",
+    "StateFormatError",
+    "SteeringDirection",
+    "ThresholdTable",
+}
+
+
 def test_every_exported_name_has_a_caller_outside_the_tests():
-    # a name only tests call is test scaffolding; it belongs in tests/util.py
-    # and not in the public surface
+    # the public surface is the paper's workflow, what the demos and the
+    # benchmark call plus the types they receive; a name only the package
+    # or the tests use stays importable from its own module instead
     root = PACKAGE.parents[1]
-    paths = [
-        path
-        for folder in (PACKAGE, root / "demos", root / "bench")
-        for path in sorted(folder.glob("*.py"))
-        if path != PACKAGE / "__init__.py"
-    ]
+    paths = [p for folder in ("demos", "bench") for p in sorted((root / folder).glob("*.py"))]
     used = set().union(*map(_names_used, paths))
-    unused = sorted(set(importlib.import_module("seqsteer").__all__) - used)
-    assert not unused, f"__all__ names with no caller in src/, demos/ or bench/: {unused}"
+    exported = set(importlib.import_module("seqsteer").__all__)
+    assert _RECEIVED <= exported
+    unused = sorted(exported - used - _RECEIVED)
+    assert not unused, f"__all__ names with no caller in demos/ or bench/: {unused}"
 
 
 def test_the_ladder_row_is_spelled_once():

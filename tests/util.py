@@ -24,10 +24,9 @@ from seqsteer import (
     StateKind,
     StateSpec,
     build_state,
-    states_along,
     xyz_spec,
 )
-from seqsteer.cascade import term_expectations
+from seqsteer.cascade import states_along, term_expectations
 from seqsteer.inequalities import check_expectation, required_terms, resolve
 from seqsteer.measurement import (
     OUTCOMES,
@@ -39,7 +38,6 @@ from seqsteer.measurement import (
 from seqsteer.qop import (
     I2,
     XYZ,
-    direction_observable,
     effect_sqrt,
     projector,
     resolve_wing,
@@ -453,7 +451,7 @@ def reference_term_expectations(rho, inequality, seq_wing):
     This is the loop that the stacked trace replaced, kept literally so
     that the stacked trace can be checked against it bit for bit.
     """
-    sigmas = tuple(direction_observable(d) for d in XYZ)
+    sigmas = tuple(d.observable for d in XYZ)
     table = {}
     for term in required_terms(inequality):
         axes = resolve(term.ops)
