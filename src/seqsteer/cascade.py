@@ -14,13 +14,12 @@ explicitly and marginalizes at the probability level.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .inequalities import InequalityKind, check_expectation, evaluate, required_terms, resolve
+from .inequalities import InequalityKind, check_expectation, evaluate, required_terms
 from .measurement import (
     OUTCOMES,
     SettingTriple,
@@ -31,7 +30,7 @@ from .measurement import (
     selective_updates,
     table_correlation,
 )
-from .qop import I2, XYZ, tensor3
+from .qop import I2, XYZ, require_type, tensor3
 from .states import StateSpec, build_state
 
 ORACLE_MAX_OBSERVERS = 4
@@ -68,6 +67,10 @@ class ScenarioSpec:
         # an empty chain is allowed as a search prefix; running a cascade
         # or an audit on it is rejected by require_observers
         object.__setattr__(self, "observers", tuple(self.observers))
+        require_type("scenario", Scenario, self.scenario)
+        require_type("inequality", InequalityKind, self.inequality)
+        require_type("state", StateSpec, self.state)
+        require_type("observer", SettingTriple, *self.observers)
 
     @property
     def sequential_wing(self):
@@ -104,7 +107,7 @@ def xyz_spec(scenario, inequality, state, lambdas):
 def term_expectations(rho, inequality, seq_wing):
     """Each term of the functional traced once on rho, as ops -> (slot, x).
 
-    slot is resolve's axis of the sequential wing; x is the term's
+    slot is the term's axis on the sequential wing; x is the term's
     expectation when slot is None, and otherwise the 3-vector of its
     expectations with sigma_x, sigma_y, sigma_z on the sequential wing,
     sharpness not applied. Any traced value outside [-1, 1] raises
@@ -112,9 +115,8 @@ def term_expectations(rho, inequality, seq_wing):
     """
     table = {}
     for term in required_terms(inequality):
-        axes = resolve(term.ops)
-        slot = axes[seq_wing]
-        mats = [I2 if a is None else _SIGMAS[a] for a in axes]
+        slot = term.axes[seq_wing]
+        mats = [I2 if a is None else _SIGMAS[a] for a in term.axes]
         if slot is not None:
             mats[seq_wing] = _SIGMAS
         x = (rho @ tensor3(*mats)).trace(axis1=-2, axis2=-1).real
@@ -169,18 +171,6 @@ class CascadeResult:
         not count as detection."""
         return tuple(v < 0.0 for v in self.values)
 
-    def to_json(self):
-        doc = {
-            "inequality": self.inequality.value,
-            "observers": [
-                {"observer": m, "lambda": lam, "value": value, "detected": bool(flag)}
-                for m, (lam, value, flag) in enumerate(
-                    zip(self.lambdas, self.values, self.detected), start=1
-                )
-            ],
-        }
-        return json.dumps(doc, indent=2)
-
 
 def run_cascade(spec: ScenarioSpec) -> CascadeResult:
     """Channel-path evaluation of every observer in the chain."""
@@ -228,7 +218,7 @@ def run_cascade_oracle(spec: ScenarioSpec) -> CascadeResult:
     # bits of the values that oracle_bits.json pins
     readings = {}
     for term in required_terms(spec.inequality):
-        axes = resolve(term.ops)
+        axes = term.axes
         cell = tuple((0 if w == seq_wing else 2) if a is None else a for w, a in enumerate(axes))
         readings[term.ops] = cell, tuple(w for w, a in enumerate(axes) if a is not None)
     branches = build_state(spec.state)[None]

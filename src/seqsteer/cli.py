@@ -33,7 +33,6 @@ import sys
 from .cascade import Scenario, no_signalling_audit, run_cascade, xyz_spec
 from .inequalities import InequalityKind, SteeringDirection
 from .search import (
-    MIN_TOL,
     Optimizer,
     SearchConfig,
     SearchError,
@@ -109,9 +108,10 @@ def _parse_tol(text):
         tol = float(text)
     except ValueError:
         raise UsageError(f"cannot parse tolerance {text!r} as a number")
-    if not MIN_TOL <= tol < 1.0:
-        raise UsageError(f"tolerance {tol} outside [2**-53 = {MIN_TOL:.3g}, 1)")
-    return tol
+    try:
+        return SearchConfig(tol=tol).tol
+    except ValueError as exc:
+        raise UsageError(exc)
 
 
 def _parse_out(text):
@@ -241,17 +241,19 @@ def _chain_lambdas(opts):
 # _render alone picks which of them is printed.
 def _cmd_cascade(opts):
     result = run_cascade(_spec_from(opts, _chain_lambdas(opts)))
+    doc = {"inequality": result.inequality.value, "observers": []}
     csv = ["observer,lambda,value,detected"]
     text = [
         f"inequality {result.inequality.value}, state {opts['state'].kind.value}, "
         f"scenario {opts['scenario'].value}"
     ]
     rows = zip(result.lambdas, result.values, result.detected)
-    for m, (lam, value, detected) in enumerate(rows, start=1):
-        csv.append(f"{m},{lam:.6f},{value:.6f},{str(detected).lower()}")
-        word = "violation" if detected else "no violation"
+    for m, (lam, value, flag) in enumerate(rows, start=1):
+        doc["observers"].append({"observer": m, "lambda": lam, "value": value, "detected": flag})
+        csv.append(f"{m},{lam:.6f},{value:.6f},{str(flag).lower()}")
+        word = "violation" if flag else "no violation"
         text.append(f"observer {m}: lambda={lam:.6f}  value={value:+.6f}  {word}")
-    return result.to_json(), csv, text, 0
+    return doc, csv, text, 0
 
 
 def _cmd_threshold(opts):

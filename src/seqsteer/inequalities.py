@@ -14,7 +14,7 @@ Term symbols per wing:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 
@@ -39,10 +39,20 @@ class InequalityKind(Enum):
         return SteeringDirection.TWO_TO_ONE
 
 
+# Each symbol's axis (0, 1, 2 for x, y, z): a fixed Pauli's, or a
+# numbered setting's at the published optimum. A Term's axes, fixed when
+# it is built, are its wings' in wing order, None where it skips a wing.
+_AXIS = {"X": 0, "Y": 1, "Z": 2, "A1": 0, "A2": 1, "A3": 2, "B1": 0, "B2": 1, "B3": 2}
+
+
 @dataclass(frozen=True)
 class Term:
     coeff: float
     ops: tuple  # (wing0 symbol, wing1 symbol, wing2 symbol)
+    axes: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "axes", tuple(None if s == "I" else _AXIS[s] for s in self.ops))
 
 
 # The paper's coefficients under its names: g_alpha and 1/3 in g1, alpha
@@ -136,18 +146,6 @@ def required_terms(kind: InequalityKind) -> tuple:
     """Every correlation term the functional needs, with signed
     coefficients, as a tuple of Terms; the value is 1 plus their sum."""
     return _TERMS[kind]
-
-
-# Each symbol's axis (0, 1, 2 for x, y, z): a fixed Pauli's, or a
-# numbered setting's at the published optimum.
-_AXIS = {"X": 0, "Y": 1, "Z": 2, "A1": 0, "A2": 1, "A3": 2, "B1": 0, "B2": 1, "B3": 2}
-
-
-def resolve(ops):
-    """What one term measures: each wing's axis in wing order, 0, 1 or 2
-    for x, y or z, and None where the term skips the wing. On the
-    sequential wing the axis is the observer's setting slot."""
-    return tuple(None if sym == "I" else _AXIS[sym] for sym in ops)
 
 
 def check_expectation(ops, e):

@@ -23,6 +23,7 @@ from .qop import (
     BlochDirection,
     effect_sqrt,
     projector,
+    require_type,
     resolve_wing,
     tensor3,
     validate_density,
@@ -41,6 +42,7 @@ class SettingTriple:
         object.__setattr__(self, "directions", tuple(self.directions))
         if len(self.directions) != 3:
             raise ValueError(f"a triple needs three directions, got {len(self.directions)}")
+        require_type("direction", BlochDirection, *self.directions)
         if not 0.0 < self.lam <= 1.0:
             raise ValueError(f"sharpness must lie in (0, 1], got {self.lam}")
 

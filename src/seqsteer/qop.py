@@ -39,6 +39,13 @@ def resolve_wing(wing):
     return int(wing)
 
 
+def require_type(name, cls, *values):
+    """Raise ValueError naming the argument unless every value is a cls."""
+    for value in values:
+        if not isinstance(value, cls):
+            raise ValueError(f"{name} must be of type {cls.__name__}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class BlochDirection:
     """A unit direction on the Bloch sphere, polar angle theta in [0, pi]

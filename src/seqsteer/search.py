@@ -17,10 +17,10 @@ from typing import ClassVar
 
 import numpy as np
 
-from .cascade import Scenario, states_along, term_expectations, value_from_terms
-from .inequalities import required_terms
+from .cascade import Scenario, ScenarioSpec, states_along, term_expectations, value_from_terms
+from .inequalities import InequalityKind, required_terms
 from .measurement import SettingTriple, averaged_channel
-from .qop import BlochDirection, X_DIR, Y_DIR, Z_DIR
+from .qop import BlochDirection, X_DIR, Y_DIR, Z_DIR, require_type
 from .states import build_state
 
 # Smallest sharpness probed.  Exactly zero is not a valid measurement
@@ -62,8 +62,7 @@ class SearchConfig:
     def __post_init__(self):
         if not MIN_TOL <= self.tol < 1.0:
             raise ValueError(f"tol must lie in [2**-53 = {MIN_TOL:.3g}, 1), got {self.tol}")
-        if not isinstance(self.optimizer, Optimizer):
-            raise ValueError(f"optimizer must be an Optimizer, got {self.optimizer!r}")
+        require_type("optimizer", Optimizer, self.optimizer)
 
 
 def direction_coefficients(rho, scenario, inequality, lam):
@@ -79,6 +78,8 @@ def direction_coefficients(rho, scenario, inequality, lam):
     with vecs a list of three length-3 arrays; the sharpness lam is
     already folded into the vectors.
     """
+    require_type("scenario", Scenario, scenario)
+    require_type("inequality", InequalityKind, inequality)
     terms = term_expectations(rho, inequality, scenario.sequential_wing)
     return _coefficients(terms, inequality, lam)
 
@@ -275,7 +276,7 @@ def build_table(scenario, inequality, state, config=None):
     "none" row, or at config.max_rows if every row keeps violating.
     """
     config = config or SearchConfig()
-    seq = scenario.sequential_wing
+    seq = ScenarioSpec(scenario, inequality, state, ()).sequential_wing
     rho = build_state(state)
     rows = []
     for m in range(1, config.max_rows + 1):

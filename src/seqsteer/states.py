@@ -7,7 +7,7 @@ from enum import Enum
 
 import numpy as np
 
-from .qop import validate_density
+from .qop import require_type, validate_density
 
 
 class StateKind(Enum):
@@ -30,8 +30,7 @@ class StateSpec:
     custom: object = None
 
     def __post_init__(self):
-        if not isinstance(self.kind, StateKind):
-            raise ValueError(f"state kind must be a StateKind, got {self.kind!r}")
+        require_type("state kind", StateKind, self.kind)
         if self.kind is StateKind.CUSTOM:
             if self.custom is None:
                 raise ValueError("custom state requires an 8x8 density matrix")

@@ -6,6 +6,7 @@ import pytest
 from seqsteer import (
     GHZ,
     W,
+    CascadeResult,
     InequalityKind,
     Optimizer,
     Scenario,
@@ -461,6 +462,25 @@ def test_cascade_reports_an_observer_that_does_not_violate(capsys, fmt):
         capsys, "cascade", "--state", "w", "--ineq", "w1", "--lambdas", "0.3", "--format", fmt
     )
     assert (code, out, err) == (0, NO_VIOLATION_CASCADE[fmt], "")
+
+
+def test_cascade_json_does_not_count_a_zero_value_as_detected(capsys, monkeypatch):
+    result = CascadeResult(InequalityKind.G1, (1.0,), (0.0,))
+    monkeypatch.setattr("seqsteer.cli.run_cascade", lambda spec: result)
+    code, out, err = run(capsys, "cascade", "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["observers"][0]["detected"] is False
+    assert '"detected": false' in out
+
+
+def test_tol_range_is_search_configs_own(capsys):
+    # the range is checked once, in SearchConfig, and the CLI reports its verdict
+    with pytest.raises(ValueError) as exc:
+        SearchConfig(tol=1e-16)
+    code, out, err = run(capsys, "cascade", "--tol", "1e-16")
+    assert (code, out) == (2, "")
+    assert err == f"error: {exc.value}\n"
+    assert err == "error: tol must lie in [2**-53 = 1.11e-16, 1), got 1e-16\n"
 
 
 def test_threshold_json_when_no_sharpness_violates(capsys):

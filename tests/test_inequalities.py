@@ -1,7 +1,23 @@
+import dataclasses
+
+import numpy as np
 import pytest
 
-from seqsteer import InequalityKind, SteeringDirection
-from seqsteer.inequalities import Term, evaluate, required_terms, resolve
+from seqsteer import (
+    W,
+    InequalityKind,
+    Optimizer,
+    Scenario,
+    ScenarioSpec,
+    SearchConfig,
+    SteeringDirection,
+    build_table,
+    run_cascade,
+    run_cascade_oracle,
+)
+from seqsteer import inequalities
+from seqsteer.inequalities import Term, evaluate, required_terms
+from util import TABLE_CASES, random_triple
 
 EXPECTED_TERM_COUNTS = {
     InequalityKind.G1: 7,
@@ -27,9 +43,40 @@ def test_every_term_is_unique(kind):
 def test_resolve_gives_each_wings_axis_in_wing_order():
     # a numbered setting's axis is its slot, so the sequential observer's
     # slot is its wing's entry, whichever wing hosts the chain
-    assert resolve(("A3", "Z", "I")) == (2, 2, None)
-    assert resolve(("A1", "B2", "Y")) == (0, 1, 1)
-    assert resolve(("I", "I", "X")) == (None, None, 0)
+    assert Term(1.0, ("A3", "Z", "I")).axes == (2, 2, None)
+    assert Term(1.0, ("A1", "B2", "Y")).axes == (0, 1, 1)
+    assert Term(1.0, ("I", "I", "X")).axes == (None, None, 0)
+
+
+def test_a_terms_axes_take_no_part_in_its_identity():
+    term = Term(-0.5, ("A1", "B2", "Y"))
+    assert repr(term) == "Term(coeff=-0.5, ops=('A1', 'B2', 'Y'))"
+    assert term == Term(-0.5, ("A1", "B2", "Y"))
+    assert hash(term) == hash((-0.5, ("A1", "B2", "Y")))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        term.axes = (None, None, None)
+
+
+def test_each_terms_axes_are_fixed_when_the_table_is_built(monkeypatch):
+    # _AXIS is read only while the functional table is built, so emptying
+    # it afterwards moves no ladder byte and no chain value bit
+    rng = np.random.default_rng(24)
+    chain = ScenarioSpec(
+        Scenario.B, InequalityKind.W2, W, tuple(random_triple(rng, lam) for lam in (0.6, 0.8, 1.0))
+    )
+
+    def outputs():
+        ladders = [
+            build_table(scenario, kind, state, SearchConfig(optimizer=optimizer)).to_json()
+            for state, scenario, kind in TABLE_CASES
+            for optimizer in Optimizer
+        ]
+        values = [[repr(v) for v in run(chain).values] for run in (run_cascade, run_cascade_oracle)]
+        return ladders, values
+
+    unpatched = outputs()
+    monkeypatch.setattr(inequalities, "_AXIS", {})
+    assert outputs() == unpatched
 
 
 def test_direction_pairing():

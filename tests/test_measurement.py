@@ -61,6 +61,12 @@ def test_triple_requires_three_directions(directions):
         SettingTriple(directions, 0.5)
 
 
+@pytest.mark.parametrize("directions", [("x", "y", "z"), (X_DIR, Y_DIR, (0.0, 0.0))])
+def test_triple_rejects_a_direction_that_is_not_a_bloch_direction(directions):
+    with pytest.raises(ValueError, match="BlochDirection"):
+        SettingTriple(directions, 0.5)
+
+
 @settings(max_examples=60)
 @given(angles, lams)
 def test_povm_completeness(angle, lam):

@@ -326,6 +326,20 @@ def test_search_config_rejects_an_optimizer_that_is_not_an_optimizer(optimizer):
         SearchConfig(optimizer=optimizer)
 
 
+@pytest.mark.parametrize(
+    "scenario,inequality,state",
+    [("A", InequalityKind.G1, GHZ), (Scenario.A, "g1", GHZ), (Scenario.A, InequalityKind.G1, "ghz")],
+)
+def test_a_column_of_the_wrong_type_is_rejected(scenario, inequality, state):
+    # each would otherwise fail deep inside the walk, with a KeyError or
+    # an AttributeError
+    with pytest.raises(ValueError, match="must be of type"):
+        build_table(scenario, inequality, state)
+    if state is GHZ:
+        with pytest.raises(ValueError, match="must be of type"):
+            direction_coefficients(build_state(GHZ), scenario, inequality, 1.0)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),

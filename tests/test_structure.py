@@ -150,7 +150,7 @@ _SYMBOLS = ("I", "X", "Y", "Z", "A1", "A2", "A3", "B1", "B2", "B3")
 
 
 def test_the_inequalities_module_reads_every_term_symbol():
-    # inequalities.resolve turns a term's symbols into each wing's axis,
+    # each Term turns its symbols into each wing's axis when it is built,
     # so every other layer reads axes and a new symbol is one table entry
     assert _comparisons_against(ast.parse((PACKAGE / "inequalities.py").read_text()), _SYMBOLS)
     readers = {

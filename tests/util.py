@@ -27,7 +27,7 @@ from seqsteer import (
     xyz_spec,
 )
 from seqsteer.cascade import states_along, term_expectations
-from seqsteer.inequalities import check_expectation, required_terms, resolve
+from seqsteer.inequalities import check_expectation, required_terms
 from seqsteer.measurement import (
     OUTCOMES,
     effect,
@@ -454,9 +454,8 @@ def reference_term_expectations(rho, inequality, seq_wing):
     sigmas = tuple(d.observable for d in XYZ)
     table = {}
     for term in required_terms(inequality):
-        axes = resolve(term.ops)
-        slot = axes[seq_wing]
-        mats = [I2 if a is None else sigmas[a] for a in axes]
+        slot = term.axes[seq_wing]
+        mats = [I2 if a is None else sigmas[a] for a in term.axes]
         if slot is None:
             x = float(np.trace(rho @ tensor3(*mats)).real)
         else:
