@@ -197,9 +197,10 @@ def run_cascade_oracle(spec: ScenarioSpec) -> CascadeResult:
     chain as one (6^m, 8, 8) stack of unnormalized states, each setting
     weighted 1/3, and each (direction, outcome) update is applied to the
     whole stack at once. Each observer's joint operators are built as one
-    grid over its directions and x, y, z on both projective wings; each
-    cell a term reads has its eight operators traced against the whole
-    stack in one product, into an outcome table every such term shares.
+    grid over its directions and x, y, z on both projective wings; the
+    eight operators of every cell the terms read are traced against the
+    whole stack in one outcome_table call, and each cell's table is
+    shared by every term that reads it.
     Cost grows as 6^(n-1), so chains longer than ORACLE_MAX_OBSERVERS
     are refused.
     """
@@ -221,11 +222,13 @@ def run_cascade_oracle(spec: ScenarioSpec) -> CascadeResult:
         axes = term.axes
         cell = tuple((0 if w == seq_wing else 2) if a is None else a for w, a in enumerate(axes))
         readings[term.ops] = cell, tuple(w for w, a in enumerate(axes) if a is not None)
+    cells = sorted({s for s, _ in readings.values()})
     branches = build_state(spec.state)[None]
     values = []
     for m, triple in enumerate(spec.observers):
         grid = joint_operators(seq_wing, triple.lam, _wing_directions(seq_wing, triple))
-        tables = {s: outcome_table(branches, grid[s]) for s in {s for s, _ in readings.values()}}
+        stacked = outcome_table(branches, grid[tuple(zip(*cells))])
+        tables = dict(zip(cells, stacked))
         weight = (1.0 / 3.0) ** m
         values.append(evaluate(spec.inequality, {
             ops: weight * table_correlation(tables[s], wings)

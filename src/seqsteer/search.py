@@ -75,11 +75,13 @@ def direction_coefficients(rho, scenario, inequality, lam):
         base + sum_i  n_i . vec_i
 
     where n_i is the unit vector of setting i.  Returns (base, vecs)
-    with vecs a list of three length-3 arrays; the sharpness lam is
-    already folded into the vectors.
+    with vecs a list of three length-3 arrays; the sharpness lam, in
+    (0, 1], is already folded into the vectors.
     """
     require_type("scenario", Scenario, scenario)
     require_type("inequality", InequalityKind, inequality)
+    if not 0.0 < lam <= 1.0:
+        raise ValueError(f"sharpness must lie in (0, 1], got {lam}")
     terms = term_expectations(rho, inequality, scenario.sequential_wing)
     return _coefficients(terms, inequality, lam)
 

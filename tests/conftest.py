@@ -17,9 +17,12 @@ def tables():
 
 
 def pytest_report_header(config):
-    """The interpreter and numpy running, beside those the bit pins (the
-    goldens, FROZEN_* values and *_bits.json files) were recorded on."""
+    """The interpreter, numpy and BLAS running, beside those the bit pins
+    (the goldens, FROZEN_* values and *_bits.json files) were recorded
+    on; outcome_table's padding keeps the bits of that BLAS's kernel."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return (
-        f"python {platform.python_version()}, numpy {np.__version__}; "
-        "bit pins recorded on python 3.11.7, numpy 2.4.6"
+        f"python {platform.python_version()}, numpy {np.__version__}, "
+        f"{blas['name']} {blas['version']}; bit pins recorded on python 3.11.7, "
+        "numpy 2.4.6, scipy-openblas 0.3.31.188.0"
     )

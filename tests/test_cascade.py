@@ -300,9 +300,10 @@ def test_stacked_branch_growth_is_the_list_bit_for_bit(seed, count, seq_wing, la
 def test_the_oracle_updates_and_traces_whole_stacks(monkeypatch):
     # per grown observer, one selective_updates on the whole stack, not
     # one per branch or per (direction, outcome); per observer, one grid of
-    # joint operators, and one stacked product of the eight operators of
-    # each distinct cell the terms read against the whole branch stack,
-    # shared by every term that reads the cell, however many branches
+    # joint operators, and one outcome_table call that traces the eight
+    # operators of every distinct cell the terms read against the whole
+    # branch stack, each cell's table shared by every term that reads it,
+    # however many branches
     rng = np.random.default_rng(47)
     lams = (0.4, 0.6, 0.8, 1.0)
     spec = ScenarioSpec(
@@ -312,7 +313,7 @@ def test_the_oracle_updates_and_traces_whole_stacks(monkeypatch):
         observers=tuple(random_triple(rng, lam) for lam in lams),
     )
     unpatched = run_cascade_oracle(spec)
-    updates, builds, traced = Counter(), Counter(), Counter()
+    updates, builds, traced = Counter(), Counter(), []
     real_update = cascade.selective_updates
     real_operators = cascade.joint_operators
     real_table = cascade.outcome_table
@@ -327,8 +328,8 @@ def test_the_oracle_updates_and_traces_whole_stacks(monkeypatch):
         return ops
 
     def counted_table(rhos, ops):
-        # outcome_table makes one product per call; count the cells it reads
-        traced[rhos.shape] += np.reshape(ops, (-1, 8, 8, 8)).shape[0]
+        # record each call's branch stack and the cells it reads
+        traced.append((rhos.shape, np.reshape(ops, (-1, 8, 8, 8)).shape[0]))
         return real_table(rhos, ops)
 
     monkeypatch.setattr(cascade, "selective_updates", counted_update)
@@ -344,12 +345,14 @@ def test_the_oracle_updates_and_traces_whole_stacks(monkeypatch):
         for axes in (t.axes for t in required_terms(spec.inequality))
     }
     assert len(settings) < len(required_terms(spec.inequality))
-    assert traced == {(6**m, 8, 8): len(settings) for m in range(len(lams))}
+    assert traced == [((6**m, 8, 8), len(settings)) for m in range(len(lams))]
 
 
 def test_the_oracle_holds_one_cells_product_at_a_time():
-    # the last of 4 observers reads 216 branches; a product over all of a
-    # grid's cells at once would hold several MB per cell read
+    # the last of 4 observers reads 216 branches; its one outcome_table
+    # call forms only the diagonals of the cells the terms read, a
+    # (8, 8 * cells, 216) product (peak 3.5 MiB here), where the full 8x8
+    # blocks of every such cell at once would hold several MB per cell
     rng = np.random.default_rng(53)
     spec = ScenarioSpec(
         scenario=Scenario.B,

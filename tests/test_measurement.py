@@ -36,6 +36,7 @@ from util import (
     reference_joint_operator,
     reference_outcome_table,
     reference_table_correlation,
+    reference_wide_outcome_table,
     stacked_correlation,
 )
 
@@ -373,6 +374,27 @@ def test_each_cell_of_an_outcome_table_is_the_per_operator_loop_bit_for_bit(seed
     for idx in np.ndindex(*sizes):
         assert table[idx].tobytes() == reference_outcome_table(rhos, grid[idx]).tobytes()
     assert outcome_table(rhos, grid[0, 0]).tobytes() == table[0, 0].tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    ops_count=st.integers(min_value=1, max_value=64),
+    count=st.integers(min_value=1, max_value=300),
+    bare=st.booleans(),
+)
+def test_the_diagonal_only_table_is_the_wide_product_bit_for_bit(seed, ops_count, count, bare):
+    # forming only the diagonals keeps the bits of the full product, for
+    # operator and state counts that are not multiples of 8 and for a
+    # bare (8, 8) operator
+    rng = np.random.default_rng(seed)
+    rhos = np.array([random_mixed_state(rng) for _ in range(count)])
+    ops = rng.normal(size=(ops_count, 8, 8)) + 1j * rng.normal(size=(ops_count, 8, 8))
+    if bare:
+        ops = ops[0]
+    table = outcome_table(rhos, ops)
+    assert table.shape == ops.shape[:-2] + (count,)
+    assert table.tobytes() == reference_wide_outcome_table(rhos, ops).tobytes()
 
 
 @settings(max_examples=30, deadline=None)

@@ -340,6 +340,23 @@ def test_a_column_of_the_wrong_type_is_rejected(scenario, inequality, state):
             direction_coefficients(build_state(GHZ), scenario, inequality, 1.0)
 
 
+@pytest.mark.parametrize("lam", [5.0, math.nan, -1.0, 0.0, 1.0 + 1e-12, math.inf])
+def test_direction_coefficients_rejects_a_sharpness_outside_the_unit_interval(lam):
+    # the same message as SettingTriple and effect; 5.0 used to return
+    # five times the projective vectors and NaN gave NaN vectors
+    with pytest.raises(ValueError, match=r"sharpness must lie in \(0, 1\]"):
+        direction_coefficients(build_state(GHZ), Scenario.A, InequalityKind.G1, lam)
+
+
+@pytest.mark.parametrize("lam", [1.0, 1e-9])
+def test_direction_coefficients_accepts_the_ends_of_the_unit_interval(lam):
+    base, vecs = direction_coefficients(build_state(GHZ), Scenario.A, InequalityKind.G1, lam)
+    _, projective = direction_coefficients(build_state(GHZ), Scenario.A, InequalityKind.G1, 1.0)
+    assert np.isfinite(base)
+    for v, p in zip(vecs, projective):
+        assert np.allclose(v, lam * p, rtol=0, atol=1e-15)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),

@@ -388,6 +388,21 @@ def reference_outcome_table(rhos, ops):
     ])
 
 
+def reference_wide_outcome_table(rhos, ops):
+    """outcome_table as one full product of every operator with the
+    states laid side by side, (8K, 8) @ (8, 8n), whose 8x8 blocks'
+    diagonals are summed as trace sums them.
+
+    This is the product that the diagonal-only one replaced, kept
+    literally so that the table can be checked against it bit for bit.
+    """
+    rhos = np.asarray(rhos)
+    wide = rhos.transpose(1, 0, 2).reshape(8, -1)
+    blocks = (np.reshape(ops, (-1, 8, 8)) @ wide).reshape(-1, 8, len(rhos), 8)
+    traces = np.ascontiguousarray(blocks.diagonal(0, 1, 3)).sum(-1).real
+    return traces.reshape(np.shape(ops)[:-2] + (-1,))
+
+
 def reference_table_correlation(table, wings):
     """table_correlation as a loop over the eight rows, each added with
     its sign to every state's running total.
