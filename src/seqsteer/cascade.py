@@ -196,11 +196,12 @@ def run_cascade_oracle(spec: ScenarioSpec) -> CascadeResult:
     The branches over predecessor settings and outcomes grow along the
     chain as one (6^m, 8, 8) stack of unnormalized states, each setting
     weighted 1/3, and each (direction, outcome) update is applied to the
-    whole stack at once. Each observer's joint operators are built as one
-    grid over its directions and x, y, z on both projective wings; the
-    eight operators of every cell the terms read are traced against the
-    whole stack in one outcome_table call, and each cell's table is
-    shared by every term that reads it.
+    whole stack at once. Of an observer's grid, its directions on the
+    sequential wing and x, y, z on both projective ones, joint_operators
+    builds only the cells the terms read; their eight operators each are
+    traced against the whole stack in one outcome_table call, each
+    cell's table shared by every term that reads it, and all the terms'
+    signed sums are one table_correlation call.
     Cost grows as 6^(n-1), so chains longer than ORACLE_MAX_OBSERVERS
     are refused.
     """
@@ -217,22 +218,23 @@ def run_cascade_oracle(spec: ScenarioSpec) -> CascadeResult:
     # skipped wing is marginalized, so any direction serves; the first
     # setting on the sequential wing and z on the others keep the last
     # bits of the values that oracle_bits.json pins
-    readings = {}
-    for term in required_terms(spec.inequality):
-        axes = term.axes
-        cell = tuple((0 if w == seq_wing else 2) if a is None else a for w, a in enumerate(axes))
-        readings[term.ops] = cell, tuple(w for w, a in enumerate(axes) if a is not None)
-    cells = sorted({s for s, _ in readings.values()})
+    terms = required_terms(spec.inequality)
+    reads = [
+        tuple((0 if w == seq_wing else 2) if a is None else a for w, a in enumerate(t.axes))
+        for t in terms
+    ]
+    wings = [tuple(w for w, a in enumerate(t.axes) if a is not None) for t in terms]
+    cells = sorted(set(reads))
+    index = tuple(zip(*cells))  # one index array per wing
+    rows = [cells.index(cell) for cell in reads]
     branches = build_state(spec.state)[None]
     values = []
     for m, triple in enumerate(spec.observers):
-        grid = joint_operators(seq_wing, triple.lam, _wing_directions(seq_wing, triple))
-        stacked = outcome_table(branches, grid[tuple(zip(*cells))])
-        tables = dict(zip(cells, stacked))
+        ops = joint_operators(seq_wing, triple.lam, _wing_directions(seq_wing, triple), index)
+        tables = outcome_table(branches, ops)[rows]
         weight = (1.0 / 3.0) ** m
         values.append(evaluate(spec.inequality, {
-            ops: weight * table_correlation(tables[s], wings)
-            for ops, (s, wings) in readings.items()
+            t.ops: weight * x for t, x in zip(terms, table_correlation(tables, wings))
         }))
         if m + 1 < n:
             # a branch's six children sit together, in selective_updates order

@@ -22,7 +22,7 @@ from .qop import (
     XYZ,
     BlochDirection,
     effect_sqrt,
-    projector,
+    projector_stack,
     require_type,
     resolve_wing,
     tensor3,
@@ -57,12 +57,12 @@ class SettingTriple:
         return cls(XYZ, lam)
 
 
-def effect(d: BlochDirection, lam, outcome):
-    """Unsharp effect lam*P_a + (1-lam)*I/2 for outcome a = +1 or -1
-    along d, with lam in (0, 1]."""
+def effect(projectors, lam):
+    """Unsharp effects lam*P + (1-lam)*I/2 of a stack of projectors P,
+    shape (..., 2, 2), with lam in (0, 1]."""
     if not 0.0 < lam <= 1.0:
         raise ValueError(f"sharpness must lie in (0, 1], got {lam}")
-    return lam * projector(d, outcome) + (1 - lam) * I2 / 2
+    return lam * projectors + (1 - lam) * I2 / 2
 
 
 def selective_updates(rho, wing, triple: SettingTriple):
@@ -72,9 +72,8 @@ def selective_updates(rho, wing, triple: SettingTriple):
     directions[i] gave outcome (1, -1)[j], and its trace is that
     outcome's probability Tr[rho E]."""
     mats = [I2, I2, I2]
-    mats[resolve_wing(wing)] = [
-        effect_sqrt(d, triple.lam, a) for d in triple.directions for a in (1, -1)
-    ]
+    roots = effect_sqrt(projector_stack(triple.directions), triple.lam)
+    mats[resolve_wing(wing)] = roots.reshape(6, 2, 2)
     k = tensor3(*mats)  # the six Kraus operators as one stack
     return k @ np.expand_dims(rho, -3) @ k
 
@@ -105,34 +104,42 @@ def bloch_shrink_factor(lam):
 OUTCOMES = tuple(product((1, -1), repeat=3))
 
 
-def joint_operators(seq_wing, lam, dirs):
+def joint_operators(seq_wing, lam, dirs, cells):
     """The (8, 8, 8) stacks of the operators E (x) P (x) P of every
     outcome triple, the unsharp effect on seq_wing with sharpness lam and
     projectors elsewhere, row k for the triple OUTCOMES[k].
 
-    dirs holds one tuple of BlochDirections per wing, in wing order; the
-    result, shape (len(dirs[0]), len(dirs[1]), len(dirs[2]), 8, 8, 8),
-    has the stack of every combination, built as one tensor3 product over
-    one grid.
+    dirs holds one tuple of BlochDirections per wing and cells one array
+    of indices into each wing's tuple, both in wing order; the three
+    index arrays broadcast against each other into the cells, and the
+    result has their shape followed by (8, 8, 8). np.ix_ over every
+    wing's directions gives the full grid, shape (len(dirs[0]),
+    len(dirs[1]), len(dirs[2]), 8, 8, 8); three equal-length arrays give
+    just those cells. Each wing's factors are one projector_stack, its
+    effects on seq_wing, and every cell is one tensor3 product of them.
     """
     seq_wing = resolve_wing(seq_wing)
-    grid = []
-    for wing, wing_dirs in enumerate(dirs):
-        build = (lambda d, a: effect(d, lam, a)) if wing == seq_wing else projector
-        shape = [1] * 6 + [2, 2]  # setting axes, outcome axes, then the 2x2 factor
-        shape[wing], shape[3 + wing] = len(wing_dirs), 2
-        grid.append(np.reshape([[build(d, a) for a in (1, -1)] for d in wing_dirs], shape))
-    return tensor3(*grid).reshape(tuple(map(len, dirs)) + (8, 8, 8))
+    factors = []
+    for wing, (wing_dirs, index) in enumerate(zip(dirs, cells)):
+        stack = projector_stack(wing_dirs)
+        if wing == seq_wing:
+            stack = effect(stack, lam)
+        shape = [1, 1, 1, 2, 2]  # the outcome axes, then the 2x2 factor
+        shape[wing] = 2
+        factors.append(np.take(stack, index, axis=0).reshape(np.shape(index) + tuple(shape)))
+    ops = tensor3(*factors)
+    return ops.reshape(ops.shape[:-5] + (8, 8, 8))
 
 
 def joint_probability(rho, seq_wing, lam, dirs):
     """Probability Tr[(E (x) P (x) P) rho] of every outcome triple on the
     8x8 state rho for every combination of dirs, one tuple of
     BlochDirections per wing in wing order: the outcome_table of
-    joint_operators, which takes the other arguments, as a
+    joint_operators' full grid, as a
     (len(dirs[0]), len(dirs[1]), len(dirs[2]), 8) table whose last axis
     is in OUTCOMES order."""
-    return outcome_table((rho,), joint_operators(seq_wing, lam, dirs))[..., 0]
+    grid = np.ix_(*(range(len(d)) for d in dirs))
+    return outcome_table((rho,), joint_operators(seq_wing, lam, dirs, grid))[..., 0]
 
 
 def outcome_table(rhos, ops):
@@ -172,13 +179,16 @@ _SIGNS = {
 }
 
 
-def table_correlation(table, wings):
-    """Expectation of the product of the outcomes on wings (a tuple of
-    wing indices), every other wing marginalized, summed over the states
-    of an (8, n) outcome_table; on the unsharp wing it is lam times the
-    projective one, as E(+) - E(-) is lam * n.sigma. Each state's signed
-    sum over the outcomes is one ordered running total, and the totals are
-    added left to right from 0.0 (builtin sum compensates from 3.12 on)."""
-    totals = np.cumsum(_SIGNS[tuple(sorted(wings))] * table, axis=0)[-1]
-    return functools.reduce(operator.add, totals.tolist(), 0.0)
-
+def table_correlation(tables, wings):
+    """Expectations of the product of the outcomes on wings[t] (a tuple
+    of wing indices), every other wing marginalized, summed over the
+    states of tables[t], an (8, n) outcome_table, as a list with one
+    float per t; on the unsharp wing each is lam times the projective
+    one, as E(+) - E(-) is lam * n.sigma. Each state's eight signed
+    outcomes are added in order, row by row, and the states' totals in
+    one running total, left to right; 0.0 + it gives the bits, signed
+    zeros included, of adding them to 0.0 (builtin sum compensates from
+    3.12 on)."""
+    signs = np.array([_SIGNS[tuple(sorted(w))] for w in wings])
+    totals = functools.reduce(operator.add, (signs * tables).transpose(1, 0, 2))
+    return (0.0 + np.cumsum(totals, axis=1)[:, -1]).tolist()

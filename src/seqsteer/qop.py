@@ -85,7 +85,10 @@ class BlochDirection:
 
     @cached_property
     def _projectors(self):
-        return {a: _read_only((I2 + a * self.observable) / 2) for a in (1, -1)}
+        # the +1 and -1 projectors as one (2, 2, 2) stack, and each outcome's
+        # view of it
+        pair = _read_only(np.array([(I2 + a * self.observable) / 2 for a in (1, -1)]))
+        return pair, {1: pair[0], -1: pair[1]}
 
 
 X_DIR = BlochDirection(np.pi / 2, 0.0)
@@ -102,7 +105,14 @@ def projector(d: BlochDirection, outcome):
     """
     if outcome not in (1, -1):
         raise ValueError(f"outcome must be +1 or -1, got {outcome}")
-    return d._projectors[outcome]
+    return d._projectors[1][outcome]
+
+
+def projector_stack(directions):
+    """The +1 and -1 projectors along each direction as one stack, shape
+    (len(directions), 2, 2, 2): entry [i, j] is projector(directions[i],
+    (1, -1)[j])."""
+    return np.array([d._projectors[0] for d in directions])
 
 
 def tensor3(a, b, c):
@@ -127,22 +137,18 @@ def tensor3(a, b, c):
     return out.reshape(out.shape[:-6] + (8, 8))
 
 
-def effect_sqrt(d: BlochDirection, lam, outcome):
-    """Square root of the unsharp effect for outcome +1 or -1 along d.
+def effect_sqrt(projectors, lam):
+    """Square roots of the unsharp effects of a projector_stack, shape
+    (..., 2, 2, 2), axis -3 the outcome +1, -1.
 
     The effect lam*P_a + (1-lam)*I/2 is diagonal in the measurement basis,
     so its root is sqrt((1+lam)/2)*P_a + sqrt((1-lam)/2)*P_(-a) in closed
-    form, with P_a the projector onto outcome a.
-
-    Args:
-        d: measurement direction.
-        lam: sharpness in (0, 1].
-        outcome: +1 or -1.
+    form, with P_a the projector onto outcome a; lam lies in (0, 1].
     """
     if not 0.0 < lam <= 1.0:
         raise ValueError(f"sharpness must lie in (0, 1], got {lam}")
     root_a, root_b = np.sqrt((1 + lam) / 2), np.sqrt((1 - lam) / 2)
-    return root_a * projector(d, outcome) + root_b * projector(d, -outcome)
+    return root_a * projectors + root_b * projectors[..., ::-1, :, :]
 
 
 def validate_density(rho, name="state"):

@@ -28,7 +28,7 @@ from seqsteer import (
 from seqsteer import cascade
 from seqsteer.cascade import ORACLE_MAX_OBSERVERS
 from seqsteer.measurement import averaged_channel, effect
-from seqsteer.qop import effect_sqrt
+from seqsteer.qop import effect_sqrt, projector_stack
 from util import (
     TABLE_CASES,
     bloch_vector,
@@ -368,18 +368,17 @@ def test_properties_povm_completeness():
     for _ in range(50):
         d = random_direction(rng)
         lam = float(rng.uniform(0.01, 1.0))
-        assert np.allclose(effect(d, lam, 1) + effect(d, lam, -1), np.eye(2), atol=1e-12)
+        plus, minus = effect(projector_stack((d,)), lam)[0]
+        assert np.allclose(plus + minus, np.eye(2), atol=1e-12)
 
 
 def test_properties_effect_sqrt():
     rng = np.random.default_rng(102)
     for _ in range(50):
-        d = random_direction(rng)
+        pairs = projector_stack((random_direction(rng),))
         lam = float(rng.uniform(0.01, 1.0))
-        outcome = 1 if rng.integers(2) else -1
-        root = effect_sqrt(d, lam, outcome)
-        target = effect(d, lam, outcome)
-        assert np.allclose(root @ root, target, atol=1e-12)
+        roots, targets = effect_sqrt(pairs, lam), effect(pairs, lam)
+        assert np.allclose(roots @ roots, targets, atol=1e-12)
 
 
 def test_properties_channel_preserves_trace_and_hermiticity():

@@ -299,11 +299,11 @@ def test_stacked_branch_growth_is_the_list_bit_for_bit(seed, count, seq_wing, la
 
 def test_the_oracle_updates_and_traces_whole_stacks(monkeypatch):
     # per grown observer, one selective_updates on the whole stack, not
-    # one per branch or per (direction, outcome); per observer, one grid of
-    # joint operators, and one outcome_table call that traces the eight
-    # operators of every distinct cell the terms read against the whole
-    # branch stack, each cell's table shared by every term that reads it,
-    # however many branches
+    # one per branch or per (direction, outcome); per observer, one
+    # (C, 8, 8, 8) build of the joint operators of just the C distinct
+    # cells the terms read, not of the whole grid, and one outcome_table
+    # call that traces them against the whole branch stack, each cell's
+    # table shared by every term that reads it, however many branches
     rng = np.random.default_rng(47)
     lams = (0.4, 0.6, 0.8, 1.0)
     spec = ScenarioSpec(
@@ -313,7 +313,7 @@ def test_the_oracle_updates_and_traces_whole_stacks(monkeypatch):
         observers=tuple(random_triple(rng, lam) for lam in lams),
     )
     unpatched = run_cascade_oracle(spec)
-    updates, builds, traced = Counter(), Counter(), []
+    updates, builds, built_cells, traced = Counter(), Counter(), [], []
     real_update = cascade.selective_updates
     real_operators = cascade.joint_operators
     real_table = cascade.outcome_table
@@ -325,6 +325,7 @@ def test_the_oracle_updates_and_traces_whole_stacks(monkeypatch):
     def counted_operators(*args):
         ops = real_operators(*args)
         builds[ops.shape] += 1
+        built_cells.append(list(zip(*args[3])))
         return ops
 
     def counted_table(rhos, ops):
@@ -337,7 +338,6 @@ def test_the_oracle_updates_and_traces_whole_stacks(monkeypatch):
     monkeypatch.setattr(cascade, "outcome_table", counted_table)
     assert run_cascade_oracle(spec) == unpatched
     assert updates == {(6**m, 8, 8): 1 for m in range(len(lams) - 1)}
-    assert builds == {(3, 3, 3, 8, 8, 8): len(lams)}
     # a term reads a skipped sequential wing (wing 0 here) at its first
     # setting and any other skipped wing along z
     settings = {
@@ -345,6 +345,8 @@ def test_the_oracle_updates_and_traces_whole_stacks(monkeypatch):
         for axes in (t.axes for t in required_terms(spec.inequality))
     }
     assert len(settings) < len(required_terms(spec.inequality))
+    assert builds == {(len(settings), 8, 8, 8): len(lams)}
+    assert all(sorted(cells) == sorted(settings) for cells in built_cells)
     assert traced == [((6**m, 8, 8), len(settings)) for m in range(len(lams))]
 
 

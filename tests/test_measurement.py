@@ -1,3 +1,4 @@
+import math
 from itertools import product
 
 import numpy as np
@@ -22,7 +23,7 @@ from seqsteer.measurement import (
     selective_updates,
     table_correlation,
 )
-from seqsteer.qop import XYZ, X_DIR, Y_DIR, Z_DIR, projector, tensor3
+from seqsteer.qop import XYZ, X_DIR, Y_DIR, Z_DIR, projector, projector_stack, tensor3
 from util import (
     bloch_vector,
     left_sum,
@@ -33,9 +34,12 @@ from util import (
     random_triple,
     reference_averaged_channel,
     reference_correlation,
+    reference_effect,
+    reference_joint_grid,
     reference_joint_operator,
     reference_outcome_table,
     reference_table_correlation,
+    reference_term_correlations,
     reference_wide_outcome_table,
     stacked_correlation,
 )
@@ -53,7 +57,7 @@ def test_sharpness_range_enforced():
     with pytest.raises(ValueError):
         SettingTriple.xyz(-0.3)
     with pytest.raises(ValueError):
-        effect(Z_DIR, 1.0001, 1)
+        effect(projector_stack((Z_DIR,)), 1.0001)
 
 
 @pytest.mark.parametrize("directions", [(X_DIR, Y_DIR), (X_DIR, Y_DIR, Z_DIR, X_DIR)])
@@ -71,21 +75,21 @@ def test_triple_rejects_a_direction_that_is_not_a_bloch_direction(directions):
 @settings(max_examples=60)
 @given(angles, lams)
 def test_povm_completeness(angle, lam):
-    d = BlochDirection(*angle)
-    total = effect(d, lam, 1) + effect(d, lam, -1)
-    assert np.allclose(total, np.eye(2), atol=1e-12)
+    plus, minus = effect(projector_stack((BlochDirection(*angle),)), lam)[0]
+    assert np.allclose(plus + minus, np.eye(2), atol=1e-12)
 
 
 @settings(max_examples=60)
-@given(angles, lams, st.sampled_from([1, -1]))
-def test_effects_are_positive(angle, lam, outcome):
-    evals = np.linalg.eigvalsh(effect(BlochDirection(*angle), lam, outcome))
+@given(angles, lams)
+def test_effects_are_positive(angle, lam):
+    evals = np.linalg.eigvalsh(effect(projector_stack((BlochDirection(*angle),)), lam))
     assert evals.min() >= -1e-12
 
 
 def test_projective_limit_recovers_projectors():
-    assert np.allclose(effect(Z_DIR, 1.0, 1), np.diag([1.0, 0.0]))
-    assert np.allclose(effect(Z_DIR, 1.0, -1), np.diag([0.0, 1.0]))
+    plus, minus = effect(projector_stack((Z_DIR,)), 1.0)[0]
+    assert np.allclose(plus, np.diag([1.0, 0.0]))
+    assert np.allclose(minus, np.diag([0.0, 1.0]))
 
 
 def test_luders_update_trace_is_born_probability():
@@ -100,7 +104,7 @@ def test_luders_update_trace_is_born_probability():
         for (i, d), (j, outcome) in product(enumerate(triple.directions), enumerate((1, -1))):
             prob = float(updated[2 * i + j].trace().real)
             op = [np.eye(2)] * 3
-            op[wing] = effect(d, 0.73, outcome)
+            op[wing] = reference_effect(d, 0.73, outcome)
             born = float(np.trace(tensor3(*op) @ rho).real)
             assert prob == pytest.approx(born, abs=1e-12)
 
@@ -296,8 +300,8 @@ def test_outcome_stack_places_each_factor_on_its_wing():
     # others, each along its own wing's direction
     rng = np.random.default_rng(37)
     d0, d1, d2 = (random_direction(rng) for _ in range(3))
-    for op, (a, b, c) in zip(joint_operators(2, 0.3, ((d0,), (d1,), (d2,)))[0, 0, 0], OUTCOMES):
-        want = tensor3(projector(d0, a), projector(d1, b), effect(d2, 0.3, c))
+    for op, (a, b, c) in zip(joint_operators(2, 0.3, ((d0,), (d1,), (d2,)), (0, 0, 0)), OUTCOMES):
+        want = tensor3(projector(d0, a), projector(d1, b), reference_effect(d2, 0.3, c))
         assert op.tobytes() == want.tobytes()
 
 
@@ -310,10 +314,10 @@ def test_outcome_stack_places_each_factor_on_its_wing():
 def test_each_row_of_the_outcome_stack_is_the_per_outcome_operator(seed, seq_wing, lam):
     rng = np.random.default_rng(seed)
     dirs = tuple(random_direction(rng) for _ in range(3))
-    stack = joint_operators(seq_wing, lam, [(d,) for d in dirs])
-    assert stack.shape == (1, 1, 1, 8, 8, 8)
+    stack = joint_operators(seq_wing, lam, [(d,) for d in dirs], (0, 0, 0))
+    assert stack.shape == (8, 8, 8)
     assert OUTCOMES == tuple(product((1, -1), repeat=3))
-    for row, outcomes in zip(stack[0, 0, 0], OUTCOMES):
+    for row, outcomes in zip(stack, OUTCOMES):
         want = reference_joint_operator(seq_wing, lam, dirs, outcomes)
         assert row.dtype == want.dtype
         assert row.tobytes() == want.tobytes()
@@ -327,13 +331,15 @@ def test_each_row_of_the_outcome_stack_is_the_per_outcome_operator(seed, seq_win
     lam=lams,
 )
 def test_each_cell_of_the_operator_grid_is_the_single_setting_stack(seed, seq_wing, sizes, lam):
-    # each wing's tuple of directions gives one leading axis, in wing order
+    # each wing's tuple of directions gives one leading axis, in wing
+    # order, and each cell is the stack of its own directions alone
     rng = np.random.default_rng(seed)
     dirs = tuple(tuple(random_direction(rng) for _ in range(k)) for k in sizes)
-    grid = joint_operators(seq_wing, lam, dirs)
+    grid = joint_operators(seq_wing, lam, dirs, np.ix_(*(range(k) for k in sizes)))
     assert grid.shape == sizes + (8, 8, 8)
     for i, j, k in product(*(range(k) for k in sizes)):
-        want = joint_operators(seq_wing, lam, ((dirs[0][i],), (dirs[1][j],), (dirs[2][k],)))
+        alone = ((dirs[0][i],), (dirs[1][j],), (dirs[2][k],))
+        want = joint_operators(seq_wing, lam, alone, (0, 0, 0))
         assert grid[i, j, k].tobytes() == want.tobytes()
 
 
@@ -348,7 +354,7 @@ def test_the_outcome_table_is_each_operators_stacked_trace_bit_for_bit(seed, cou
     rng = np.random.default_rng(seed)
     stack = np.array([random_mixed_state(rng) for _ in range(count)])
     dirs = ((random_direction(rng),), (X_DIR,), (Y_DIR,))
-    ops = joint_operators(int(rng.integers(3)), 0.7, dirs)[0, 0, 0]
+    ops = joint_operators(int(rng.integers(3)), 0.7, dirs, (0, 0, 0))
     table = outcome_table(stack, ops)
     assert table.shape == (8, count)
     for row, op in zip(table, ops):
@@ -368,7 +374,8 @@ def test_each_cell_of_an_outcome_table_is_the_per_operator_loop_bit_for_bit(seed
     rhos = [random_mixed_state(rng) for _ in range(count)]
     dirs = [tuple(random_direction(rng) for _ in range(k)) for k in sizes]
     seq_wing, lam = int(rng.integers(3)), float(rng.uniform(0.05, 1.0))
-    grid = joint_operators(seq_wing, lam, (*dirs, (random_direction(rng),)))[:, :, 0]
+    cells = (*np.ix_(*map(range, sizes)), 0)
+    grid = joint_operators(seq_wing, lam, (*dirs, (random_direction(rng),)), cells)
     table = outcome_table(np.array(rhos), grid)
     assert table.shape == sizes + (8, count)
     for idx in np.ndindex(*sizes):
@@ -407,13 +414,13 @@ def test_the_audit_table_and_joint_probability_are_their_own_traces_bit_for_bit(
     rho = random_mixed_state(rng)
     seq_wing, triple = int(rng.integers(3)), random_triple(rng, float(rng.uniform(0.05, 1.0)))
     wing_dirs = [triple.directions if w == seq_wing else XYZ for w in range(3)]
-    grid = joint_operators(seq_wing, triple.lam, wing_dirs)
+    grid = reference_joint_grid(seq_wing, triple.lam, wing_dirs)
     want = (grid.reshape(216, 8, 8) @ rho).trace(axis1=1, axis2=2).real
     got = joint_probability(rho, seq_wing, triple.lam, wing_dirs)
     assert got.shape == (3, 3, 3, 8)
     assert got.reshape(-1).tobytes() == want.tobytes()
     dirs = [(random_direction(rng),) for _ in range(3)]
-    ops = joint_operators(seq_wing, triple.lam, dirs)[0, 0, 0]
+    ops = reference_joint_grid(seq_wing, triple.lam, dirs)[0, 0, 0]
     got = joint_probability(rho, seq_wing, triple.lam, dirs)[0, 0, 0]
     assert [repr(p) for p in got.tolist()] == [repr(float((op @ rho).trace().real)) for op in ops]
 
@@ -433,8 +440,7 @@ def _spread_table(rng, count):
 def test_the_signed_reduction_is_the_eight_row_loop_bit_for_bit(seed, count, wings):
     table = _spread_table(np.random.default_rng(seed), count)
     want = repr(reference_table_correlation(table, wings))
-    assert repr(table_correlation(table, wings)) == want
-    assert repr(table_correlation(table, wings[::-1])) == want
+    assert [repr(x) for x in table_correlation([table] * 2, [wings, wings[::-1]])] == [want] * 2
 
 
 @pytest.mark.parametrize("wings", [()] + WING_SUBSETS)
@@ -444,12 +450,64 @@ def test_the_signed_reduction_of_one_state_is_the_eight_row_loop_bit_for_bit(win
     for _ in range(200):
         table = _spread_table(rng, 1)
         want = repr(reference_table_correlation(table, wings))
-        assert repr(table_correlation(table, wings)) == want
+        assert repr(table_correlation([table], [wings])[0]) == want
 
 
 def test_the_branch_totals_are_added_left_to_right_from_zero():
     # a compensated sum, as builtin sum is from Python 3.12 on, gives 1.0
     table = np.zeros((8, 3))
     table[0] = [1e16, 1.0, -1e16]
-    for wings in WING_SUBSETS:
-        assert table_correlation(table, wings) == 0.0
+    assert table_correlation([table] * 7, WING_SUBSETS) == [0.0] * 7
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    count=st.integers(min_value=1, max_value=216),
+    wings=st.lists(st.sampled_from([()] + WING_SUBSETS), min_size=1, max_size=10),
+    zeros=st.booleans(),
+    nan=st.booleans(),
+)
+def test_the_one_signed_reduction_is_the_per_term_loop_bit_for_bit(seed, count, wings, zeros, nan):
+    # every term's table signed and summed in one stacked reduction gives
+    # the bits of one call per term, a NaN and a sum of -0.0 totals too
+    rng = np.random.default_rng(seed)
+    tables = np.array([_spread_table(rng, count) for _ in wings])
+    if zeros:
+        # each of the first term's signed outcomes, so each state's total, is -0.0
+        signs = np.array([math.prod(o[w] for w in wings[0]) for o in OUTCOMES], dtype=float)
+        tables[0] = -0.0 * signs[:, None]
+    if nan:
+        tables[rng.integers(len(wings)), rng.integers(8), rng.integers(count)] = np.nan
+    want = [repr(x) for x in reference_term_correlations(tables, wings)]
+    assert [repr(x) for x in table_correlation(tables, wings)] == want
+
+
+# Bloch angles with the signed zeros and exact axes among them: -0.0
+# gives a unit vector, and so projectors, with zeros of the other sign
+_signed_angles = st.tuples(
+    st.one_of(st.floats(0.0, np.pi), st.sampled_from([0.0, -0.0, np.pi / 2, np.pi])),
+    st.one_of(st.floats(0.0, 2 * np.pi), st.sampled_from([0.0, -0.0, np.pi, 3 * np.pi / 2])),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    angles=st.tuples(*[st.lists(_signed_angles, min_size=1, max_size=3)] * 3),
+    seq_wing=st.integers(min_value=0, max_value=2),
+    lam=st.one_of(st.just(1.0), st.floats(min_value=0.0, max_value=1.0, exclude_min=True)),
+    picks=st.none() | st.lists(st.tuples(*[st.integers(0, 2)] * 3), min_size=1, max_size=27),
+)
+def test_the_factor_stack_build_is_the_nested_list_grid_bit_for_bit(angles, seq_wing, lam, picks):
+    # the full grid (picks None) or any list of cells, repeats included,
+    # has the bits of the same cells of the grid built one effect or
+    # projector per direction and outcome
+    dirs = tuple(tuple(BlochDirection(*a) for a in wing) for wing in angles)
+    if picks is None:
+        cells = np.ix_(*(range(len(d)) for d in dirs))
+    else:
+        cells = tuple(np.array([c[w] % len(dirs[w]) for c in picks]) for w in range(3))
+    got = joint_operators(seq_wing, lam, dirs, cells)
+    want = reference_joint_grid(seq_wing, lam, dirs)[cells]
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()

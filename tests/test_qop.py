@@ -16,6 +16,7 @@ from seqsteer.qop import (
     _PAULI,
     effect_sqrt,
     projector,
+    projector_stack,
     tensor3,
     validate_density,
 )
@@ -153,12 +154,9 @@ def test_tensor3_is_kron_bit_for_bit():
     ]
     factors = [I2, *_SIGMAS]
     for _ in range(4):
-        d = random_direction(rng)
+        pair = projector_stack((random_direction(rng),))[0]
         lam = float(rng.uniform(0.05, 1.0))
-        for outcome in (1, -1):
-            factors.append(projector(d, outcome))
-            factors.append(effect(d, lam, outcome))
-            factors.append(effect_sqrt(d, lam, outcome))
+        factors += [*pair, *effect(pair, lam), *effect_sqrt(pair, lam)]
     triples += [
         tuple(factors[int(i)] for i in rng.integers(len(factors), size=3))
         for _ in range(300)
@@ -224,19 +222,25 @@ def test_partial_trace_is_trace_preserving():
 
 
 @settings(max_examples=60)
-@given(
-    angles,
-    st.floats(min_value=1e-3, max_value=1.0),
-    st.sampled_from([1, -1]),
-)
-def test_effect_sqrt_squares_to_the_effect(angle, lam, outcome):
+@given(angles, st.floats(min_value=1e-3, max_value=1.0))
+def test_effect_sqrt_squares_to_the_effect(angle, lam):
     d = BlochDirection(*angle)
-    obs = d.observable
-    proj = (np.eye(2) + outcome * obs) / 2
-    target = lam * proj + (1 - lam) * np.eye(2) / 2
-    root = effect_sqrt(d, lam, outcome)
-    assert np.allclose(root @ root, target, atol=1e-12)
-    assert np.allclose(root, root.conj().T, atol=1e-12)
+    roots = effect_sqrt(projector_stack((d,)), lam)[0]
+    for root, outcome in zip(roots, (1, -1)):
+        proj = (np.eye(2) + outcome * d.observable) / 2
+        target = lam * proj + (1 - lam) * np.eye(2) / 2
+        assert np.allclose(root @ root, target, atol=1e-12)
+        assert np.allclose(root, root.conj().T, atol=1e-12)
+
+
+def test_a_projector_stack_holds_each_directions_plus_and_minus_projector():
+    rng = np.random.default_rng(31)
+    dirs = [random_direction(rng) for _ in range(4)]
+    stack = projector_stack(dirs)
+    assert stack.shape == (4, 2, 2, 2)
+    for pair, d in zip(stack, dirs):
+        for p, outcome in zip(pair, (1, -1)):
+            assert p.tobytes() == projector(d, outcome).tobytes()
 
 
 @given(angles, st.floats(min_value=1e-3, max_value=1.0))
@@ -252,13 +256,12 @@ def test_effect_sqrt_agrees_with_eigendecomposition(angle, lam):
     _, u = np.linalg.eigh(target)
     w = np.array([(1 - lam) / 2, (1 + lam) / 2])
     reference = u @ np.diag(np.sqrt(w)) @ u.conj().T
-    assert np.allclose(effect_sqrt(d, lam, 1), reference, atol=1e-12)
+    assert np.allclose(effect_sqrt(projector_stack((d,)), lam)[0, 0], reference, atol=1e-12)
 
 
 def test_effect_sqrt_validates_inputs():
-    with pytest.raises(ValueError):
-        effect_sqrt(Z_DIR, 0.0, 1)
-    with pytest.raises(ValueError):
-        effect_sqrt(Z_DIR, 1.2, 1)
-    with pytest.raises(ValueError):
-        effect_sqrt(Z_DIR, 0.5, 2)
+    for lam in (0.0, 1.2, -0.5, float("nan")):
+        with pytest.raises(ValueError, match="sharpness"):
+            effect_sqrt(projector_stack((Z_DIR,)), lam)
+    with pytest.raises(ValueError, match="outcome"):
+        projector(Z_DIR, 2)

@@ -43,6 +43,7 @@ from seqsteer.search import (
 from util import (
     FROZEN_LADDERS,
     TABLE_CASES,
+    decision_margins,
     ladder_bit_cases,
     noisy_rotated_state,
     random_mixed_state,
@@ -228,6 +229,18 @@ def test_ladder_bits_match_the_reference(name):
     scenario, kind, state, optimizer = ladder_bit_cases()[name]
     table = build_table(scenario, kind, state, SearchConfig(optimizer=optimizer))
     assert table.to_json() == json.dumps(LADDER_BITS[name], indent=2)
+
+
+@pytest.mark.parametrize("optimizer", list(Optimizer), ids=lambda o: o.value)
+def test_every_published_ladder_decides_far_from_its_boundaries(optimizer):
+    # a change to the ladder arithmetic that moves each value by less
+    # than a row's decision margin leaves every ladder byte alone (see
+    # decision_margins); the smallest margin of the 16 ladders is 1.4e-6
+    config = SearchConfig(optimizer=optimizer)
+    for state, scenario, kind in TABLE_CASES:
+        table = build_table(scenario, kind, state, config)
+        margin = min(decision_margins(table, state, config))
+        assert margin >= 1e-9, (table_key(state, scenario, kind), margin)
 
 
 def test_csv_layout():

@@ -21,6 +21,7 @@ from seqsteer import (
     Scenario,
     ScenarioSpec,
     SearchError,
+    SettingTriple,
     StateKind,
     StateSpec,
     build_state,
@@ -30,7 +31,6 @@ from seqsteer.cascade import states_along, term_expectations
 from seqsteer.inequalities import check_expectation, required_terms
 from seqsteer.measurement import (
     OUTCOMES,
-    effect,
     joint_operators,
     outcome_table,
     table_correlation,
@@ -38,7 +38,6 @@ from seqsteer.measurement import (
 from seqsteer.qop import (
     I2,
     XYZ,
-    effect_sqrt,
     projector,
     resolve_wing,
     tensor3,
@@ -308,6 +307,83 @@ def reference_threshold_lambda(prefix, config):
     return hi
 
 
+def decision_margins(table, state, config):
+    """Each row's decision margin of the build_table ladder table on
+    state under config, in value units, as a list.
+
+    A row's bytes are set by its decisions alone: the "none" test
+    f(1) >= -guard and, on a row with a threshold, one test per bracket
+    step of whether the midpoint violates, f(mid) < -guard. Here f is the
+    next observer's value at sharpness lam, with its settings chosen by
+    config's optimizer, on the state the row reads: the shared state
+    after every earlier observer's averaged channel at x, y, z with
+    sharpness min(1, lambda_min + tol). Each f is evaluated directly, at
+    1 and at every midpoint, the bracket is walked on those values, and
+    it must end at the row's lambda_min. The margin is the smallest
+    |f(x) + guard| over the row's decisions.
+
+    Bound: under both optimizers f is affine in lam, and the search
+    reads it at 1 and at LAMBDA_FLOOR only. A change that moves each of
+    those values by at most eps moves the affine f by at most eps at
+    every midpoint between them, so no decision flips, and no ladder
+    byte changes, while eps stays below the margin less the rounding
+    of the closed-form root and of these evaluations (a few ulps of
+    values of order 1, below 1e-14). As a root error: with slope s of
+    f, the root moves by at most eps / (|s| - 2 * eps / (1 - LAMBDA_FLOOR)),
+    and the margin in sharpness units is margin / |s|.
+    """
+    seq = ScenarioSpec(table.scenario, table.inequality, state, ()).sequential_wing
+    pinned = [lam for _, lam in table.rows if lam is not None]
+    pins = [SettingTriple.xyz(min(1.0, lam + config.tol)) for lam in pinned]
+    margins = []
+    for (_, printed), rho in zip(table.rows, states_along(build_state(state), seq, pins)):
+        terms = term_expectations(rho, table.inequality, seq)
+
+        def gap(lam):
+            value = _settings_and_value(terms, table.inequality, lam, config.optimizer)[1]
+            return value + config.guard
+
+        gaps = [gap(1.0)]
+        lo, hi = LAMBDA_FLOOR, 1.0
+        while gaps[0] < 0.0 and hi - lo > config.tol:
+            mid = 0.5 * (lo + hi)
+            gaps.append(gap(mid))
+            if gaps[-1] < 0.0:
+                hi = mid
+            else:
+                lo = mid
+        assert (hi if gaps[0] < 0.0 else None) == printed, (printed, hi)
+        margins.append(min(map(abs, gaps)))
+    return margins
+
+
+def reference_effect(d, lam, outcome):
+    """The unsharp effect lam*P_a + (1-lam)*I/2 for outcome a = +1 or -1
+    along d, one 2x2 matrix per call.
+
+    This is the per-matrix effect that the stack-wide one replaced, kept
+    literally so that each matrix of a stack can be checked against it
+    bit for bit.
+    """
+    if not 0.0 < lam <= 1.0:
+        raise ValueError(f"sharpness must lie in (0, 1], got {lam}")
+    return lam * projector(d, outcome) + (1 - lam) * I2 / 2
+
+
+def reference_effect_sqrt(d, lam, outcome):
+    """The square root sqrt((1+lam)/2)*P_a + sqrt((1-lam)/2)*P_(-a) of
+    one unsharp effect, one 2x2 matrix per call.
+
+    This is the per-matrix root that the stack-wide one replaced, kept
+    literally so that each Kraus operator can be checked against it bit
+    for bit.
+    """
+    if not 0.0 < lam <= 1.0:
+        raise ValueError(f"sharpness must lie in (0, 1], got {lam}")
+    root_a, root_b = np.sqrt((1 + lam) / 2), np.sqrt((1 - lam) / 2)
+    return root_a * projector(d, outcome) + root_b * projector(d, -outcome)
+
+
 def reference_joint_operator(seq_wing, lam, dirs, outcomes):
     """One outcome triple's row of joint_operators, for one direction per
     wing in dirs, as its three factors and one Kronecker product.
@@ -319,10 +395,30 @@ def reference_joint_operator(seq_wing, lam, dirs, outcomes):
     """
     seq_wing = resolve_wing(seq_wing)
     ops = [
-        effect(d, lam, a) if w == seq_wing else projector(d, a)
+        reference_effect(d, lam, a) if w == seq_wing else projector(d, a)
         for w, (d, a) in enumerate(zip(dirs, outcomes))
     ]
     return np.kron(np.kron(ops[0], ops[1]), ops[2])
+
+
+def reference_joint_grid(seq_wing, lam, dirs):
+    """joint_operators' full grid, shape (len(dirs[0]), len(dirs[1]),
+    len(dirs[2]), 8, 8, 8), from one nested list of 2x2 factors per
+    wing, one effect or projector per direction and outcome, and one
+    tensor3 product.
+
+    This is the grid build that the per-wing factor stacks replaced,
+    kept literally so that any cells of the new build can be checked
+    against it bit for bit.
+    """
+    seq_wing = resolve_wing(seq_wing)
+    grid = []
+    for wing, wing_dirs in enumerate(dirs):
+        build = (lambda d, a: reference_effect(d, lam, a)) if wing == seq_wing else projector
+        shape = [1] * 6 + [2, 2]  # setting axes, outcome axes, then the 2x2 factor
+        shape[wing], shape[3 + wing] = len(wing_dirs), 2
+        grid.append(np.reshape([[build(d, a) for a in (1, -1)] for d in wing_dirs], shape))
+    return tensor3(*grid).reshape(tuple(map(len, dirs)) + (8, 8, 8))
 
 
 def reference_probability_table(rho, seq_wing, lam, dirs):
@@ -352,8 +448,8 @@ def stacked_correlation(rhos, seq_wing, lam, dirs, wings):
     """The oracle's correlation of the outcomes on wings, summed over
     rhos, for one direction per wing in dirs: table_correlation of the
     outcome_table of one joint_operators stack."""
-    ops = joint_operators(seq_wing, lam, [(d,) for d in dirs])[0, 0, 0]
-    return table_correlation(outcome_table(rhos, ops), wings)
+    ops = joint_operators(seq_wing, lam, [(d,) for d in dirs], (0, 0, 0))
+    return table_correlation([outcome_table(rhos, ops)], [wings])[0]
 
 
 def reference_correlation(rhos, seq_wing, lam, dirs, wings):
@@ -417,6 +513,24 @@ def reference_table_correlation(table, wings):
     return left_sum(totals.tolist())
 
 
+def reference_term_correlations(tables, wings):
+    """table_correlation as one call per term of the per-term reduction:
+    each (8, n) table signed by its wing subset's column and summed in
+    one ordered cumsum over the outcomes, its states' totals added left
+    to right from 0.0.
+
+    This is the per-term loop that the one stacked reduction replaced,
+    kept literally so that the stack can be checked against it bit for
+    bit.
+    """
+    values = []
+    for table, subset in zip(tables, wings):
+        signs = np.array([[math.prod(o[w] for w in subset)] for o in OUTCOMES], dtype=float)
+        totals = np.cumsum(signs * table, axis=0)[-1]
+        values.append(functools.reduce(operator.add, totals.tolist(), 0.0))
+    return values
+
+
 def reference_luders_update(rho, wing, d, lam, outcome):
     """One selective Lueders update sqrt(E) rho sqrt(E) on one wing,
     identity on the others, one Kraus operator per call.
@@ -425,7 +539,7 @@ def reference_luders_update(rho, wing, d, lam, outcome):
     literally so that the stack can be checked against it bit for bit.
     """
     mats = [I2, I2, I2]
-    mats[resolve_wing(wing)] = effect_sqrt(d, lam, outcome)
+    mats[resolve_wing(wing)] = reference_effect_sqrt(d, lam, outcome)
     k = tensor3(*mats)
     return k @ rho @ k
 
