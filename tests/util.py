@@ -27,11 +27,12 @@ from seqsteer import (
     build_state,
     xyz_spec,
 )
-from seqsteer.cascade import states_along, term_expectations
+from seqsteer.cascade import states_along, term_expectations, value_from_terms
 from seqsteer.inequalities import check_expectation, required_terms
 from seqsteer.measurement import (
     OUTCOMES,
     joint_operators,
+    joint_probability,
     outcome_table,
     table_correlation,
 )
@@ -596,3 +597,35 @@ def reference_term_expectations(rho, inequality, seq_wing):
             check_expectation(term.ops, e)
         table[term.ops] = (slot, x)
     return table
+
+
+def value_from_state(rho, scenario, inequality, triple):
+    """Inequality value for one observer given the state they receive."""
+    terms = term_expectations(rho, inequality, scenario.sequential_wing)
+    return value_from_terms(terms, inequality, triple)
+
+
+def reference_audit(spec, prob_fn=None):
+    """no_signalling_audit as a loop over observers and wings, each wing's
+    P(+1) a builtin sum of its four +1 outcomes and its spread a max and
+    a min over the two remote axes of the (3, 3, 3) table.
+
+    This is the loop that the stacked reduction replaced, kept literally
+    so that the stacked reduction can be checked against it by repr.
+    """
+    spec.require_observers()
+    prob_fn = prob_fn or joint_probability
+    seq_wing = spec.sequential_wing
+    rhos = states_along(build_state(spec.state), seq_wing, spec.observers)
+    spreads = []
+    for triple, rho in zip(spec.observers, rhos):
+        dirs = tuple(triple.directions if w == seq_wing else XYZ for w in (0, 1, 2))
+        p = prob_fn(rho, seq_wing, triple.lam, dirs)
+        # p[i, j, k, o] has axes wing 0's, 1's and 2's direction, then the
+        # outcome triple; each wing's P(+1) must not move along the others'
+        p = np.reshape(p, (3, 3, 3, 8))
+        for wing in (0, 1, 2):
+            plus = sum(p[..., k] for k, o in enumerate(OUTCOMES) if o[wing] == 1)
+            remote = tuple(a for a in (0, 1, 2) if a != wing)
+            spreads.append(np.max(plus, axis=remote) - np.min(plus, axis=remote))
+    return float(np.max(spreads))
