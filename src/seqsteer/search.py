@@ -1,12 +1,13 @@
 """Sharpness thresholds, observer-count tables and setting-angle search.
 
 For a fixed chain prefix the inequality value seen by the next observer
-is affine in that observer's sharpness, so two evaluations give its
-root in closed form; the threshold is the upper end of the dyadic
-tol-bracket replayed around that root, with tol at least MIN_TOL so that
-the replay always ends.  A table walks one running state down the chain:
-each observer is pinned just above their own threshold and their averaged
-channel applied once, until even a projective measurement stops violating.
+is the line base + lam * slope in its sharpness, both read off the
+direction coefficients, so the root is closed-form; the threshold is the
+upper end of the dyadic tol-bracket replayed around it, with tol at least
+MIN_TOL so that the replay always ends.  A table walks one running state
+down the chain: each observer is pinned just above their own threshold
+and their averaged channel applied once, until even a projective
+measurement stops violating.
 """
 
 import json
@@ -176,11 +177,11 @@ def threshold_lambda(prefix, config=None):
 
     prefix is a ScenarioSpec holding the observers that have already
     measured (possibly none).  The candidate observer is appended with
-    settings chosen per the configured optimizer.  The value is
-    evaluated at sharpness 1 and near 0 only; the closed-form root of
-    that affine law is bracketed by replaying the dyadic bisection to
-    config.tol.  Returns the bracket's upper end, which violates, or
-    None when even a projective measurement does not violate.
+    settings chosen per the configured optimizer.  Its value is the line
+    base + lam * slope, read off the direction coefficients with no value
+    evaluated, and the line's root is bracketed by replaying the dyadic
+    bisection to config.tol.  Returns the bracket's upper end, which
+    violates, or None when even a projective measurement does not violate.
     """
     config = config or SearchConfig()
     seq = prefix.sequential_wing
@@ -189,33 +190,32 @@ def threshold_lambda(prefix, config=None):
     return _threshold(terms, prefix.inequality, config)
 
 
+def _line(terms, inequality, optimizer):
+    """The next observer's value as base + lam * slope: base drops their own
+    terms, and slope sums those at sharpness 1 per the optimizer, d_i . v_i
+    at the x, y, z unit vectors or -|v_i| at each optimum -v_i/|v_i|."""
+    base, vecs = _coefficients(terms, inequality, 1.0)
+    if optimizer is Optimizer.FIXED_XYZ:
+        return base, float(np.trace(vecs))
+    return base, -float(np.linalg.norm(vecs, axis=1).sum())
+
+
 def _threshold(terms, inequality, config):
     """threshold_lambda for the state whose term_expectations are terms."""
-
-    def f(lam):
-        return _settings_and_value(terms, inequality, lam, config.optimizer)[1]
-
-    f_sharp = f(1.0)
-    if f_sharp >= -config.guard:
+    base, slope = _line(terms, inequality, config.optimizer)
+    if base + slope >= -config.guard:
         return None
-    f_floor = f(LAMBDA_FLOOR)
-    if not f_sharp < f_floor:
+    if not slope < 0.0:
         raise SearchError(
-            "the inequality value does not decrease with sharpness "
-            f"({f_sharp:.6g} at 1 vs {f_floor:.6g} near 0); its root "
-            "would be wrong"
+            f"the inequality value does not decrease with sharpness ({base + slope:.6g} "
+            f"at 1 vs {base:.6g} at 0); its root would be wrong"
         )
-    # f is affine in lam, so a midpoint violates exactly when it lies
-    # above the root; the bracket is replayed without evaluating f again
-    span = 1.0 - LAMBDA_FLOOR
-    root = LAMBDA_FLOOR + (-config.guard - f_floor) * span / (f_sharp - f_floor)
+    # a midpoint violates exactly when it lies above the line's root
+    root = (-config.guard - base) / slope
     lo, hi = LAMBDA_FLOOR, 1.0
     while hi - lo > config.tol:
         mid = 0.5 * (lo + hi)
-        if mid > root:
-            hi = mid
-        else:
-            lo = mid
+        lo, hi = (lo, mid) if mid > root else (mid, hi)
     return hi
 
 

@@ -39,6 +39,7 @@ from seqsteer.search import (
     MIN_TOL,
     _best_direction,
     _direction_from_vector,
+    _line,
     _settings_and_value,
 )
 from util import (
@@ -86,15 +87,23 @@ def test_threshold_none_when_projective_cannot_violate():
 
 
 def test_threshold_monotonicity_precondition(monkeypatch):
-    # a model whose value grows with sharpness must be rejected, not
-    # silently bisected to a wrong root
+    # a model whose value grows with sharpness, or stays flat, must be
+    # rejected, not silently bisected to a wrong root: an x/y/z slope
+    # d_i . v_i >= 0, and a grid-refine slope -sum |v_i| that is zero
     import seqsteer.search as search_mod
 
-    monkeypatch.setattr(
-        search_mod, "value_from_terms", lambda terms, kind, triple: triple.lam - 2.0
-    )
-    with pytest.raises(SearchError, match="does not decrease"):
-        threshold_lambda(xyz_spec(Scenario.A, InequalityKind.G1, GHZ, ()))
+    prefix = xyz_spec(Scenario.A, InequalityKind.G1, GHZ, ())
+    e_x, zero = np.array([1.0, 0.0, 0.0]), np.zeros(3)
+    for optimizer, vecs in (
+        (Optimizer.FIXED_XYZ, [e_x, zero, zero]),
+        (Optimizer.FIXED_XYZ, [zero, zero, zero]),
+        (Optimizer.GRID_REFINE, [zero, zero, zero]),
+    ):
+        monkeypatch.setattr(
+            search_mod, "_coefficients", lambda terms, kind, lam, v=vecs: (-2.0, [lam * x for x in v])
+        )
+        with pytest.raises(SearchError, match="does not decrease"):
+            threshold_lambda(prefix, SearchConfig(optimizer=optimizer))
 
 
 def test_tolerance_floor_ends_every_bracket(monkeypatch):
@@ -108,9 +117,11 @@ def test_tolerance_floor_ends_every_bracket(monkeypatch):
         SearchConfig(tol=1e-17)
     cfg = SearchConfig(tol=MIN_TOL)
     prefix = xyz_spec(Scenario.A, InequalityKind.G1, GHZ, ())
+    # the value r - lam, as (base, vecs) with its slope -1 on the x setting
+    vecs = [np.array([-1.0, 0.0, 0.0]), np.zeros(3), np.zeros(3)]
     for root in (1.0 - 2e-9, 0.5, 0.5 + 2.0**-52, 3 * LAMBDA_FLOOR):
         monkeypatch.setattr(
-            search_mod, "value_from_terms", lambda terms, kind, triple, r=root: r - triple.lam
+            search_mod, "_coefficients", lambda terms, kind, lam, r=root: (r, [lam * v for v in vecs])
         )
         lam = threshold_lambda(prefix, cfg)
         # the guard band moves the root up by SearchConfig.guard
@@ -119,31 +130,30 @@ def test_tolerance_floor_ends_every_bracket(monkeypatch):
 
 @pytest.mark.parametrize("optimizer", list(Optimizer))
 def test_each_threshold_traces_its_state_once(monkeypatch, optimizer):
-    # a threshold traces its state once and evaluates the value at
-    # sharpness 1 and, when that violates, near 0: the root follows in
-    # closed form, so no bracket midpoint is ever evaluated
+    # a threshold traces its state once and reads the line base + lam *
+    # slope off one set of direction coefficients: no value is evaluated
+    # and no direction is searched, at 1, near 0 or at a bracket midpoint
     import seqsteer.search as search_mod
 
-    walks, evals = [], []
-    for name, log in (("term_expectations", walks), ("_settings_and_value", evals)):
-        def counted(*args, _call=getattr(search_mod, name), _log=log):
-            _log.append(args)
+    names = ("term_expectations", "_coefficients", "_settings_and_value", "_best_direction")
+    calls = {name: 0 for name in names}
+    for name in names:
+        def counted(*args, _call=getattr(search_mod, name), _name=name):
+            calls[_name] += 1
             return _call(*args)
 
         monkeypatch.setattr(search_mod, name, counted)
     cfg = SearchConfig(optimizer=optimizer)
     # the last prefix leaves no violation, so its threshold is None
-    for lambdas, expected in (((), 2), ((0.627,), 2), ((0.577493, 0.657998, 0.787698), 1)):
-        walks.clear()
-        evals.clear()
+    for lambdas in ((), (0.627,), (0.577493, 0.657998, 0.787698)):
+        calls.update(dict.fromkeys(names, 0))
         threshold_lambda(xyz_spec(Scenario.A, InequalityKind.G1, GHZ, lambdas), cfg)
-        assert (len(walks), len(evals)) == (1, expected)
-    walks.clear()
-    evals.clear()
+        assert list(calls.values()) == [1, 1, 0, 0]
+    calls.update(dict.fromkeys(names, 0))
     table = build_table(Scenario.A, InequalityKind.G1, GHZ, cfg)
-    assert len(table.rows) == len(walks) == 4
     # three violating rows and the closing "none" row
-    assert len(evals) == 2 * 3 + 1
+    assert len(table.rows) == 4
+    assert list(calls.values()) == [4, 4, 0, 0]
 
 
 @pytest.mark.parametrize("optimizer", list(Optimizer))
@@ -427,6 +437,15 @@ def _seeded_prefix(seed, state, scenario, kind, predecessors):
     return ScenarioSpec(scenario, kind, noisy_rotated_state(rng, state), observers)
 
 
+def _seeded_terms(seed, state, scenario, kind, predecessors):
+    """term_expectations of the state the next observer of
+    _seeded_prefix receives."""
+    prefix = _seeded_prefix(seed, state, scenario, kind, predecessors)
+    seq = prefix.sequential_wing
+    *_, rho = states_along(build_state(prefix.state), seq, prefix.observers)
+    return term_expectations(rho, kind, seq)
+
+
 prefix_draws = dict(
     seed=st.integers(0, 2**32 - 1),
     state=st.sampled_from([GHZ, W]),
@@ -465,10 +484,7 @@ def test_next_observer_value_is_affine_in_sharpness(
 ):
     # the closed-form root rests on this: the line through the value at
     # the floor and at 1 gives the value at every sharpness
-    prefix = _seeded_prefix(seed, state, scenario, kind, predecessors)
-    seq = prefix.sequential_wing
-    *_, rho = states_along(build_state(prefix.state), seq, prefix.observers)
-    terms = term_expectations(rho, kind, seq)
+    terms = _seeded_terms(seed, state, scenario, kind, predecessors)
 
     def f(lam):
         return _settings_and_value(terms, kind, lam, optimizer)[1]
@@ -477,6 +493,21 @@ def test_next_observer_value_is_affine_in_sharpness(
     for lam in lams:
         line = f_floor + (lam - LAMBDA_FLOOR) * (f_sharp - f_floor) / (1.0 - LAMBDA_FLOOR)
         assert f(lam) == pytest.approx(line, abs=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(**prefix_draws)
+def test_the_line_is_the_evaluated_value_at_both_ends(
+    seed, state, scenario, kind, predecessors, optimizer
+):
+    # a threshold reads the line base + lam * slope in place of the value
+    # the optimizer's settings attain; at 1 and at the floor, the two ends
+    # the evaluated search read, both must agree within 1e-12
+    terms = _seeded_terms(seed, state, scenario, kind, predecessors)
+    base, slope = _line(terms, kind, optimizer)
+    for lam in (1.0, LAMBDA_FLOOR):
+        value = _settings_and_value(terms, kind, lam, optimizer)[1]
+        assert base + lam * slope == pytest.approx(value, rel=0, abs=1e-12)
 
 
 def test_axis_ties_keep_exact_angles(capsys):

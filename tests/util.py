@@ -324,12 +324,13 @@ def decision_margins(table, state, config):
     |f(x) + guard| over the row's decisions.
 
     Bound: under both optimizers f is affine in lam, and the search
-    reads it at 1 and at LAMBDA_FLOOR only. A change that moves each of
-    those values by at most eps moves the affine f by at most eps at
-    every midpoint between them, so no decision flips, and no ladder
-    byte changes, while eps stays below the margin less the rounding
-    of the closed-form root and of these evaluations (a few ulps of
-    values of order 1, below 1e-14). As a root error: with slope s of
+    reads it only as the line base + lam * slope (search._line), which
+    test_search checks against f at 1 and at LAMBDA_FLOOR. A change that
+    moves each of those two values by at most eps moves the affine f by
+    at most eps at every midpoint between them, so no decision flips,
+    and no ladder byte changes, while eps stays below the margin less
+    the rounding of the closed-form root and of these evaluations (a few
+    ulps of values of order 1, below 1e-14). As a root error: with slope s of
     f, the root moves by at most eps / (|s| - 2 * eps / (1 - LAMBDA_FLOOR)),
     and the margin in sharpness units is margin / |s|.
     """
