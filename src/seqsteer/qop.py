@@ -49,7 +49,8 @@ def require_type(name, cls, *values):
 @dataclass(frozen=True)
 class BlochDirection:
     """A unit direction on the Bloch sphere, polar angle theta in [0, pi]
-    and azimuth phi in [0, 2*pi]."""
+    and azimuth phi in [0, 2*pi], with its unit vector, its observable
+    n.sigma and its projectors as read-only attributes."""
 
     theta: float
     phi: float
@@ -84,11 +85,9 @@ class BlochDirection:
         return _read_only(n[0] * _PAULI["X"] + n[1] * _PAULI["Y"] + n[2] * _PAULI["Z"])
 
     @cached_property
-    def _projectors(self):
-        # the +1 and -1 projectors as one (2, 2, 2) stack, and each outcome's
-        # view of it
-        pair = _read_only(np.array([(I2 + a * self.observable) / 2 for a in (1, -1)]))
-        return pair, {1: pair[0], -1: pair[1]}
+    def projectors(self):
+        """The +1 and -1 projectors (I + a n.sigma)/2 as one (2, 2, 2) stack."""
+        return _read_only(np.array([(I2 + a * self.observable) / 2 for a in (1, -1)]))
 
 
 X_DIR = BlochDirection(np.pi / 2, 0.0)
@@ -97,22 +96,10 @@ Z_DIR = BlochDirection(0.0, 0.0)
 XYZ = (X_DIR, Y_DIR, Z_DIR)
 
 
-def projector(d: BlochDirection, outcome):
-    """Projector (I + a n.sigma)/2 onto outcome a = +1 or -1 along d.
-
-    Built once per direction and outcome: every call returns the same
-    read-only array.
-    """
-    if outcome not in (1, -1):
-        raise ValueError(f"outcome must be +1 or -1, got {outcome}")
-    return d._projectors[1][outcome]
-
-
 def projector_stack(directions):
     """The +1 and -1 projectors along each direction as one stack, shape
-    (len(directions), 2, 2, 2): entry [i, j] is projector(directions[i],
-    (1, -1)[j])."""
-    return np.array([d._projectors[0] for d in directions])
+    (len(directions), 2, 2, 2): entry [i] is directions[i].projectors."""
+    return np.array([d.projectors for d in directions])
 
 
 def tensor3(a, b, c):

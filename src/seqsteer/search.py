@@ -137,23 +137,6 @@ def _best_direction(vec):
     return best, low
 
 
-def _settings_and_value(terms, inequality, lam, optimizer):
-    """The next observer's settings at sharpness lam, chosen per the
-    optimizer, and the inequality value they attain on the state whose
-    term_expectations are terms."""
-    if optimizer is Optimizer.FIXED_XYZ:
-        triple = SettingTriple.xyz(lam)
-        return triple, value_from_terms(terms, inequality, triple)
-    base, vecs = _coefficients(terms, inequality, lam)
-    directions = []
-    total = base
-    for vec in vecs:
-        direction, low = _best_direction(vec)
-        directions.append(direction)
-        total += low
-    return SettingTriple(directions, lam), total
-
-
 def optimize_angles(spec, m, config=None):
     """Best measurement directions for observer m (1-based) of a chain.
 
@@ -169,7 +152,17 @@ def optimize_angles(spec, m, config=None):
     *_, rho = states_along(build_state(spec.state), seq, spec.observers[: m - 1])
     terms = term_expectations(rho, spec.inequality, seq)
     lam = spec.observers[m - 1].lam
-    return _settings_and_value(terms, spec.inequality, lam, config.optimizer)
+    if config.optimizer is Optimizer.FIXED_XYZ:
+        triple = SettingTriple.xyz(lam)
+        return triple, value_from_terms(terms, spec.inequality, triple)
+    base, vecs = _coefficients(terms, spec.inequality, lam)
+    directions = []
+    total = base
+    for vec in vecs:
+        direction, low = _best_direction(vec)
+        directions.append(direction)
+        total += low
+    return SettingTriple(directions, lam), total
 
 
 def threshold_lambda(prefix, config=None):

@@ -118,6 +118,40 @@ def test_threshold_ladder(state, scenario, kind, targets, tables):
             assert g == pytest.approx(want, abs=0.005)
 
 
+# each W ladder matches its targets at every grid tol up to this bound
+# and at none above it; None where it matches at no tol
+W_MATCH_UP_TO = {
+    (Scenario.A, InequalityKind.W1): None,
+    (Scenario.A, InequalityKind.W2): 3.8e-3,
+    (Scenario.B, InequalityKind.W1): None,
+    (Scenario.B, InequalityKind.W2): 1.4e-3,
+}
+
+
+def test_no_tolerance_brings_the_w_one_to_two_ladders_to_their_targets():
+    # evidence on the three red checks above: the W one-to-two ladders
+    # match their published targets at no bisection tolerance, so no
+    # choice of tol explains them, while the W two-to-one ladders match
+    # at every small tol and stop matching only once the pin margin,
+    # lambda_min + tol, moves later rows by more than 0.005
+    grid = np.geomspace(1e-6, 0.25, 16)
+    for state, scenario, kind, targets in LADDER_TARGETS:
+        if state is not W:
+            continue
+        matched = []
+        for tol in grid:
+            rows = build_table(scenario, kind, state, SearchConfig(tol=float(tol))).rows
+            got = tuple(lam for _, lam in rows)
+            matched.append(len(got) == len(targets) and all(
+                g is None if want is None else g is not None and abs(g - want) <= 0.005
+                for g, want in zip(got, targets)
+            ))
+        bound = W_MATCH_UP_TO[scenario, kind]
+        assert matched == [bound is not None and tol <= bound for tol in grid], (
+            scenario, kind, matched
+        )
+
+
 # ---------------------------------------------------------------- #
 # how many observers can violate in sequence                        #
 # ---------------------------------------------------------------- #

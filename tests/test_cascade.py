@@ -36,11 +36,12 @@ from seqsteer.cascade import states_along
 from seqsteer.inequalities import required_terms
 from seqsteer.measurement import OUTCOMES, selective_updates
 from seqsteer.qop import X_DIR, Y_DIR, Z_DIR
-from seqsteer.search import _coefficients, _settings_and_value
+from seqsteer.search import _coefficients
 from util import (
     FROZEN_CHAINS,
     FROZEN_PRODUCT_STATE_VALUES,
     FROZEN_PURE_VALUES,
+    _settings_and_value,
     oracle_bit_chains,
     random_mixed_state,
     random_pure_state,

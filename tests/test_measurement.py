@@ -23,11 +23,12 @@ from seqsteer.measurement import (
     selective_updates,
     table_correlation,
 )
-from seqsteer.qop import XYZ, X_DIR, Y_DIR, Z_DIR, projector, projector_stack, tensor3
+from seqsteer.qop import XYZ, X_DIR, Y_DIR, Z_DIR, projector_stack, tensor3
 from util import (
     bloch_vector,
     left_sum,
     partial_trace,
+    projector,
     random_direction,
     random_mixed_state,
     random_pure_state,

@@ -15,7 +15,6 @@ from seqsteer.qop import (
     Z_DIR,
     _PAULI,
     effect_sqrt,
-    projector,
     projector_stack,
     tensor3,
     validate_density,
@@ -23,6 +22,7 @@ from seqsteer.qop import (
 from util import (
     partial_trace,
     pauli,
+    projector,
     random_direction,
     random_mixed_state,
     random_pure_state,
@@ -70,9 +70,8 @@ def test_direction_arrays_are_built_once_and_read_only():
     d = BlochDirection(0.7, 2.1)
     assert d.unit_vector is d.unit_vector
     assert d.observable is d.observable
-    assert projector(d, 1) is projector(d, 1)
-    assert projector(d, -1) is projector(d, -1)
-    for a in (d.unit_vector, d.observable, projector(d, 1), projector(d, -1)):
+    assert d.projectors is d.projectors
+    for a in (d.unit_vector, d.observable, d.projectors):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0.0
 
@@ -81,7 +80,7 @@ def test_direction_attributes_cannot_be_rebound():
     # the cached arrays are attributes of a frozen direction, so neither
     # assigning nor deleting one can hand later reads another array
     d = BlochDirection(0.7, 2.1)
-    for name in ("unit_vector", "observable"):
+    for name in ("unit_vector", "observable", "projectors"):
         before = getattr(d, name)
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(d, name, np.zeros_like(before))
@@ -119,7 +118,7 @@ def test_direction_eq_hash_and_repr_ignore_the_cache():
     fresh, used = BlochDirection(1.1, 0.4), BlochDirection(1.1, 0.4)
     before = (hash(used), repr(used))
     used.observable
-    projector(used, -1)
+    used.projectors
     assert used == fresh and fresh == used
     assert (hash(used), repr(used)) == before == (hash(fresh), repr(fresh))
 
@@ -263,5 +262,3 @@ def test_effect_sqrt_validates_inputs():
     for lam in (0.0, 1.2, -0.5, float("nan")):
         with pytest.raises(ValueError, match="sharpness"):
             effect_sqrt(projector_stack((Z_DIR,)), lam)
-    with pytest.raises(ValueError, match="outcome"):
-        projector(Z_DIR, 2)

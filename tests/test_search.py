@@ -40,11 +40,11 @@ from seqsteer.search import (
     _best_direction,
     _direction_from_vector,
     _line,
-    _settings_and_value,
 )
 from util import (
     FROZEN_LADDERS,
     TABLE_CASES,
+    _settings_and_value,
     decision_margins,
     ladder_bit_cases,
     noisy_rotated_state,
@@ -135,7 +135,7 @@ def test_each_threshold_traces_its_state_once(monkeypatch, optimizer):
     # and no direction is searched, at 1, near 0 or at a bracket midpoint
     import seqsteer.search as search_mod
 
-    names = ("term_expectations", "_coefficients", "_settings_and_value", "_best_direction")
+    names = ("term_expectations", "_coefficients", "value_from_terms", "_best_direction")
     calls = {name: 0 for name in names}
     for name in names:
         def counted(*args, _call=getattr(search_mod, name), _name=name):
@@ -508,6 +508,43 @@ def test_the_line_is_the_evaluated_value_at_both_ends(
     for lam in (1.0, LAMBDA_FLOOR):
         value = _settings_and_value(terms, kind, lam, optimizer)[1]
         assert base + lam * slope == pytest.approx(value, rel=0, abs=1e-12)
+
+
+def _assert_optimize_angles_is_the_reference(spec, optimizer, terms):
+    """optimize_angles for the last observer of spec gives the angles and
+    the value of the reference in tests/util.py, bit for bit."""
+    lam = spec.observers[-1].lam
+    triple, value = optimize_angles(spec, len(spec.observers), SearchConfig(optimizer=optimizer))
+    want_triple, want_value = _settings_and_value(terms, spec.inequality, lam, optimizer)
+    assert [(repr(d.theta), repr(d.phi)) for d in triple.directions] == [
+        (repr(d.theta), repr(d.phi)) for d in want_triple.directions
+    ]
+    assert triple.lam == want_triple.lam == lam
+    assert repr(value) == repr(want_value)
+
+
+@settings(max_examples=150, deadline=None)
+@given(**prefix_draws, lam=st.floats(LAMBDA_FLOOR, 1.0))
+def test_optimize_angles_is_the_evaluated_settings_and_value(
+    seed, state, scenario, kind, predecessors, optimizer, lam
+):
+    # optimize_angles spells out the settings, and the value they attain,
+    # that the reference evaluates, so both give the same bits
+    prefix = _seeded_prefix(seed, state, scenario, kind, predecessors)
+    spec = ScenarioSpec(scenario, kind, prefix.state, prefix.observers + (SettingTriple.xyz(lam),))
+    terms = _seeded_terms(seed, state, scenario, kind, predecessors)
+    _assert_optimize_angles_is_the_reference(spec, optimizer, terms)
+
+
+@pytest.mark.parametrize("optimizer", list(Optimizer))
+def test_optimize_angles_is_the_evaluated_settings_and_value_on_the_published_states(optimizer):
+    # a seeded state is rotated off every axis; on the published states
+    # some optima lie on an axis, where the exact axis must win the tie
+    for state, scenario, kind in TABLE_CASES:
+        terms = term_expectations(build_state(state), kind, scenario.sequential_wing)
+        for lam in (0.83, 1.0):
+            spec = xyz_spec(scenario, kind, state, (lam,))
+            _assert_optimize_angles_is_the_reference(spec, optimizer, terms)
 
 
 def test_axis_ties_keep_exact_angles(capsys):

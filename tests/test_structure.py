@@ -202,6 +202,32 @@ def test_every_exported_name_has_a_caller_outside_the_tests():
     assert not unused, f"__all__ names with no caller in demos/ or bench/: {unused}"
 
 
+def test_every_src_definition_has_a_caller_outside_the_tests():
+    # code that only the tests call is a seam kept for them, not part of
+    # the program; its reference belongs in tests/util.py. Every
+    # top-level function and class of the package, and every method but
+    # the dunders, must be named somewhere in src/, demos/ or bench/
+    # outside its own definition
+    root = PACKAGE.parents[1]
+    folders = ("src/seqsteer", "demos", "bench")
+    paths = [p for folder in folders for p in sorted((root / folder).glob("*.py"))]
+    used = set().union(*map(_names_used, paths))
+    defined = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((f"{path.stem}.{stmt.name}", stmt.name))
+            if isinstance(stmt, ast.ClassDef):
+                defined += [
+                    (f"{path.stem}.{stmt.name}.{node.name}", node.name)
+                    for node in stmt.body
+                    if isinstance(node, ast.FunctionDef)
+                    and not (node.name.startswith("__") and node.name.endswith("__"))
+                ]
+    unused = [qualified for qualified, name in defined if name not in used]
+    assert not unused, f"src/ definitions with no caller outside the tests: {unused}"
+
+
 def test_the_ladder_row_is_spelled_once():
     # threshold's output and both of a table's are built by one row
     # function, so the CSV header and the "ok" status cannot drift apart

@@ -39,12 +39,11 @@ from seqsteer.measurement import (
 from seqsteer.qop import (
     I2,
     XYZ,
-    projector,
     resolve_wing,
     tensor3,
     validate_density,
 )
-from seqsteer.search import LAMBDA_FLOOR, _settings_and_value
+from seqsteer.search import LAMBDA_FLOOR, _best_direction, _coefficients
 
 # ladder of minimal sharpness values per observer, bisection tolerance
 # 1e-4, upper bracket endpoint reported, predecessors pinned at their
@@ -262,6 +261,28 @@ def ladder_bit_cases():
     return cases
 
 
+def _settings_and_value(terms, inequality, lam, optimizer):
+    """The next observer's settings at sharpness lam, chosen per the
+    optimizer, and the inequality value they attain on the state whose
+    term_expectations are terms.
+
+    This is the evaluated value that optimize_angles inlined and the
+    threshold line replaced, kept literally so that both can be checked
+    against it.
+    """
+    if optimizer is Optimizer.FIXED_XYZ:
+        triple = SettingTriple.xyz(lam)
+        return triple, value_from_terms(terms, inequality, triple)
+    base, vecs = _coefficients(terms, inequality, lam)
+    directions = []
+    total = base
+    for vec in vecs:
+        direction, low = _best_direction(vec)
+        directions.append(direction)
+        total += low
+    return SettingTriple(directions, lam), total
+
+
 # the evaluated bisection's iteration cap; a tolerance of 1e-4 needs 14
 REFERENCE_MAX_BISECTION_STEPS = 200
 
@@ -357,6 +378,19 @@ def decision_margins(table, state, config):
         assert (hi if gaps[0] < 0.0 else None) == printed, (printed, hi)
         margins.append(min(map(abs, gaps)))
     return margins
+
+
+def projector(d, outcome):
+    """Projector (I + a n.sigma)/2 onto outcome a = +1 or -1 along d, a
+    new array from d.observable on every call.
+
+    This is the per-outcome projector that BlochDirection.projectors
+    replaced, kept so that the stacks built from that attribute can be
+    checked against it bit for bit.
+    """
+    if outcome not in (1, -1):
+        raise ValueError(f"outcome must be +1 or -1, got {outcome}")
+    return (I2 + outcome * d.observable) / 2
 
 
 def reference_effect(d, lam, outcome):
