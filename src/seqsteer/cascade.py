@@ -155,7 +155,9 @@ def value_from_terms(terms, inequality, triple):
 def states_along(rho, seq_wing, triples):
     """rho, then the state after each triple's averaged channel in turn,
     each step run lazily: zipped with a chain's observers, observers
-    first, it applies no channel after the last one."""
+    first, it applies no channel after the last one.  It reads the next
+    triple only when the next state is asked for, so a list may grow
+    while it is walked."""
     yield rho
     for triple in triples:
         rho = averaged_channel(rho, seq_wing, triple)

@@ -11,7 +11,7 @@ Subcommands:
 A config file (INI style) can preload any flag; flags given on the
 command line win.  Recognized sections and keys:
 
-  [run]     state, scenario, direction, ineq, lambdas, format, out
+  [run]     state, scenario, ineq, lambdas, format, out
   [search]  tol, optimizer
 
 optimizer (fixed-xyz or grid-refine) has no flag; only the config file
@@ -31,7 +31,7 @@ import json
 import sys
 
 from .cascade import Scenario, no_signalling_audit, run_cascade, xyz_spec
-from .inequalities import InequalityKind, SteeringDirection
+from .inequalities import InequalityKind
 from .search import (
     Optimizer,
     SearchConfig,
@@ -45,12 +45,8 @@ from .states import GHZ, W, StateKind, StateSpec, load_state_file
 
 AUDIT_BOUND = 1e-10
 
-_FALLBACK_INEQ = {
-    (StateKind.GHZ, SteeringDirection.ONE_TO_TWO): InequalityKind.G1,
-    (StateKind.GHZ, SteeringDirection.TWO_TO_ONE): InequalityKind.G2,
-    (StateKind.W, SteeringDirection.ONE_TO_TWO): InequalityKind.W1,
-    (StateKind.W, SteeringDirection.TWO_TO_ONE): InequalityKind.W2,
-}
+# the one-to-two functional of each named state, used without --ineq
+_FALLBACK_INEQ = {StateKind.GHZ: InequalityKind.G1, StateKind.W: InequalityKind.W1}
 
 
 class UsageError(ValueError):
@@ -128,10 +124,9 @@ _OPTIONS = {
     "state": ("run", _parse_state, GHZ, "ghz, w or custom:<path>"),
     "scenario": ("run", _parse_choice("scenario", Scenario), Scenario.A,
                  "A or B: which wing hosts the chain (default A)"),
-    "direction": ("run", _parse_choice("direction", SteeringDirection), None,
-                  "1to2 or 2to1: picks the inequality for ghz/w states"),
     "ineq": ("run", _parse_choice("ineq", InequalityKind), None,
-             "g1, g2, w1 or w2: inequality to evaluate (required for custom states)"),
+             "g1 or w1 tests (1->2) steering, g2 or w2 (2->1); default g1 "
+             "for ghz and w1 for w, required for custom states"),
     "lambdas": ("run", _parse_lambdas, None,
                 "comma-separated sharpness list, e.g. 0.627,0.736"),
     "format": ("run", _parse_choice("format", ("text", "csv", "json")), "text",
@@ -200,19 +195,10 @@ def _resolve(args):
         if text is None:
             text = cfg.get(name)
         opts[name] = default if text is None else parse(text)
-
-    direction, inequality = opts["direction"], opts["ineq"]
-    if inequality is not None:
-        if direction is not None and inequality.direction is not direction:
-            raise UsageError(
-                f"--ineq {inequality.value} is a {inequality.direction.value} "
-                f"inequality, which contradicts --direction {direction.value}"
-            )
-    else:
-        key = (opts["state"].kind, direction or SteeringDirection.ONE_TO_TWO)
-        if key not in _FALLBACK_INEQ:
+    if opts["ineq"] is None:
+        if opts["state"].kind not in _FALLBACK_INEQ:
             raise UsageError("a custom state needs an explicit --ineq")
-        opts["ineq"] = _FALLBACK_INEQ[key]
+        opts["ineq"] = _FALLBACK_INEQ[opts["state"].kind]
     return opts
 
 

@@ -20,8 +20,8 @@ import numpy as np
 
 from .cascade import Scenario, ScenarioSpec, states_along, term_expectations, value_from_terms
 from .inequalities import InequalityKind, required_terms
-from .measurement import SettingTriple, averaged_channel
-from .qop import BlochDirection, X_DIR, Y_DIR, Z_DIR, require_type
+from .measurement import SettingTriple
+from .qop import BlochDirection, X_DIR, Y_DIR, Z_DIR, require_type, validate_density
 from .states import build_state
 
 # Smallest sharpness probed.  Exactly zero is not a valid measurement
@@ -77,12 +77,14 @@ def direction_coefficients(rho, scenario, inequality, lam):
 
     where n_i is the unit vector of setting i.  Returns (base, vecs)
     with vecs a list of three length-3 arrays; the sharpness lam, in
-    (0, 1], is already folded into the vectors.
+    (0, 1], is already folded into the vectors.  rho must pass
+    validate_density.
     """
     require_type("scenario", Scenario, scenario)
     require_type("inequality", InequalityKind, inequality)
     if not 0.0 < lam <= 1.0:
         raise ValueError(f"sharpness must lie in (0, 1], got {lam}")
+    validate_density(rho)
     terms = term_expectations(rho, inequality, scenario.sequential_wing)
     return _coefficients(terms, inequality, lam)
 
@@ -272,14 +274,15 @@ def build_table(scenario, inequality, state, config=None):
     """
     config = config or SearchConfig()
     seq = ScenarioSpec(scenario, inequality, state, ()).sequential_wing
-    rho = build_state(state)
-    rows = []
-    for m in range(1, config.max_rows + 1):
+    pins, rows = [], []
+    # states_along reads each pin only after its row has appended it
+    rhos = states_along(build_state(state), seq, pins)
+    for m, rho in zip(range(1, config.max_rows + 1), rhos):
         lam = _threshold(term_expectations(rho, inequality, seq), inequality, config)
         rows.append((m, lam))
         if lam is None:
             break
-        rho = averaged_channel(rho, seq, SettingTriple.xyz(min(1.0, lam + config.tol)))
+        pins.append(SettingTriple.xyz(min(1.0, lam + config.tol)))
     return ThresholdTable(
         state=state.kind.value,
         scenario=scenario,

@@ -177,12 +177,13 @@ def test_value_from_state_matches_run_cascade():
 def test_value_from_state_rejects_correlations_outside_the_unit_range():
     # twice a state is not a state: its ('I', 'Z', 'Z') correlation is 2,
     # and term_expectations, the one trace every walk goes through,
-    # refuses it, so the optimized directions never score it either
+    # refuses it, so the optimized directions never score it either;
+    # direction_coefficients validates its state first and sees the trace
     rho, kind = 2 * build_state(GHZ), InequalityKind.G1
     message = r"expectation for \('I', 'Z', 'Z'\) out of \[-1, 1\]"
     with pytest.raises(ValueError, match=message):
         value_from_state(rho, Scenario.A, kind, SettingTriple.xyz(1.0))
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=r"state trace is 2\.0+\+0\.0+j, expected 1"):
         direction_coefficients(rho, Scenario.A, kind, 1.0)
     with pytest.raises(ValueError, match=message):
         terms = cascade.term_expectations(rho, kind, Scenario.A.sequential_wing)

@@ -122,21 +122,6 @@ def test_out_writes_file_instead_of_stdout(capsys, tmp_path):
     assert target.read_text() == (GOLDEN / "ghz_A_g1.csv").read_text()
 
 
-def test_direction_picks_the_inequality(capsys):
-    code, out, _ = run(
-        capsys, "threshold", "--state", "w", "--direction", "2to1",
-        "--format", "json",
-    )
-    assert code == 0
-    assert json.loads(out)["lambda_min"] == pytest.approx(0.677673, abs=1e-5)
-
-
-def test_conflicting_direction_and_ineq(capsys):
-    code, _, err = run(capsys, "threshold", "--ineq", "g2", "--direction", "1to2")
-    assert code == 2
-    assert "contradicts" in err
-
-
 def test_custom_state_file(capsys, tmp_path):
     path = tmp_path / "ghz.txt"
     save_state_file(path, build_state(GHZ))
@@ -155,6 +140,13 @@ def test_custom_state_requires_ineq(capsys, tmp_path):
     code, _, err = run(capsys, "cascade", "--state", f"custom:{path}")
     assert code == 2
     assert "--ineq" in err
+
+
+def test_named_states_default_to_their_one_to_two_functional(capsys):
+    for state, ineq in (("ghz", "g1"), ("w", "w1")):
+        code, out, _ = run(capsys, "cascade", "--state", state, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["inequality"] == ineq
 
 
 def test_malformed_state_file_is_a_runtime_error(capsys, tmp_path):
@@ -320,7 +312,7 @@ def test_audit_passes_on_quantum_model(capsys):
 
 
 def test_audit_text_mentions_bound(capsys):
-    code, out, _ = run(capsys, "audit", "--state", "w", "--direction", "2to1")
+    code, out, _ = run(capsys, "audit", "--state", "w", "--ineq", "w2")
     assert code == 0
     assert "PASS" in out
     assert "1e-10" in out
@@ -343,7 +335,6 @@ def test_optimize_json_settings(capsys):
 BAD_VALUES = [
     ("run", "ineq", "zz"),
     ("run", "scenario", "C"),
-    ("run", "direction", "3to0"),
     ("run", "format", "xml"),
     ("run", "state", "bell"),
     ("run", "lambdas", "0.5,1.4"),
@@ -430,6 +421,19 @@ def test_retired_search_knobs_are_rejected(capsys, tmp_path):
         code, _, err = run(capsys, "optimize", "--config", str(cfg))
         assert code == 2
         assert message in err
+
+
+def test_retired_direction_option_is_rejected(capsys, tmp_path):
+    # --ineq alone names the functional, and with it the steering type
+    with pytest.raises(SystemExit) as exc:
+        main(["threshold", "--direction", "2to1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --direction 2to1" in capsys.readouterr().err
+    cfg = tmp_path / "steer.ini"
+    cfg.write_text("[run]\ndirection = 2to1\n")
+    code, out, err = run(capsys, "threshold", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert "unknown key 'direction'" in err
 
 
 @pytest.mark.parametrize("command", sorted(CLI_REFERENCE))

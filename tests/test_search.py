@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import math
@@ -33,7 +34,7 @@ from seqsteer import (
     xyz_spec,
 )
 from seqsteer.cascade import states_along, term_expectations
-from seqsteer.qop import Z_DIR
+from seqsteer.qop import Z_DIR, validate_density
 from seqsteer.search import (
     LAMBDA_FLOOR,
     MIN_TOL,
@@ -266,19 +267,59 @@ def _bench_workloads(monkeypatch):
     return module
 
 
+@pytest.fixture(scope="module")
+def bench_runs():
+    """A function giving a benchmark workload and its seeds 1-10 outputs,
+    as (seed, item, output) in pool order, built once per module; each
+    published ladder is the same in every pool and is built once."""
+    cache = {}
+
+    def runs(name):
+        if name in cache:
+            return cache[name]
+        built, out = {}, []
+        with pytest.MonkeyPatch.context() as mp:
+            workload = _bench_workloads(mp).make(name, Path(__file__).parents[1])
+            for seed in range(1, 11):
+                for i, item in enumerate(workload.pool(seed)):
+                    key = getattr(item, "published", None) or (seed, i)
+                    if key not in built:
+                        built[key] = workload.run(item)
+                    out.append((seed, item, built[key]))
+        cache[name] = workload, out
+        return cache[name]
+
+    return runs
+
+
 @pytest.mark.parametrize("name", ["ladders_xyz", "ladders_optimized"])
-def test_every_seeded_benchmark_ladder_decides_far_from_its_boundaries(monkeypatch, name):
+def test_every_seeded_benchmark_ladder_decides_far_from_its_boundaries(bench_runs, name):
     # the benchmark's ladder pools for seeds 1-10, drawn and built by the
     # benchmark's own code: 160 ladders per optimizer, of which the eight
     # published ones are the same in every pool and are checked once; the
     # smallest margin of the 320 is 3.5e-8, on seed 8's seeded ghz/B/g1
-    workload = _bench_workloads(monkeypatch).make(name, Path(__file__).parents[1])
-    for seed in range(1, 11):
-        for item in workload.pool(seed):
-            if item.published is not None and seed > 1:
-                continue
-            margin = min(decision_margins(workload.run(item), item.state, workload.config))
-            assert margin >= 1e-9, (seed, item.label, margin)
+    workload, runs = bench_runs(name)
+    for seed, item, table in runs:
+        if item.published is not None and seed > 1:
+            continue
+        margin = min(decision_margins(table, item.state, workload.config))
+        assert margin >= 1e-9, (seed, item.label, margin)
+
+
+# SHA-256 of the str-concatenated fingerprints of every op in the seeds
+# 1-10 pools; a change to a pool or a fingerprint re-records them
+BENCH_DIGESTS = {
+    "ladders_xyz": "4ff016c764c022e6c51a653bdbf5356c4d82ad4060f2cefdb7c5a19a9daed388",
+    "ladders_optimized": "5151aa278ab5d7bcc162f6c2b1b0bc113743dee4b132c82e2233084695fc8187",
+    "oracle_audit": "36fb2da22352cbe054e01343e868631ef0b4e2e5980153dfd3c440481377fd4d",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_DIGESTS))
+def test_seeded_benchmark_outputs_are_byte_identical(bench_runs, name):
+    workload, runs = bench_runs(name)
+    text = "".join(str(workload.fingerprint(output)) for _, _, output in runs)
+    assert hashlib.sha256(text.encode()).hexdigest() == BENCH_DIGESTS[name]
 
 
 def test_csv_layout():
@@ -397,6 +438,17 @@ def test_direction_coefficients_rejects_a_sharpness_outside_the_unit_interval(la
     # five times the projective vectors and NaN gave NaN vectors
     with pytest.raises(ValueError, match=r"sharpness must lie in \(0, 1\]"):
         direction_coefficients(build_state(GHZ), Scenario.A, InequalityKind.G1, lam)
+
+
+@pytest.mark.parametrize("rho", [0.5 * np.eye(8), np.eye(4) / 4], ids=["trace-4", "4x4"])
+def test_direction_coefficients_rejects_a_matrix_that_is_not_a_state(rho):
+    # the trace-4 matrix used to return (1.0, three zero vectors), and
+    # the 4x4 array failed inside numpy's matmul
+    with pytest.raises(ValueError) as exc:
+        direction_coefficients(rho, Scenario.A, InequalityKind.G1, 1.0)
+    with pytest.raises(ValueError) as want:
+        validate_density(rho)
+    assert str(exc.value) == str(want.value)
 
 
 @pytest.mark.parametrize("lam", [1.0, 1e-9])

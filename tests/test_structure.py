@@ -242,6 +242,29 @@ def test_the_ladder_row_is_spelled_once():
         assert count == 1, f"{literal!r} is spelled {count} times in src/"
 
 
+def _callers_of(name):
+    """The top-level statements of src/ that call name, plainly or as an
+    attribute: module.function, module.Class, or module.line for any
+    other statement."""
+    callers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Call) and name in (
+                    getattr(node.func, "id", None),
+                    getattr(node.func, "attr", None),
+                ):
+                    callers.add(f"{path.stem}.{getattr(stmt, 'name', stmt.lineno)}")
+    return callers
+
+
+def test_one_walk_runs_a_state_down_a_chain():
+    # every chain walk, a cascade's, a threshold's prefix, a ladder's and
+    # the audit's, goes through states_along, so the averaged channel is
+    # applied in one loop
+    assert _callers_of("averaged_channel") == {"cascade.states_along"}
+
+
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_modules_parse_as_the_oldest_supported_python(path):
     # pyproject.toml declares requires-python >= 3.10, so no module may use
