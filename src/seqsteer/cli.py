@@ -8,10 +8,11 @@ Subcommands:
   optimize   best measurement directions for the last observer
   audit      worst no-signalling marginal deviation for a chain
 
+Every command writes to stdout only; a file comes from redirecting it.
 A config file (INI style) can preload any flag; flags given on the
 command line win.  Recognized sections and keys:
 
-  [run]     state, scenario, ineq, lambdas, format, out
+  [run]     state, scenario, ineq, lambdas, format
   [search]  tol, optimizer
 
 optimizer (fixed-xyz or grid-refine) has no flag; only the config file
@@ -110,12 +111,6 @@ def _parse_tol(text):
         raise UsageError(exc)
 
 
-def _parse_out(text):
-    if not text:
-        raise UsageError("--out needs a file path")
-    return text
-
-
 # Every option once: its INI section, the one parser that a flag value
 # and an INI value both go through, the value when neither is given, and
 # the flag's help (None: no flag, the config file only).  Flags, INI
@@ -131,7 +126,6 @@ _OPTIONS = {
                 "comma-separated sharpness list, e.g. 0.627,0.736"),
     "format": ("run", _parse_choice("format", ("text", "csv", "json")), "text",
                "text, csv or json (default text)"),
-    "out": ("run", _parse_out, None, "write output to this file instead of stdout"),
     "tol": ("search", _parse_tol, SearchConfig.tol,
             "threshold bracket width in [2**-53, 1) (default 1e-4)"),
     "optimizer": ("search", _parse_choice("optimizer", Optimizer), None, None),
@@ -325,16 +319,7 @@ def main(argv=None):
     except (SearchError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    output = _render(opts["format"], doc, csv, text)
-    if opts["out"] is not None:
-        try:
-            with open(opts["out"], "w", encoding="utf-8") as fh:
-                fh.write(output)
-        except OSError as exc:
-            print(f"error: cannot write {opts['out']}: {exc}", file=sys.stderr)
-            return 1
-    else:
-        sys.stdout.write(output)
+    sys.stdout.write(_render(opts["format"], doc, csv, text))
     return code
 
 

@@ -137,7 +137,8 @@ def joint_probability(rho, seq_wing, lam, dirs):
     BlochDirections per wing in wing order: the outcome_table of
     joint_operators' full grid, as a
     (len(dirs[0]), len(dirs[1]), len(dirs[2]), 8) table whose last axis
-    is in OUTCOMES order."""
+    is in OUTCOMES order. rho must pass validate_density."""
+    rho = validate_density(rho)
     grid = np.ix_(*(range(len(d)) for d in dirs))
     return outcome_table((rho,), joint_operators(seq_wing, lam, dirs, grid))[..., 0]
 

@@ -156,7 +156,7 @@ def validate_density(rho, name="state"):
         raise ValueError(f"{name} is not Hermitian (max deviation {herm:.3e})")
     tr = rho.trace()
     if abs(tr - 1) > TRACE_TOL:
-        raise ValueError(f"{name} trace is {tr:.12f}, expected 1")
+        raise ValueError(f"{name} trace is {tr.real:.12f}, expected 1")
     smallest = float(np.linalg.eigvalsh(rho)[0])
     if smallest < -PSD_TOL:
         raise ValueError(f"{name} is not positive semidefinite (eigenvalue {smallest:.3e})")

@@ -1,3 +1,23 @@
+"""Session fixtures and the report header of the test suite.
+
+The bit pins of the suite are of two kinds, and only one depends on the BLAS.
+
+- Ladder rows: the golden ladders (tests/golden/*.csv and *.json),
+  FROZEN_LADDERS, reference/ladder_bits.json and the ladder half of the
+  seeds 1-10 benchmark digests. A ladder's bytes follow from its rows,
+  and util.exact_ladder replays every row of the published, pinned and
+  seeded ladders in exact rational arithmetic, sharing no numpy
+  arithmetic with build_table. Every bracket decision lies at least
+  3.26e-8 from its root, so these pins hold on any BLAS whose rounding
+  stays well below that; test_search checks both.
+- Full float reprs of the channel and oracle arithmetic: the cascade
+  values in the CLI's JSON output (bench/reference/cli_stdout.json),
+  reference/oracle_bits.json and the oracle_audit digest. These keep
+  the bits of the BLAS they were recorded on, named in the header
+  below. The 4- and 6-decimal values that the demos and the CLI's text
+  and CSV print rest on the same arithmetic, rounded.
+"""
+
 import platform
 
 import numpy as np

@@ -174,7 +174,7 @@ def test_value_from_state_matches_run_cascade():
     assert np.allclose(rho, build_state(GHZ))  # inputs never mutated
 
 
-def test_value_from_state_rejects_correlations_outside_the_unit_range():
+def test_twice_a_state_is_rejected_by_the_term_walk_and_the_trace_check():
     # twice a state is not a state: its ('I', 'Z', 'Z') correlation is 2,
     # and term_expectations, the one trace every walk goes through,
     # refuses it, so the optimized directions never score it either;
@@ -183,7 +183,7 @@ def test_value_from_state_rejects_correlations_outside_the_unit_range():
     message = r"expectation for \('I', 'Z', 'Z'\) out of \[-1, 1\]"
     with pytest.raises(ValueError, match=message):
         value_from_state(rho, Scenario.A, kind, SettingTriple.xyz(1.0))
-    with pytest.raises(ValueError, match=r"state trace is 2\.0+\+0\.0+j, expected 1"):
+    with pytest.raises(ValueError, match=r"state trace is 2\.0+, expected 1"):
         direction_coefficients(rho, Scenario.A, kind, 1.0)
     with pytest.raises(ValueError, match=message):
         terms = cascade.term_expectations(rho, kind, Scenario.A.sequential_wing)

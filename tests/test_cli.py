@@ -101,25 +101,9 @@ def test_identical_invocations_are_byte_identical(capsys):
     assert first == second
 
 
-def test_unwritable_out_is_a_runtime_error(capsys, tmp_path):
-    code, out, err = run(capsys, "cascade", "--out", str(tmp_path))
-    assert code == 1 and out == ""
-    assert err.startswith(f"error: cannot write {tmp_path}: ")
-
-
 def test_threshold_text_when_no_sharpness_violates(capsys):
     code, out, err = run(capsys, "threshold", "--lambdas", "0.577493,0.657998,0.787698")
     assert (code, out, err) == (0, "observer 4: no violating sharpness exists\n", "")
-
-
-def test_out_writes_file_instead_of_stdout(capsys, tmp_path):
-    target = tmp_path / "ladder.csv"
-    code, out, _ = run(
-        capsys, "table", "--ineq", "g1", "--format", "csv", "--out", str(target)
-    )
-    assert code == 0
-    assert out == ""
-    assert target.read_text() == (GOLDEN / "ghz_A_g1.csv").read_text()
 
 
 def test_custom_state_file(capsys, tmp_path):
@@ -295,12 +279,13 @@ def test_config_optimizer_selects_fixed_xyz(capsys, tmp_path):
 
 def test_config_values_are_read_literally(capsys, tmp_path):
     # a % in an INI value is a plain character, as it is in a flag
+    path = tmp_path / "100%.txt"
+    save_state_file(path, build_state(GHZ))
     cfg = tmp_path / "steer.ini"
-    out_path = tmp_path / "100%.csv"
-    cfg.write_text(f"[run]\nformat = csv\nout = {out_path}\n")
+    cfg.write_text(f"[run]\nstate = custom:{path}\nineq = g1\nformat = csv\n")
     code, out, err = run(capsys, "table", "--config", str(cfg))
-    assert code == 0 and out == "" and err == ""
-    assert out_path.read_text() == (GOLDEN / "ghz_A_g1.csv").read_text()
+    assert code == 0 and err == ""
+    assert out == (GOLDEN / "ghz_A_g1.csv").read_text()
 
 
 def test_audit_passes_on_quantum_model(capsys):
@@ -342,7 +327,6 @@ BAD_VALUES = [
     ("run", "lambdas", "0.7,,1.0"),
     ("run", "lambdas", "0.7,abc"),
     ("run", "state", "custom:"),
-    ("run", "out", ""),
     ("search", "tol", "abc"),
     ("search", "tol", "5"),
     ("search", "tol", "0"),
@@ -434,6 +418,24 @@ def test_retired_direction_option_is_rejected(capsys, tmp_path):
     code, out, err = run(capsys, "threshold", "--config", str(cfg))
     assert code == 2 and out == ""
     assert "unknown key 'direction'" in err
+
+
+def test_retired_out_option_is_rejected(capsys, tmp_path):
+    # every command writes to stdout only; a file comes from redirecting it
+    target = tmp_path / "x.csv"
+    for command in ("cascade", "threshold", "table", "optimize", "audit"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--out", str(target)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: --out {target}" in captured.err
+    cfg = tmp_path / "steer.ini"
+    cfg.write_text(f"[run]\nout = {target}\n")
+    code, out, err = run(capsys, "table", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert "unknown key 'out'" in err
+    assert not target.exists()
 
 
 @pytest.mark.parametrize("command", sorted(CLI_REFERENCE))

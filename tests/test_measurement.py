@@ -214,6 +214,16 @@ def test_joint_probabilities_form_a_distribution():
     assert np.allclose(probs.sum(-1), 1.0, rtol=0, atol=1e-12)
 
 
+def test_joint_probability_rejects_a_matrix_that_is_not_a_state():
+    # the audit's default model is public, so it checks its state as the
+    # channel does, instead of returning a table that is no distribution
+    dirs = (XYZ, XYZ, XYZ)
+    with pytest.raises(ValueError, match=r"state trace is 2\.0+, expected 1"):
+        joint_probability(2 * build_state(GHZ), 0, 0.5, dirs)
+    with pytest.raises(ValueError, match=r"state must be 8x8, got \(4, 4\)"):
+        joint_probability(np.eye(4) / 4, 0, 0.5, dirs)
+
+
 def test_correlation_moment_scales_with_sharpness():
     # <O_lam x P x P> = lam * <O x P x P>
     rng = np.random.default_rng(14)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +48,7 @@ from util import (
     TABLE_CASES,
     _settings_and_value,
     decision_margins,
+    exact_ladder,
     ladder_bit_cases,
     noisy_rotated_state,
     random_mixed_state,
@@ -304,6 +306,66 @@ def test_every_seeded_benchmark_ladder_decides_far_from_its_boundaries(bench_run
             continue
         margin = min(decision_margins(table, item.state, workload.config))
         assert margin >= 1e-9, (seed, item.label, margin)
+
+
+def _exact_projector(support):
+    """The projector onto the equal superposition of the basis states in
+    support, in Fractions: GHZ and W from their exact amplitudes."""
+    weight = Fraction(1, len(support))
+    return [[weight if {r, c} <= set(support) else 0 for c in range(8)] for r in range(8)]
+
+
+EXACT_STATES = {GHZ: _exact_projector((0, 7)), W: _exact_projector((1, 2, 4))}
+
+
+@pytest.mark.parametrize("optimizer", list(Optimizer), ids=lambda o: o.value)
+def test_every_published_ladder_equals_its_exact_replay(optimizer):
+    # exact_ladder shares no numpy arithmetic with build_table, so a change
+    # to the ladder arithmetic is byte-safe on these ladders exactly when
+    # both still agree; every decision lies at least 1.08e-6 from its root,
+    # on w/A/w1, in sharpness units
+    config = SearchConfig(optimizer=optimizer)
+    margins = {}
+    for state, scenario, kind in TABLE_CASES:
+        rows, margin = exact_ladder(EXACT_STATES[state], scenario, kind, config)
+        assert rows == build_table(scenario, kind, state, config).rows
+        margins[table_key(state, scenario, kind)] = margin
+    smallest = min(margins, key=margins.get)
+    assert smallest == ("w", "A", "w1")
+    assert margins[smallest] == pytest.approx(1.077e-6, rel=1e-3)
+
+
+def test_every_pinned_ladder_equals_its_exact_replay():
+    # ladder_bits.json's 40 ladders, the published ones under grid-refine
+    # and 32 seeded ones, replayed from the float states build_state gives
+    # and read against their pinned rows
+    for name, (scenario, kind, state, optimizer) in ladder_bit_cases().items():
+        config = SearchConfig(optimizer=optimizer)
+        rows, _ = exact_ladder(build_state(state), scenario, kind, config)
+        pinned = tuple((row["m"], row["lambda_min"]) for row in LADDER_BITS[name]["rows"])
+        assert rows == pinned, name
+
+
+# each pool's smallest exact decision margin, in sharpness units
+SEEDED_MARGINS = {"ladders_xyz": 3.261e-8, "ladders_optimized": 5.019e-8}
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED_MARGINS))
+def test_every_seeded_benchmark_ladder_equals_its_exact_replay(bench_runs, name):
+    # the same certificate on the benchmark's seeds 1-10 ladder pools, 88
+    # distinct ladders per optimizer, replayed from the float states
+    # build_state gives
+    workload, runs = bench_runs(name)
+    margins = []
+    for seed, item, table in runs:
+        if item.published is not None and seed > 1:
+            continue
+        rho = build_state(item.state)
+        rows, margin = exact_ladder(rho, table.scenario, table.inequality, workload.config)
+        assert rows == table.rows, (seed, item.label)
+        margins.append(margin)
+    assert len(margins) == 88
+    assert min(margins) == pytest.approx(SEEDED_MARGINS[name], rel=1e-3)
 
 
 # SHA-256 of the str-concatenated fingerprints of every op in the seeds

@@ -265,6 +265,36 @@ def test_one_walk_runs_a_state_down_a_chain():
     assert _callers_of("averaged_channel") == {"cascade.states_along"}
 
 
+def _open_mode(call):
+    """The mode of an open call, builtin open(file, mode) or a method
+    path.open(mode), as its AST node, or None when the default "r" holds."""
+    for keyword in call.keywords:
+        if keyword.arg == "mode":
+            return keyword.value
+    position = 1 if isinstance(call.func, ast.Name) else 0
+    return call.args[position] if len(call.args) > position else None
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_opens_a_file_for_writing(path):
+    # every command's output goes to stdout through cli._render, and a
+    # file comes from redirecting it, so the package only ever reads files;
+    # a mode it cannot read as a literal counts as a write
+    writes = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        if name in ("write_text", "write_bytes"):
+            writes.append(f"{path.name}:{node.lineno}")
+        elif name == "open":
+            mode = _open_mode(node)
+            reads = isinstance(mode, ast.Constant) and set(str(mode.value)).isdisjoint("wax+")
+            if mode is not None and not reads:
+                writes.append(f"{path.name}:{node.lineno}")
+    assert not writes, f"files opened for writing: {writes}"
+
+
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_modules_parse_as_the_oldest_supported_python(path):
     # pyproject.toml declares requires-python >= 3.10, so no module may use

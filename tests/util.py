@@ -9,6 +9,8 @@ them.
 import functools
 import math
 import operator
+from decimal import Decimal, localcontext
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -20,6 +22,7 @@ from seqsteer import (
     Optimizer,
     Scenario,
     ScenarioSpec,
+    SearchConfig,
     SearchError,
     SettingTriple,
     StateKind,
@@ -378,6 +381,108 @@ def decision_margins(table, state, config):
         assert (hi if gaps[0] < 0.0 else None) == printed, (printed, hi)
         margins.append(min(map(abs, gaps)))
     return margins
+
+
+def _exact_matrix(rho):
+    """rho's entries as exact rationals over one common denominator, as
+    (numerators, denominator): numerators[r][c] is the (re, im) pair of
+    integers of entry (r, c). A float entry is read as its exact value,
+    and a Fraction or int as it is."""
+    ratios = [
+        [
+            (Fraction(z).as_integer_ratio(), (0, 1)) if isinstance(z, (Fraction, int))
+            else (complex(z).real.as_integer_ratio(), complex(z).imag.as_integer_ratio())
+            for z in row
+        ]
+        for row in rho
+    ]
+    den = math.lcm(*(d for row in ratios for pair in row for _, d in pair))
+    return [[tuple(n * (den // d) for n, d in pair) for pair in row] for row in ratios], den
+
+
+def _pauli_expectation(numerators, den, axes):
+    """Re Tr[rho (s0 x s1 x s2)] as a Fraction, rho an _exact_matrix and
+    s_w the Pauli along axes[w] (0, 1, 2 for x, y, z) or the identity
+    where it is None.
+
+    Each such product has one entry i**k per row c, in column c ^ flip,
+    so the trace reads eight entries of rho: the sum over c of
+    i**k * rho[c ^ flip][c]. X and Y flip their wing's bit; Y is -i
+    above its diagonal and +i below, and Z is -1 on |1>, so k is the
+    number of Ys plus twice the number of Ys and Zs whose bit in c is 1.
+    """
+    flip = sum(4 >> w for w, a in enumerate(axes) if a in (0, 1))
+    yz = sum(4 >> w for w, a in enumerate(axes) if a in (1, 2))
+    total = 0
+    for c in range(8):
+        re, im = numerators[c ^ flip][c]
+        total += (re, -im, -re, im)[(axes.count(1) + 2 * bin(c & yz).count("1")) % 4]
+    return Fraction(total, den)
+
+
+def exact_ladder(rho, scenario, inequality, config=None):
+    """build_table's ladder for the state rho replayed in exact
+    arithmetic, as (rows, margin): rows as build_table gives them, and
+    margin the smallest |x - root| over the row decisions, in sharpness
+    units.
+
+    It shares with the package only the term table, LAMBDA_FLOOR and
+    SearchConfig. The first state's term values are exact rationals
+    (_pauli_expectation of its _exact_matrix), and so are base and the
+    x/y/z slope. Pinning an observer at p = min(1, lambda_min + tol) on
+    x, y, z scales every Pauli component on the sequential wing by
+    (1 + 2*sqrt(1 - p*p))/3 and leaves base alone, so row m's slope is
+    the first slope times those factors of the observers before it. Square roots (the grid-refine
+    slope, each factor) and the root itself are taken in decimal at 60
+    digits. A row is "none" when sharpness 1 does not violate; otherwise
+    the float bracket is replayed as build_table runs it, each float
+    midpoint compared with the line's root. Every decision, the one at 1
+    included, adds its distance from the root to the margin.
+    """
+    config = config or SearchConfig()
+    seq = scenario.sequential_wing
+    exact = _exact_matrix(rho)
+    base, vecs = Fraction(1), [[Fraction(0)] * 3 for _ in range(3)]
+    for term in required_terms(inequality):
+        slot = term.axes[seq]
+        if slot is None:
+            base += Fraction(term.coeff) * _pauli_expectation(*exact, term.axes)
+            continue
+        for axis in range(3):
+            axes = tuple(axis if w == seq else a for w, a in enumerate(term.axes))
+            vecs[slot][axis] += Fraction(term.coeff) * _pauli_expectation(*exact, axes)
+    with localcontext() as ctx:
+        ctx.prec = 60
+
+        def dec(q):
+            return Decimal(q.numerator) / Decimal(q.denominator)
+
+        if config.optimizer is Optimizer.FIXED_XYZ:
+            slope = dec(sum(vecs[i][i] for i in range(3)))
+        else:
+            slope = -sum(dec(sum(x * x for x in v)).sqrt() for v in vecs)
+        # the value base + lam * slope lies below -guard exactly when
+        # lam * slope < target, so 1 violates when slope < target
+        target = dec(-Fraction(config.guard) - base)
+        rows, margin = [], math.inf
+        for m in range(1, config.max_rows + 1):
+            if slope < 0:
+                root = target / slope
+                margin = min(margin, abs(1 - root))
+            if not slope < target:
+                rows.append((m, None))
+                break
+            if not slope < 0:
+                raise SearchError(f"row {m}: the value does not decrease with sharpness")
+            lo, hi = LAMBDA_FLOOR, 1.0
+            while hi - lo > config.tol:
+                mid = 0.5 * (lo + hi)
+                margin = min(margin, abs(Decimal(mid) - root))
+                lo, hi = (lo, mid) if Decimal(mid) > root else (mid, hi)
+            rows.append((m, hi))
+            pin = Decimal(min(1.0, hi + config.tol))
+            slope *= (1 + 2 * (1 - pin * pin).sqrt()) / 3
+        return tuple(rows), float(margin)
 
 
 def projector(d, outcome):
