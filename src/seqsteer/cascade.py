@@ -25,12 +25,12 @@ from .measurement import (
     SettingTriple,
     averaged_channel,
     joint_operators,
-    joint_probability,
     outcome_table,
     selective_updates,
     table_correlation,
+    unchecked_joint_probability,
 )
-from .qop import I2, XYZ, require_type, tensor3
+from .qop import I2, XYZ, require_type, tensor3, validate_density
 from .states import StateSpec, build_state
 
 ORACLE_MAX_OBSERVERS = 4
@@ -268,18 +268,25 @@ def no_signalling_audit(spec: ScenarioSpec, prob_fn=None) -> float:
     prob_fn(rho, seq_wing, lam, dirs), with the signature of
     measurement.joint_probability, the quantum model used when prob_fn is
     None; dirs holds each wing's three directions, in wing order. A table
-    of any other size raises ValueError.
+    of any other shape, even of the same size, raises ValueError.
+
+    Each state is validated once: the first where the walk starts, the
+    others by the averaged channel that hands them on, so the default
+    model reads them through unchecked_joint_probability.
     """
     spec.require_observers()
-    prob_fn = prob_fn or joint_probability
+    prob_fn = prob_fn or unchecked_joint_probability
     seq_wing = spec.sequential_wing
-    rhos = states_along(build_state(spec.state), seq_wing, spec.observers)
+    rhos = states_along(validate_density(build_state(spec.state)), seq_wing, spec.observers)
     # p[m, c, o]: observer m, the (wing 0, 1, 2) direction cell c in
     # (3, 3, 3) order and the outcome triple o
-    p = np.stack([
-        np.reshape(prob_fn(rho, seq_wing, triple.lam, _wing_directions(seq_wing, triple)), (27, 8))
-        for triple, rho in zip(spec.observers, rhos)
-    ])
+    tables = []
+    for triple, rho in zip(spec.observers, rhos):
+        table = prob_fn(rho, seq_wing, triple.lam, _wing_directions(seq_wing, triple))
+        if np.shape(table) != (3, 3, 3, 8):
+            raise ValueError(f"the model's table must have shape (3, 3, 3, 8), got {np.shape(table)}")
+        tables.append(np.reshape(table, (27, 8)))
+    p = np.stack(tables)
     # plus[m, w, d, r]: wing w's P(+1) at its direction d and remote cell
     # r, which must not move along r; its four +1 outcomes are added in
     # OUTCOMES order from 0.0, the bits that oracle_bits.json pins

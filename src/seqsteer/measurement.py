@@ -116,7 +116,10 @@ def joint_operators(seq_wing, lam, dirs, cells):
     wing's directions gives the full grid, shape (len(dirs[0]),
     len(dirs[1]), len(dirs[2]), 8, 8, 8); three equal-length arrays give
     just those cells. Each wing's factors are one projector_stack, its
-    effects on seq_wing, and every cell is one tensor3 product of them.
+    effects on seq_wing, spread over the 8x8 entries they touch: entry
+    [d, o, r, c] is factor [d, o, bit(r), bit(c)], wing 0 the high bit.
+    Every operator is then (F0 * F1) * F2 over contiguous 64-entry rows,
+    the (a_ij * b_kl) * c_mn products that tensor3 takes, so its bits.
     """
     seq_wing = resolve_wing(seq_wing)
     factors = []
@@ -124,11 +127,13 @@ def joint_operators(seq_wing, lam, dirs, cells):
         stack = projector_stack(wing_dirs)
         if wing == seq_wing:
             stack = effect(stack, lam)
-        shape = [1, 1, 1, 2, 2]  # the outcome axes, then the 2x2 factor
+        bits = (np.arange(8) >> (2 - wing)) & 1
+        spread = stack[:, :, bits[:, None], bits]  # (len(wing_dirs), 2, 8, 8)
+        shape = [1, 1, 1, 64]  # the outcome axes, then the 8x8 entries
         shape[wing] = 2
-        factors.append(np.take(stack, index, axis=0).reshape(np.shape(index) + tuple(shape)))
-    ops = tensor3(*factors)
-    return ops.reshape(ops.shape[:-5] + (8, 8, 8))
+        factors.append(np.take(spread, index, axis=0).reshape(np.shape(index) + tuple(shape)))
+    ops = (factors[0] * factors[1]) * factors[2]
+    return ops.reshape(ops.shape[:-4] + (8, 8, 8))
 
 
 def joint_probability(rho, seq_wing, lam, dirs):
@@ -138,7 +143,12 @@ def joint_probability(rho, seq_wing, lam, dirs):
     joint_operators' full grid, as a
     (len(dirs[0]), len(dirs[1]), len(dirs[2]), 8) table whose last axis
     is in OUTCOMES order. rho must pass validate_density."""
-    rho = validate_density(rho)
+    return unchecked_joint_probability(validate_density(rho), seq_wing, lam, dirs)
+
+
+def unchecked_joint_probability(rho, seq_wing, lam, dirs):
+    """joint_probability on a rho already known to pass validate_density,
+    such as a state averaged_channel handed on."""
     grid = np.ix_(*(range(len(d)) for d in dirs))
     return outcome_table((rho,), joint_operators(seq_wing, lam, dirs, grid))[..., 0]
 
@@ -152,25 +162,27 @@ def outcome_table(rhos, ops):
     Only the diagonals are formed: entry r of op @ rho is row r of op
     times column r of rho, so one batched product of the K operators'
     rows r, (8, K, 8), with the n states' columns r, (8, 8, n), gives
-    every diagonal entry. Both K and n are zero-padded to multiples of
-    8: that keeps every entry on the BLAS kernel path (OpenBLAS 0.3.31,
+    every diagonal entry. K and n are zero-padded to multiples of 8 (K
+    only when it is not one already, as every joint_operators stack is):
+    that keeps every entry on the BLAS kernel path (OpenBLAS 0.3.31,
     Haswell) of the full (8K, 8) @ (8, 8n) product this replaced, and so
     its bits; unpadded, counts such as 1, 2 or 6 change the last bits.
-    The eight real
-    parts are added in the pairwise order of numpy's sum over eight
-    contiguous values; real and imaginary parts add apart, so taking
-    .real first keeps the bits of the complex trace."""
+    Only the n real state columns of the padded product are reduced: the
+    eight real parts are added in the pairwise order of numpy's sum over
+    eight contiguous values; real and imaginary parts add apart, so
+    taking .real first keeps the bits of the complex trace."""
     rhos = np.asarray(rhos)
     stack = np.reshape(ops, (-1, 8, 8))
     k, n = len(stack), len(rhos)
     dtype = np.result_type(stack, rhos)
-    rows = np.zeros((8, -(-k // 8) * 8, 8), dtype)
-    rows[:, :k] = stack.transpose(1, 0, 2)
+    rows = stack.transpose(1, 0, 2)
+    if k % 8:
+        rows = np.pad(rows, ((0, 0), (0, -k % 8), (0, 0)))
     cols = np.zeros((8, 8, -(-n // 8) * 8), dtype)
     cols[..., :n] = rhos.transpose(2, 1, 0)
-    d = (rows @ cols).real
+    d = (rows @ cols)[:, :k, :n].real
     traces = ((d[0] + d[4]) + (d[1] + d[5])) + ((d[2] + d[6]) + (d[3] + d[7]))
-    return traces[:k, :n].reshape(np.shape(ops)[:-2] + (n,))
+    return traces.reshape(np.shape(ops)[:-2] + (n,))
 
 
 # each wing subset's column of outcome-product signs, in OUTCOMES order

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 from collections import Counter
 from itertools import product
@@ -562,10 +563,14 @@ def test_audit_fails_a_nan_model(nan_where):
     assert not no_signalling_audit(spec, prob_fn=broken) <= 1e-10
 
 
-@pytest.mark.parametrize("shape", [(3, 3, 3, 7), (216, 2), (1, 1, 1, 8)])
+@pytest.mark.parametrize(
+    "shape", [(3, 3, 3, 7), (216, 2), (1, 1, 1, 8), (8, 3, 3, 3), (27, 8), (216,)]
+)
 def test_audit_rejects_a_table_of_the_wrong_size(shape):
+    # a table of 216 entries in another shape, outcomes first say, would
+    # read as a different table, so only (3, 3, 3, 8) is accepted
     spec = xyz_spec(Scenario.B, InequalityKind.G2, GHZ, (0.8, 1.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(f"(3, 3, 3, 8), got {shape}")):
         no_signalling_audit(spec, prob_fn=lambda *args: np.full(shape, 0.125))
 
 
@@ -583,7 +588,7 @@ def test_the_default_audit_reads_one_stacked_table(monkeypatch):
     builds = Counter()
     tables = Counter()
     real_operators = measurement.joint_operators
-    real_probability = cascade.joint_probability
+    real_probability = cascade.unchecked_joint_probability
 
     def counted_operators(*args):
         ops = real_operators(*args)
@@ -596,10 +601,31 @@ def test_the_default_audit_reads_one_stacked_table(monkeypatch):
         return p
 
     monkeypatch.setattr(measurement, "joint_operators", counted_operators)
-    monkeypatch.setattr(cascade, "joint_probability", counted_probability)
+    monkeypatch.setattr(cascade, "unchecked_joint_probability", counted_probability)
     assert repr(no_signalling_audit(spec)) == repr(unpatched)
     assert builds == {(3, 3, 3, 8, 8, 8): len(spec.observers)}
     assert tables == {(3, 3, 3, 8): len(spec.observers)}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("scenario", list(Scenario))
+def test_the_audit_validates_each_state_once(monkeypatch, scenario, n):
+    # the first state where the walk starts, every later one in the
+    # channel that hands it on; the default model reads each unchecked
+    checked = []
+    real_validate = measurement.validate_density
+
+    def counted_validate(rho, *args, **kwargs):
+        checked.append(np.shape(rho))
+        return real_validate(rho, *args, **kwargs)
+
+    lambdas = (0.6,) * (n - 1) + (1.0,)
+    spec = xyz_spec(scenario, InequalityKind.W1, W, lambdas)
+    unpatched = no_signalling_audit(spec)
+    for module in (cascade, measurement):
+        monkeypatch.setattr(module, "validate_density", counted_validate)
+    assert repr(no_signalling_audit(spec)) == repr(unpatched)
+    assert checked == [(8, 8)] * n
 
 
 @settings(max_examples=30, deadline=None)

@@ -3,7 +3,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqsteer import (
@@ -401,10 +401,17 @@ def test_each_cell_of_an_outcome_table_is_the_per_operator_loop_bit_for_bit(seed
     count=st.integers(min_value=1, max_value=300),
     bare=st.booleans(),
 )
+@example(seed=61, ops_count=8, count=1, bare=False)
+@example(seed=61, ops_count=64, count=1, bare=False)
+@example(seed=61, ops_count=7, count=1, bare=False)
+@example(seed=61, ops_count=8, count=9, bare=False)
+@example(seed=61, ops_count=64, count=9, bare=False)
+@example(seed=61, ops_count=7, count=9, bare=False)
 def test_the_diagonal_only_table_is_the_wide_product_bit_for_bit(seed, ops_count, count, bare):
     # forming only the diagonals keeps the bits of the full product, for
     # operator and state counts that are not multiples of 8 and for a
-    # bare (8, 8) operator
+    # bare (8, 8) operator; the examples run both the unpadded operator
+    # rows (8, 64) and the padded ones (7) on every pass
     rng = np.random.default_rng(seed)
     rhos = np.array([random_mixed_state(rng) for _ in range(count)])
     ops = rng.normal(size=(ops_count, 8, 8)) + 1j * rng.normal(size=(ops_count, 8, 8))

@@ -265,6 +265,13 @@ def test_one_walk_runs_a_state_down_a_chain():
     assert _callers_of("averaged_channel") == {"cascade.states_along"}
 
 
+def test_the_outcome_operators_are_built_without_tensor3():
+    # joint_operators spreads each wing's factors over the 8x8 entries
+    # and multiplies contiguous 64-entry rows; tensor3's broadcast would
+    # run inner loops of length 2 over the audit's 216 operators
+    assert "measurement.joint_operators" not in _callers_of("tensor3")
+
+
 def _open_mode(call):
     """The mode of an open call, builtin open(file, mode) or a method
     path.open(mode), as its AST node, or None when the default "r" holds."""
