@@ -95,7 +95,9 @@ def averaged_channel(rho, wing, triple: SettingTriple):
 def bloch_shrink_factor(lam):
     """Factor (1 + 2*sqrt(1-lam^2))/3 by which the averaged channel with
     three mutually orthogonal settings scales every Bloch component of
-    the measured qubit."""
+    the measured qubit, with lam in (0, 1]."""
+    if not 0.0 < lam <= 1.0:
+        raise ValueError(f"sharpness must lie in (0, 1], got {lam}")
     return (1 + 2 * np.sqrt(1 - lam * lam)) / 3
 
 
@@ -116,10 +118,8 @@ def joint_operators(seq_wing, lam, dirs, cells):
     wing's directions gives the full grid, shape (len(dirs[0]),
     len(dirs[1]), len(dirs[2]), 8, 8, 8); three equal-length arrays give
     just those cells. Each wing's factors are one projector_stack, its
-    effects on seq_wing, spread over the 8x8 entries they touch: entry
-    [d, o, r, c] is factor [d, o, bit(r), bit(c)], wing 0 the high bit.
-    Every operator is then (F0 * F1) * F2 over contiguous 64-entry rows,
-    the (a_ij * b_kl) * c_mn products that tensor3 takes, so its bits.
+    effects on seq_wing, taken at the wing's indices with their outcome
+    axis at the wing's place, and the operators are their tensor3.
     """
     seq_wing = resolve_wing(seq_wing)
     factors = []
@@ -127,13 +127,11 @@ def joint_operators(seq_wing, lam, dirs, cells):
         stack = projector_stack(wing_dirs)
         if wing == seq_wing:
             stack = effect(stack, lam)
-        bits = (np.arange(8) >> (2 - wing)) & 1
-        spread = stack[:, :, bits[:, None], bits]  # (len(wing_dirs), 2, 8, 8)
-        shape = [1, 1, 1, 64]  # the outcome axes, then the 8x8 entries
+        shape = [1, 1, 1, 2, 2]  # the outcome axes, then the 2x2 factor
         shape[wing] = 2
-        factors.append(np.take(spread, index, axis=0).reshape(np.shape(index) + tuple(shape)))
-    ops = (factors[0] * factors[1]) * factors[2]
-    return ops.reshape(ops.shape[:-4] + (8, 8, 8))
+        factors.append(np.take(stack, index, axis=0).reshape(np.shape(index) + tuple(shape)))
+    ops = tensor3(*factors)
+    return ops.reshape(ops.shape[:-5] + (8, 8, 8))
 
 
 def joint_probability(rho, seq_wing, lam, dirs):
@@ -142,7 +140,12 @@ def joint_probability(rho, seq_wing, lam, dirs):
     BlochDirections per wing in wing order: the outcome_table of
     joint_operators' full grid, as a
     (len(dirs[0]), len(dirs[1]), len(dirs[2]), 8) table whose last axis
-    is in OUTCOMES order. rho must pass validate_density."""
+    is in OUTCOMES order. rho must pass validate_density, and dirs must
+    hold three non-empty wing tuples; ValueError otherwise."""
+    lengths = [len(wing) for wing in dirs]
+    if len(lengths) != 3 or 0 in lengths:
+        raise ValueError(f"dirs must hold three non-empty wing tuples, got lengths {lengths}")
+    require_type("dirs", BlochDirection, *(d for wing in dirs for d in wing))
     return unchecked_joint_probability(validate_density(rho), seq_wing, lam, dirs)
 
 

@@ -102,26 +102,30 @@ def projector_stack(directions):
     return np.array([d.projectors for d in directions])
 
 
+# wing w's flat index 2*bit(r) + bit(c) into its 2x2 factor for each entry
+# 8r + c of an 8x8 product in order, wing 0 the high bit of r and of c
+_SPREAD = tuple(2 * (np.arange(64) >> 3 + s & 1) + (np.arange(64) >> s & 1) for s in (2, 1, 0))
+
+
 def tensor3(a, b, c):
     """Kronecker product a (x) b (x) c of three 2x2 matrices, wing order
     Alice (x) Bob (x) Charlie.
 
     Each factor may also be a stack of 2x2 matrices, shape (..., 2, 2);
     the stacks broadcast against each other and every 8x8 product is
-    taken as if its three factors were passed alone.
+    taken as if its three factors were passed alone. One gather spreads
+    each factor over the 64 entries, and entry (ikm, jln) is then
+    (a_ij * b_kl) * c_mn: np.kron's products in its order, so its bits.
     """
     a, b, c = np.asarray(a), np.asarray(b), np.asarray(c)
     for name, m in (("a", a), ("b", b), ("c", c)):
         if m.shape[-2:] != (2, 2):
             raise ValueError(f"tensor3 factor {name} must be 2x2 or a stack of 2x2, got {m.shape}")
-    # entry (ikm, jln) is (a_ij * b_kl) * c_mn, the products np.kron takes
-    # in the same order, so the bits match kron(kron(a, b), c)
-    out = (
-        a[..., :, None, None, :, None, None]
-        * b[..., None, :, None, None, :, None]
-        * c[..., None, None, :, None, None, :]
-    )
-    return out.reshape(out.shape[:-6] + (8, 8))
+    a = a.reshape(a.shape[:-2] + (4,)).take(_SPREAD[0], axis=-1)
+    b = b.reshape(b.shape[:-2] + (4,)).take(_SPREAD[1], axis=-1)
+    c = c.reshape(c.shape[:-2] + (4,)).take(_SPREAD[2], axis=-1)
+    out = (a * b) * c
+    return out.reshape(out.shape[:-1] + (8, 8))
 
 
 def effect_sqrt(projectors, lam):

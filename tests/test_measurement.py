@@ -189,6 +189,14 @@ def test_bloch_shrink_factor_values():
     assert bloch_shrink_factor(0.627) == pytest.approx(0.8527, abs=1e-4)
 
 
+@pytest.mark.parametrize("lam", [0.0, -0.5, 1.5, math.nan])
+def test_bloch_shrink_factor_rejects_a_sharpness_outside_0_1(lam):
+    # as every other public sharpness input does, instead of returning
+    # 1.0, a factor above 1/3 for a negative lam, or nan
+    with pytest.raises(ValueError, match=r"sharpness must lie in \(0, 1\], got "):
+        bloch_shrink_factor(lam)
+
+
 def test_orthogonal_triple_shrinks_bloch_vector_isotropically():
     # the xyz-averaged channel multiplies the measured qubit's whole
     # Bloch vector by (1 + 2*sqrt(1-lam^2))/3, independent of the state
@@ -222,6 +230,23 @@ def test_joint_probability_rejects_a_matrix_that_is_not_a_state():
         joint_probability(2 * build_state(GHZ), 0, 0.5, dirs)
     with pytest.raises(ValueError, match=r"state must be 8x8, got \(4, 4\)"):
         joint_probability(np.eye(4) / 4, 0, 0.5, dirs)
+
+
+@pytest.mark.parametrize(
+    "dirs, message",
+    [
+        ((XYZ, XYZ), r"three non-empty wing tuples, got lengths \[3, 3\]"),
+        ((XYZ,) * 4, r"three non-empty wing tuples, got lengths \[3, 3, 3, 3\]"),
+        ((XYZ, (X_DIR, "x"), XYZ), r"dirs must be of type BlochDirection, got 'x'"),
+        ((XYZ, (), XYZ), r"three non-empty wing tuples, got lengths \[3, 0, 3\]"),
+    ],
+    ids=["two wings", "four wings", "a string entry", "an empty wing"],
+)
+def test_joint_probability_rejects_malformed_directions(dirs, message):
+    # each used to fail deep inside with an error that named nothing:
+    # IndexError, a reshape ValueError or an AttributeError
+    with pytest.raises(ValueError, match=message):
+        joint_probability(build_state(GHZ), 0, 0.5, dirs)
 
 
 def test_correlation_moment_scales_with_sharpness():

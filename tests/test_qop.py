@@ -26,6 +26,7 @@ from util import (
     random_direction,
     random_mixed_state,
     random_pure_state,
+    reference_tensor3,
 )
 
 angles = st.tuples(
@@ -144,8 +145,8 @@ def test_tensor3_matches_explicit_kron():
 
 
 def test_tensor3_is_kron_bit_for_bit():
-    # the broadcast product must take kron's products in kron's order,
-    # (a * b) * c, so every bit and the dtype match
+    # the product must take kron's products in kron's order, (a * b) * c,
+    # so every bit and the dtype match, for any entries and dtype
     rng = np.random.default_rng(29)
     triples = [
         tuple(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(3))
@@ -160,10 +161,22 @@ def test_tensor3_is_kron_bit_for_bit():
         tuple(factors[int(i)] for i in rng.integers(len(factors), size=3))
         for _ in range(300)
     ]
-    for a, b, c in triples:
-        got, want = tensor3(a, b, c), np.kron(np.kron(a, b), c)
-        assert got.dtype == want.dtype
-        assert got.tobytes() == want.tobytes()
+    # signed zeros, infinities, nan and the smallest subnormal, in real and
+    # complex entries, and inputs that are not complex128
+    specials = [-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1.0, -2.5]
+    for dtype in (np.float64, np.complex128, np.float32, np.complex64):
+        for _ in range(200):
+            re, im = rng.choice(specials, size=(2, 3, 2, 2))
+            z = re.astype(dtype)
+            if z.dtype.kind == "c":
+                z.imag = im
+            triples.append(tuple(z))
+    triples += [tuple(rng.integers(-9, 10, size=(3, 2, 2))) for _ in range(100)]
+    with np.errstate(all="ignore"):  # inf * 0 and inf - inf give nan
+        for a, b, c in triples:
+            got, want = tensor3(a, b, c), np.kron(np.kron(a, b), c)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
 
 
 # leading stack shape of each factor, drawn so that the three broadcast
@@ -190,6 +203,7 @@ def test_stacked_tensor3_is_kron_bit_for_bit(seed, lead, masks, drops):
     got = tensor3(*factors)
     full = np.broadcast_shapes(*shapes)
     assert got.shape == full + (8, 8)
+    assert got.tobytes() == reference_tensor3(*factors).tobytes()
     wide = [np.broadcast_to(f, full + (2, 2)) for f in factors]
     for idx in np.ndindex(*full):
         want = np.kron(np.kron(wide[0][idx], wide[1][idx]), wide[2][idx])

@@ -265,11 +265,22 @@ def test_one_walk_runs_a_state_down_a_chain():
     assert _callers_of("averaged_channel") == {"cascade.states_along"}
 
 
-def test_the_outcome_operators_are_built_without_tensor3():
-    # joint_operators spreads each wing's factors over the 8x8 entries
-    # and multiplies contiguous 64-entry rows; tensor3's broadcast would
-    # run inner loops of length 2 over the audit's 216 operators
-    assert "measurement.joint_operators" not in _callers_of("tensor3")
+def test_tensor3_is_the_one_three_qubit_product():
+    # every 8x8 product of three 2x2 factors goes through qop.tensor3, so
+    # the wing-bit layout is spelled once: no other module shifts bits
+    assert _callers_of("tensor3") == {
+        "cascade.term_expectations",
+        "measurement.selective_updates",
+        "measurement.joint_operators",
+    }
+    shifts = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "qop"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(getattr(node, "op", None), ast.RShift)  # x >> n or x >>= n
+    ]
+    assert not shifts, f"bit shifts outside qop: {shifts}"
 
 
 def _open_mode(call):

@@ -43,7 +43,6 @@ from seqsteer.qop import (
     I2,
     XYZ,
     resolve_wing,
-    tensor3,
     validate_density,
 )
 from seqsteer.search import LAMBDA_FLOOR, _best_direction, _coefficients
@@ -525,6 +524,32 @@ def reference_effect_sqrt(d, lam, outcome):
     return root_a * projector(d, outcome) + root_b * projector(d, -outcome)
 
 
+def reference_tensor3(a, b, c):
+    """Kronecker product a (x) b (x) c of three 2x2 matrices, wing order
+    Alice (x) Bob (x) Charlie.
+
+    Each factor may also be a stack of 2x2 matrices, shape (..., 2, 2);
+    the stacks broadcast against each other and every 8x8 product is
+    taken as if its three factors were passed alone.
+
+    This is the 12-axis broadcast that tensor3's one gather per factor
+    replaced, kept literally so that no reference shares the product
+    it checks.
+    """
+    a, b, c = np.asarray(a), np.asarray(b), np.asarray(c)
+    for name, m in (("a", a), ("b", b), ("c", c)):
+        if m.shape[-2:] != (2, 2):
+            raise ValueError(f"tensor3 factor {name} must be 2x2 or a stack of 2x2, got {m.shape}")
+    # entry (ikm, jln) is (a_ij * b_kl) * c_mn, the products np.kron takes
+    # in the same order, so the bits match kron(kron(a, b), c)
+    out = (
+        a[..., :, None, None, :, None, None]
+        * b[..., None, :, None, None, :, None]
+        * c[..., None, None, :, None, None, :]
+    )
+    return out.reshape(out.shape[:-6] + (8, 8))
+
+
 def reference_joint_operator(seq_wing, lam, dirs, outcomes):
     """One outcome triple's row of joint_operators, for one direction per
     wing in dirs, as its three factors and one Kronecker product.
@@ -546,7 +571,7 @@ def reference_joint_grid(seq_wing, lam, dirs):
     """joint_operators' full grid, shape (len(dirs[0]), len(dirs[1]),
     len(dirs[2]), 8, 8, 8), from one nested list of 2x2 factors per
     wing, one effect or projector per direction and outcome, and one
-    tensor3 product.
+    reference_tensor3 product.
 
     This is the grid build that the per-wing factor stacks replaced,
     kept literally so that any cells of the new build can be checked
@@ -559,7 +584,7 @@ def reference_joint_grid(seq_wing, lam, dirs):
         shape = [1] * 6 + [2, 2]  # setting axes, outcome axes, then the 2x2 factor
         shape[wing], shape[3 + wing] = len(wing_dirs), 2
         grid.append(np.reshape([[build(d, a) for a in (1, -1)] for d in wing_dirs], shape))
-    return tensor3(*grid).reshape(tuple(map(len, dirs)) + (8, 8, 8))
+    return reference_tensor3(*grid).reshape(tuple(map(len, dirs)) + (8, 8, 8))
 
 
 def reference_probability_table(rho, seq_wing, lam, dirs):
@@ -681,7 +706,7 @@ def reference_luders_update(rho, wing, d, lam, outcome):
     """
     mats = [I2, I2, I2]
     mats[resolve_wing(wing)] = reference_effect_sqrt(d, lam, outcome)
-    k = tensor3(*mats)
+    k = reference_tensor3(*mats)
     return k @ rho @ k
 
 
@@ -716,7 +741,8 @@ def reference_averaged_channel(rho, wing, triple):
 
 def reference_term_expectations(rho, inequality, seq_wing):
     """term_expectations as a loop over sigma_x, sigma_y, sigma_z for a
-    term with a setting slot, one tensor3 call and one trace per sigma.
+    term with a setting slot, one reference_tensor3 call and one trace
+    per sigma.
 
     This is the loop that the stacked trace replaced, kept literally so
     that the stacked trace can be checked against it bit for bit.
@@ -727,12 +753,12 @@ def reference_term_expectations(rho, inequality, seq_wing):
         slot = term.axes[seq_wing]
         mats = [I2 if a is None else sigmas[a] for a in term.axes]
         if slot is None:
-            x = float(np.trace(rho @ tensor3(*mats)).real)
+            x = float(np.trace(rho @ reference_tensor3(*mats)).real)
         else:
             x = np.empty(3)
             for k, sigma in enumerate(sigmas):
                 mats[seq_wing] = sigma
-                x[k] = np.trace(rho @ tensor3(*mats)).real
+                x[k] = np.trace(rho @ reference_tensor3(*mats)).real
         for e in [x] if slot is None else x.tolist():
             check_expectation(term.ops, e)
         table[term.ops] = (slot, x)
