@@ -24,7 +24,6 @@ from .measurement import (
     OUTCOMES,
     SettingTriple,
     averaged_channel,
-    joint_operators,
     outcome_table,
     selective_updates,
     table_correlation,
@@ -208,11 +207,11 @@ def run_cascade_oracle(spec: ScenarioSpec) -> CascadeResult:
     chain as one (6^m, 8, 8) stack of unnormalized states, each setting
     weighted 1/3, and each (direction, outcome) update is applied to the
     whole stack at once. Of an observer's grid, its directions on the
-    sequential wing and x, y, z on both projective ones, joint_operators
-    builds only the cells the terms read; their eight operators each are
-    traced against the whole stack in one outcome_table call, each
-    cell's table shared by every term that reads it, and all the terms'
-    signed sums are one table_correlation call.
+    sequential wing and x, y, z on both projective ones, one
+    outcome_table call builds only the cells the terms read and traces
+    their eight operators each against the whole stack, each cell's
+    table shared by every term that reads it, and all the terms' signed
+    sums are one table_correlation call.
     Cost grows as 6^(n-1), so chains longer than ORACLE_MAX_OBSERVERS
     are refused.
     """
@@ -241,8 +240,8 @@ def run_cascade_oracle(spec: ScenarioSpec) -> CascadeResult:
     branches = build_state(spec.state)[None]
     values = []
     for m, triple in enumerate(spec.observers):
-        ops = joint_operators(seq_wing, triple.lam, _wing_directions(seq_wing, triple), index)
-        tables = outcome_table(branches, ops)[rows]
+        dirs = _wing_directions(seq_wing, triple)
+        tables = outcome_table(branches, seq_wing, triple.lam, dirs, index)[rows]
         weight = (1.0 / 3.0) ** m
         values.append(evaluate(spec.inequality, {
             t.ops: weight * x for t, x in zip(terms, table_correlation(tables, wings))
@@ -266,13 +265,13 @@ def no_signalling_audit(spec: ScenarioSpec, prob_fn=None) -> float:
     The model is asked once per observer for its (3, 3, 3, 8) table of
     probabilities, 3 directions on each wing and the 8 outcome triples:
     prob_fn(rho, seq_wing, lam, dirs), with the signature of
-    measurement.joint_probability, the quantum model used when prob_fn is
-    None; dirs holds each wing's three directions, in wing order. A table
-    of any other shape, even of the same size, raises ValueError.
+    measurement.joint_probability; dirs holds each wing's three
+    directions, in wing order. A table of any other shape, even of the
+    same size, raises ValueError.
 
     Each state is validated once: the first where the walk starts, the
-    others by the averaged channel that hands them on, so the default
-    model reads them through unchecked_joint_probability.
+    others by the averaged channel that hands them on, so the quantum
+    model used when prob_fn is None is unchecked_joint_probability.
     """
     spec.require_observers()
     prob_fn = prob_fn or unchecked_joint_probability

@@ -86,9 +86,7 @@ def averaged_channel(rho, wing, triple: SettingTriple):
     observer on the wing receives when settings are equally likely and
     neither outcomes nor settings are communicated.
     """
-    out = np.zeros_like(np.asarray(rho, dtype=complex))
-    for update in selective_updates(rho, wing, triple):
-        out += update
+    out = selective_updates(rho, wing, triple).sum(axis=-3, initial=0.0)
     return validate_density(out / 3, name="channel output")
 
 
@@ -101,47 +99,18 @@ def bloch_shrink_factor(lam):
     return (1 + 2 * np.sqrt(1 - lam * lam)) / 3
 
 
-# every outcome triple (a, b, c) for wings 0, 1, 2, in the order of the
-# rows of joint_operators
+# every outcome triple (a, b, c) for wings 0, 1, 2, in the order of
+# outcome_table's outcome axis
 OUTCOMES = tuple(product((1, -1), repeat=3))
-
-
-def joint_operators(seq_wing, lam, dirs, cells):
-    """The (8, 8, 8) stacks of the operators E (x) P (x) P of every
-    outcome triple, the unsharp effect on seq_wing with sharpness lam and
-    projectors elsewhere, row k for the triple OUTCOMES[k].
-
-    dirs holds one tuple of BlochDirections per wing and cells one array
-    of indices into each wing's tuple, both in wing order; the three
-    index arrays broadcast against each other into the cells, and the
-    result has their shape followed by (8, 8, 8). np.ix_ over every
-    wing's directions gives the full grid, shape (len(dirs[0]),
-    len(dirs[1]), len(dirs[2]), 8, 8, 8); three equal-length arrays give
-    just those cells. Each wing's factors are one projector_stack, its
-    effects on seq_wing, taken at the wing's indices with their outcome
-    axis at the wing's place, and the operators are their tensor3.
-    """
-    seq_wing = resolve_wing(seq_wing)
-    factors = []
-    for wing, (wing_dirs, index) in enumerate(zip(dirs, cells)):
-        stack = projector_stack(wing_dirs)
-        if wing == seq_wing:
-            stack = effect(stack, lam)
-        shape = [1, 1, 1, 2, 2]  # the outcome axes, then the 2x2 factor
-        shape[wing] = 2
-        factors.append(np.take(stack, index, axis=0).reshape(np.shape(index) + tuple(shape)))
-    ops = tensor3(*factors)
-    return ops.reshape(ops.shape[:-5] + (8, 8, 8))
 
 
 def joint_probability(rho, seq_wing, lam, dirs):
     """Probability Tr[(E (x) P (x) P) rho] of every outcome triple on the
     8x8 state rho for every combination of dirs, one tuple of
-    BlochDirections per wing in wing order: the outcome_table of
-    joint_operators' full grid, as a
-    (len(dirs[0]), len(dirs[1]), len(dirs[2]), 8) table whose last axis
-    is in OUTCOMES order. rho must pass validate_density, and dirs must
-    hold three non-empty wing tuples; ValueError otherwise."""
+    BlochDirections per wing in wing order: the outcome_table of the
+    full grid, as a (len(dirs[0]), len(dirs[1]), len(dirs[2]), 8) table
+    whose last axis is in OUTCOMES order. rho must pass validate_density,
+    and dirs must hold three non-empty wing tuples; ValueError otherwise."""
     lengths = [len(wing) for wing in dirs]
     if len(lengths) != 3 or 0 in lengths:
         raise ValueError(f"dirs must hold three non-empty wing tuples, got lengths {lengths}")
@@ -153,39 +122,51 @@ def unchecked_joint_probability(rho, seq_wing, lam, dirs):
     """joint_probability on a rho already known to pass validate_density,
     such as a state averaged_channel handed on."""
     grid = np.ix_(*(range(len(d)) for d in dirs))
-    return outcome_table((rho,), joint_operators(seq_wing, lam, dirs, grid))[..., 0]
+    return outcome_table(rho[None], seq_wing, lam, dirs, grid)[..., 0]
 
 
-def outcome_table(rhos, ops):
-    """Tr[op rho] of each operator of a stack, shape (..., 8, 8), on n
-    states, a sequence or an (n, 8, 8) stack, as a (..., n) array; for a
-    joint_operators stack, shape (..., 8, 8, 8), entry [..., k, i] is
-    P(OUTCOMES[k]) on state i.
+def outcome_table(rhos, seq_wing, lam, dirs, cells):
+    """P(OUTCOMES[k]) = Tr[(E (x) P (x) P) rho] on each state of an
+    (n, 8, 8) stack rhos, E the unsharp effect on seq_wing with sharpness
+    lam and P the projectors elsewhere, as an array of the cells' shape
+    followed by (8, n): entry [..., k, i] is outcome triple k on state i.
+
+    dirs holds one tuple of BlochDirections per wing and cells one array
+    of indices into each wing's tuple, both in wing order; the three
+    index arrays broadcast against each other into the cells. np.ix_
+    over every wing's directions gives the full grid, three equal-length
+    arrays just those cells. Each wing's factors are one projector_stack,
+    its effects on seq_wing, taken at the wing's indices with their
+    outcome axis at the wing's place, and the operators are their
+    tensor3, K = 8 per cell.
 
     Only the diagonals are formed: entry r of op @ rho is row r of op
     times column r of rho, so one batched product of the K operators'
     rows r, (8, K, 8), with the n states' columns r, (8, 8, n), gives
-    every diagonal entry. K and n are zero-padded to multiples of 8 (K
-    only when it is not one already, as every joint_operators stack is):
-    that keeps every entry on the BLAS kernel path (OpenBLAS 0.3.31,
-    Haswell) of the full (8K, 8) @ (8, 8n) product this replaced, and so
-    its bits; unpadded, counts such as 1, 2 or 6 change the last bits.
-    Only the n real state columns of the padded product are reduced: the
-    eight real parts are added in the pairwise order of numpy's sum over
-    eight contiguous values; real and imaginary parts add apart, so
-    taking .real first keeps the bits of the complex trace."""
-    rhos = np.asarray(rhos)
-    stack = np.reshape(ops, (-1, 8, 8))
-    k, n = len(stack), len(rhos)
-    dtype = np.result_type(stack, rhos)
-    rows = stack.transpose(1, 0, 2)
-    if k % 8:
-        rows = np.pad(rows, ((0, 0), (0, -k % 8), (0, 0)))
-    cols = np.zeros((8, 8, -(-n // 8) * 8), dtype)
+    every diagonal entry. n is zero-padded to a multiple of 8, as K is
+    already: that keeps every entry on the BLAS kernel path (OpenBLAS
+    0.3.31, Haswell) of the full (8K, 8) @ (8, 8n) product this
+    replaced, and so its bits; unpadded, counts such as 1, 2 or 6 change
+    the last bits. Only the n real state columns of the padded product
+    are reduced: the eight real parts are added in the pairwise order of
+    numpy's sum over eight contiguous values; real and imaginary parts
+    add apart, so taking .real first keeps the bits of the complex trace."""
+    seq_wing = resolve_wing(seq_wing)
+    factors = []
+    for wing, (wing_dirs, index) in enumerate(zip(dirs, cells)):
+        stack = projector_stack(wing_dirs)
+        if wing == seq_wing:
+            stack = effect(stack, lam)
+        shape = [1, 1, 1, 2, 2]  # the outcome axes, then the 2x2 factor
+        shape[wing] = 2
+        factors.append(np.take(stack, index, axis=0).reshape(np.shape(index) + tuple(shape)))
+    ops = tensor3(*factors)
+    n = len(rhos)
+    cols = np.zeros((8, 8, -(-n // 8) * 8), complex)
     cols[..., :n] = rhos.transpose(2, 1, 0)
-    d = (rows @ cols)[:, :k, :n].real
+    d = (ops.reshape(-1, 8, 8).transpose(1, 0, 2) @ cols)[..., :n].real
     traces = ((d[0] + d[4]) + (d[1] + d[5])) + ((d[2] + d[6]) + (d[3] + d[7]))
-    return traces.reshape(np.shape(ops)[:-2] + (n,))
+    return traces.reshape(ops.shape[:-5] + (8, n))
 
 
 # each wing subset's column of outcome-product signs, in OUTCOMES order

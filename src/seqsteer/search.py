@@ -66,6 +66,14 @@ class SearchConfig:
         require_type("optimizer", Optimizer, self.optimizer)
 
 
+def _config(config):
+    """config, or the default SearchConfig for None; ValueError for any
+    other value that is not a SearchConfig."""
+    config = SearchConfig() if config is None else config
+    require_type("config", SearchConfig, config)
+    return config
+
+
 def direction_coefficients(rho, scenario, inequality, lam):
     """Decompose the inequality value over the sequential observer's
     directions.
@@ -147,9 +155,10 @@ def optimize_angles(spec, m, config=None):
     SettingTriple together with the inequality value it attains.  With
     the FIXED_XYZ optimizer the x, y, z settings are scored as-is.
     """
-    config = config or SearchConfig()
-    if not 1 <= m <= len(spec.observers):
-        raise ValueError(f"observer index must lie in 1..{len(spec.observers)}, got {m}")
+    config = _config(config)
+    count = len(spec.observers)
+    if not isinstance(m, (int, np.integer)) or not 1 <= m <= count:
+        raise ValueError(f"observer index must be an integer in 1..{count}, got {m!r}")
     seq = spec.sequential_wing
     *_, rho = states_along(build_state(spec.state), seq, spec.observers[: m - 1])
     terms = term_expectations(rho, spec.inequality, seq)
@@ -178,7 +187,7 @@ def threshold_lambda(prefix, config=None):
     bisection to config.tol.  Returns the bracket's upper end, which
     violates, or None when even a projective measurement does not violate.
     """
-    config = config or SearchConfig()
+    config = _config(config)
     seq = prefix.sequential_wing
     *_, rho = states_along(build_state(prefix.state), seq, prefix.observers)
     terms = term_expectations(rho, prefix.inequality, seq)
@@ -272,7 +281,7 @@ def build_table(scenario, inequality, state, config=None):
     of them violates in their own right.  The table ends on the first
     "none" row, or at config.max_rows if every row keeps violating.
     """
-    config = config or SearchConfig()
+    config = _config(config)
     seq = ScenarioSpec(scenario, inequality, state, ()).sequential_wing
     pins, rows = [], []
     # states_along reads each pin only after its row has appended it

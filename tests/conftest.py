@@ -3,13 +3,17 @@
 The bit pins of the suite are of two kinds, and only one depends on the BLAS.
 
 - Ladder rows: the golden ladders (tests/golden/*.csv and *.json),
-  FROZEN_LADDERS, reference/ladder_bits.json and the ladder half of the
-  seeds 1-10 benchmark digests. A ladder's bytes follow from its rows,
-  and util.exact_ladder replays every row of the published, pinned and
-  seeded ladders in exact rational arithmetic, sharing no numpy
-  arithmetic with build_table. Every bracket decision lies at least
+  FROZEN_LADDERS, reference/ladder_bits.json, the ladder half of the
+  seeds 1-10 benchmark digests, and the CLI's pinned threshold and
+  table outputs in bench/reference/cli_stdout.json, their JSON reprs
+  and their 6-decimal csv and text cells alike. A ladder's bytes follow
+  from its rows, and util.exact_ladder replays every row of the
+  published, pinned and seeded ladders in exact rational arithmetic,
+  sharing no numpy arithmetic with build_table; the threshold's from
+  its x/y/z prefix at 0.627. Every bracket decision lies at least
   3.26e-8 from its root, so these pins hold on any BLAS whose rounding
-  stays well below that; test_search checks both.
+  stays well below that; test_search checks both, and that no
+  6-decimal cell lies within 1.5e-8 of flipping.
 - Full float reprs of the channel and oracle arithmetic: the cascade
   values in the CLI's JSON output (bench/reference/cli_stdout.json),
   reference/oracle_bits.json and the oracle_audit digest. These keep

@@ -352,9 +352,9 @@ def test_stacked_branch_growth_is_the_list_bit_for_bit(seed, count, seq_wing, la
 def test_the_oracle_updates_and_traces_whole_stacks(monkeypatch):
     # per grown observer, one selective_updates on the whole stack, not
     # one per branch or per (direction, outcome); per observer, one
-    # (C, 8, 8, 8) build of the joint operators of just the C distinct
-    # cells the terms read, not of the whole grid, and one outcome_table
-    # call that traces them against the whole branch stack, each cell's
+    # outcome_table call that builds the joint operators of just the C
+    # distinct cells the terms read, not of the whole grid, and traces
+    # them against the whole branch stack, a (C, 8, n) table, each cell's
     # table shared by every term that reads it, however many branches
     rng = np.random.default_rng(47)
     lams = (0.4, 0.6, 0.8, 1.0)
@@ -365,28 +365,22 @@ def test_the_oracle_updates_and_traces_whole_stacks(monkeypatch):
         observers=tuple(random_triple(rng, lam) for lam in lams),
     )
     unpatched = run_cascade_oracle(spec)
-    updates, builds, built_cells, traced = Counter(), Counter(), [], []
+    updates, built_cells, traced = Counter(), [], []
     real_update = cascade.selective_updates
-    real_operators = cascade.joint_operators
     real_table = cascade.outcome_table
 
     def counted_update(rho, *args):
         updates[rho.shape] += 1
         return real_update(rho, *args)
 
-    def counted_operators(*args):
-        ops = real_operators(*args)
-        builds[ops.shape] += 1
+    def counted_table(rhos, *args):
+        # record each call's branch stack, table shape and cells read
+        table = real_table(rhos, *args)
+        traced.append((rhos.shape, table.shape))
         built_cells.append(list(zip(*args[3])))
-        return ops
-
-    def counted_table(rhos, ops):
-        # record each call's branch stack and the cells it reads
-        traced.append((rhos.shape, np.reshape(ops, (-1, 8, 8, 8)).shape[0]))
-        return real_table(rhos, ops)
+        return table
 
     monkeypatch.setattr(cascade, "selective_updates", counted_update)
-    monkeypatch.setattr(cascade, "joint_operators", counted_operators)
     monkeypatch.setattr(cascade, "outcome_table", counted_table)
     assert run_cascade_oracle(spec) == unpatched
     assert updates == {(6**m, 8, 8): 1 for m in range(len(lams) - 1)}
@@ -397,9 +391,8 @@ def test_the_oracle_updates_and_traces_whole_stacks(monkeypatch):
         for axes in (t.axes for t in required_terms(spec.inequality))
     }
     assert len(settings) < len(required_terms(spec.inequality))
-    assert builds == {(len(settings), 8, 8, 8): len(lams)}
     assert all(sorted(cells) == sorted(settings) for cells in built_cells)
-    assert traced == [((6**m, 8, 8), len(settings)) for m in range(len(lams))]
+    assert traced == [((6**m, 8, 8), (len(settings), 8, 6**m)) for m in range(len(lams))]
 
 
 def test_the_oracle_holds_one_cells_product_at_a_time():
@@ -576,7 +569,7 @@ def test_audit_rejects_a_table_of_the_wrong_size(shape):
 
 def test_the_default_audit_reads_one_stacked_table(monkeypatch):
     # one joint_probability table per observer, over its settings and the
-    # projective direction pairs, from one grid of outcome stacks
+    # projective direction pairs, from one outcome_table of the full grid
     rng = np.random.default_rng(53)
     spec = ScenarioSpec(
         scenario=Scenario.B,
@@ -587,23 +580,23 @@ def test_the_default_audit_reads_one_stacked_table(monkeypatch):
     unpatched = no_signalling_audit(spec)
     builds = Counter()
     tables = Counter()
-    real_operators = measurement.joint_operators
+    real_table = measurement.outcome_table
     real_probability = cascade.unchecked_joint_probability
 
-    def counted_operators(*args):
-        ops = real_operators(*args)
-        builds[ops.shape] += 1
-        return ops
+    def counted_table(rhos, *args):
+        table = real_table(rhos, *args)
+        builds[rhos.shape, table.shape] += 1
+        return table
 
     def counted_probability(*args):
         p = real_probability(*args)
         tables[p.shape] += 1
         return p
 
-    monkeypatch.setattr(measurement, "joint_operators", counted_operators)
+    monkeypatch.setattr(measurement, "outcome_table", counted_table)
     monkeypatch.setattr(cascade, "unchecked_joint_probability", counted_probability)
     assert repr(no_signalling_audit(spec)) == repr(unpatched)
-    assert builds == {(3, 3, 3, 8, 8, 8): len(spec.observers)}
+    assert builds == {((1, 8, 8), (3, 3, 3, 8, 1)): len(spec.observers)}
     assert tables == {(3, 3, 3, 8): len(spec.observers)}
 
 

@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 from itertools import product
 
 import numpy as np
@@ -14,11 +16,11 @@ from seqsteer import (
     build_state,
     joint_probability,
 )
+from seqsteer import measurement
 from seqsteer.measurement import (
     OUTCOMES,
     averaged_channel,
     effect,
-    joint_operators,
     outcome_table,
     selective_updates,
     table_correlation,
@@ -172,6 +174,18 @@ def test_averaged_channel_is_the_direction_outcome_loop_bit_for_bit(seed, wing, 
     triple = random_triple(rng, lam)
     want = reference_averaged_channel(rho, wing, triple)
     assert averaged_channel(rho, wing, triple).tobytes() == want.tobytes()
+
+
+def test_the_channel_adds_the_six_updates_to_zero(monkeypatch):
+    # the updates are added to 0.0, as the loop's running sum added them,
+    # so an entry that is -0.0 in all six updates comes out +0.0
+    rho = np.full((8, 8), complex(-0.0, -0.0))
+    rho[0, 0] = 1.0
+    monkeypatch.setattr(measurement, "selective_updates", lambda *args: np.stack([rho / 2] * 6))
+    out = averaged_channel(rho, 0, SettingTriple.xyz(0.5))
+    want = functools.reduce(operator.add, [rho / 2] * 6, 0.0) / 3
+    assert out.tobytes() == want.tobytes()
+    assert not np.signbit(out.real).any() and not np.signbit(out.imag).any()
 
 
 def test_channel_leaves_other_wings_untouched():
@@ -331,14 +345,18 @@ def test_stacked_correlation_is_the_per_state_loop_bit_for_bit(seed, count, seq_
     assert repr(stacked_correlation(np.array(rhos), seq_wing, lam, dirs, wings)) == want
 
 
-def test_outcome_stack_places_each_factor_on_its_wing():
+def test_outcome_table_places_each_factor_on_its_wing():
     # the unsharp effect on the sequential wing, the projectors on the
     # others, each along its own wing's direction
     rng = np.random.default_rng(37)
     d0, d1, d2 = (random_direction(rng) for _ in range(3))
-    for op, (a, b, c) in zip(joint_operators(2, 0.3, ((d0,), (d1,), (d2,)), (0, 0, 0)), OUTCOMES):
-        want = tensor3(projector(d0, a), projector(d1, b), reference_effect(d2, 0.3, c))
-        assert op.tobytes() == want.tobytes()
+    rhos = np.array([random_mixed_state(rng) for _ in range(5)])
+    ops = [
+        tensor3(projector(d0, a), projector(d1, b), reference_effect(d2, 0.3, c))
+        for a, b, c in OUTCOMES
+    ]
+    table = outcome_table(rhos, 2, 0.3, ((d0,), (d1,), (d2,)), (0, 0, 0))
+    assert table.tobytes() == reference_outcome_table(rhos, ops).tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -346,17 +364,18 @@ def test_outcome_stack_places_each_factor_on_its_wing():
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     seq_wing=st.integers(min_value=0, max_value=2),
     lam=lams,
+    count=st.integers(min_value=1, max_value=20),
 )
-def test_each_row_of_the_outcome_stack_is_the_per_outcome_operator(seed, seq_wing, lam):
+def test_each_row_of_an_outcome_table_is_the_per_outcome_operator(seed, seq_wing, lam, count):
     rng = np.random.default_rng(seed)
     dirs = tuple(random_direction(rng) for _ in range(3))
-    stack = joint_operators(seq_wing, lam, [(d,) for d in dirs], (0, 0, 0))
-    assert stack.shape == (8, 8, 8)
+    rhos = np.array([random_mixed_state(rng) for _ in range(count)])
+    table = outcome_table(rhos, seq_wing, lam, [(d,) for d in dirs], (0, 0, 0))
+    assert table.shape == (8, count)
+    assert table.dtype == np.float64
     assert OUTCOMES == tuple(product((1, -1), repeat=3))
-    for row, outcomes in zip(stack, OUTCOMES):
-        want = reference_joint_operator(seq_wing, lam, dirs, outcomes)
-        assert row.dtype == want.dtype
-        assert row.tobytes() == want.tobytes()
+    ops = [reference_joint_operator(seq_wing, lam, dirs, outcomes) for outcomes in OUTCOMES]
+    assert table.tobytes() == reference_outcome_table(rhos, ops).tobytes()
 
 
 @settings(max_examples=30, deadline=None)
@@ -366,16 +385,17 @@ def test_each_row_of_the_outcome_stack_is_the_per_outcome_operator(seed, seq_win
     sizes=st.tuples(*[st.integers(min_value=1, max_value=3)] * 3),
     lam=lams,
 )
-def test_each_cell_of_the_operator_grid_is_the_single_setting_stack(seed, seq_wing, sizes, lam):
+def test_each_cell_of_the_grid_table_is_the_single_setting_table(seed, seq_wing, sizes, lam):
     # each wing's tuple of directions gives one leading axis, in wing
-    # order, and each cell is the stack of its own directions alone
+    # order, and each cell is the table of its own directions alone
     rng = np.random.default_rng(seed)
     dirs = tuple(tuple(random_direction(rng) for _ in range(k)) for k in sizes)
-    grid = joint_operators(seq_wing, lam, dirs, np.ix_(*(range(k) for k in sizes)))
-    assert grid.shape == sizes + (8, 8, 8)
+    rhos = np.array([random_mixed_state(rng) for _ in range(3)])
+    grid = outcome_table(rhos, seq_wing, lam, dirs, np.ix_(*(range(k) for k in sizes)))
+    assert grid.shape == sizes + (8, 3)
     for i, j, k in product(*(range(k) for k in sizes)):
         alone = ((dirs[0][i],), (dirs[1][j],), (dirs[2][k],))
-        want = joint_operators(seq_wing, lam, alone, (0, 0, 0))
+        want = outcome_table(rhos, seq_wing, lam, alone, (0, 0, 0))
         assert grid[i, j, k].tobytes() == want.tobytes()
 
 
@@ -390,8 +410,9 @@ def test_the_outcome_table_is_each_operators_stacked_trace_bit_for_bit(seed, cou
     rng = np.random.default_rng(seed)
     stack = np.array([random_mixed_state(rng) for _ in range(count)])
     dirs = ((random_direction(rng),), (X_DIR,), (Y_DIR,))
-    ops = joint_operators(int(rng.integers(3)), 0.7, dirs, (0, 0, 0))
-    table = outcome_table(stack, ops)
+    seq_wing = int(rng.integers(3))
+    ops = reference_joint_grid(seq_wing, 0.7, dirs)[0, 0, 0]
+    table = outcome_table(stack, seq_wing, 0.7, dirs, (0, 0, 0))
     assert table.shape == (8, count)
     for row, op in zip(table, ops):
         assert row.tobytes() == (op @ stack).trace(axis1=1, axis2=2).real.tobytes()
@@ -405,45 +426,42 @@ def test_the_outcome_table_is_each_operators_stacked_trace_bit_for_bit(seed, cou
 )
 def test_each_cell_of_an_outcome_table_is_the_per_operator_loop_bit_for_bit(seed, count, sizes):
     # one product over every operator of a grid gives the bits of one
-    # product per operator, for every grid cell and for a single cell
+    # product per operator, for every grid cell
     rng = np.random.default_rng(seed)
-    rhos = [random_mixed_state(rng) for _ in range(count)]
+    rhos = np.array([random_mixed_state(rng) for _ in range(count)])
     dirs = [tuple(random_direction(rng) for _ in range(k)) for k in sizes]
     seq_wing, lam = int(rng.integers(3)), float(rng.uniform(0.05, 1.0))
-    cells = (*np.ix_(*map(range, sizes)), 0)
-    grid = joint_operators(seq_wing, lam, (*dirs, (random_direction(rng),)), cells)
-    table = outcome_table(np.array(rhos), grid)
+    dirs = (*dirs, (random_direction(rng),))
+    table = outcome_table(rhos, seq_wing, lam, dirs, (*np.ix_(*map(range, sizes)), 0))
     assert table.shape == sizes + (8, count)
+    grid = reference_joint_grid(seq_wing, lam, dirs)[:, :, 0]
     for idx in np.ndindex(*sizes):
         assert table[idx].tobytes() == reference_outcome_table(rhos, grid[idx]).tobytes()
-    assert outcome_table(rhos, grid[0, 0]).tobytes() == table[0, 0].tobytes()
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
-    ops_count=st.integers(min_value=1, max_value=64),
+    cell_count=st.integers(min_value=1, max_value=8),
     count=st.integers(min_value=1, max_value=300),
-    bare=st.booleans(),
 )
-@example(seed=61, ops_count=8, count=1, bare=False)
-@example(seed=61, ops_count=64, count=1, bare=False)
-@example(seed=61, ops_count=7, count=1, bare=False)
-@example(seed=61, ops_count=8, count=9, bare=False)
-@example(seed=61, ops_count=64, count=9, bare=False)
-@example(seed=61, ops_count=7, count=9, bare=False)
-def test_the_diagonal_only_table_is_the_wide_product_bit_for_bit(seed, ops_count, count, bare):
+@example(seed=61, cell_count=1, count=1)
+@example(seed=61, cell_count=8, count=1)
+@example(seed=61, cell_count=1, count=9)
+@example(seed=61, cell_count=8, count=9)
+def test_the_diagonal_only_table_is_the_wide_product_bit_for_bit(seed, cell_count, count):
     # forming only the diagonals keeps the bits of the full product, for
-    # operator and state counts that are not multiples of 8 and for a
-    # bare (8, 8) operator; the examples run both the unpadded operator
-    # rows (8, 64) and the padded ones (7) on every pass
+    # 8 to 64 operators and for state counts that are not multiples of
+    # 8; the examples run the fewest and the most operators with a
+    # padded and an unpadded state count on every pass
     rng = np.random.default_rng(seed)
     rhos = np.array([random_mixed_state(rng) for _ in range(count)])
-    ops = rng.normal(size=(ops_count, 8, 8)) + 1j * rng.normal(size=(ops_count, 8, 8))
-    if bare:
-        ops = ops[0]
-    table = outcome_table(rhos, ops)
-    assert table.shape == ops.shape[:-2] + (count,)
+    dirs = tuple(tuple(random_direction(rng) for _ in range(rng.integers(1, 4))) for _ in range(3))
+    cells = tuple(rng.integers(len(d), size=cell_count) for d in dirs)
+    seq_wing, lam = int(rng.integers(3)), float(rng.uniform(0.05, 1.0))
+    table = outcome_table(rhos, seq_wing, lam, dirs, cells)
+    assert table.shape == (cell_count, 8, count)
+    ops = reference_joint_grid(seq_wing, lam, dirs)[cells]
     assert table.tobytes() == reference_wide_outcome_table(rhos, ops).tobytes()
 
 
@@ -540,17 +558,22 @@ _signed_angles = st.tuples(
     seq_wing=st.integers(min_value=0, max_value=2),
     lam=st.one_of(st.just(1.0), st.floats(min_value=0.0, max_value=1.0, exclude_min=True)),
     picks=st.none() | st.lists(st.tuples(*[st.integers(0, 2)] * 3), min_size=1, max_size=27),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_the_factor_stack_build_is_the_nested_list_grid_bit_for_bit(angles, seq_wing, lam, picks):
+def test_the_factor_stack_build_is_the_nested_list_grid_bit_for_bit(
+    angles, seq_wing, lam, picks, seed
+):
     # the full grid (picks None) or any list of cells, repeats included,
-    # has the bits of the same cells of the grid built one effect or
-    # projector per direction and outcome
+    # has the bits of the tables of the same cells of the grid built one
+    # effect or projector per direction and outcome
     dirs = tuple(tuple(BlochDirection(*a) for a in wing) for wing in angles)
     if picks is None:
         cells = np.ix_(*(range(len(d)) for d in dirs))
     else:
         cells = tuple(np.array([c[w] % len(dirs[w]) for c in picks]) for w in range(3))
-    got = joint_operators(seq_wing, lam, dirs, cells)
-    want = reference_joint_grid(seq_wing, lam, dirs)[cells]
+    rng = np.random.default_rng(seed)
+    rhos = np.array([random_mixed_state(rng) for _ in range(rng.integers(1, 10))])
+    got = outcome_table(rhos, seq_wing, lam, dirs, cells)
+    want = reference_wide_outcome_table(rhos, reference_joint_grid(seq_wing, lam, dirs)[cells])
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()

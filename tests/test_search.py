@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -61,6 +62,9 @@ from util import (
 GOLDEN = Path(__file__).parent / "golden"
 LADDER_BITS = json.loads(
     (Path(__file__).parent / "reference" / "ladder_bits.json").read_text()
+)
+CLI_STDOUT = json.loads(
+    (Path(__file__).parents[1] / "bench" / "reference" / "cli_stdout.json").read_text()
 )
 
 
@@ -346,6 +350,49 @@ def test_every_pinned_ladder_equals_its_exact_replay():
         assert rows == pinned, name
 
 
+def _rounding_margin(x):
+    """Distance of the float x from the nearest point at which its
+    6-decimal rounding flips, computed exactly."""
+    scaled = Decimal(x) * 10**6
+    return float(abs(scaled % 1 - Decimal("0.5")) / 10**6)
+
+
+def test_the_pinned_threshold_cells_equal_their_exact_replay():
+    # the CLI's pinned ghz/A/g1 threshold after one x/y/z observer at
+    # 0.627: its JSON repr and its 6-decimal csv and text cells are the
+    # exact replay's first row, read from the float state the CLI builds
+    rows, margin = exact_ladder(
+        build_state(GHZ), Scenario.A, InequalityKind.G1, SearchConfig(), prefix=(0.627,)
+    )
+    m, lam = rows[0]
+    key = "threshold --state ghz --scenario A --lambdas 0.627 --format"
+    assert json.loads(CLI_STDOUT[f"{key} json"]) == {"m": m, "lambda_min": lam, "status": "ok"}
+    assert repr(lam) == "0.6771240237603762"
+    assert CLI_STDOUT[f"{key} csv"] == f"m,lambda_min,status\n{m},{lam:.6f},ok\n"
+    assert CLI_STDOUT[f"{key} text"] == f"observer {m}: lambda_min = {lam:.6f}\n"
+    assert margin == pytest.approx(2.319e-5, rel=1e-3)
+    assert _rounding_margin(lam) == pytest.approx(4.762e-7, rel=1e-3)
+
+
+def test_the_pinned_table_cells_equal_their_exact_replay():
+    # the CLI's pinned w/B/w2 ladder: every JSON repr and every
+    # 6-decimal csv and text cell is the exact replay's row
+    rows, margin = exact_ladder(build_state(W), Scenario.B, InequalityKind.W2, SearchConfig())
+    key = "table --state w --scenario B --ineq w2 --format"
+    pinned = json.loads(CLI_STDOUT[f"{key} json"])["rows"]
+    assert tuple((row["m"], row["lambda_min"]) for row in pinned) == rows
+    cells = [f"{lam:.6f}" for _, lam in rows[:-1]]
+    assert cells == ["0.634216", "0.747253", "0.962646"]
+    csv = CLI_STDOUT[f"{key} csv"].splitlines()[1:]
+    assert csv == [f"{m},{c},ok" for (m, _), c in zip(rows, cells)] + [f"{len(rows)},,none"]
+    text = CLI_STDOUT[f"{key} text"].splitlines()[1:-1]
+    assert text == [f"observer {m}: lambda_min = {c}" for (m, _), c in zip(rows, cells)]
+    assert margin == pytest.approx(5.066e-6, rel=1e-3)
+    # row 3's cell, 0.962646, is the closest to flipping
+    margins = [_rounding_margin(lam) for _, lam in rows[:-1]]
+    assert min(margins) == margins[2] == pytest.approx(1.559e-8, rel=1e-3)
+
+
 # each pool's smallest exact decision margin, in sharpness units
 SEEDED_MARGINS = {"ladders_xyz": 3.261e-8, "ladders_optimized": 5.019e-8}
 
@@ -452,8 +499,29 @@ def test_xyz_settings_are_optimal_for_ghz():
 
 def test_optimize_angles_validates_observer_index():
     spec = xyz_spec(Scenario.A, InequalityKind.G1, GHZ, (0.7, 1.0))
-    with pytest.raises(ValueError, match="observer index"):
-        optimize_angles(spec, 3)
+    # a float index would otherwise fail to slice the prefix, and a
+    # string or None to compare, each with a TypeError
+    for m in (3, 0, 1.0, 2.0, "1", None):
+        with pytest.raises(ValueError, match="^observer index"):
+            optimize_angles(spec, m)
+    assert optimize_angles(spec, np.int64(2)) == optimize_angles(spec, 2)
+
+
+_SPEC = xyz_spec(Scenario.A, InequalityKind.G1, GHZ, (0.7, 1.0))
+_ENTRY_POINTS = {
+    "build_table": lambda config: build_table(Scenario.A, InequalityKind.G1, GHZ, config),
+    "threshold_lambda": lambda config: threshold_lambda(_SPEC, config),
+    "optimize_angles": lambda config: optimize_angles(_SPEC, 1, config),
+}
+
+
+@pytest.mark.parametrize("config", [0, "", 1e-3, "fixed-xyz"])
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+def test_the_search_entry_points_reject_a_config_that_is_not_a_search_config(entry, config):
+    # only None means the default: 0 and "" used to run it silently, and
+    # 1e-3 and "fixed-xyz" failed later with an AttributeError
+    with pytest.raises(ValueError, match="config must be of type SearchConfig"):
+        _ENTRY_POINTS[entry](config)
 
 
 def test_angle_grid_validation():

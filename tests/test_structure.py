@@ -271,7 +271,7 @@ def test_tensor3_is_the_one_three_qubit_product():
     assert _callers_of("tensor3") == {
         "cascade.term_expectations",
         "measurement.selective_updates",
-        "measurement.joint_operators",
+        "measurement.outcome_table",
     }
     shifts = [
         f"{path.name}:{node.lineno}"
@@ -281,6 +281,20 @@ def test_tensor3_is_the_one_three_qubit_product():
         if isinstance(getattr(node, "op", None), ast.RShift)  # x >> n or x >>= n
     ]
     assert not shifts, f"bit shifts outside qop: {shifts}"
+
+
+def test_one_function_builds_and_reads_the_outcome_operators():
+    # outcome_table goes from an observer's direction cells to their
+    # outcome probabilities, so the (..., 8, 8, 8) operators never cross a
+    # function boundary and no module builds them apart from it
+    defined = [
+        f"{path.stem}.{node.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == "joint_operators"
+    ]
+    assert not defined, f"joint_operators is defined again: {defined}"
+    assert _callers_of("effect") == {"measurement.outcome_table"}
 
 
 def _open_mode(call):

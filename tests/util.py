@@ -34,7 +34,6 @@ from seqsteer.cascade import states_along, term_expectations, value_from_terms
 from seqsteer.inequalities import check_expectation, required_terms
 from seqsteer.measurement import (
     OUTCOMES,
-    joint_operators,
     joint_probability,
     outcome_table,
     table_correlation,
@@ -419,11 +418,16 @@ def _pauli_expectation(numerators, den, axes):
     return Fraction(total, den)
 
 
-def exact_ladder(rho, scenario, inequality, config=None):
+def exact_ladder(rho, scenario, inequality, config=None, prefix=()):
     """build_table's ladder for the state rho replayed in exact
     arithmetic, as (rows, margin): rows as build_table gives them, and
     margin the smallest |x - root| over the row decisions, in sharpness
     units.
+
+    prefix holds the sharpness values of observers measuring x, y, z
+    ahead of the ladder, as threshold_lambda's prefix does: the ladder's
+    first row is then m = len(prefix) + 1, and its first slope is
+    scaled by each prefix observer's shrink factor.
 
     It shares with the package only the term table, LAMBDA_FLOOR and
     SearchConfig. The first state's term values are exact rationals
@@ -431,12 +435,13 @@ def exact_ladder(rho, scenario, inequality, config=None):
     x/y/z slope. Pinning an observer at p = min(1, lambda_min + tol) on
     x, y, z scales every Pauli component on the sequential wing by
     (1 + 2*sqrt(1 - p*p))/3 and leaves base alone, so row m's slope is
-    the first slope times those factors of the observers before it. Square roots (the grid-refine
-    slope, each factor) and the root itself are taken in decimal at 60
-    digits. A row is "none" when sharpness 1 does not violate; otherwise
-    the float bracket is replayed as build_table runs it, each float
-    midpoint compared with the line's root. Every decision, the one at 1
-    included, adds its distance from the root to the margin.
+    the first slope times those factors of the observers before it.
+    Square roots (the grid-refine slope, each factor) and the root
+    itself are taken in decimal at 60 digits. A row is "none" when
+    sharpness 1 does not violate; otherwise the float bracket is
+    replayed as build_table runs it, each float midpoint compared with
+    the line's root. Every decision, the one at 1 included, adds its
+    distance from the root to the margin.
     """
     config = config or SearchConfig()
     seq = scenario.sequential_wing
@@ -456,15 +461,20 @@ def exact_ladder(rho, scenario, inequality, config=None):
         def dec(q):
             return Decimal(q.numerator) / Decimal(q.denominator)
 
+        def shrink(p):
+            return (1 + 2 * (1 - p * p).sqrt()) / 3
+
         if config.optimizer is Optimizer.FIXED_XYZ:
             slope = dec(sum(vecs[i][i] for i in range(3)))
         else:
             slope = -sum(dec(sum(x * x for x in v)).sqrt() for v in vecs)
+        for lam in prefix:
+            slope *= shrink(Decimal(lam))
         # the value base + lam * slope lies below -guard exactly when
         # lam * slope < target, so 1 violates when slope < target
         target = dec(-Fraction(config.guard) - base)
         rows, margin = [], math.inf
-        for m in range(1, config.max_rows + 1):
+        for m in range(len(prefix) + 1, config.max_rows + 1):
             if slope < 0:
                 root = target / slope
                 margin = min(margin, abs(1 - root))
@@ -479,8 +489,7 @@ def exact_ladder(rho, scenario, inequality, config=None):
                 margin = min(margin, abs(Decimal(mid) - root))
                 lo, hi = (lo, mid) if Decimal(mid) > root else (mid, hi)
             rows.append((m, hi))
-            pin = Decimal(min(1.0, hi + config.tol))
-            slope *= (1 + 2 * (1 - pin * pin).sqrt()) / 3
+            slope *= shrink(Decimal(min(1.0, hi + config.tol)))
         return tuple(rows), float(margin)
 
 
@@ -551,7 +560,7 @@ def reference_tensor3(a, b, c):
 
 
 def reference_joint_operator(seq_wing, lam, dirs, outcomes):
-    """One outcome triple's row of joint_operators, for one direction per
+    """One outcome triple's operator E (x) P (x) P, for one direction per
     wing in dirs, as its three factors and one Kronecker product.
 
     This is the per-outcome build the stacked one replaced, kept
@@ -568,9 +577,10 @@ def reference_joint_operator(seq_wing, lam, dirs, outcomes):
 
 
 def reference_joint_grid(seq_wing, lam, dirs):
-    """joint_operators' full grid, shape (len(dirs[0]), len(dirs[1]),
-    len(dirs[2]), 8, 8, 8), from one nested list of 2x2 factors per
-    wing, one effect or projector per direction and outcome, and one
+    """The outcome operators of the full grid, shape (len(dirs[0]),
+    len(dirs[1]), len(dirs[2]), 8, 8, 8), row k of each cell for the
+    triple OUTCOMES[k], from one nested list of 2x2 factors per wing, one
+    effect or projector per direction and outcome, and one
     reference_tensor3 product.
 
     This is the grid build that the per-wing factor stacks replaced,
@@ -613,9 +623,9 @@ def left_sum(values):
 def stacked_correlation(rhos, seq_wing, lam, dirs, wings):
     """The oracle's correlation of the outcomes on wings, summed over
     rhos, for one direction per wing in dirs: table_correlation of the
-    outcome_table of one joint_operators stack."""
-    ops = joint_operators(seq_wing, lam, [(d,) for d in dirs], (0, 0, 0))
-    return table_correlation([outcome_table(rhos, ops)], [wings])[0]
+    outcome_table of that one cell."""
+    table = outcome_table(np.asarray(rhos), seq_wing, lam, [(d,) for d in dirs], (0, 0, 0))
+    return table_correlation([table], [wings])[0]
 
 
 def reference_correlation(rhos, seq_wing, lam, dirs, wings):
@@ -637,7 +647,8 @@ def reference_correlation(rhos, seq_wing, lam, dirs, wings):
 
 
 def reference_outcome_table(rhos, ops):
-    """outcome_table of one (8, 8, 8) stack, one product per operator.
+    """outcome_table of one cell, given its (8, 8, 8) operator stack, one
+    product per operator.
 
     This is the per-operator loop that the one product per stack
     replaced, kept literally so that the table can be checked against it
