@@ -26,7 +26,7 @@ def show(scenario, lambdas):
     result = run_cascade(spec)
     print(f"scenario {scenario.value}, sharpness chain {lambdas}")
     degrade = 1.0
-    for m, (lam, value) in enumerate(zip(result.lambdas, result.values), start=1):
+    for m, (lam, value) in enumerate(zip(spec.lambdas, result.values), start=1):
         mark = "violates" if value < 0 else "no violation"
         print(
             f"  observer {m}: lam={lam:.3f}  value={value:+.4f}  "

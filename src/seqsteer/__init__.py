@@ -11,7 +11,7 @@ violating, and how long the chain can get.
 from .qop import BlochDirection
 from .states import GHZ, W, StateFormatError, StateKind, StateSpec, build_state
 from .measurement import SettingTriple, bloch_shrink_factor, joint_probability
-from .inequalities import InequalityKind, SteeringDirection
+from .inequalities import InequalityKind
 from .cascade import (
     CascadeResult,
     Scenario,
@@ -48,7 +48,6 @@ __all__ = [
     "StateFormatError",
     "StateKind",
     "StateSpec",
-    "SteeringDirection",
     "ThresholdTable",
     "W",
     "bloch_shrink_factor",

@@ -165,10 +165,8 @@ def states_along(rho, seq_wing, triples):
 
 @dataclass(frozen=True)
 class CascadeResult:
-    """Per-observer inequality values for one chain."""
+    """Per-observer inequality values for one chain, in chain order."""
 
-    inequality: InequalityKind
-    lambdas: tuple
     values: tuple
 
     @property
@@ -182,6 +180,7 @@ def run_cascade(spec: ScenarioSpec) -> CascadeResult:
     """Channel-path evaluation of every observer in the chain: one term
     walk over the stack of the states the observers receive, each
     observer's value read from its row."""
+    require_type("spec", ScenarioSpec, spec)
     spec.require_projective_last()
     rhos = states_along(build_state(spec.state), spec.sequential_wing, spec.observers)
     stack = np.stack([rho for _, rho in zip(spec.observers, rhos)])
@@ -190,7 +189,7 @@ def run_cascade(spec: ScenarioSpec) -> CascadeResult:
         value_from_terms({ops: (slot, x[m]) for ops, (slot, x) in terms}, spec.inequality, triple)
         for m, triple in enumerate(spec.observers)
     )
-    return CascadeResult(spec.inequality, spec.lambdas, values)
+    return CascadeResult(values)
 
 
 def _wing_directions(seq_wing, triple):
@@ -215,6 +214,7 @@ def run_cascade_oracle(spec: ScenarioSpec) -> CascadeResult:
     Cost grows as 6^(n-1), so chains longer than ORACLE_MAX_OBSERVERS
     are refused.
     """
+    require_type("spec", ScenarioSpec, spec)
     spec.require_projective_last()
     n = len(spec.observers)
     if n > ORACLE_MAX_OBSERVERS:
@@ -249,7 +249,7 @@ def run_cascade_oracle(spec: ScenarioSpec) -> CascadeResult:
         if m + 1 < n:
             # a branch's six children sit together, in selective_updates order
             branches = selective_updates(branches, seq_wing, triple).reshape(-1, 8, 8)
-    return CascadeResult(spec.inequality, spec.lambdas, tuple(values))
+    return CascadeResult(tuple(values))
 
 
 def no_signalling_audit(spec: ScenarioSpec, prob_fn=None) -> float:
@@ -273,6 +273,7 @@ def no_signalling_audit(spec: ScenarioSpec, prob_fn=None) -> float:
     others by the averaged channel that hands them on, so the quantum
     model used when prob_fn is None is unchecked_joint_probability.
     """
+    require_type("spec", ScenarioSpec, spec)
     spec.require_observers()
     prob_fn = prob_fn or unchecked_joint_probability
     seq_wing = spec.sequential_wing

@@ -220,14 +220,15 @@ def _chain_lambdas(opts):
 # a dict or a string already serialized, and its CSV and text lines;
 # _render alone picks which of them is printed.
 def _cmd_cascade(opts):
-    result = run_cascade(_spec_from(opts, _chain_lambdas(opts)))
-    doc = {"inequality": result.inequality.value, "observers": []}
+    spec = _spec_from(opts, _chain_lambdas(opts))
+    result = run_cascade(spec)
+    doc = {"inequality": spec.inequality.value, "observers": []}
     csv = ["observer,lambda,value,detected"]
     text = [
-        f"inequality {result.inequality.value}, state {opts['state'].kind.value}, "
+        f"inequality {spec.inequality.value}, state {opts['state'].kind.value}, "
         f"scenario {opts['scenario'].value}"
     ]
-    rows = zip(result.lambdas, result.values, result.detected)
+    rows = zip(spec.lambdas, result.values, result.detected)
     for m, (lam, value, flag) in enumerate(rows, start=1):
         doc["observers"].append({"observer": m, "lambda": lam, "value": value, "detected": flag})
         csv.append(f"{m},{lam:.6f},{value:.6f},{str(flag).lower()}")

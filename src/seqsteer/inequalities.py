@@ -18,14 +18,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 
-class SteeringDirection(Enum):
-    """Who steers whom: one untrusted party steering two trusted ones, or
-    two untrusted parties steering one trusted one."""
-
-    ONE_TO_TWO = "1to2"
-    TWO_TO_ONE = "2to1"
-
-
 class InequalityKind(Enum):
     G1 = "g1"
     G2 = "g2"
@@ -34,9 +26,8 @@ class InequalityKind(Enum):
 
     @property
     def direction(self):
-        if self in (InequalityKind.G1, InequalityKind.W1):
-            return SteeringDirection.ONE_TO_TWO
-        return SteeringDirection.TWO_TO_ONE
+        """Who steers whom: "1to2" (one untrusted party) or "2to1" (two)."""
+        return "1to2" if self in (InequalityKind.G1, InequalityKind.W1) else "2to1"
 
 
 # Each symbol's axis (0, 1, 2 for x, y, z): a fixed Pauli's, or a

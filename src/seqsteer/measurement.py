@@ -23,6 +23,7 @@ from .qop import (
     BlochDirection,
     effect_sqrt,
     projector_stack,
+    require_sharpness,
     require_type,
     resolve_wing,
     tensor3,
@@ -43,8 +44,7 @@ class SettingTriple:
         if len(self.directions) != 3:
             raise ValueError(f"a triple needs three directions, got {len(self.directions)}")
         require_type("direction", BlochDirection, *self.directions)
-        if not 0.0 < self.lam <= 1.0:
-            raise ValueError(f"sharpness must lie in (0, 1], got {self.lam}")
+        require_sharpness(self.lam)
 
     @classmethod
     def from_directions(cls, directions, lam):
@@ -60,8 +60,7 @@ class SettingTriple:
 def effect(projectors, lam):
     """Unsharp effects lam*P + (1-lam)*I/2 of a stack of projectors P,
     shape (..., 2, 2), with lam in (0, 1]."""
-    if not 0.0 < lam <= 1.0:
-        raise ValueError(f"sharpness must lie in (0, 1], got {lam}")
+    require_sharpness(lam)
     return lam * projectors + (1 - lam) * I2 / 2
 
 
@@ -94,8 +93,7 @@ def bloch_shrink_factor(lam):
     """Factor (1 + 2*sqrt(1-lam^2))/3 by which the averaged channel with
     three mutually orthogonal settings scales every Bloch component of
     the measured qubit, with lam in (0, 1]."""
-    if not 0.0 < lam <= 1.0:
-        raise ValueError(f"sharpness must lie in (0, 1], got {lam}")
+    require_sharpness(lam)
     return (1 + 2 * np.sqrt(1 - lam * lam)) / 3
 
 

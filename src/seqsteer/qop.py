@@ -46,6 +46,13 @@ def require_type(name, cls, *values):
             raise ValueError(f"{name} must be of type {cls.__name__}, got {value!r}")
 
 
+def require_sharpness(lam):
+    """Raise ValueError unless lam is a real number in (0, 1]; a bool is not."""
+    real = isinstance(lam, (int, float, np.integer, np.floating)) and not isinstance(lam, bool)
+    if not (real and 0.0 < lam <= 1.0):
+        raise ValueError(f"sharpness must lie in (0, 1], got {lam}")
+
+
 @dataclass(frozen=True)
 class BlochDirection:
     """A unit direction on the Bloch sphere, polar angle theta in [0, pi]
@@ -136,8 +143,7 @@ def effect_sqrt(projectors, lam):
     so its root is sqrt((1+lam)/2)*P_a + sqrt((1-lam)/2)*P_(-a) in closed
     form, with P_a the projector onto outcome a; lam lies in (0, 1].
     """
-    if not 0.0 < lam <= 1.0:
-        raise ValueError(f"sharpness must lie in (0, 1], got {lam}")
+    require_sharpness(lam)
     root_a, root_b = np.sqrt((1 + lam) / 2), np.sqrt((1 - lam) / 2)
     return root_a * projectors + root_b * projectors[..., ::-1, :, :]
 

@@ -21,7 +21,8 @@ import numpy as np
 from .cascade import Scenario, ScenarioSpec, states_along, term_expectations, value_from_terms
 from .inequalities import InequalityKind, required_terms
 from .measurement import SettingTriple
-from .qop import BlochDirection, X_DIR, Y_DIR, Z_DIR, require_type, validate_density
+from .qop import BlochDirection, X_DIR, Y_DIR, Z_DIR, require_sharpness, require_type
+from .qop import validate_density
 from .states import build_state
 
 # Smallest sharpness probed.  Exactly zero is not a valid measurement
@@ -61,7 +62,7 @@ class SearchConfig:
     optimizer: Optimizer = Optimizer.FIXED_XYZ
 
     def __post_init__(self):
-        if not MIN_TOL <= self.tol < 1.0:
+        if not (isinstance(self.tol, (float, np.floating)) and MIN_TOL <= self.tol < 1.0):
             raise ValueError(f"tol must lie in [2**-53 = {MIN_TOL:.3g}, 1), got {self.tol}")
         require_type("optimizer", Optimizer, self.optimizer)
 
@@ -90,8 +91,7 @@ def direction_coefficients(rho, scenario, inequality, lam):
     """
     require_type("scenario", Scenario, scenario)
     require_type("inequality", InequalityKind, inequality)
-    if not 0.0 < lam <= 1.0:
-        raise ValueError(f"sharpness must lie in (0, 1], got {lam}")
+    require_sharpness(lam)
     validate_density(rho)
     terms = term_expectations(rho, inequality, scenario.sequential_wing)
     return _coefficients(terms, inequality, lam)
@@ -110,15 +110,6 @@ def _coefficients(terms, inequality, lam):
     return base, vecs
 
 
-def _direction_from_vector(v):
-    norm = float(np.linalg.norm(v))
-    if norm < 1e-15:
-        return Z_DIR
-    theta = math.acos(max(-1.0, min(1.0, float(v[2]) / norm)))
-    phi = math.atan2(float(v[1]), float(v[0])) % (2.0 * math.pi)
-    return BlochDirection(theta, phi)
-
-
 # The six signed axes, tried before the analytic direction so that an
 # exact axis optimum keeps its exact angles.
 _AXES = (
@@ -134,13 +125,19 @@ _AXES = (
 def _best_direction(vec):
     """Direction n minimizing n . vec, with the value it attains.
 
-    The optimum is n = -vec/|vec| with value -|vec|.  A later candidate
-    replaces an earlier one only when it is lower by more than 1e-15, so
-    on an axis the rounding noise of -vec/|vec| never shows in the
-    angles.
+    The optimum is n = -vec/|vec| with value -|vec|, tried when |vec| is
+    at least 1e-15; below that Z, the first axis, stands.  A later
+    candidate replaces an earlier one only when it is lower by more than
+    1e-15, so on an axis the rounding noise of -vec/|vec| never shows.
     """
+    candidates = _AXES
+    norm = float(np.linalg.norm(vec))
+    if norm >= 1e-15:
+        theta = math.acos(max(-1.0, min(1.0, -float(vec[2]) / norm)))
+        phi = math.atan2(-float(vec[1]), -float(vec[0])) % (2.0 * math.pi)
+        candidates += (BlochDirection(theta, phi),)
     best, low = None, math.inf
-    for d in _AXES + (_direction_from_vector(-vec),):
+    for d in candidates:
         value = float(d.unit_vector @ vec)
         if value < low - 1e-15:
             best, low = d, value
@@ -155,9 +152,10 @@ def optimize_angles(spec, m, config=None):
     SettingTriple together with the inequality value it attains.  With
     the FIXED_XYZ optimizer the x, y, z settings are scored as-is.
     """
+    require_type("spec", ScenarioSpec, spec)
     config = _config(config)
     count = len(spec.observers)
-    if not isinstance(m, (int, np.integer)) or not 1 <= m <= count:
+    if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or not 1 <= m <= count:
         raise ValueError(f"observer index must be an integer in 1..{count}, got {m!r}")
     seq = spec.sequential_wing
     *_, rho = states_along(build_state(spec.state), seq, spec.observers[: m - 1])
@@ -187,6 +185,7 @@ def threshold_lambda(prefix, config=None):
     bisection to config.tol.  Returns the bracket's upper end, which
     violates, or None when even a projective measurement does not violate.
     """
+    require_type("prefix", ScenarioSpec, prefix)
     config = _config(config)
     seq = prefix.sequential_wing
     *_, rho = states_along(build_state(prefix.state), seq, prefix.observers)
@@ -240,15 +239,18 @@ class ThresholdTable:
     """Per-observer minimal sharpness for one scenario column.
 
     rows holds (m, lambda_min) pairs with lambda_min None on the row
-    where the chain ends; truncated marks a table cut by the row cap
-    rather than by a non-violating row.
+    where the chain ends.
     """
 
     state: str
     scenario: Scenario
     inequality: object
     rows: tuple
-    truncated: bool = False
+
+    @property
+    def truncated(self):
+        """Whether the row cap cut the table: its last row still violates."""
+        return bool(self.rows) and self.rows[-1][1] is not None
 
     @property
     def max_observers(self):
@@ -262,7 +264,7 @@ class ThresholdTable:
             {
                 "state": self.state,
                 "scenario": self.scenario.value,
-                "direction": self.inequality.direction.value,
+                "direction": self.inequality.direction,
                 "inequality": self.inequality.value,
                 "rows": ladder_rows(self.rows)[0],
                 "truncated": self.truncated,
@@ -297,5 +299,4 @@ def build_table(scenario, inequality, state, config=None):
         scenario=scenario,
         inequality=inequality,
         rows=tuple(rows),
-        truncated=lam is not None,
     )

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import tracemalloc
@@ -21,6 +22,7 @@ from seqsteer import (
     SettingTriple,
     StateKind,
     StateSpec,
+    ThresholdTable,
     bloch_shrink_factor,
     build_state,
     direction_coefficients,
@@ -505,8 +507,39 @@ def test_oracle_refuses_long_chains():
 
 
 def test_detection_is_strictly_negative():
-    result = CascadeResult(InequalityKind.G1, (1.0,), (0.0,))
+    result = CascadeResult((0.0,))
     assert result.detected == (False,)
+
+
+def test_a_result_holds_no_copy_of_its_inputs():
+    # a cascade's functional and sharpness values are its spec's, and a
+    # table is cut exactly when its last row still violates
+    with pytest.raises(TypeError):
+        CascadeResult(InequalityKind.G1, (1.0,), (0.0,))
+    with pytest.raises(TypeError):
+        ThresholdTable("ghz", Scenario.A, InequalityKind.G1, ((1, None),), truncated=True)
+    ladder = ThresholdTable("ghz", Scenario.A, InequalityKind.G1, ((1, 0.6), (2, None)))
+    assert ladder.truncated is False
+    assert dataclasses.replace(ladder, rows=((1, 0.6),)).truncated is True
+    assert dataclasses.replace(ladder, rows=()).truncated is False
+
+
+_CHAIN_ENTRY_POINTS = {
+    "run_cascade": run_cascade,
+    "run_cascade_oracle": run_cascade_oracle,
+    "no_signalling_audit": no_signalling_audit,
+    "threshold_lambda": threshold_lambda,
+    "optimize_angles": lambda spec: optimize_angles(spec, 1),
+}
+
+
+@pytest.mark.parametrize("spec", ["x", None, GHZ], ids=["str", "None", "GHZ"])
+@pytest.mark.parametrize("entry", sorted(_CHAIN_ENTRY_POINTS))
+def test_the_chain_entry_points_reject_a_spec_that_is_not_a_scenario_spec(entry, spec):
+    # each used to fail on its first attribute read with an AttributeError
+    name = "prefix" if entry == "threshold_lambda" else "spec"
+    with pytest.raises(ValueError, match=f"^{name} must be of type ScenarioSpec, got "):
+        _CHAIN_ENTRY_POINTS[entry](spec)
 
 
 def test_no_signalling_on_quantum_model():

@@ -1,15 +1,27 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from seqsteer import BlochDirection
+from seqsteer import (
+    GHZ,
+    BlochDirection,
+    InequalityKind,
+    Scenario,
+    SettingTriple,
+    bloch_shrink_factor,
+    build_state,
+    direction_coefficients,
+    joint_probability,
+)
 from seqsteer.cascade import _SIGMAS
 from seqsteer.measurement import effect
 from seqsteer.qop import (
     I2,
+    XYZ,
     X_DIR,
     Y_DIR,
     Z_DIR,
@@ -276,3 +288,27 @@ def test_effect_sqrt_validates_inputs():
     for lam in (0.0, 1.2, -0.5, float("nan")):
         with pytest.raises(ValueError, match="sharpness"):
             effect_sqrt(projector_stack((Z_DIR,)), lam)
+
+
+# every public entry that takes a sharpness, each given a valid rest
+_SHARPNESS_TAKERS = {
+    "SettingTriple": lambda lam: SettingTriple(XYZ, lam),
+    "SettingTriple.xyz": SettingTriple.xyz,
+    "effect": lambda lam: effect(projector_stack(XYZ), lam),
+    "effect_sqrt": lambda lam: effect_sqrt(projector_stack(XYZ), lam),
+    "bloch_shrink_factor": bloch_shrink_factor,
+    "direction_coefficients": lambda lam: direction_coefficients(
+        build_state(GHZ), Scenario.A, InequalityKind.G1, lam
+    ),
+    "joint_probability": lambda lam: joint_probability(build_state(GHZ), 0, lam, (XYZ,) * 3),
+}
+
+
+@pytest.mark.parametrize("lam", ["0.5", None, True, np.True_, 1.5], ids=repr)
+@pytest.mark.parametrize("taker", sorted(_SHARPNESS_TAKERS))
+def test_every_sharpness_meets_the_one_rule(taker, lam):
+    # a string or None used to raise TypeError from the comparison, and
+    # True or np.True_ passed as sharpness 1
+    message = f"sharpness must lie in (0, 1], got {lam}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _SHARPNESS_TAKERS[taker](lam)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqsteer import (
@@ -41,12 +41,12 @@ from seqsteer.search import (
     LAMBDA_FLOOR,
     MIN_TOL,
     _best_direction,
-    _direction_from_vector,
     _line,
 )
 from util import (
     FROZEN_LADDERS,
     TABLE_CASES,
+    _direction_from_vector,
     _settings_and_value,
     decision_margins,
     exact_ladder,
@@ -54,6 +54,7 @@ from util import (
     noisy_rotated_state,
     random_mixed_state,
     random_triple,
+    reference_best_direction,
     reference_threshold_lambda,
     table_key,
     value_from_state,
@@ -501,7 +502,7 @@ def test_optimize_angles_validates_observer_index():
     spec = xyz_spec(Scenario.A, InequalityKind.G1, GHZ, (0.7, 1.0))
     # a float index would otherwise fail to slice the prefix, and a
     # string or None to compare, each with a TypeError
-    for m in (3, 0, 1.0, 2.0, "1", None):
+    for m in (3, 0, 1.0, 2.0, "1", None, True, False):
         with pytest.raises(ValueError, match="^observer index"):
             optimize_angles(spec, m)
     assert optimize_angles(spec, np.int64(2)) == optimize_angles(spec, 2)
@@ -525,8 +526,10 @@ def test_the_search_entry_points_reject_a_config_that_is_not_a_search_config(ent
 
 
 def test_angle_grid_validation():
-    with pytest.raises(ValueError):
-        SearchConfig(tol=0.0)
+    # a string or None used to raise TypeError from the comparison
+    for tol in (0.0, "0.1", None):
+        with pytest.raises(ValueError, match=r"^tol must lie in \[2\*\*-53"):
+            SearchConfig(tol=tol)
     # the guard band and row cap are constants, not knobs, there is no
     # iteration cap to set, and every table pins each observer just
     # above their own threshold
@@ -749,6 +752,52 @@ def test_zero_vector_keeps_z():
     # Z instead of dividing by a zero norm
     assert _direction_from_vector(np.zeros(3)) == Z_DIR
     assert _best_direction(np.zeros(3)) == (Z_DIR, 0.0)
+
+
+def _scaled(vec, norm):
+    """vec rescaled to the given norm; the zero vector stays zero."""
+    length = np.linalg.norm(vec)
+    return vec if length == 0.0 else vec * (norm / length)
+
+
+_signed_tiny = st.sampled_from([0.0, -0.0, 1e-16, -1e-16])
+_near_threshold = st.builds(
+    _scaled,
+    st.builds(np.array, st.tuples(*[st.floats(-1.0, 1.0)] * 3)),
+    st.sampled_from([1e-16, 1e-15, 2e-15]),
+)
+_noisy_axis = st.builds(
+    lambda axis, size, noise: np.array([size if k == axis else noise[k] for k in range(3)]),
+    st.integers(0, 2),
+    st.sampled_from([1.0, -1.0, 0.37, -0.37, 1e-15, -2e-15]),
+    st.tuples(_signed_tiny, _signed_tiny, _signed_tiny),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    vec=st.one_of(
+        st.builds(np.array, st.tuples(_signed_tiny, _signed_tiny, _signed_tiny)),
+        _near_threshold,
+        _noisy_axis,
+        st.builds(np.array, st.tuples(*[st.floats(-2.0, 2.0)] * 3)),
+    )
+)
+@example(vec=np.zeros(3))
+@example(vec=np.array([-0.0, -0.0, -0.0]))
+@example(vec=np.array([0.0, 0.0, 1e-15]))
+@example(vec=np.array([0.0, -1e-15, 0.0]))
+@example(vec=np.array([2e-15, 0.0, -0.0]))
+@example(vec=np.array([0.37, 1e-16, -1e-16]))
+def test_the_folded_best_direction_is_the_reference_bit_for_bit(vec):
+    # the analytic candidate is formed only at a norm of at least 1e-15;
+    # below it the old helper's Z never beat the first axis, Z itself
+    direction, value = _best_direction(vec)
+    want_direction, want_value = reference_best_direction(vec)
+    assert repr((direction.theta, direction.phi)) == repr(
+        (want_direction.theta, want_direction.phi)
+    )
+    assert value.hex() == want_value.hex()
 
 
 @pytest.mark.parametrize("sign,phi", [(1.0, math.pi), (-1.0, 0.0)])

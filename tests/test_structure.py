@@ -1,11 +1,14 @@
 """Layering rules of the package, checked on its source."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 from pathlib import Path
 
 import pytest
+
+from seqsteer import CascadeResult, ThresholdTable
 
 PACKAGE = Path(__file__).parents[1] / "src" / "seqsteer"
 
@@ -184,7 +187,6 @@ _RECEIVED = {
     "CascadeResult",
     "SearchError",
     "StateFormatError",
-    "SteeringDirection",
     "ThresholdTable",
 }
 
@@ -228,18 +230,39 @@ def test_every_src_definition_has_a_caller_outside_the_tests():
     assert not unused, f"src/ definitions with no caller outside the tests: {unused}"
 
 
+def _src_nodes():
+    """Every AST node of every module in src/."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        yield from ast.walk(ast.parse(path.read_text(), filename=str(path)))
+
+
 def test_the_ladder_row_is_spelled_once():
     # threshold's output and both of a table's are built by one row
     # function, so the CSV header and the "ok" status cannot drift apart
-    constants = [
-        node.value
-        for path in PACKAGE.glob("*.py")
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.Constant)
-    ]
+    constants = [node.value for node in _src_nodes() if isinstance(node, ast.Constant)]
     for literal in ("m,lambda_min,status", "ok"):
         count = constants.count(literal)
         assert count == 1, f"{literal!r} is spelled {count} times in src/"
+
+
+def test_each_fact_has_one_home():
+    # the sharpness rule is qop.require_sharpness; the steering type is
+    # the string InequalityKind.direction gives; the zero-vector rule is
+    # _best_direction's; a cascade's inputs are its spec's, and whether a
+    # ladder was cut is read off its last row
+    constants = [node.value for node in _src_nodes() if isinstance(node, ast.Constant)]
+    count = constants.count("sharpness must lie in (0, 1], got ")
+    assert count == 1, f"the sharpness message is spelled {count} times in src/"
+    gone = {"SteeringDirection", "_direction_from_vector"}
+    defined = sorted(
+        node.name
+        for node in _src_nodes()
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in gone
+    )
+    assert not defined, f"defined again in src/: {defined}"
+    assert [f.name for f in dataclasses.fields(CascadeResult)] == ["values"]
+    fields = [f.name for f in dataclasses.fields(ThresholdTable)]
+    assert fields == ["state", "scenario", "inequality", "rows"]
 
 
 def _callers_of(name):

@@ -18,6 +18,7 @@ import numpy as np
 from seqsteer import (
     GHZ,
     W,
+    BlochDirection,
     InequalityKind,
     Optimizer,
     Scenario,
@@ -41,10 +42,11 @@ from seqsteer.measurement import (
 from seqsteer.qop import (
     I2,
     XYZ,
+    Z_DIR,
     resolve_wing,
     validate_density,
 )
-from seqsteer.search import LAMBDA_FLOOR, _best_direction, _coefficients
+from seqsteer.search import _AXES, LAMBDA_FLOOR, _best_direction, _coefficients
 
 # ladder of minimal sharpness values per observer, bisection tolerance
 # 1e-4, upper bracket endpoint reported, predecessors pinned at their
@@ -282,6 +284,31 @@ def _settings_and_value(terms, inequality, lam, optimizer):
         directions.append(direction)
         total += low
     return SettingTriple(directions, lam), total
+
+
+def _direction_from_vector(v):
+    norm = float(np.linalg.norm(v))
+    if norm < 1e-15:
+        return Z_DIR
+    theta = math.acos(max(-1.0, min(1.0, float(v[2]) / norm)))
+    phi = math.atan2(float(v[1]), float(v[0])) % (2.0 * math.pi)
+    return BlochDirection(theta, phi)
+
+
+def reference_best_direction(vec):
+    """_best_direction as it was before the analytic candidate was
+    formed inline: the six axes, then _direction_from_vector(-vec),
+    whose zero-vector rule gave Z a second time.
+
+    Kept literally, with _direction_from_vector above, so that the
+    folded search can be checked against it bit for bit.
+    """
+    best, low = None, math.inf
+    for d in _AXES + (_direction_from_vector(-vec),):
+        value = float(d.unit_vector @ vec)
+        if value < low - 1e-15:
+            best, low = d, value
+    return best, low
 
 
 # the evaluated bisection's iteration cap; a tolerance of 1e-4 needs 14
