@@ -112,7 +112,7 @@ def xyz_spec(scenario, inequality, state, lambdas):
 
 
 def term_expectations(rho, inequality, seq_wing):
-    """Each term of the functional traced once on rho, as ops -> (slot, x).
+    """Each term of the functional traced once on rho: a tuple of (slot, x) in term order.
 
     slot is the term's axis on the sequential wing; x is the term's
     expectation when slot is None, and otherwise the 3-vector of its
@@ -122,7 +122,7 @@ def term_expectations(rho, inequality, seq_wing):
     array. Any traced value outside [-1, 1] raises check_expectation's
     ValueError.
     """
-    table = {}
+    table = []
     for term in required_terms(inequality):
         slot = term.axes[seq_wing]
         mats = [I2 if a is None else _SIGMAS[a] for a in term.axes]
@@ -132,8 +132,8 @@ def term_expectations(rho, inequality, seq_wing):
         x = (rows @ tensor3(*mats)).trace(axis1=-2, axis2=-1).real
         for e in x.reshape(-1).tolist():
             check_expectation(term.ops, e)
-        table[term.ops] = (slot, x.tolist() if slot is None else x)
-    return table
+        table.append((slot, x.tolist() if slot is None else x))
+    return tuple(table)
 
 
 def value_from_terms(terms, inequality, triple):
@@ -145,18 +145,15 @@ def value_from_terms(terms, inequality, triple):
     lam times the spin component.
     """
     units = [d.unit_vector for d in triple.directions]
-    return evaluate(inequality, {
-        ops: x if slot is None else float(units[slot] @ x) * triple.lam
-        for ops, (slot, x) in terms.items()
-    })
+    return evaluate(inequality, [
+        x if slot is None else float(units[slot] @ x) * triple.lam for slot, x in terms
+    ])
 
 
 def states_along(rho, seq_wing, triples):
     """rho, then the state after each triple's averaged channel in turn,
     each step run lazily: zipped with a chain's observers, observers
-    first, it applies no channel after the last one.  It reads the next
-    triple only when the next state is asked for, so a list may grow
-    while it is walked."""
+    first, it applies no channel after the last one."""
     yield rho
     for triple in triples:
         rho = averaged_channel(rho, seq_wing, triple)
@@ -184,9 +181,9 @@ def run_cascade(spec: ScenarioSpec) -> CascadeResult:
     spec.require_projective_last()
     rhos = states_along(build_state(spec.state), spec.sequential_wing, spec.observers)
     stack = np.stack([rho for _, rho in zip(spec.observers, rhos)])
-    terms = term_expectations(stack, spec.inequality, spec.sequential_wing).items()
+    terms = term_expectations(stack, spec.inequality, spec.sequential_wing)
     values = tuple(
-        value_from_terms({ops: (slot, x[m]) for ops, (slot, x) in terms}, spec.inequality, triple)
+        value_from_terms([(slot, x[m]) for slot, x in terms], spec.inequality, triple)
         for m, triple in enumerate(spec.observers)
     )
     return CascadeResult(values)
@@ -243,9 +240,9 @@ def run_cascade_oracle(spec: ScenarioSpec) -> CascadeResult:
         dirs = _wing_directions(seq_wing, triple)
         tables = outcome_table(branches, seq_wing, triple.lam, dirs, index)[rows]
         weight = (1.0 / 3.0) ** m
-        values.append(evaluate(spec.inequality, {
-            t.ops: weight * x for t, x in zip(terms, table_correlation(tables, wings))
-        }))
+        values.append(
+            evaluate(spec.inequality, [weight * x for x in table_correlation(tables, wings)])
+        )
         if m + 1 < n:
             # a branch's six children sit together, in selective_updates order
             branches = selective_updates(branches, seq_wing, triple).reshape(-1, 8, 8)

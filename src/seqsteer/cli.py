@@ -33,6 +33,7 @@ import sys
 
 from .cascade import Scenario, no_signalling_audit, run_cascade, xyz_spec
 from .inequalities import InequalityKind
+from .qop import require_sharpness
 from .search import (
     Optimizer,
     SearchConfig,
@@ -79,8 +80,10 @@ def _parse_lambdas(text):
             lam = float(tok)
         except ValueError:
             raise UsageError(f"cannot parse sharpness {tok!r} as a number")
-        if not 0.0 < lam <= 1.0:
-            raise UsageError(f"sharpness {lam} outside (0, 1]")
+        try:
+            require_sharpness(lam)
+        except ValueError as exc:
+            raise UsageError(exc)
         out.append(lam)
     return tuple(out)
 

@@ -147,18 +147,15 @@ def check_expectation(ops, e):
 
 
 def evaluate(kind: InequalityKind, expectations) -> float:
-    """Value of the functional given a mapping from each term's ops tuple
-    to its expectation.
+    """Value of the functional given each term's expectation in
+    required_terms order.
 
     Negative means genuine tripartite steering is detected; exactly zero
-    counts as not detected. A missing term raises LookupError naming it,
-    and an expectation outside [-1, 1] raises ValueError.
+    counts as not detected. A table of the wrong length, or an
+    expectation outside [-1, 1], raises ValueError.
     """
     value = 1.0
-    for term in required_terms(kind):
-        if term.ops not in expectations:
-            raise LookupError(f"correlation term not supplied: {term.ops}")
-        e = expectations[term.ops]
+    for term, e in zip(required_terms(kind), expectations, strict=True):
         check_expectation(term.ops, e)
         value += term.coeff * e
     return float(value)

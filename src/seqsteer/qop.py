@@ -32,9 +32,14 @@ _PAULI = {
 }
 
 
+def _is_real(x):
+    """Whether x is a real number, a Python or numpy int or float; a bool is not."""
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+
+
 def resolve_wing(wing):
-    """Check a wing index: 0 (Alice), 1 (Bob) or 2 (Charlie)."""
-    if wing not in (0, 1, 2):
+    """Check a wing index, the int 0 (Alice), 1 (Bob) or 2 (Charlie); a bool is not one."""
+    if isinstance(wing, bool) or not isinstance(wing, (int, np.integer)) or wing not in (0, 1, 2):
         raise ValueError(f"unknown wing {wing!r}; expected 0, 1 or 2")
     return int(wing)
 
@@ -48,8 +53,7 @@ def require_type(name, cls, *values):
 
 def require_sharpness(lam):
     """Raise ValueError unless lam is a real number in (0, 1]; a bool is not."""
-    real = isinstance(lam, (int, float, np.integer, np.floating)) and not isinstance(lam, bool)
-    if not (real and 0.0 < lam <= 1.0):
+    if not (_is_real(lam) and 0.0 < lam <= 1.0):
         raise ValueError(f"sharpness must lie in (0, 1], got {lam}")
 
 
@@ -63,12 +67,12 @@ class BlochDirection:
     phi: float
 
     def __post_init__(self):
-        object.__setattr__(self, "theta", float(self.theta))
-        object.__setattr__(self, "phi", float(self.phi))
-        if not 0.0 <= self.theta <= np.pi + 1e-12:
-            raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
-        if not 0.0 <= self.phi <= 2 * np.pi + 1e-12:
-            raise ValueError(f"phi must lie in [0, 2*pi], got {self.phi}")
+        for name, top, span in (("theta", np.pi, "[0, pi]"), ("phi", 2 * np.pi, "[0, 2*pi]")):
+            angle = getattr(self, name)
+            angle = float(angle) if _is_real(angle) else angle
+            if not (_is_real(angle) and 0.0 <= angle <= top + 1e-12):
+                raise ValueError(f"{name} must lie in {span}, got {angle}")
+            object.__setattr__(self, name, angle)
 
     # Each direction builds its unit vector, n.sigma and both projectors
     # once, on first use, into its own __dict__, so fields, eq, hash and

@@ -101,8 +101,7 @@ def _coefficients(terms, inequality, lam):
     """direction_coefficients from the state's term_expectations."""
     base = 1.0
     vecs = [np.zeros(3) for _ in range(3)]
-    for term in required_terms(inequality):
-        slot, x = terms[term.ops]
+    for term, (slot, x) in zip(required_terms(inequality), terms):
         if slot is None:
             base += term.coeff * x
         else:
@@ -285,15 +284,13 @@ def build_table(scenario, inequality, state, config=None):
     """
     config = _config(config)
     seq = ScenarioSpec(scenario, inequality, state, ()).sequential_wing
-    pins, rows = [], []
-    # states_along reads each pin only after its row has appended it
-    rhos = states_along(build_state(state), seq, pins)
-    for m, rho in zip(range(1, config.max_rows + 1), rhos):
+    rho, rows = build_state(state), []
+    for m in range(1, config.max_rows + 1):
         lam = _threshold(term_expectations(rho, inequality, seq), inequality, config)
         rows.append((m, lam))
         if lam is None:
             break
-        pins.append(SettingTriple.xyz(min(1.0, lam + config.tol)))
+        *_, rho = states_along(rho, seq, [SettingTriple.xyz(min(1.0, lam + config.tol))])
     return ThresholdTable(
         state=state.kind.value,
         scenario=scenario,

@@ -63,6 +63,7 @@ def build_state(spec: StateSpec):
     """Materialize the 8x8 density matrix for a StateSpec: the projector
     onto (|000> + |111>)/sqrt(2) for GHZ, onto (|001> + |010> + |100>)/sqrt(3)
     for W, or a copy of the custom matrix."""
+    require_type("spec", StateSpec, spec)
     if spec.kind is StateKind.CUSTOM:
         return np.array(spec.custom, dtype=complex)
     psi = np.zeros(8, dtype=complex)

@@ -206,12 +206,12 @@ def test_stacked_term_walk_is_the_per_sigma_loop_bit_for_bit(seed, which, kind, 
     state = {"ghz": GHZ, "w": W}.get(which)
     rho = random_mixed_state(rng) if state is None else build_state(state)
     got = cascade.term_expectations(rho, kind, seq_wing)
-    want = reference_term_expectations(rho, kind, seq_wing)
-    assert list(got) == list(want)
-    for ops, (slot, x) in want.items():
-        assert got[ops][0] == slot
-        assert type(got[ops][1]) is type(x)
-        assert np.asarray(got[ops][1]).tobytes() == np.asarray(x).tobytes()
+    want = list(reference_term_expectations(rho, kind, seq_wing).values())
+    assert type(got) is tuple and len(got) == len(want)
+    for (got_slot, got_x), (slot, x) in zip(got, want):
+        assert got_slot == slot
+        assert type(got_x) is type(x)
+        assert np.asarray(got_x).tobytes() == np.asarray(x).tobytes()
     triple = random_triple(rng, lam)
     assert repr(cascade.value_from_terms(got, kind, triple)) == repr(
         cascade.value_from_terms(want, kind, triple)
@@ -255,20 +255,30 @@ def test_a_stacked_term_walk_is_each_states_walk_bit_for_bit(seed, whiches, kind
     assert [message] == ([m for m in messages if m] or [None])
     if message is not None:
         return
-    assert list(stacked) == [t.ops for t in required_terms(kind)]
+    assert [slot for slot, _ in stacked] == [t.axes[seq_wing] for t in required_terms(kind)]
     triple = random_triple(rng, float(rng.uniform(1e-3, 1.0)))
     for m, single in enumerate(singles):
-        row = {}
-        for ops, (slot, x) in stacked.items():
-            assert slot == single[ops][0]
+        row = []
+        for (slot, x), (single_slot, single_x) in zip(stacked, single, strict=True):
+            assert slot == single_slot
             assert type(x) is (list if slot is None else np.ndarray)
             assert np.shape(x) == ((len(rhos),) if slot is None else (len(rhos), 3))
-            row[ops] = (slot, x[m])
-            assert type(x[m]) is type(single[ops][1])
-            assert np.asarray(x[m]).tobytes() == np.asarray(single[ops][1]).tobytes()
+            row.append((slot, x[m]))
+            assert type(x[m]) is type(single_x)
+            assert np.asarray(x[m]).tobytes() == np.asarray(single_x).tobytes()
         assert repr(cascade.value_from_terms(row, kind, triple)) == repr(
             cascade.value_from_terms(single, kind, triple)
         )
+
+
+@pytest.mark.parametrize("seq_wing", [0, 2])
+@pytest.mark.parametrize("kind", list(InequalityKind))
+def test_the_term_walk_is_a_tuple_in_term_order(kind, seq_wing):
+    # each term's value sits at its term's position, read by position
+    # and never looked up by the term's symbols
+    terms = cascade.term_expectations(build_state(GHZ), kind, seq_wing)
+    assert type(terms) is tuple
+    assert [slot for slot, _ in terms] == [t.axes[seq_wing] for t in required_terms(kind)]
 
 
 def test_the_term_walk_makes_one_tensor3_call_per_term(monkeypatch):

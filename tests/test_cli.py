@@ -165,7 +165,7 @@ def test_non_finite_state_file_is_a_malformed_state(capsys, tmp_path, entry):
 def test_bad_lambda_rejected(capsys):
     code, _, err = run(capsys, "cascade", "--lambdas", "0.5,1.4")
     assert code == 2
-    assert "outside (0, 1]" in err
+    assert "sharpness must lie in (0, 1], got 1.4" in err
 
 
 def test_unknown_state_rejected(capsys):

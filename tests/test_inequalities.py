@@ -122,7 +122,7 @@ def test_g2_coefficients():
 
 def test_evaluate_from_mapping():
     # product state with every correlation zero scores the bare constant
-    table = {t.ops: 0.0 for t in required_terms(InequalityKind.G1)}
+    table = [0.0] * len(required_terms(InequalityKind.G1))
     assert evaluate(InequalityKind.G1, table) == pytest.approx(1.0)
 
 
@@ -137,20 +137,23 @@ def test_evaluate_detects_ghz_violation():
         ("A2", "X", "Y"): -1.0,
         ("A2", "Y", "X"): -1.0,
     }
-    assert evaluate(InequalityKind.G1, table) == pytest.approx(-0.8453)
+    values = [table[t.ops] for t in required_terms(InequalityKind.G1)]
+    assert evaluate(InequalityKind.G1, values) == pytest.approx(-0.8453)
 
 
 def test_evaluate_rejects_out_of_range_expectations():
-    table = {t.ops: 0.0 for t in required_terms(InequalityKind.G1)}
-    table[("A3", "Z", "I")] = 3.0
+    terms = required_terms(InequalityKind.G1)
+    table = [3.0 if t.ops == ("A3", "Z", "I") else 0.0 for t in terms]
     with pytest.raises(ValueError, match="out of"):
         evaluate(InequalityKind.G1, table)
 
 
-def test_missing_term_is_a_hard_error_naming_it():
-    table = {t.ops: 0.0 for t in required_terms(InequalityKind.G2)}
-    del table[("A1", "B2", "Y")]
-    with pytest.raises(LookupError, match=r"\('A1', 'B2', 'Y'\)"):
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_a_table_of_the_wrong_length_is_a_value_error(extra):
+    # values are read by position, so one term short or one term long
+    # cannot be taken for the functional's table
+    table = [0.0] * (len(required_terms(InequalityKind.G2)) + extra)
+    with pytest.raises(ValueError, match=r"argument 2 is (shorter|longer) than argument 1"):
         evaluate(InequalityKind.G2, table)
 
 

@@ -112,14 +112,24 @@ def test_luders_update_trace_is_born_probability():
             assert prob == pytest.approx(born, abs=1e-12)
 
 
-@pytest.mark.parametrize("wing", [3, -1, "alice"])
+@pytest.mark.parametrize("wing", [3, -1, "alice", True, False, np.True_, 1.0, None])
 def test_wings_outside_0_1_2_are_rejected(wing):
-    # a negative index would otherwise silently measure Charlie
+    # a negative index would otherwise silently measure Charlie, and a
+    # bool or a float would pass for wing 0 or 1
     rho = build_state(GHZ)
     with pytest.raises(ValueError, match="expected 0, 1 or 2"):
         selective_updates(rho, wing, SettingTriple.xyz(0.5))
     with pytest.raises(ValueError, match="expected 0, 1 or 2"):
         joint_probability(rho, wing, 0.5, ((Z_DIR,), (Z_DIR,), (Z_DIR,)))
+    with pytest.raises(ValueError, match="expected 0, 1 or 2"):
+        averaged_channel(rho, wing, SettingTriple.xyz(0.5))
+
+
+def test_a_numpy_integer_is_a_wing():
+    rho, triple = build_state(GHZ), SettingTriple.xyz(0.5)
+    assert averaged_channel(rho, np.int64(2), triple).tobytes() == (
+        averaged_channel(rho, 2, triple).tobytes()
+    )
 
 
 def test_luders_outcomes_sum_to_one():

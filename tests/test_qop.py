@@ -150,6 +150,15 @@ def test_direction_angle_ranges_validated():
         BlochDirection(1.0, 7.0)
 
 
+@pytest.mark.parametrize("angle", ["1", True, None])
+def test_an_angle_that_is_not_a_real_number_is_rejected(angle):
+    # a string, a bool or None is no angle, even where float() reads it
+    with pytest.raises(ValueError, match=r"^theta must lie in \[0, pi\], got "):
+        BlochDirection(angle, 0.0)
+    with pytest.raises(ValueError, match=r"^phi must lie in \[0, 2\*pi\], got "):
+        BlochDirection(1.0, angle)
+
+
 def test_tensor3_matches_explicit_kron():
     rng = np.random.default_rng(7)
     a, b, c = (rng.normal(size=(2, 2)) for _ in range(3))

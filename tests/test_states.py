@@ -62,6 +62,12 @@ def test_state_spec_rejects_a_kind_that_is_not_a_state_kind(kind):
         StateSpec(kind)
 
 
+@pytest.mark.parametrize("spec", ["x", None, StateKind.GHZ])
+def test_build_state_rejects_what_is_not_a_state_spec(spec):
+    with pytest.raises(ValueError, match="spec must be of type StateSpec"):
+        build_state(spec)
+
+
 def test_custom_spec_requires_matrix():
     with pytest.raises(ValueError, match="custom"):
         StateSpec(StateKind.CUSTOM)

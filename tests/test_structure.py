@@ -263,6 +263,26 @@ def test_each_fact_has_one_home():
     assert [f.name for f in dataclasses.fields(CascadeResult)] == ["values"]
     fields = [f.name for f in dataclasses.fields(ThresholdTable)]
     assert fields == ["state", "scenario", "inequality", "rows"]
+    # the CLI reads the sharpness rule too, in its words
+    assert " outside (0, 1]" not in constants, "a second sharpness message in src/"
+    # a functional's term values are read by position: no table keyed by
+    # a term's symbols, and so no missing term to raise LookupError for
+    lookups = [
+        ast.unparse(node)
+        for node in _src_nodes()
+        if isinstance(node, ast.Raise)
+        and any(getattr(n, "id", None) == "LookupError" for n in ast.walk(node))
+    ]
+    assert not lookups, f"src/ raises LookupError: {lookups}"
+    keys = [node.slice for node in _src_nodes() if isinstance(node, ast.Subscript)]
+    keys += [k for node in _src_nodes() if isinstance(node, ast.Dict) for k in node.keys if k]
+    keys += [node.key for node in _src_nodes() if isinstance(node, ast.DictComp)]
+    by_ops = [
+        ast.unparse(key)
+        for key in keys
+        if any(isinstance(n, ast.Attribute) and n.attr == "ops" for n in ast.walk(key))
+    ]
+    assert not by_ops, f"src/ looks a term up by its symbols: {by_ops}"
 
 
 def _callers_of(name):
