@@ -21,7 +21,6 @@ import numpy as np
 
 from .inequalities import InequalityKind, check_expectation, evaluate, required_terms
 from .measurement import (
-    OUTCOMES,
     SettingTriple,
     averaged_channel,
     outcome_table,
@@ -29,7 +28,7 @@ from .measurement import (
     table_correlation,
     unchecked_joint_probability,
 )
-from .qop import I2, XYZ, require_type, tensor3, validate_density
+from .qop import I2, XYZ, require_iterable, require_type, tensor3, validate_density
 from .states import StateSpec, build_state
 
 ORACLE_MAX_OBSERVERS = 4
@@ -49,14 +48,6 @@ class Scenario(Enum):
 _SIGMAS = np.stack([d.observable for d in XYZ])
 _SIGMAS.flags.writeable = False
 
-# the audit's reads of an observer's (27, 8) table: for each wing w, its
-# own direction by the nine remote direction pairs in table order, and
-# w's four +1 outcomes in OUTCOMES order
-_AUDIT_CELLS = np.stack(
-    [np.moveaxis(np.arange(27).reshape(3, 3, 3), w, 0).reshape(3, 9, 1) for w in (0, 1, 2)]
-)
-_AUDIT_PLUS = np.array([[[[k for k, o in enumerate(OUTCOMES) if o[w] == 1]]] for w in (0, 1, 2)])
-
 
 @dataclass(frozen=True)
 class ScenarioSpec:
@@ -73,7 +64,7 @@ class ScenarioSpec:
     def __post_init__(self):
         # an empty chain is allowed as a search prefix; running a cascade
         # or an audit on it is rejected by require_observers
-        object.__setattr__(self, "observers", tuple(self.observers))
+        object.__setattr__(self, "observers", require_iterable("observers", self.observers))
         require_type("scenario", Scenario, self.scenario)
         require_type("inequality", InequalityKind, self.inequality)
         require_type("state", StateSpec, self.state)
@@ -103,12 +94,8 @@ class ScenarioSpec:
 def xyz_spec(scenario, inequality, state, lambdas):
     """Spec with every observer on the x, y, z settings at the given
     sharpness values."""
-    return ScenarioSpec(
-        scenario=scenario,
-        inequality=inequality,
-        state=state,
-        observers=tuple(SettingTriple.xyz(lam) for lam in lambdas),
-    )
+    observers = [SettingTriple.xyz(lam) for lam in require_iterable("lambdas", lambdas)]
+    return ScenarioSpec(scenario, inequality, state, observers)
 
 
 def term_expectations(rho, inequality, seq_wing):
@@ -272,20 +259,23 @@ def no_signalling_audit(spec: ScenarioSpec, prob_fn=None) -> float:
     """
     require_type("spec", ScenarioSpec, spec)
     spec.require_observers()
-    prob_fn = prob_fn or unchecked_joint_probability
+    prob_fn = unchecked_joint_probability if prob_fn is None else prob_fn
+    if not callable(prob_fn):
+        raise ValueError(f"prob_fn must be callable, got {prob_fn!r}")
     seq_wing = spec.sequential_wing
     rhos = states_along(validate_density(build_state(spec.state)), seq_wing, spec.observers)
-    # p[m, c, o]: observer m, the (wing 0, 1, 2) direction cell c in
-    # (3, 3, 3) order and the outcome triple o
     tables = []
     for triple, rho in zip(spec.observers, rhos):
         table = prob_fn(rho, seq_wing, triple.lam, _wing_directions(seq_wing, triple))
         if np.shape(table) != (3, 3, 3, 8):
             raise ValueError(f"the model's table must have shape (3, 3, 3, 8), got {np.shape(table)}")
-        tables.append(np.reshape(table, (27, 8)))
-    p = np.stack(tables)
+        tables.append(table)
+    # p[m, d0, d1, d2, o0, o1, o2]: observer m, each wing's direction, then
+    # each wing's outcome, index 0 for +1, as the outcome axis orders them
+    p = np.reshape(tables, (-1, 3, 3, 3, 2, 2, 2))
     # plus[m, w, d, r]: wing w's P(+1) at its direction d and remote cell
     # r, which must not move along r; its four +1 outcomes are added in
-    # OUTCOMES order from 0.0, the bits that oracle_bits.json pins
-    plus = sum(np.moveaxis(p[:, _AUDIT_CELLS, _AUDIT_PLUS], -1, 0), 0.0)
+    # outcome order from 0.0, the bits that oracle_bits.json pins
+    wings = [np.moveaxis(p.take(0, axis=4 + w), 1 + w, 1).reshape(-1, 3, 9, 4) for w in (0, 1, 2)]
+    plus = sum(np.moveaxis(np.stack(wings, axis=1), -1, 0), 0.0)
     return float(np.max(np.max(plus, axis=-1) - np.min(plus, axis=-1)))

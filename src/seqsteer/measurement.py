@@ -9,9 +9,7 @@ that update over both outcomes and all three equally likely settings.
 
 from __future__ import annotations
 
-import functools
 import math
-import operator
 from dataclasses import dataclass
 from itertools import product
 
@@ -23,6 +21,7 @@ from .qop import (
     BlochDirection,
     effect_sqrt,
     projector_stack,
+    require_iterable,
     require_sharpness,
     require_type,
     resolve_wing,
@@ -40,7 +39,7 @@ class SettingTriple:
     lam: float
 
     def __post_init__(self):
-        object.__setattr__(self, "directions", tuple(self.directions))
+        object.__setattr__(self, "directions", require_iterable("directions", self.directions))
         if len(self.directions) != 3:
             raise ValueError(f"a triple needs three directions, got {len(self.directions)}")
         require_type("direction", BlochDirection, *self.directions)
@@ -109,7 +108,7 @@ def joint_probability(rho, seq_wing, lam, dirs):
     full grid, as a (len(dirs[0]), len(dirs[1]), len(dirs[2]), 8) table
     whose last axis is in OUTCOMES order. rho must pass validate_density,
     and dirs must hold three non-empty wing tuples; ValueError otherwise."""
-    lengths = [len(wing) for wing in dirs]
+    lengths = [len(require_iterable("dirs", wing)) for wing in require_iterable("dirs", dirs)]
     if len(lengths) != 3 or 0 in lengths:
         raise ValueError(f"dirs must hold three non-empty wing tuples, got lengths {lengths}")
     require_type("dirs", BlochDirection, *(d for wing in dirs for d in wing))
@@ -180,10 +179,10 @@ def table_correlation(tables, wings):
     states of tables[t], an (8, n) outcome_table, as a list with one
     float per t; on the unsharp wing each is lam times the projective
     one, as E(+) - E(-) is lam * n.sigma. Each state's eight signed
-    outcomes are added in order, row by row, and the states' totals in
-    one running total, left to right; 0.0 + it gives the bits, signed
+    outcomes, then the states' totals, are added left to right, one
+    ordered cumsum per axis; 0.0 + the last gives the bits, signed
     zeros included, of adding them to 0.0 (builtin sum compensates from
     3.12 on)."""
     signs = np.array([_SIGNS[tuple(sorted(w))] for w in wings])
-    totals = functools.reduce(operator.add, (signs * tables).transpose(1, 0, 2))
+    totals = np.cumsum(signs * tables, axis=1)[:, -1]
     return (0.0 + np.cumsum(totals, axis=1)[:, -1]).tolist()

@@ -51,6 +51,14 @@ def require_type(name, cls, *values):
             raise ValueError(f"{name} must be of type {cls.__name__}, got {value!r}")
 
 
+def require_iterable(name, value):
+    """tuple(value); ValueError naming the argument unless value is iterable."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ValueError(f"{name} must be iterable, got {value!r}") from None
+
+
 def require_sharpness(lam):
     """Raise ValueError unless lam is a real number in (0, 1]; a bool is not."""
     if not (_is_real(lam) and 0.0 < lam <= 1.0):

@@ -5,6 +5,10 @@ compares the package's output against it, one pass/fail line per item.
 Frozen reference interpretations live in util.py.
 """
 
+import itertools
+from decimal import Decimal, localcontext
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -27,11 +31,18 @@ from seqsteer import (
 )
 from seqsteer import cascade
 from seqsteer.cascade import ORACLE_MAX_OBSERVERS
+from seqsteer.inequalities import required_terms
 from seqsteer.measurement import averaged_channel, effect
 from seqsteer.qop import effect_sqrt, projector_stack
 from util import (
+    EXACT_CONTEXT,
+    EXACT_STATES,
     TABLE_CASES,
     bloch_vector,
+    decimal_of,
+    exact_line,
+    exact_rows,
+    exact_shrink,
     partial_trace,
     random_direction,
     random_mixed_state,
@@ -150,6 +161,106 @@ def test_no_tolerance_brings_the_w_one_to_two_ladders_to_their_targets():
         assert matched == [bound is not None and tol <= bound for tol in grid], (
             scenario, kind, matched
         )
+
+
+# the row of each W one-to-two ladder that misses its published target,
+# and the span that row keeps under each hypothesis below, in exact
+# arithmetic on the exact W state: coefficients rounded, then pins at
+# the printed rows
+W_MISSED_ROWS = {
+    Scenario.A: (3, (0.8165, 0.8177), (0.8159, 0.8172)),
+    Scenario.B: (4, (0.7893, 0.7908), (0.7890, 0.7906)),
+}
+
+
+def _w1_targets(scenario):
+    return next(
+        targets for state, sc, kind, targets in LADDER_TARGETS
+        if state is W and sc is scenario and kind is InequalityKind.W1
+    )
+
+
+def _missed_row_span(scenario, ladders):
+    """The span of the missed row over ladders, each a ladder's rows,
+    after checking that each gives it a threshold that does not match
+    its published target, none or a value within 0.005."""
+    m = W_MISSED_ROWS[scenario][0]
+    target = _w1_targets(scenario)[m - 1]
+    lams = [dict(rows)[m] for rows in ladders]
+    assert None not in lams, (scenario, lams)
+    assert target is None or all(abs(lam - target) > 0.005 for lam in lams), (scenario, lams)
+    return min(lams), max(lams)
+
+
+def test_no_rounding_of_the_w1_coefficients_brings_the_missed_rows_to_their_targets():
+    # evidence on the three red checks: the paper prints the six w1
+    # coefficients to 4 decimals. base and the x, y, z slope are linear in
+    # them, so the first root, -(guard + base) / slope, a ratio of two
+    # linear functions, takes its extremes over the box of coefficients
+    # within 5e-5 of the printed ones at the box's corners; and each
+    # later row's root is the first over the shrink factors of the pins
+    # before it, each pin rising with its row, so every row rises with
+    # the first root. The 64 corners' exact ladders thus bound each row:
+    # w/A/w1 row 3 keeps a threshold where the paper prints none, and
+    # w/B/w1 row 4 stays below 0.877
+    magnitudes = sorted({abs(t.coeff) for t in required_terms(InequalityKind.W1)})
+    assert len(magnitudes) == 6
+    for scenario, (m, span, _) in W_MISSED_ROWS.items():
+        ladders = []
+        for signs in itertools.product((-1, 1), repeat=6):
+            moved = {c: Fraction(str(c)) + s * Fraction(5, 10**5) for c, s in zip(magnitudes, signs)}
+
+            def coeff(term):
+                return moved[abs(term.coeff)] * (1 if term.coeff > 0 else -1)
+
+            base, slope = exact_line(EXACT_STATES[W], scenario, InequalityKind.W1, coeff=coeff)
+            ladders.append(exact_rows(base, slope, SearchConfig())[0])
+        assert {len(rows) for rows in ladders} == {m + 1}
+        lo, hi = _missed_row_span(scenario, ladders)
+        assert span[0] <= lo <= hi <= span[1], (scenario, lo, hi)
+
+
+# the pin that the missed row's last predecessor would need, the others
+# at the top of their printed rounding, for the missed row to reach its
+# target: a root of 1 (none) on w/A/w1, 0.877 (0.882 less the
+# tolerance) on w/B/w1
+W_NEEDED_PINS = {Scenario.A: (Decimal(1), 0.8591), Scenario.B: (Decimal("0.877"), 0.7781)}
+
+
+def test_pinning_at_the_printed_rows_leaves_the_missed_rows_off_their_targets():
+    # evidence on the three red checks: pin each observer before the
+    # missed row anywhere from 5e-4 below the paper's printed row for
+    # them to 5e-4 plus the tolerance above it, instead of at the computed
+    # rows. Each pin shrinks the slope by a factor that falls as the pin
+    # rises, so the missed row rises with every pin, and the lowest and
+    # highest pins bound it; neither reaches its target. Only moving the
+    # last pin by more than 0.1 would
+    config = SearchConfig()
+    top = Decimal("5e-4") + Decimal(config.tol)
+    for scenario, (m, _, span) in W_MISSED_ROWS.items():
+        printed = [Decimal(str(lam)) for lam in _w1_targets(scenario)[: m - 1]]
+        base, slope = exact_line(EXACT_STATES[W], scenario, InequalityKind.W1)
+        ladders = []
+        for shift in (Decimal("-5e-4"), top):
+            with localcontext(EXACT_CONTEXT):
+                pinned = slope
+                for p in printed:
+                    pinned *= exact_shrink(p + shift)
+            ladders.append(exact_rows(base, pinned, config, first=m)[0])
+        lo, hi = _missed_row_span(scenario, ladders)
+        assert span[0] <= lo <= hi <= span[1], (scenario, lo, hi)
+        # the missed row's root is target / (slope * factors); solve for
+        # the last pin's factor at the goal, then invert factor = (1 + 2
+        # sqrt(1 - p^2)) / 3 for the pin p
+        goal, needed = W_NEEDED_PINS[scenario]
+        with localcontext(EXACT_CONTEXT):
+            pinned = slope
+            for p in printed[:-1]:
+                pinned *= exact_shrink(p + top)
+            factor = decimal_of(-Fraction(config.guard) - base) / (pinned * goal)
+            pin = (1 - ((3 * factor - 1) / 2) ** 2).sqrt()
+        assert float(pin) == pytest.approx(needed, abs=1e-4), scenario
+        assert pin - printed[-1] > Decimal("0.1")
 
 
 # ---------------------------------------------------------------- #

@@ -51,6 +51,7 @@ from util import (
     random_triple,
     reference_audit,
     reference_grow_branches,
+    reference_index_audit,
     reference_probability_table,
     reference_term_expectations,
     value_from_state,
@@ -685,8 +686,9 @@ def test_stacked_audit_is_the_probability_loop_bit_for_bit(seed, scenario, kind,
 
 def _audit_tables(seed, model):
     """A fresh prob_fn that draws each observer's table from seed: random
-    values, signed zeros, a few exact levels, or the quantum table with
-    one wing leaking a remote setting; a NaN now and then."""
+    values, signed zeros, a few exact levels, one value everywhere, or
+    the quantum table with one wing leaking a remote setting; a NaN now
+    and then."""
     rng = np.random.default_rng(seed)
 
     def prob_fn(rho, seq_wing, lam, dirs):
@@ -698,6 +700,8 @@ def _audit_tables(seed, model):
             p = joint_probability(rho, seq_wing, lam, dirs) + leak
         elif model == "random":
             p = rng.uniform(-1.0, 1.0, (3, 3, 3, 8))
+        elif model == "uniform":
+            p = np.full((3, 3, 3, 8), rng.choice([0.0, -0.0, 0.125, 1 / 3]))
         else:
             levels = [0.0, -0.0] if model == "zeros" else [0.0, -0.0, 0.125, 0.25, 1 / 3]
             p = rng.choice(levels, (3, 3, 3, 8))
@@ -713,9 +717,11 @@ def _audit_tables(seed, model):
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     scenario=st.sampled_from(list(Scenario)),
     n=st.integers(min_value=1, max_value=4),
-    model=st.sampled_from(["random", "zeros", "ties", "leaky"]),
+    model=st.sampled_from(["random", "zeros", "ties", "uniform", "leaky"]),
 )
 def test_the_stacked_audit_reduction_is_the_per_wing_loop_by_repr(seed, scenario, n, model):
+    # the shape read is checked against the per-wing loop and against the
+    # index tables it replaced
     rng = np.random.default_rng(seed)
     spec = ScenarioSpec(
         scenario=scenario,
@@ -724,6 +730,7 @@ def test_the_stacked_audit_reduction_is_the_per_wing_loop_by_repr(seed, scenario
         observers=tuple(random_triple(rng, float(rng.uniform(0.05, 1.0))) for _ in range(n)),
     )
     want = repr(reference_audit(spec, prob_fn=_audit_tables(seed, model)))
+    assert repr(reference_index_audit(spec, prob_fn=_audit_tables(seed, model))) == want
     assert repr(no_signalling_audit(spec, prob_fn=_audit_tables(seed, model))) == want
 
 

@@ -11,11 +11,14 @@ from seqsteer import (
     BlochDirection,
     InequalityKind,
     Scenario,
+    ScenarioSpec,
     SettingTriple,
     bloch_shrink_factor,
     build_state,
     direction_coefficients,
     joint_probability,
+    no_signalling_audit,
+    xyz_spec,
 )
 from seqsteer.cascade import _SIGMAS
 from seqsteer.measurement import effect
@@ -321,3 +324,44 @@ def test_every_sharpness_meets_the_one_rule(taker, lam):
     message = f"sharpness must lie in (0, 1], got {lam}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         _SHARPNESS_TAKERS[taker](lam)
+
+
+# each public entry that used to raise TypeError on an argument that is
+# not iterable, or on a model that is not callable, with the message it
+# gives now
+_WRONG_KIND = {
+    "SettingTriple-None": (lambda: SettingTriple(None, 0.5), "directions must be iterable, got None"),
+    "SettingTriple-3": (lambda: SettingTriple(3, 0.5), "directions must be iterable, got 3"),
+    "ScenarioSpec-None": (
+        lambda: ScenarioSpec(Scenario.A, InequalityKind.G1, GHZ, observers=None),
+        "observers must be iterable, got None",
+    ),
+    "xyz_spec-None": (
+        lambda: xyz_spec(Scenario.A, InequalityKind.G1, GHZ, None),
+        "lambdas must be iterable, got None",
+    ),
+    "joint_probability-None": (
+        lambda: joint_probability(build_state(GHZ), 0, 0.5, None),
+        "dirs must be iterable, got None",
+    ),
+    "joint_probability-wing-None": (
+        lambda: joint_probability(build_state(GHZ), 0, 0.5, (XYZ, None, XYZ)),
+        "dirs must be iterable, got None",
+    ),
+    "no_signalling_audit-3": (
+        lambda: no_signalling_audit(xyz_spec(Scenario.A, InequalityKind.G1, GHZ, (1.0,)), 3),
+        "prob_fn must be callable, got 3",
+    ),
+    # a falsy model used to stand for the default one
+    "no_signalling_audit-0": (
+        lambda: no_signalling_audit(xyz_spec(Scenario.A, InequalityKind.G1, GHZ, (1.0,)), 0),
+        "prob_fn must be callable, got 0",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WRONG_KIND))
+def test_a_value_that_is_not_iterable_or_callable_is_a_value_error(case):
+    call, message = _WRONG_KIND[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

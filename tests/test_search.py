@@ -6,7 +6,6 @@ import os
 import subprocess
 import sys
 from decimal import Decimal
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -44,11 +43,13 @@ from seqsteer.search import (
     _line,
 )
 from util import (
+    EXACT_STATES,
     FROZEN_LADDERS,
     TABLE_CASES,
     _direction_from_vector,
     _settings_and_value,
     decision_margins,
+    exact_chain,
     exact_ladder,
     ladder_bit_cases,
     noisy_rotated_state,
@@ -313,16 +314,6 @@ def test_every_seeded_benchmark_ladder_decides_far_from_its_boundaries(bench_run
         assert margin >= 1e-9, (seed, item.label, margin)
 
 
-def _exact_projector(support):
-    """The projector onto the equal superposition of the basis states in
-    support, in Fractions: GHZ and W from their exact amplitudes."""
-    weight = Fraction(1, len(support))
-    return [[weight if {r, c} <= set(support) else 0 for c in range(8)] for r in range(8)]
-
-
-EXACT_STATES = {GHZ: _exact_projector((0, 7)), W: _exact_projector((1, 2, 4))}
-
-
 @pytest.mark.parametrize("optimizer", list(Optimizer), ids=lambda o: o.value)
 def test_every_published_ladder_equals_its_exact_replay(optimizer):
     # exact_ladder shares no numpy arithmetic with build_table, so a change
@@ -373,6 +364,29 @@ def test_the_pinned_threshold_cells_equal_their_exact_replay():
     assert CLI_STDOUT[f"{key} text"] == f"observer {m}: lambda_min = {lam:.6f}\n"
     assert margin == pytest.approx(2.319e-5, rel=1e-3)
     assert _rounding_margin(lam) == pytest.approx(4.762e-7, rel=1e-3)
+
+
+def test_the_pinned_cascade_cells_equal_their_exact_chain():
+    # the CLI's pinned ghz/A/g1 cascade at 0.627, 0.736 and a projective
+    # last observer is an x/y/z chain: every 6-decimal value cell, csv and
+    # text, is its exact value rounded, and the JSON reprs lie within
+    # rounding of it; the third cell, 1.24e-7 from flipping, is the closest
+    lambdas = (0.627, 0.736, 1.0)
+    exact = exact_chain(build_state(GHZ), Scenario.A, InequalityKind.G1, lambdas)
+    cells = [f"{value:.6f}" for value in exact]
+    assert cells == ["-0.099300", "-0.100444", "-0.183417"]
+    key = "cascade --state ghz --scenario A --lambdas 0.627,0.736 --format"
+    csv = CLI_STDOUT[f"{key} csv"].splitlines()[1:]
+    assert csv == [f"{m},{lam:.6f},{c},true" for m, (lam, c) in enumerate(zip(lambdas, cells), 1)]
+    text = CLI_STDOUT[f"{key} text"].splitlines()[1:]
+    assert text == [
+        f"observer {m}: lambda={lam:.6f}  value={c}  violation"
+        for m, (lam, c) in enumerate(zip(lambdas, cells), 1)
+    ]
+    reprs = [o["value"] for o in json.loads(CLI_STDOUT[f"{key} json"])["observers"]]
+    assert all(abs(Decimal(r) - e) < Decimal("1e-15") for r, e in zip(reprs, exact))
+    margins = [_rounding_margin(abs(value)) for value in exact]
+    assert min(margins) == margins[2] == pytest.approx(1.244e-7, rel=1e-3)
 
 
 def test_the_pinned_table_cells_equal_their_exact_replay():

@@ -283,6 +283,16 @@ def test_each_fact_has_one_home():
         if any(isinstance(n, ast.Attribute) and n.attr == "ops" for n in ast.walk(key))
     ]
     assert not by_ops, f"src/ looks a term up by its symbols: {by_ops}"
+    # the outcome layout is measurement's: every other module reads an
+    # outcome table through its shape
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "measurement":
+            continue
+        names = {
+            getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        }
+        assert "OUTCOMES" not in names, f"{path.name} names measurement.OUTCOMES"
 
 
 def _callers_of(name):

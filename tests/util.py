@@ -9,7 +9,7 @@ them.
 import functools
 import math
 import operator
-from decimal import Decimal, localcontext
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from itertools import product
 
@@ -38,6 +38,7 @@ from seqsteer.measurement import (
     joint_probability,
     outcome_table,
     table_correlation,
+    unchecked_joint_probability,
 )
 from seqsteer.qop import (
     I2,
@@ -445,63 +446,83 @@ def _pauli_expectation(numerators, den, axes):
     return Fraction(total, den)
 
 
-def exact_ladder(rho, scenario, inequality, config=None, prefix=()):
-    """build_table's ladder for the state rho replayed in exact
-    arithmetic, as (rows, margin): rows as build_table gives them, and
-    margin the smallest |x - root| over the row decisions, in sharpness
-    units.
+# the decimal context of the exact replays' square roots and roots
+EXACT_CONTEXT = Context(prec=60)
 
-    prefix holds the sharpness values of observers measuring x, y, z
-    ahead of the ladder, as threshold_lambda's prefix does: the ladder's
-    first row is then m = len(prefix) + 1, and its first slope is
-    scaled by each prefix observer's shrink factor.
 
-    It shares with the package only the term table, LAMBDA_FLOOR and
-    SearchConfig. The first state's term values are exact rationals
-    (_pauli_expectation of its _exact_matrix), and so are base and the
-    x/y/z slope. Pinning an observer at p = min(1, lambda_min + tol) on
-    x, y, z scales every Pauli component on the sequential wing by
-    (1 + 2*sqrt(1 - p*p))/3 and leaves base alone, so row m's slope is
-    the first slope times those factors of the observers before it.
-    Square roots (the grid-refine slope, each factor) and the root
-    itself are taken in decimal at 60 digits. A row is "none" when
-    sharpness 1 does not violate; otherwise the float bracket is
-    replayed as build_table runs it, each float midpoint compared with
-    the line's root. Every decision, the one at 1 included, adds its
-    distance from the root to the margin.
+def decimal_of(q):
+    """The Fraction q as a Decimal, in the current context."""
+    return Decimal(q.numerator) / Decimal(q.denominator)
+
+
+def exact_shrink(p):
+    """(1 + 2*sqrt(1 - p*p))/3 for the float or Decimal p, in the current
+    context: the factor by which an observer at sharpness p on x, y, z
+    scales every Pauli component on the sequential wing."""
+    p = Decimal(p)
+    return (1 + 2 * (1 - p * p).sqrt()) / 3
+
+
+def _exact_projector(support):
+    """The projector onto the equal superposition of the basis states in
+    support, in Fractions: GHZ and W from their exact amplitudes."""
+    weight = Fraction(1, len(support))
+    return [[weight if {r, c} <= set(support) else 0 for c in range(8)] for r in range(8)]
+
+
+EXACT_STATES = {GHZ: _exact_projector((0, 7)), W: _exact_projector((1, 2, 4))}
+
+
+def exact_line(rho, scenario, inequality, optimizer=Optimizer.FIXED_XYZ, coeff=None):
+    """The first observer's value base + lam * slope on the state rho in
+    exact arithmetic, as (base, slope): base a Fraction, and slope a
+    Decimal at 60 digits, since the grid-refine slope takes square roots.
+
+    The term values are exact rationals, _pauli_expectation of rho's
+    _exact_matrix; base is 1 plus the terms without a setting slot on
+    the sequential wing, and each slot's vector v_i sums the others at x,
+    y and z there. The slope is sum_i v_i[i] at x, y, z (FIXED_XYZ) or
+    -sum_i |v_i| at each setting's optimum (GRID_REFINE). coeff gives
+    each term's coefficient as a Fraction: by default the exact value of
+    its float.
     """
-    config = config or SearchConfig()
+    coeff = coeff or (lambda term: Fraction(term.coeff))
     seq = scenario.sequential_wing
     exact = _exact_matrix(rho)
     base, vecs = Fraction(1), [[Fraction(0)] * 3 for _ in range(3)]
     for term in required_terms(inequality):
         slot = term.axes[seq]
         if slot is None:
-            base += Fraction(term.coeff) * _pauli_expectation(*exact, term.axes)
+            base += coeff(term) * _pauli_expectation(*exact, term.axes)
             continue
         for axis in range(3):
             axes = tuple(axis if w == seq else a for w, a in enumerate(term.axes))
-            vecs[slot][axis] += Fraction(term.coeff) * _pauli_expectation(*exact, axes)
-    with localcontext() as ctx:
-        ctx.prec = 60
+            vecs[slot][axis] += coeff(term) * _pauli_expectation(*exact, axes)
+    with localcontext(EXACT_CONTEXT):
+        if optimizer is Optimizer.FIXED_XYZ:
+            return base, decimal_of(sum(vecs[i][i] for i in range(3)))
+        return base, -sum(decimal_of(sum(x * x for x in v)).sqrt() for v in vecs)
 
-        def dec(q):
-            return Decimal(q.numerator) / Decimal(q.denominator)
 
-        def shrink(p):
-            return (1 + 2 * (1 - p * p).sqrt()) / 3
+def exact_rows(base, slope, config, first=1):
+    """build_table's rows from row first on, for the line base + lam *
+    slope of row first, replayed exactly, as (rows, margin): margin the
+    smallest |x - root| over the row decisions, in sharpness units.
 
-        if config.optimizer is Optimizer.FIXED_XYZ:
-            slope = dec(sum(vecs[i][i] for i in range(3)))
-        else:
-            slope = -sum(dec(sum(x * x for x in v)).sqrt() for v in vecs)
-        for lam in prefix:
-            slope *= shrink(Decimal(lam))
+    A row is "none" when sharpness 1 does not violate; otherwise the
+    float bracket is replayed as build_table runs it, each float midpoint
+    compared with the line's root, taken in decimal at 60 digits. Every
+    decision, the one at 1 included, adds its distance from the root to
+    the margin. Pinning the row's observer at p = min(1, lambda_min +
+    tol) on x, y, z leaves base alone and multiplies the next row's slope
+    by exact_shrink(p).
+    """
+    with localcontext(EXACT_CONTEXT):
         # the value base + lam * slope lies below -guard exactly when
         # lam * slope < target, so 1 violates when slope < target
-        target = dec(-Fraction(config.guard) - base)
+        target = decimal_of(-Fraction(config.guard) - base)
         rows, margin = [], math.inf
-        for m in range(len(prefix) + 1, config.max_rows + 1):
+        for m in range(first, config.max_rows + 1):
             if slope < 0:
                 root = target / slope
                 margin = min(margin, abs(1 - root))
@@ -516,8 +537,47 @@ def exact_ladder(rho, scenario, inequality, config=None, prefix=()):
                 margin = min(margin, abs(Decimal(mid) - root))
                 lo, hi = (lo, mid) if Decimal(mid) > root else (mid, hi)
             rows.append((m, hi))
-            slope *= shrink(Decimal(min(1.0, hi + config.tol)))
+            slope *= exact_shrink(min(1.0, hi + config.tol))
         return tuple(rows), float(margin)
+
+
+def exact_ladder(rho, scenario, inequality, config=None, prefix=()):
+    """build_table's ladder for the state rho replayed in exact
+    arithmetic, as exact_rows gives it from exact_line's line.
+
+    prefix holds the sharpness values of observers measuring x, y, z
+    ahead of the ladder, as threshold_lambda's prefix does: the ladder's
+    first row is then m = len(prefix) + 1, and its first slope is
+    scaled by each prefix observer's shrink factor.
+
+    It shares with the package only the term table, LAMBDA_FLOOR and
+    SearchConfig.
+    """
+    config = config or SearchConfig()
+    base, slope = exact_line(rho, scenario, inequality, config.optimizer)
+    with localcontext(EXACT_CONTEXT):
+        for lam in prefix:
+            slope *= exact_shrink(lam)
+    return exact_rows(base, slope, config, len(prefix) + 1)
+
+
+def exact_chain(rho, scenario, inequality, lambdas):
+    """Each observer's value on an x/y/z chain at the sharpness values
+    lambdas, on the state rho, in exact arithmetic, as a list of Decimals
+    at 60 digits.
+
+    Observer m's value is base + lam_m * P_m * slope, with exact_line's
+    x, y, z base and slope and P_m the product of exact_shrink(lam_k) over
+    the observers k before m: each averaged channel on x, y, z leaves
+    base alone and scales every Pauli component on the sequential wing.
+    """
+    base, slope = exact_line(rho, scenario, inequality)
+    values = []
+    with localcontext(EXACT_CONTEXT):
+        for lam in lambdas:
+            values.append(decimal_of(base) + Decimal(lam) * slope)
+            slope *= exact_shrink(lam)
+    return values
 
 
 def projector(d, outcome):
@@ -833,3 +893,38 @@ def reference_audit(spec, prob_fn=None):
             remote = tuple(a for a in (0, 1, 2) if a != wing)
             spreads.append(np.max(plus, axis=remote) - np.min(plus, axis=remote))
     return float(np.max(spreads))
+
+
+# the index-table audit's reads of an observer's (27, 8) table: for each
+# wing w, its own direction by the nine remote direction pairs in table
+# order, and w's four +1 outcomes in OUTCOMES order
+_AUDIT_CELLS = np.stack(
+    [np.moveaxis(np.arange(27).reshape(3, 3, 3), w, 0).reshape(3, 9, 1) for w in (0, 1, 2)]
+)
+_AUDIT_PLUS = np.array([[[[k for k, o in enumerate(OUTCOMES) if o[w] == 1]]] for w in (0, 1, 2)])
+
+
+def reference_index_audit(spec, prob_fn=None):
+    """no_signalling_audit as two index tables read it: every observer's
+    table flattened to (27, 8), and every wing's four +1 outcomes taken at
+    its own direction and remote cell by _AUDIT_CELLS and _AUDIT_PLUS,
+    added in OUTCOMES order from 0.0.
+
+    This is the reduction that the read through the table's shape
+    replaced, kept literally so that the shape read can be checked
+    against it by repr.
+    """
+    spec.require_observers()
+    prob_fn = prob_fn or unchecked_joint_probability
+    seq_wing = spec.sequential_wing
+    rhos = states_along(validate_density(build_state(spec.state)), seq_wing, spec.observers)
+    tables = []
+    for triple, rho in zip(spec.observers, rhos):
+        dirs = tuple(triple.directions if w == seq_wing else XYZ for w in (0, 1, 2))
+        table = prob_fn(rho, seq_wing, triple.lam, dirs)
+        if np.shape(table) != (3, 3, 3, 8):
+            raise ValueError(f"the model's table must have shape (3, 3, 3, 8), got {np.shape(table)}")
+        tables.append(np.reshape(table, (27, 8)))
+    p = np.stack(tables)
+    plus = sum(np.moveaxis(p[:, _AUDIT_CELLS, _AUDIT_PLUS], -1, 0), 0.0)
+    return float(np.max(np.max(plus, axis=-1) - np.min(plus, axis=-1)))
