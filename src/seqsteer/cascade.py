@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import product
 
 import numpy as np
 
@@ -28,7 +29,8 @@ from .measurement import (
     table_correlation,
     unchecked_joint_probability,
 )
-from .qop import I2, XYZ, require_iterable, require_type, tensor3, validate_density
+from .qop import I2, XYZ, read_only, require_iterable, require_type, spread, spread_product
+from .qop import validate_density
 from .states import StateSpec, build_state
 
 ORACLE_MAX_OBSERVERS = 4
@@ -45,8 +47,22 @@ class Scenario(Enum):
 # n.sigma along x, y, z from BlochDirection.observable, not the exact
 # Paulis: the last bits of direction_coefficients depend on its cos(pi/2)
 # terms. One stack on the sequential wing gives a slot term's three operators.
-_SIGMAS = np.stack([d.observable for d in XYZ])
-_SIGMAS.flags.writeable = False
+_SIGMAS = read_only(np.stack([d.observable for d in XYZ]))
+
+# each wing's spreads, built once: I2's at None, each sigma's at its axis
+# and the stack's at "xyz"; each term's factors, per functional and
+# sequential wing, refer to them, the stack on that wing if it has a slot
+_SPREADS = tuple(
+    {k: read_only(spread(m, w)) for k, m in ((None, I2), *enumerate(_SIGMAS), ("xyz", _SIGMAS))}
+    for w in (0, 1, 2)
+)
+_TERM_FACTORS = {
+    (kind, seq): tuple(
+        tuple(_SPREADS[w]["xyz" if w == seq and a is not None else a] for w, a in enumerate(t.axes))
+        for t in required_terms(kind)
+    )
+    for kind, seq in product(InequalityKind, (0, 1, 2))
+}
 
 
 @dataclass(frozen=True)
@@ -110,13 +126,10 @@ def term_expectations(rho, inequality, seq_wing):
     ValueError.
     """
     table = []
-    for term in required_terms(inequality):
+    for term, factors in zip(required_terms(inequality), _TERM_FACTORS[inequality, seq_wing]):
         slot = term.axes[seq_wing]
-        mats = [I2 if a is None else _SIGMAS[a] for a in term.axes]
-        if slot is not None:
-            mats[seq_wing] = _SIGMAS
         rows = rho if slot is None else rho[..., None, :, :]
-        x = (rows @ tensor3(*mats)).trace(axis1=-2, axis2=-1).real
+        x = (rows @ spread_product(*factors)).trace(axis1=-2, axis2=-1).real
         for e in x.reshape(-1).tolist():
             check_expectation(term.ops, e)
         table.append((slot, x.tolist() if slot is None else x))

@@ -21,6 +21,7 @@ from .qop import (
     BlochDirection,
     effect_sqrt,
     projector_stack,
+    read_only,
     require_iterable,
     require_sharpness,
     require_type,
@@ -108,7 +109,8 @@ def joint_probability(rho, seq_wing, lam, dirs):
     full grid, as a (len(dirs[0]), len(dirs[1]), len(dirs[2]), 8) table
     whose last axis is in OUTCOMES order. rho must pass validate_density,
     and dirs must hold three non-empty wing tuples; ValueError otherwise."""
-    lengths = [len(require_iterable("dirs", wing)) for wing in require_iterable("dirs", dirs)]
+    dirs = tuple(require_iterable("dirs", wing) for wing in require_iterable("dirs", dirs))
+    lengths = [len(wing) for wing in dirs]
     if len(lengths) != 3 or 0 in lengths:
         raise ValueError(f"dirs must hold three non-empty wing tuples, got lengths {lengths}")
     require_type("dirs", BlochDirection, *(d for wing in dirs for d in wing))
@@ -168,7 +170,7 @@ def outcome_table(rhos, seq_wing, lam, dirs, cells):
 
 # each wing subset's column of outcome-product signs, in OUTCOMES order
 _SIGNS = {
-    wings: np.array([[math.prod(o[w] for w in wings)] for o in OUTCOMES], dtype=float)
+    wings: read_only(np.array([[math.prod(o[w] for w in wings)] for o in OUTCOMES], dtype=float))
     for wings in ((), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2))
 }
 

@@ -17,18 +17,18 @@ TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
 
 
-def _read_only(a):
+def read_only(a):
     a.flags.writeable = False
     return a
 
 
 # read-only, since every projector and effect is built from them
-I2 = _read_only(np.eye(2, dtype=complex))
+I2 = read_only(np.eye(2, dtype=complex))
 
 _PAULI = {
-    "X": _read_only(np.array([[0, 1], [1, 0]], dtype=complex)),
-    "Y": _read_only(np.array([[0, -1j], [1j, 0]], dtype=complex)),
-    "Z": _read_only(np.array([[1, 0], [0, -1]], dtype=complex)),
+    "X": read_only(np.array([[0, 1], [1, 0]], dtype=complex)),
+    "Y": read_only(np.array([[0, -1j], [1j, 0]], dtype=complex)),
+    "Z": read_only(np.array([[1, 0], [0, -1]], dtype=complex)),
 }
 
 
@@ -93,7 +93,7 @@ class BlochDirection:
     def unit_vector(self):
         """Cartesian components (sin t cos p, sin t sin p, cos t)."""
         st = np.sin(self.theta)
-        return _read_only(
+        return read_only(
             np.array([st * np.cos(self.phi), st * np.sin(self.phi), np.cos(self.theta)])
         )
 
@@ -101,12 +101,12 @@ class BlochDirection:
     def observable(self):
         """Spin component n.sigma, Hermitian with eigenvalues +1 and -1."""
         n = self.unit_vector
-        return _read_only(n[0] * _PAULI["X"] + n[1] * _PAULI["Y"] + n[2] * _PAULI["Z"])
+        return read_only(n[0] * _PAULI["X"] + n[1] * _PAULI["Y"] + n[2] * _PAULI["Z"])
 
     @cached_property
     def projectors(self):
         """The +1 and -1 projectors (I + a n.sigma)/2 as one (2, 2, 2) stack."""
-        return _read_only(np.array([(I2 + a * self.observable) / 2 for a in (1, -1)]))
+        return read_only(np.array([(I2 + a * self.observable) / 2 for a in (1, -1)]))
 
 
 X_DIR = BlochDirection(np.pi / 2, 0.0)
@@ -123,7 +123,21 @@ def projector_stack(directions):
 
 # wing w's flat index 2*bit(r) + bit(c) into its 2x2 factor for each entry
 # 8r + c of an 8x8 product in order, wing 0 the high bit of r and of c
-_SPREAD = tuple(2 * (np.arange(64) >> 3 + s & 1) + (np.arange(64) >> s & 1) for s in (2, 1, 0))
+_SPREAD = read_only(
+    np.array([2 * (np.arange(64) >> 3 + s & 1) + (np.arange(64) >> s & 1) for s in (2, 1, 0)])
+)
+
+
+def spread(m, wing):
+    """A 2x2 matrix m, or a stack of them (..., 2, 2), gathered over the
+    64 entries of its 8x8 product at wing's place, shape (..., 64)."""
+    return m.reshape(m.shape[:-2] + (4,)).take(_SPREAD[wing], axis=-1)
+
+
+def spread_product(a, b, c):
+    """(a * b) * c of spreads on wings 0, 1 and 2, as (..., 8, 8) products."""
+    out = (a * b) * c
+    return out.reshape(out.shape[:-1] + (8, 8))
 
 
 def tensor3(a, b, c):
@@ -132,19 +146,15 @@ def tensor3(a, b, c):
 
     Each factor may also be a stack of 2x2 matrices, shape (..., 2, 2);
     the stacks broadcast against each other and every 8x8 product is
-    taken as if its three factors were passed alone. One gather spreads
-    each factor over the 64 entries, and entry (ikm, jln) is then
-    (a_ij * b_kl) * c_mn: np.kron's products in its order, so its bits.
+    taken as if its three factors were passed alone. The spread_product
+    of the factors' spreads: entry (ikm, jln) is (a_ij * b_kl) * c_mn,
+    np.kron's products in its order, so its bits.
     """
     a, b, c = np.asarray(a), np.asarray(b), np.asarray(c)
     for name, m in (("a", a), ("b", b), ("c", c)):
         if m.shape[-2:] != (2, 2):
             raise ValueError(f"tensor3 factor {name} must be 2x2 or a stack of 2x2, got {m.shape}")
-    a = a.reshape(a.shape[:-2] + (4,)).take(_SPREAD[0], axis=-1)
-    b = b.reshape(b.shape[:-2] + (4,)).take(_SPREAD[1], axis=-1)
-    c = c.reshape(c.shape[:-2] + (4,)).take(_SPREAD[2], axis=-1)
-    out = (a * b) * c
-    return out.reshape(out.shape[:-1] + (8, 8))
+    return spread_product(spread(a, 0), spread(b, 1), spread(c, 2))
 
 
 def effect_sqrt(projectors, lam):

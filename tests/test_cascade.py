@@ -34,7 +34,7 @@ from seqsteer import (
     threshold_lambda,
     xyz_spec,
 )
-from seqsteer import cascade, measurement
+from seqsteer import cascade, measurement, qop
 from seqsteer.cascade import states_along
 from seqsteer.inequalities import required_terms
 from seqsteer.measurement import OUTCOMES, selective_updates
@@ -282,24 +282,65 @@ def test_the_term_walk_is_a_tuple_in_term_order(kind, seq_wing):
     assert [slot for slot, _ in terms] == [t.axes[seq_wing] for t in required_terms(kind)]
 
 
-def test_the_term_walk_makes_one_tensor3_call_per_term(monkeypatch):
-    # a term that reads the observer's setting puts the three sigmas on
-    # the sequential wing as one stack, so it is one call, not three:
-    # W/w2 on Charlie's wing is 19 calls, where one per sigma made 47
+def test_the_term_walk_makes_one_spread_product_call_per_term(monkeypatch):
+    # the walk multiplies the spreads built at import and gathers nothing:
+    # no tensor3 and no spread call. A term that reads the observer's
+    # setting takes the three sigmas' stack on the sequential wing, so it
+    # is one call, not three: W/w2 on Charlie's wing is 19 calls, where one
+    # per sigma made 47
     calls = []
-    real = cascade.tensor3
+    real = cascade.spread_product
 
-    def counted(*mats):
-        calls.append(mats)
-        return real(*mats)
+    def counted(*factors):
+        calls.append(factors)
+        return real(*factors)
 
-    monkeypatch.setattr(cascade, "tensor3", counted)
+    def gathered(*args):
+        raise AssertionError("the term walk gathered a factor")
+
+    monkeypatch.setattr(cascade, "spread_product", counted)
+    for module, name in product((qop, measurement, cascade), ("tensor3", "spread")):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, gathered)
     cascade.term_expectations(build_state(W), InequalityKind.W2, 2)
     assert len(calls) == len(required_terms(InequalityKind.W2)) == 19
     for kind, seq_wing in product(InequalityKind, (0, 1, 2)):
         calls.clear()
         cascade.term_expectations(build_state(GHZ), kind, seq_wing)
         assert len(calls) == len(required_terms(kind))
+
+
+def test_each_wing_spread_is_the_spread_of_its_matrix_bit_for_bit():
+    sigmas = cascade._SIGMAS
+    for wing, spreads in enumerate(cascade._SPREADS):
+        mats = {None: qop.I2, 0: sigmas[0], 1: sigmas[1], 2: sigmas[2], "xyz": sigmas}
+        assert spreads.keys() == mats.keys()
+        for key, m in mats.items():
+            assert spreads[key].tobytes() == qop.spread(m, wing).tobytes()
+            assert spreads[key].shape == m.shape[:-2] + (64,)
+
+
+@pytest.mark.parametrize("seq_wing", [0, 1, 2])
+@pytest.mark.parametrize("kind", list(InequalityKind))
+def test_each_term_factor_triple_is_read_off_its_axes(kind, seq_wing):
+    # each factor is the table's own spread, not a copy: I2's where the
+    # term skips a wing, the stack on the sequential wing where it has a
+    # slot, and the axis's sigma elsewhere; their product is the tensor3
+    # of the matrices the walk used to pass, bit for bit
+    triples = cascade._TERM_FACTORS[kind, seq_wing]
+    terms = required_terms(kind)
+    assert len(triples) == len(terms)
+    for term, triple in zip(terms, triples):
+        assert len(triple) == 3
+        mats = []
+        for wing, (a, factor) in enumerate(zip(term.axes, triple)):
+            key = "xyz" if wing == seq_wing and a is not None else a
+            assert factor is cascade._SPREADS[wing][key]
+            mats.append(qop.I2 if a is None else cascade._SIGMAS[a])
+        if term.axes[seq_wing] is not None:
+            mats[seq_wing] = cascade._SIGMAS
+        want = qop.tensor3(*mats)
+        assert qop.spread_product(*triple).tobytes() == want.tobytes()
 
 
 def test_oracle_agrees_with_channel_path():

@@ -273,6 +273,21 @@ def test_joint_probability_rejects_malformed_directions(dirs, message):
         joint_probability(build_state(GHZ), 0, 0.5, dirs)
 
 
+def test_joint_probability_takes_a_wing_of_any_iterable():
+    # each wing is made a tuple once, so an iterator or a generator is
+    # read whole, not spent by the length check, and gives the tuple's bits
+    rho = random_mixed_state(np.random.default_rng(38))
+    want = joint_probability(rho, 0, 0.5, (XYZ, XYZ, XYZ))
+    for dirs in (
+        (iter(XYZ), XYZ, XYZ),
+        (XYZ, XYZ, (d for d in XYZ)),
+        (wing for wing in (XYZ, iter(XYZ), XYZ)),
+    ):
+        assert joint_probability(rho, 0, 0.5, dirs).tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="dirs must be iterable, got None"):
+        joint_probability(rho, 0, 0.5, (None, XYZ, XYZ))
+
+
 def test_correlation_moment_scales_with_sharpness():
     # <O_lam x P x P> = lam * <O x P x P>
     rng = np.random.default_rng(14)

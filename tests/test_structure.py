@@ -6,6 +6,7 @@ import importlib
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from seqsteer import CascadeResult, ThresholdTable
@@ -318,11 +319,13 @@ def test_one_walk_runs_a_state_down_a_chain():
     assert _callers_of("averaged_channel") == {"cascade.states_along"}
 
 
-def test_tensor3_is_the_one_three_qubit_product():
-    # every 8x8 product of three 2x2 factors goes through qop.tensor3, so
-    # the wing-bit layout is spelled once: no other module shifts bits
+def test_spread_product_is_the_one_three_qubit_product():
+    # every 8x8 product of three 2x2 factors is a qop.spread_product of
+    # their spreads, so the wing-bit layout is spelled once: the term walk
+    # multiplies the spreads cascade builds at import, the Kraus stacks and
+    # the outcome operators go through tensor3, and no other module shifts bits
+    assert _callers_of("spread_product") == {"qop.tensor3", "cascade.term_expectations"}
     assert _callers_of("tensor3") == {
-        "cascade.term_expectations",
         "measurement.selective_updates",
         "measurement.outcome_table",
     }
@@ -334,6 +337,31 @@ def test_tensor3_is_the_one_three_qubit_product():
         if isinstance(getattr(node, "op", None), ast.RShift)  # x >> n or x >>= n
     ]
     assert not shifts, f"bit shifts outside qop: {shifts}"
+
+
+def _arrays_in(value):
+    """Every ndarray in value: value itself, or one inside its tuples and
+    dicts, at any depth."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, dict)):
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from _arrays_in(item)
+
+
+def test_every_module_level_array_is_read_only():
+    # a module-level array is shared by every call, so an in-place write
+    # to it would change every later result: none can be written to
+    arrays = {
+        f"{path.stem}.{name}": list(_arrays_in(value))
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name, value in vars(importlib.import_module(f"seqsteer.{path.stem}")).items()
+    }
+    writeable = [name for name, found in arrays.items() if any(a.flags.writeable for a in found)]
+    assert not writeable, f"writeable module-level arrays: {writeable}"
+    # the walk reaches the arrays inside tuples and dicts, nested too
+    tables = {"qop._PAULI", "measurement._SIGNS", "cascade._SPREADS", "cascade._TERM_FACTORS"}
+    assert tables <= {name for name, found in arrays.items() if found}
 
 
 def test_one_function_builds_and_reads_the_outcome_operators():
