@@ -24,10 +24,11 @@ from .inequalities import InequalityKind, check_expectation, evaluate, required_
 from .measurement import (
     SettingTriple,
     averaged_channel,
+    outcome_signs,
     outcome_table,
     selective_updates,
+    setting_spreads,
     table_correlation,
-    unchecked_joint_probability,
 )
 from .qop import I2, XYZ, read_only, require_iterable, require_type, spread, spread_product
 from .qop import validate_density
@@ -63,6 +64,32 @@ _TERM_FACTORS = {
     )
     for kind, seq in product(InequalityKind, (0, 1, 2))
 }
+
+# each wing's x, y, z projector spreads, the oracle's and the audit's
+# factors on the projective wings, and the audit's full 3x3x3 grid
+_XYZ_SPREADS = tuple(read_only(setting_spreads(XYZ, w)) for w in (0, 1, 2))
+_GRID = tuple(read_only(i) for i in np.ix_(range(3), range(3), range(3)))
+
+
+def _oracle_plan(kind, seq_wing):
+    """The cells of an observer's grid the terms read, one index array
+    per wing, each term's row among them and the terms' outcome_signs. A
+    skipped wing is marginalized, so any direction serves; the first
+    setting on the sequential wing and z on the others keep the last bits
+    of the values that oracle_bits.json pins."""
+    terms = required_terms(kind)
+    reads = [
+        tuple((0 if w == seq_wing else 2) if a is None else a for w, a in enumerate(t.axes))
+        for t in terms
+    ]
+    cells = sorted(set(reads))
+    index = tuple(read_only(np.array(i)) for i in zip(*cells))
+    rows = read_only(np.array([cells.index(cell) for cell in reads]))
+    signs = outcome_signs([[w for w, a in enumerate(t.axes) if a is not None] for t in terms])
+    return index, rows, read_only(signs)
+
+
+_ORACLE_PLANS = {key: _oracle_plan(*key) for key in product(InequalityKind, (0, 1, 2))}
 
 
 @dataclass(frozen=True)
@@ -189,10 +216,12 @@ def run_cascade(spec: ScenarioSpec) -> CascadeResult:
     return CascadeResult(values)
 
 
-def _wing_directions(seq_wing, triple):
-    """Each wing's directions in wing order: the triple's on the
-    sequential wing and x, y, z on the projective ones."""
-    return tuple(triple.directions if w == seq_wing else XYZ for w in (0, 1, 2))
+def _wing_spreads(seq_wing, triple):
+    """Each wing's setting_spreads in wing order: the triple's effects on
+    the sequential wing and x, y, z's projectors on the projective ones."""
+    spreads = list(_XYZ_SPREADS)
+    spreads[seq_wing] = setting_spreads(triple.directions, seq_wing, triple.lam)
+    return spreads
 
 
 def run_cascade_oracle(spec: ScenarioSpec) -> CascadeResult:
@@ -221,27 +250,14 @@ def run_cascade_oracle(spec: ScenarioSpec) -> CascadeResult:
             "Use run_cascade for longer chains."
         )
     seq_wing = spec.sequential_wing
-    # each term's cell of an observer's grid, and the wings it multiplies; a
-    # skipped wing is marginalized, so any direction serves; the first
-    # setting on the sequential wing and z on the others keep the last
-    # bits of the values that oracle_bits.json pins
-    terms = required_terms(spec.inequality)
-    reads = [
-        tuple((0 if w == seq_wing else 2) if a is None else a for w, a in enumerate(t.axes))
-        for t in terms
-    ]
-    wings = [tuple(w for w, a in enumerate(t.axes) if a is not None) for t in terms]
-    cells = sorted(set(reads))
-    index = tuple(zip(*cells))  # one index array per wing
-    rows = [cells.index(cell) for cell in reads]
+    index, rows, signs = _ORACLE_PLANS[spec.inequality, seq_wing]
     branches = build_state(spec.state)[None]
     values = []
     for m, triple in enumerate(spec.observers):
-        dirs = _wing_directions(seq_wing, triple)
-        tables = outcome_table(branches, seq_wing, triple.lam, dirs, index)[rows]
+        tables = outcome_table(branches, _wing_spreads(seq_wing, triple), index)[rows]
         weight = (1.0 / 3.0) ** m
         values.append(
-            evaluate(spec.inequality, [weight * x for x in table_correlation(tables, wings)])
+            evaluate(spec.inequality, [weight * x for x in table_correlation(tables, signs)])
         )
         if m + 1 < n:
             # a branch's six children sit together, in selective_updates order
@@ -264,24 +280,31 @@ def no_signalling_audit(spec: ScenarioSpec, prob_fn=None) -> float:
     prob_fn(rho, seq_wing, lam, dirs), with the signature of
     measurement.joint_probability; dirs holds each wing's three
     directions, in wing order. A table of any other shape, even of the
-    same size, raises ValueError.
+    same size, or of anything but real numbers raises ValueError.
 
     Each state is validated once: the first where the walk starts, the
-    others by the averaged channel that hands them on, so the quantum
-    model used when prob_fn is None is unchecked_joint_probability.
+    others by the averaged channel that hands them on. With prob_fn None
+    the quantum model reads each state unchecked: one outcome_table of
+    the full grid, from the observer's setting_spreads on the sequential
+    wing and the x, y, z spreads built at import.
     """
     require_type("spec", ScenarioSpec, spec)
     spec.require_observers()
-    prob_fn = unchecked_joint_probability if prob_fn is None else prob_fn
-    if not callable(prob_fn):
+    if not (prob_fn is None or callable(prob_fn)):
         raise ValueError(f"prob_fn must be callable, got {prob_fn!r}")
     seq_wing = spec.sequential_wing
     rhos = states_along(validate_density(build_state(spec.state)), seq_wing, spec.observers)
     tables = []
     for triple, rho in zip(spec.observers, rhos):
-        table = prob_fn(rho, seq_wing, triple.lam, _wing_directions(seq_wing, triple))
-        if np.shape(table) != (3, 3, 3, 8):
-            raise ValueError(f"the model's table must have shape (3, 3, 3, 8), got {np.shape(table)}")
+        if prob_fn is None:
+            tables.append(outcome_table(rho[None], _wing_spreads(seq_wing, triple), _GRID))
+            continue
+        dirs = tuple(triple.directions if w == seq_wing else XYZ for w in (0, 1, 2))
+        table = np.asarray(prob_fn(rho, seq_wing, triple.lam, dirs))
+        if table.shape != (3, 3, 3, 8):
+            raise ValueError(f"the model's table must have shape (3, 3, 3, 8), got {table.shape}")
+        if table.dtype.kind not in "iuf":
+            raise ValueError(f"the model's table must hold real numbers, got dtype {table.dtype}")
         tables.append(table)
     # p[m, d0, d1, d2, o0, o1, o2]: observer m, each wing's direction, then
     # each wing's outcome, index 0 for +1, as the outcome axis orders them

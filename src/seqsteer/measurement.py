@@ -26,7 +26,8 @@ from .qop import (
     require_sharpness,
     require_type,
     resolve_wing,
-    tensor3,
+    spread,
+    spread_product,
     validate_density,
 )
 
@@ -64,17 +65,30 @@ def effect(projectors, lam):
     return lam * projectors + (1 - lam) * I2 / 2
 
 
+def setting_spreads(dirs, wing, lam=None):
+    """The spreads on wing of the +1 and -1 projectors along each of the
+    BlochDirections dirs, or of their unsharp effects at sharpness lam,
+    as one (len(dirs), 2, 64) stack: outcome_table's factors of a wing."""
+    stack = projector_stack(dirs)
+    return spread(stack if lam is None else effect(stack, lam), wing)
+
+
+# I2's spread on each wing, the Kraus stack's factor off the measured wing
+_IDENTITY = tuple(read_only(spread(I2, w)) for w in (0, 1, 2))
+
+
 def selective_updates(rho, wing, triple: SettingTriple):
     """One observer's six Lueders updates sqrt(E) rho sqrt(E) on one
     wing, identity on the others, as one (..., 6, 8, 8) array for rho
     of shape (..., 8, 8): row 2*i + j is the unnormalized state after
     directions[i] gave outcome (1, -1)[j], and its trace is that
     outcome's probability Tr[rho E]."""
-    mats = [I2, I2, I2]
+    wing = resolve_wing(wing)
     roots = effect_sqrt(projector_stack(triple.directions), triple.lam)
-    mats[resolve_wing(wing)] = roots.reshape(6, 2, 2)
-    k = tensor3(*mats)  # the six Kraus operators as one stack
-    return k @ np.expand_dims(rho, -3) @ k
+    factors = list(_IDENTITY)
+    factors[wing] = spread(roots.reshape(6, 2, 2), wing)
+    k = spread_product(*factors)  # the six Kraus operators as one stack
+    return k @ rho[..., None, :, :] @ k
 
 
 def averaged_channel(rho, wing, triple: SettingTriple):
@@ -109,35 +123,32 @@ def joint_probability(rho, seq_wing, lam, dirs):
     full grid, as a (len(dirs[0]), len(dirs[1]), len(dirs[2]), 8) table
     whose last axis is in OUTCOMES order. rho must pass validate_density,
     and dirs must hold three non-empty wing tuples; ValueError otherwise."""
-    dirs = tuple(require_iterable("dirs", wing) for wing in require_iterable("dirs", dirs))
+    wings = enumerate(require_iterable("dirs", dirs))
+    dirs = tuple(require_iterable(f"wing {w}'s directions", d) for w, d in wings)
     lengths = [len(wing) for wing in dirs]
     if len(lengths) != 3 or 0 in lengths:
         raise ValueError(f"dirs must hold three non-empty wing tuples, got lengths {lengths}")
     require_type("dirs", BlochDirection, *(d for wing in dirs for d in wing))
-    return unchecked_joint_probability(validate_density(rho), seq_wing, lam, dirs)
+    rho = validate_density(rho)
+    seq_wing = resolve_wing(seq_wing)
+    require_sharpness(lam)
+    spreads = [setting_spreads(d, w, lam if w == seq_wing else None) for w, d in enumerate(dirs)]
+    return outcome_table(rho[None], spreads, np.ix_(*map(range, lengths)))[..., 0]
 
 
-def unchecked_joint_probability(rho, seq_wing, lam, dirs):
-    """joint_probability on a rho already known to pass validate_density,
-    such as a state averaged_channel handed on."""
-    grid = np.ix_(*(range(len(d)) for d in dirs))
-    return outcome_table(rho[None], seq_wing, lam, dirs, grid)[..., 0]
-
-
-def outcome_table(rhos, seq_wing, lam, dirs, cells):
+def outcome_table(rhos, spreads, cells):
     """P(OUTCOMES[k]) = Tr[(E (x) P (x) P) rho] on each state of an
-    (n, 8, 8) stack rhos, E the unsharp effect on seq_wing with sharpness
-    lam and P the projectors elsewhere, as an array of the cells' shape
+    (n, 8, 8) stack rhos, E the unsharp effects on the sequential wing
+    and P the projectors elsewhere, as an array of the cells' shape
     followed by (8, n): entry [..., k, i] is outcome triple k on state i.
 
-    dirs holds one tuple of BlochDirections per wing and cells one array
-    of indices into each wing's tuple, both in wing order; the three
-    index arrays broadcast against each other into the cells. np.ix_
-    over every wing's directions gives the full grid, three equal-length
-    arrays just those cells. Each wing's factors are one projector_stack,
-    its effects on seq_wing, taken at the wing's indices with their
-    outcome axis at the wing's place, and the operators are their
-    tensor3, K = 8 per cell.
+    spreads holds each wing's setting_spreads, (n_w, 2, 64), and cells
+    one array of indices into each wing's settings, both in wing order;
+    the three index arrays broadcast against each other into the cells.
+    np.ix_ over every wing's settings gives the full grid, three
+    equal-length arrays just those cells. Each wing's spreads are taken
+    at its indices with their outcome axis at the wing's place, and the
+    operators are their spread_product, K = 8 per cell.
 
     Only the diagonals are formed: entry r of op @ rho is row r of op
     times column r of rho, so one batched product of the K operators'
@@ -150,16 +161,12 @@ def outcome_table(rhos, seq_wing, lam, dirs, cells):
     are reduced: the eight real parts are added in the pairwise order of
     numpy's sum over eight contiguous values; real and imaginary parts
     add apart, so taking .real first keeps the bits of the complex trace."""
-    seq_wing = resolve_wing(seq_wing)
     factors = []
-    for wing, (wing_dirs, index) in enumerate(zip(dirs, cells)):
-        stack = projector_stack(wing_dirs)
-        if wing == seq_wing:
-            stack = effect(stack, lam)
-        shape = [1, 1, 1, 2, 2]  # the outcome axes, then the 2x2 factor
+    for wing, (stack, index) in enumerate(zip(spreads, cells)):
+        shape = [1, 1, 1, 64]  # the outcome axes, then the spread entries
         shape[wing] = 2
         factors.append(np.take(stack, index, axis=0).reshape(np.shape(index) + tuple(shape)))
-    ops = tensor3(*factors)
+    ops = spread_product(*factors)
     n = len(rhos)
     cols = np.zeros((8, 8, -(-n // 8) * 8), complex)
     cols[..., :n] = rhos.transpose(2, 1, 0)
@@ -168,23 +175,22 @@ def outcome_table(rhos, seq_wing, lam, dirs, cells):
     return traces.reshape(ops.shape[:-5] + (8, n))
 
 
-# each wing subset's column of outcome-product signs, in OUTCOMES order
-_SIGNS = {
-    wings: read_only(np.array([[math.prod(o[w] for w in wings)] for o in OUTCOMES], dtype=float))
-    for wings in ((), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2))
-}
+def outcome_signs(wings):
+    """The product of the outcomes on each wings[t], a tuple of wing
+    indices, for every outcome triple in OUTCOMES order, as the
+    (len(wings), 8, 1) float stack that table_correlation reads."""
+    return np.array([[[math.prod(o[w] for w in s)] for o in OUTCOMES] for s in wings], float)
 
 
-def table_correlation(tables, wings):
-    """Expectations of the product of the outcomes on wings[t] (a tuple
-    of wing indices), every other wing marginalized, summed over the
-    states of tables[t], an (8, n) outcome_table, as a list with one
-    float per t; on the unsharp wing each is lam times the projective
-    one, as E(+) - E(-) is lam * n.sigma. Each state's eight signed
-    outcomes, then the states' totals, are added left to right, one
-    ordered cumsum per axis; 0.0 + the last gives the bits, signed
-    zeros included, of adding them to 0.0 (builtin sum compensates from
-    3.12 on)."""
-    signs = np.array([_SIGNS[tuple(sorted(w))] for w in wings])
+def table_correlation(tables, signs):
+    """Expectations of the product of the outcomes on a wing subset,
+    every other wing marginalized, summed over the states of tables[t],
+    an (8, n) outcome_table, with signs[t] the subset's outcome_signs,
+    as a list with one float per t; on the unsharp wing each is lam
+    times the projective one, as E(+) - E(-) is lam * n.sigma. Each
+    state's eight signed outcomes, then the states' totals, are added
+    left to right, one ordered cumsum per axis; 0.0 + the last gives the
+    bits, signed zeros included, of adding them to 0.0 (builtin sum
+    compensates from 3.12 on)."""
     totals = np.cumsum(signs * tables, axis=1)[:, -1]
     return (0.0 + np.cumsum(totals, axis=1)[:, -1]).tolist()

@@ -130,31 +130,18 @@ _SPREAD = read_only(
 
 def spread(m, wing):
     """A 2x2 matrix m, or a stack of them (..., 2, 2), gathered over the
-    64 entries of its 8x8 product at wing's place, shape (..., 64)."""
-    return m.reshape(m.shape[:-2] + (4,)).take(_SPREAD[wing], axis=-1)
+    64 entries of its 8x8 product at wing's place, shape (..., 64): the
+    spread_product of a, b and c spread on wings 0, 1 and 2 is np.kron's
+    a (x) b (x) c bit for bit, entry (ikm, jln) being (a_ij * b_kl) * c_mn."""
+    if m.shape[-2:] != (2, 2):
+        raise ValueError(f"a factor on wing {wing} must be 2x2 or a stack of 2x2, got {m.shape}")
+    return m.reshape(m.shape[:-2] + (4,)).take(_SPREAD[resolve_wing(wing)], axis=-1)
 
 
 def spread_product(a, b, c):
     """(a * b) * c of spreads on wings 0, 1 and 2, as (..., 8, 8) products."""
     out = (a * b) * c
     return out.reshape(out.shape[:-1] + (8, 8))
-
-
-def tensor3(a, b, c):
-    """Kronecker product a (x) b (x) c of three 2x2 matrices, wing order
-    Alice (x) Bob (x) Charlie.
-
-    Each factor may also be a stack of 2x2 matrices, shape (..., 2, 2);
-    the stacks broadcast against each other and every 8x8 product is
-    taken as if its three factors were passed alone. The spread_product
-    of the factors' spreads: entry (ikm, jln) is (a_ij * b_kl) * c_mn,
-    np.kron's products in its order, so its bits.
-    """
-    a, b, c = np.asarray(a), np.asarray(b), np.asarray(c)
-    for name, m in (("a", a), ("b", b), ("c", c)):
-        if m.shape[-2:] != (2, 2):
-            raise ValueError(f"tensor3 factor {name} must be 2x2 or a stack of 2x2, got {m.shape}")
-    return spread_product(spread(a, 0), spread(b, 1), spread(c, 2))
 
 
 def effect_sqrt(projectors, lam):
@@ -177,7 +164,10 @@ def validate_density(rho, name="state"):
     Returns the matrix as a complex ndarray; raises ValueError with the
     offending property otherwise.
     """
-    rho = np.asarray(rho, dtype=complex)
+    try:
+        rho = np.asarray(rho, dtype=complex)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be an 8x8 array of numbers, got {rho!r}") from None
     if rho.shape != (8, 8):
         raise ValueError(f"{name} must be 8x8, got {rho.shape}")
     # every comparison with NaN is false, so the checks below cannot see one

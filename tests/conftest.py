@@ -14,17 +14,19 @@ The bit pins of the suite are of three kinds, and only the last depends on the B
   3.26e-8 from its root, so these pins hold on any BLAS whose rounding
   stays well below that; test_search checks both, and that no
   6-decimal cell lies within 1.5e-8 of flipping.
-- The CLI's pinned cascade cells: the 6-decimal values of its csv and
-  text outputs in bench/reference/cli_stdout.json. The chain is an
-  x/y/z chain, so util.exact_chain gives each value exactly, and each
+- The CLI's pinned cascade and optimize value cells: the 6-decimal
+  values of their csv and text outputs in
+  bench/reference/cli_stdout.json. The cascade is an x/y/z chain, so
+  util.exact_chain gives each value exactly, and the optimize value is
+  util.exact_optimum's single observer on its optimal directions; each
   cell is its exact value rounded, at least 1.24e-7 from flipping;
   test_search checks both.
 - Full float reprs of the channel and oracle arithmetic: the cascade
   values in the CLI's JSON output (bench/reference/cli_stdout.json),
   reference/oracle_bits.json and the oracle_audit digest. These keep
   the bits of the BLAS they were recorded on, named in the header
-  below. The 4- and 6-decimal values that the demos and the CLI's
-  optimize output print rest on the same arithmetic, rounded.
+  below. The 4- and 6-decimal values that the demos print rest on the
+  same arithmetic, rounded.
 """
 
 import platform

@@ -37,8 +37,8 @@ from seqsteer import (
 from seqsteer import cascade, measurement, qop
 from seqsteer.cascade import states_along
 from seqsteer.inequalities import required_terms
-from seqsteer.measurement import OUTCOMES, selective_updates
-from seqsteer.qop import X_DIR, Y_DIR, Z_DIR
+from seqsteer.measurement import OUTCOMES, outcome_table, selective_updates
+from seqsteer.qop import XYZ, X_DIR, Y_DIR, Z_DIR
 from seqsteer.search import _coefficients
 from util import (
     FROZEN_CHAINS,
@@ -50,9 +50,12 @@ from util import (
     random_pure_state,
     random_triple,
     reference_audit,
+    reference_direction_outcome_table,
     reference_grow_branches,
     reference_index_audit,
+    reference_oracle_plan,
     reference_probability_table,
+    reference_spread_tensor3,
     reference_term_expectations,
     value_from_state,
 )
@@ -339,7 +342,7 @@ def test_each_term_factor_triple_is_read_off_its_axes(kind, seq_wing):
             mats.append(qop.I2 if a is None else cascade._SIGMAS[a])
         if term.axes[seq_wing] is not None:
             mats[seq_wing] = cascade._SIGMAS
-        want = qop.tensor3(*mats)
+        want = reference_spread_tensor3(*mats)
         assert qop.spread_product(*triple).tobytes() == want.tobytes()
 
 
@@ -384,6 +387,46 @@ def test_oracle_never_touches_the_channel_path(monkeypatch):
         monkeypatch.setattr(cascade, name, forbidden)
     slow = run_cascade_oracle(spec)
     assert max(abs(a - b) for a, b in zip(fast.values, slow.values)) < 1e-10
+
+
+@pytest.mark.parametrize("seq_wing", [0, 1, 2])
+@pytest.mark.parametrize("kind", list(InequalityKind))
+def test_each_oracle_read_plan_is_the_per_call_derivation(kind, seq_wing):
+    # the cells, rows and sign stack built at import are the ones the
+    # oracle used to derive on every call, and none can be written to
+    index, rows, signs = cascade._ORACLE_PLANS[kind, seq_wing]
+    want_index, want_rows, want_signs = reference_oracle_plan(kind, seq_wing)
+    assert [i.tolist() for i in index] == [list(i) for i in want_index]
+    assert rows.tolist() == want_rows
+    assert signs.shape == (len(required_terms(kind)), 8, 1) == want_signs.shape
+    assert signs.dtype == want_signs.dtype and signs.tobytes() == want_signs.tobytes()
+    assert not any(a.flags.writeable for a in (*index, rows, signs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    count=st.sampled_from([1, 2, 6, 7, 8, 9, 36, 40, 216]),
+    seq_wing=st.integers(min_value=0, max_value=2),
+    picks=st.none() | st.lists(st.tuples(*[st.integers(0, 2)] * 3), min_size=1, max_size=27),
+)
+def test_the_spread_outcome_table_is_the_direction_one_bit_for_bit(seed, count, seq_wing, picks):
+    # the oracle's and the audit's operators from the x, y, z spreads
+    # built at import and the triple's effects spread per call have the
+    # bits of the direction-taking build, for any cells or the full grid
+    # and state counts on either side of the padding to 8
+    rng = np.random.default_rng(seed)
+    triple = random_triple(rng, float(rng.uniform(0.05, 1.0)))
+    dirs = tuple(triple.directions if w == seq_wing else XYZ for w in range(3))
+    if picks is None:
+        cells = np.ix_(range(3), range(3), range(3))
+    else:
+        cells = tuple(np.array([c[w] for c in picks]) for w in range(3))
+    rhos = np.array([random_mixed_state(rng) for _ in range(count)])
+    want = reference_direction_outcome_table(rhos, seq_wing, triple.lam, dirs, cells)
+    got = outcome_table(rhos, cascade._wing_spreads(seq_wing, triple), cells)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=30, deadline=None)
@@ -431,7 +474,7 @@ def test_the_oracle_updates_and_traces_whole_stacks(monkeypatch):
         # record each call's branch stack, table shape and cells read
         table = real_table(rhos, *args)
         traced.append((rhos.shape, table.shape))
-        built_cells.append(list(zip(*args[3])))
+        built_cells.append(list(zip(*args[1])))
         return table
 
     monkeypatch.setattr(cascade, "selective_updates", counted_update)
@@ -594,6 +637,82 @@ def test_the_chain_entry_points_reject_a_spec_that_is_not_a_scenario_spec(entry,
         _CHAIN_ENTRY_POINTS[entry](spec)
 
 
+# the inputs every argument of the oracle, the audit and joint_probability
+# is tried with, 1.0 standing where an integer belongs
+_BAD_VALUES = {
+    "str": "x",
+    "None": None,
+    "True": True,
+    "np.True_": np.True_,
+    "1.0": 1.0,
+    "nan": float("nan"),
+    "()": (),
+}
+_AUDIT_SPEC = xyz_spec(Scenario.A, InequalityKind.G1, GHZ, (0.8, 1.0))
+
+
+def _joint(argument):
+    """joint_probability with one argument replaced by value."""
+    def call(value):
+        args = {"rho": build_state(GHZ), "seq_wing": 0, "lam": 0.5, "dirs": (XYZ,) * 3}
+        return joint_probability(**{**args, argument: value})
+
+    return call
+
+
+def _joint_rho_message(value):
+    if isinstance(value, str):
+        return f"state must be an 8x8 array of numbers, got {value!r}"
+    return f"state must be 8x8, got {np.shape(value)}"
+
+
+def _joint_dirs_message(value):
+    if isinstance(value, (str, tuple)):  # iterable, so counted as wings
+        return f"dirs must hold three non-empty wing tuples, got lengths {[1] * len(value)}"
+    return f"dirs must be iterable, got {value!r}"
+
+
+# each (callable, argument): the call, and the package's message for a
+# bad value
+_BAD_INPUT_CALLS = {
+    "joint_probability-rho": (_joint("rho"), _joint_rho_message),
+    "joint_probability-seq_wing": (
+        _joint("seq_wing"), lambda v: f"unknown wing {v!r}; expected 0, 1 or 2"
+    ),
+    "joint_probability-lam": (_joint("lam"), lambda v: f"sharpness must lie in (0, 1], got {v}"),
+    "joint_probability-dirs": (_joint("dirs"), _joint_dirs_message),
+    "run_cascade_oracle-spec": (
+        run_cascade_oracle, lambda v: f"spec must be of type ScenarioSpec, got {v!r}"
+    ),
+    "no_signalling_audit-spec": (
+        no_signalling_audit, lambda v: f"spec must be of type ScenarioSpec, got {v!r}"
+    ),
+    "no_signalling_audit-prob_fn": (
+        lambda v: no_signalling_audit(_AUDIT_SPEC, v),
+        lambda v: f"prob_fn must be callable, got {v!r}",
+    ),
+}
+# the cases that are valid, and why
+_VALID_INPUTS = {
+    ("joint_probability-lam", "1.0"): "sharpness 1 is a projective measurement",
+    ("no_signalling_audit-prob_fn", "None"): "None asks for the quantum model",
+}
+
+
+@pytest.mark.parametrize("value", sorted(_BAD_VALUES))
+@pytest.mark.parametrize("case", sorted(_BAD_INPUT_CALLS))
+def test_each_bad_input_is_a_value_error_or_listed_valid(case, value):
+    # every argument of joint_probability, run_cascade_oracle and
+    # no_signalling_audit, against each input of the table: a ValueError
+    # with the package's message, or a case listed valid with its reason
+    call, message = _BAD_INPUT_CALLS[case]
+    if (case, value) in _VALID_INPUTS:
+        call(_BAD_VALUES[value])
+        return
+    with pytest.raises(ValueError, match=f"^{re.escape(message(_BAD_VALUES[value]))}$"):
+        call(_BAD_VALUES[value])
+
+
 def test_no_signalling_on_quantum_model():
     spec = xyz_spec(Scenario.A, InequalityKind.G1, GHZ, (0.63, 1.0))
     assert no_signalling_audit(spec) <= 1e-10
@@ -652,9 +771,39 @@ def test_audit_rejects_a_table_of_the_wrong_size(shape):
         no_signalling_audit(spec, prob_fn=lambda *args: np.full(shape, 0.125))
 
 
+@pytest.mark.parametrize(
+    "kind, dtype",
+    [("complex", "complex128"), ("str", "<U"), ("bool", "bool"), ("object", "object")],
+)
+def test_audit_rejects_a_table_that_is_not_real_numbers(kind, dtype):
+    # a complex table used to lose its imaginary part with a
+    # ComplexWarning, and a table of strings raised numpy's UFuncTypeError
+    def model(rho, seq_wing, lam, dirs):
+        p = joint_probability(rho, seq_wing, lam, dirs)
+        return {
+            "complex": p + 0j,
+            "str": p.astype(str),
+            "bool": p > 0.1,
+            "object": p.astype(object),
+        }[kind]
+
+    spec = xyz_spec(Scenario.A, InequalityKind.G1, GHZ, (0.8, 1.0))
+    with pytest.raises(ValueError, match=f"^the model's table must hold real numbers, got dtype {dtype}"):
+        no_signalling_audit(spec, prob_fn=model)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.float32, np.float64])
+def test_audit_reads_a_table_of_any_real_dtype(dtype):
+    # integers and floats of any width are real numbers
+    spec = xyz_spec(Scenario.B, InequalityKind.G2, GHZ, (0.8, 1.0))
+    assert no_signalling_audit(spec, prob_fn=lambda *args: np.ones((3, 3, 3, 8), dtype)) == 0.0
+
+
 def test_the_default_audit_reads_one_stacked_table(monkeypatch):
-    # one joint_probability table per observer, over its settings and the
-    # projective direction pairs, from one outcome_table of the full grid
+    # one outcome_table of the full grid per observer, over its settings
+    # and the projective direction pairs: the x, y, z spreads and the grid
+    # index built at import, and one setting_spreads of the observer's
+    # effects on the sequential wing; joint_probability is not asked
     rng = np.random.default_rng(53)
     spec = ScenarioSpec(
         scenario=Scenario.B,
@@ -663,26 +812,29 @@ def test_the_default_audit_reads_one_stacked_table(monkeypatch):
         observers=(random_triple(rng, 0.35), random_triple(rng, 0.8), random_triple(rng, 1.0)),
     )
     unpatched = no_signalling_audit(spec)
-    builds = Counter()
-    tables = Counter()
-    real_table = measurement.outcome_table
-    real_probability = cascade.unchecked_joint_probability
+    builds, spread = Counter(), []
+    real_table, real_spreads = cascade.outcome_table, cascade.setting_spreads
 
-    def counted_table(rhos, *args):
-        table = real_table(rhos, *args)
+    def counted_table(rhos, spreads, cells):
+        table = real_table(rhos, spreads, cells)
         builds[rhos.shape, table.shape] += 1
+        assert spreads[0] is cascade._XYZ_SPREADS[0] and spreads[1] is cascade._XYZ_SPREADS[1]
+        assert all(index is grid for index, grid in zip(cells, cascade._GRID))
         return table
 
-    def counted_probability(*args):
-        p = real_probability(*args)
-        tables[p.shape] += 1
-        return p
+    def counted_spreads(dirs, wing, lam=None):
+        spread.append((dirs, wing, lam))
+        return real_spreads(dirs, wing, lam)
 
-    monkeypatch.setattr(measurement, "outcome_table", counted_table)
-    monkeypatch.setattr(cascade, "unchecked_joint_probability", counted_probability)
+    def forbidden(*args):
+        raise AssertionError("the default audit asked joint_probability")
+
+    monkeypatch.setattr(cascade, "outcome_table", counted_table)
+    monkeypatch.setattr(cascade, "setting_spreads", counted_spreads)
+    monkeypatch.setattr(measurement, "joint_probability", forbidden)
     assert repr(no_signalling_audit(spec)) == repr(unpatched)
     assert builds == {((1, 8, 8), (3, 3, 3, 8, 1)): len(spec.observers)}
-    assert tables == {(3, 3, 3, 8): len(spec.observers)}
+    assert spread == [(t.directions, 2, t.lam) for t in spec.observers]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -21,13 +21,14 @@ from seqsteer.measurement import (
     OUTCOMES,
     averaged_channel,
     effect,
-    outcome_table,
+    outcome_signs,
     selective_updates,
     table_correlation,
 )
-from seqsteer.qop import XYZ, X_DIR, Y_DIR, Z_DIR, projector_stack, tensor3
+from seqsteer.qop import XYZ, X_DIR, Y_DIR, Z_DIR, projector_stack
 from util import (
     bloch_vector,
+    direction_outcome_table,
     left_sum,
     partial_trace,
     projector,
@@ -38,6 +39,7 @@ from util import (
     reference_averaged_channel,
     reference_correlation,
     reference_effect,
+    reference_spread_tensor3,
     reference_joint_grid,
     reference_joint_operator,
     reference_outcome_table,
@@ -108,7 +110,7 @@ def test_luders_update_trace_is_born_probability():
             prob = float(updated[2 * i + j].trace().real)
             op = [np.eye(2)] * 3
             op[wing] = reference_effect(d, 0.73, outcome)
-            born = float(np.trace(tensor3(*op) @ rho).real)
+            born = float(np.trace(reference_spread_tensor3(*op) @ rho).real)
             assert prob == pytest.approx(born, abs=1e-12)
 
 
@@ -284,8 +286,11 @@ def test_joint_probability_takes_a_wing_of_any_iterable():
         (wing for wing in (XYZ, iter(XYZ), XYZ)),
     ):
         assert joint_probability(rho, 0, 0.5, dirs).tobytes() == want.tobytes()
-    with pytest.raises(ValueError, match="dirs must be iterable, got None"):
+    # a wing that is not iterable is named by its index, not as dirs
+    with pytest.raises(ValueError, match="^wing 0's directions must be iterable, got None$"):
         joint_probability(rho, 0, 0.5, (None, XYZ, XYZ))
+    with pytest.raises(ValueError, match="^wing 2's directions must be iterable, got 0$"):
+        joint_probability(rho, 0, 0.5, (XYZ, XYZ, 0))
 
 
 def test_correlation_moment_scales_with_sharpness():
@@ -334,7 +339,7 @@ def test_correlation_on_every_wing_subset_is_a_trace():
             obs[seq_wing] = lam * obs[seq_wing]
             for wings in subsets:
                 mats = [obs[w] if w in wings else np.eye(2) for w in range(3)]
-                expected = float(np.trace(rho @ tensor3(*mats)).real)
+                expected = float(np.trace(rho @ reference_spread_tensor3(*mats)).real)
                 got = stacked_correlation((rho,), seq_wing, lam, dirs, wings)
                 assert abs(got - expected) < 1e-12, (seq_wing, wings)
 
@@ -377,10 +382,12 @@ def test_outcome_table_places_each_factor_on_its_wing():
     d0, d1, d2 = (random_direction(rng) for _ in range(3))
     rhos = np.array([random_mixed_state(rng) for _ in range(5)])
     ops = [
-        tensor3(projector(d0, a), projector(d1, b), reference_effect(d2, 0.3, c))
+        reference_spread_tensor3(
+            projector(d0, a), projector(d1, b), reference_effect(d2, 0.3, c)
+        )
         for a, b, c in OUTCOMES
     ]
-    table = outcome_table(rhos, 2, 0.3, ((d0,), (d1,), (d2,)), (0, 0, 0))
+    table = direction_outcome_table(rhos, 2, 0.3, ((d0,), (d1,), (d2,)), (0, 0, 0))
     assert table.tobytes() == reference_outcome_table(rhos, ops).tobytes()
 
 
@@ -395,7 +402,7 @@ def test_each_row_of_an_outcome_table_is_the_per_outcome_operator(seed, seq_wing
     rng = np.random.default_rng(seed)
     dirs = tuple(random_direction(rng) for _ in range(3))
     rhos = np.array([random_mixed_state(rng) for _ in range(count)])
-    table = outcome_table(rhos, seq_wing, lam, [(d,) for d in dirs], (0, 0, 0))
+    table = direction_outcome_table(rhos, seq_wing, lam, [(d,) for d in dirs], (0, 0, 0))
     assert table.shape == (8, count)
     assert table.dtype == np.float64
     assert OUTCOMES == tuple(product((1, -1), repeat=3))
@@ -416,11 +423,11 @@ def test_each_cell_of_the_grid_table_is_the_single_setting_table(seed, seq_wing,
     rng = np.random.default_rng(seed)
     dirs = tuple(tuple(random_direction(rng) for _ in range(k)) for k in sizes)
     rhos = np.array([random_mixed_state(rng) for _ in range(3)])
-    grid = outcome_table(rhos, seq_wing, lam, dirs, np.ix_(*(range(k) for k in sizes)))
+    grid = direction_outcome_table(rhos, seq_wing, lam, dirs, np.ix_(*(range(k) for k in sizes)))
     assert grid.shape == sizes + (8, 3)
     for i, j, k in product(*(range(k) for k in sizes)):
         alone = ((dirs[0][i],), (dirs[1][j],), (dirs[2][k],))
-        want = outcome_table(rhos, seq_wing, lam, alone, (0, 0, 0))
+        want = direction_outcome_table(rhos, seq_wing, lam, alone, (0, 0, 0))
         assert grid[i, j, k].tobytes() == want.tobytes()
 
 
@@ -437,7 +444,7 @@ def test_the_outcome_table_is_each_operators_stacked_trace_bit_for_bit(seed, cou
     dirs = ((random_direction(rng),), (X_DIR,), (Y_DIR,))
     seq_wing = int(rng.integers(3))
     ops = reference_joint_grid(seq_wing, 0.7, dirs)[0, 0, 0]
-    table = outcome_table(stack, seq_wing, 0.7, dirs, (0, 0, 0))
+    table = direction_outcome_table(stack, seq_wing, 0.7, dirs, (0, 0, 0))
     assert table.shape == (8, count)
     for row, op in zip(table, ops):
         assert row.tobytes() == (op @ stack).trace(axis1=1, axis2=2).real.tobytes()
@@ -457,7 +464,7 @@ def test_each_cell_of_an_outcome_table_is_the_per_operator_loop_bit_for_bit(seed
     dirs = [tuple(random_direction(rng) for _ in range(k)) for k in sizes]
     seq_wing, lam = int(rng.integers(3)), float(rng.uniform(0.05, 1.0))
     dirs = (*dirs, (random_direction(rng),))
-    table = outcome_table(rhos, seq_wing, lam, dirs, (*np.ix_(*map(range, sizes)), 0))
+    table = direction_outcome_table(rhos, seq_wing, lam, dirs, (*np.ix_(*map(range, sizes)), 0))
     assert table.shape == sizes + (8, count)
     grid = reference_joint_grid(seq_wing, lam, dirs)[:, :, 0]
     for idx in np.ndindex(*sizes):
@@ -484,7 +491,7 @@ def test_the_diagonal_only_table_is_the_wide_product_bit_for_bit(seed, cell_coun
     dirs = tuple(tuple(random_direction(rng) for _ in range(rng.integers(1, 4))) for _ in range(3))
     cells = tuple(rng.integers(len(d), size=cell_count) for d in dirs)
     seq_wing, lam = int(rng.integers(3)), float(rng.uniform(0.05, 1.0))
-    table = outcome_table(rhos, seq_wing, lam, dirs, cells)
+    table = direction_outcome_table(rhos, seq_wing, lam, dirs, cells)
     assert table.shape == (cell_count, 8, count)
     ops = reference_joint_grid(seq_wing, lam, dirs)[cells]
     assert table.tobytes() == reference_wide_outcome_table(rhos, ops).tobytes()
@@ -526,7 +533,8 @@ def _spread_table(rng, count):
 def test_the_signed_reduction_is_the_eight_row_loop_bit_for_bit(seed, count, wings):
     table = _spread_table(np.random.default_rng(seed), count)
     want = repr(reference_table_correlation(table, wings))
-    assert [repr(x) for x in table_correlation([table] * 2, [wings, wings[::-1]])] == [want] * 2
+    signs = outcome_signs([wings, wings[::-1]])
+    assert [repr(x) for x in table_correlation([table] * 2, signs)] == [want] * 2
 
 
 @pytest.mark.parametrize("wings", [()] + WING_SUBSETS)
@@ -536,14 +544,14 @@ def test_the_signed_reduction_of_one_state_is_the_eight_row_loop_bit_for_bit(win
     for _ in range(200):
         table = _spread_table(rng, 1)
         want = repr(reference_table_correlation(table, wings))
-        assert repr(table_correlation([table], [wings])[0]) == want
+        assert repr(table_correlation([table], outcome_signs([wings]))[0]) == want
 
 
 def test_the_branch_totals_are_added_left_to_right_from_zero():
     # a compensated sum, as builtin sum is from Python 3.12 on, gives 1.0
     table = np.zeros((8, 3))
     table[0] = [1e16, 1.0, -1e16]
-    assert table_correlation([table] * 7, WING_SUBSETS) == [0.0] * 7
+    assert table_correlation([table] * 7, outcome_signs(WING_SUBSETS)) == [0.0] * 7
 
 
 @settings(max_examples=60, deadline=None)
@@ -566,7 +574,7 @@ def test_the_one_signed_reduction_is_the_per_term_loop_bit_for_bit(seed, count, 
     if nan:
         tables[rng.integers(len(wings)), rng.integers(8), rng.integers(count)] = np.nan
     want = [repr(x) for x in reference_term_correlations(tables, wings)]
-    assert [repr(x) for x in table_correlation(tables, wings)] == want
+    assert [repr(x) for x in table_correlation(tables, outcome_signs(wings))] == want
 
 
 # Bloch angles with the signed zeros and exact axes among them: -0.0
@@ -598,7 +606,7 @@ def test_the_factor_stack_build_is_the_nested_list_grid_bit_for_bit(
         cells = tuple(np.array([c[w] % len(dirs[w]) for c in picks]) for w in range(3))
     rng = np.random.default_rng(seed)
     rhos = np.array([random_mixed_state(rng) for _ in range(rng.integers(1, 10))])
-    got = outcome_table(rhos, seq_wing, lam, dirs, cells)
+    got = direction_outcome_table(rhos, seq_wing, lam, dirs, cells)
     want = reference_wide_outcome_table(rhos, reference_joint_grid(seq_wing, lam, dirs)[cells])
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()

@@ -31,7 +31,8 @@ from seqsteer.qop import (
     _PAULI,
     effect_sqrt,
     projector_stack,
-    tensor3,
+    spread,
+    spread_product,
     validate_density,
 )
 from util import (
@@ -146,6 +147,15 @@ def test_validate_density_rejects_an_asymmetric_matrix():
         validate_density(rho)
 
 
+@pytest.mark.parametrize("rho", ["x", object(), [[1.0], [1.0, 2.0]]], ids=["str", "object", "ragged"])
+def test_validate_density_rejects_what_is_not_an_array_of_numbers(rho):
+    # numpy's own ValueError for a string or a ragged list, and its
+    # TypeError for an object, used to leave the function unnamed
+    message = f"state must be an 8x8 array of numbers, got {rho!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        validate_density(rho)
+
+
 def test_direction_angle_ranges_validated():
     with pytest.raises(ValueError, match="theta"):
         BlochDirection(-0.2, 0.0)
@@ -162,13 +172,18 @@ def test_an_angle_that_is_not_a_real_number_is_rejected(angle):
         BlochDirection(1.0, angle)
 
 
-def test_tensor3_matches_explicit_kron():
+def kron3(a, b, c):
+    """The spread_product of a, b and c spread on wings 0, 1 and 2."""
+    return spread_product(spread(a, 0), spread(b, 1), spread(c, 2))
+
+
+def test_the_product_of_three_spreads_matches_explicit_kron():
     rng = np.random.default_rng(7)
     a, b, c = (rng.normal(size=(2, 2)) for _ in range(3))
-    assert np.allclose(tensor3(a, b, c), np.kron(np.kron(a, b), c))
+    assert np.allclose(kron3(a, b, c), np.kron(np.kron(a, b), c))
 
 
-def test_tensor3_is_kron_bit_for_bit():
+def test_the_product_of_three_spreads_is_kron_bit_for_bit():
     # the product must take kron's products in kron's order, (a * b) * c,
     # so every bit and the dtype match, for any entries and dtype
     rng = np.random.default_rng(29)
@@ -198,7 +213,7 @@ def test_tensor3_is_kron_bit_for_bit():
     triples += [tuple(rng.integers(-9, 10, size=(3, 2, 2))) for _ in range(100)]
     with np.errstate(all="ignore"):  # inf * 0 and inf - inf give nan
         for a, b, c in triples:
-            got, want = tensor3(a, b, c), np.kron(np.kron(a, b), c)
+            got, want = kron3(a, b, c), np.kron(np.kron(a, b), c)
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
 
@@ -214,7 +229,7 @@ _lead = st.lists(st.integers(min_value=1, max_value=3), min_size=0, max_size=3)
     masks=st.tuples(*[st.lists(st.booleans(), min_size=3, max_size=3)] * 3),
     drops=st.tuples(*[st.integers(min_value=0, max_value=3)] * 3),
 )
-def test_stacked_tensor3_is_kron_bit_for_bit(seed, lead, masks, drops):
+def test_the_product_of_three_stacked_spreads_is_kron_bit_for_bit(seed, lead, masks, drops):
     # each factor keeps the trailing dims of the common leading shape,
     # with some of them broadcast as 1; every 8x8 product must be the
     # kron of its three 2x2 factors, bit for bit
@@ -224,7 +239,7 @@ def test_stacked_tensor3_is_kron_bit_for_bit(seed, lead, masks, drops):
         for mask, drop in zip(masks, drops)
     ]
     factors = [rng.normal(size=s + (2, 2)) + 1j * rng.normal(size=s + (2, 2)) for s in shapes]
-    got = tensor3(*factors)
+    got = kron3(*factors)
     full = np.broadcast_shapes(*shapes)
     assert got.shape == full + (8, 8)
     assert got.tobytes() == reference_tensor3(*factors).tobytes()
@@ -235,17 +250,22 @@ def test_stacked_tensor3_is_kron_bit_for_bit(seed, lead, masks, drops):
         assert got[idx].tobytes() == want.tobytes()
 
 
-def test_tensor3_rejects_wrong_shapes():
-    with pytest.raises(ValueError):
-        tensor3(np.eye(2), np.eye(4), np.eye(2))
-    with pytest.raises(ValueError, match="factor c"):
-        tensor3(np.eye(2), np.eye(2), np.ones((3, 2, 3)))
+def test_spread_rejects_wrong_shapes():
+    with pytest.raises(ValueError, match=re.escape("wing 1 must be 2x2 or a stack of 2x2, got (4, 4)")):
+        kron3(np.eye(2), np.eye(4), np.eye(2))
+    with pytest.raises(ValueError, match=re.escape("wing 2 must be 2x2 or a stack of 2x2, got (3, 2, 3)")):
+        spread(np.ones((3, 2, 3)), 2)
+    # a bool, a negative or a float wing used to index the gather table
+    # silently, as wing 1 with an extra axis, wing 2 or an IndexError
+    for wing in (True, -1, 3, 1.0):
+        with pytest.raises(ValueError, match=f"^unknown wing {re.escape(repr(wing))}; expected 0, 1 or 2$"):
+            spread(I2, wing)
 
 
 def test_partial_trace_of_product_state():
     rng = np.random.default_rng(11)
     singles = [random_mixed_state(rng, dim=2) for _ in range(3)]
-    rho = tensor3(*singles)
+    rho = kron3(*singles)
     for wing in range(3):
         reduced = partial_trace(rho, wing)
         assert np.allclose(reduced, singles[wing], atol=1e-12)
@@ -346,7 +366,7 @@ _WRONG_KIND = {
     ),
     "joint_probability-wing-None": (
         lambda: joint_probability(build_state(GHZ), 0, 0.5, (XYZ, None, XYZ)),
-        "dirs must be iterable, got None",
+        "wing 1's directions must be iterable, got None",
     ),
     "no_signalling_audit-3": (
         lambda: no_signalling_audit(xyz_spec(Scenario.A, InequalityKind.G1, GHZ, (1.0,)), 3),

@@ -51,6 +51,7 @@ from util import (
     decision_margins,
     exact_chain,
     exact_ladder,
+    exact_optimum,
     ladder_bit_cases,
     noisy_rotated_state,
     random_mixed_state,
@@ -387,6 +388,23 @@ def test_the_pinned_cascade_cells_equal_their_exact_chain():
     assert all(abs(Decimal(r) - e) < Decimal("1e-15") for r, e in zip(reprs, exact))
     margins = [_rounding_margin(abs(value)) for value in exact]
     assert min(margins) == margins[2] == pytest.approx(1.244e-7, rel=1e-3)
+
+
+def test_the_pinned_optimize_cell_equals_its_exact_optimum():
+    # the CLI's pinned w/A/w1 optimize at 0.83, grid-refine by default:
+    # its value cell, csv and text, is the exact optimum rounded, 1.67e-7
+    # from flipping, and its JSON repr lies within 1e-15 of it
+    exact = exact_optimum(build_state(W), Scenario.A, InequalityKind.W1, 0.83)
+    cell = f"{exact:.6f}"
+    assert cell == "-0.445839"
+    key = "optimize --state w --ineq w1 --lambdas 0.83 --format"
+    csv = CLI_STDOUT[f"{key} csv"].splitlines()
+    assert csv[0].endswith(",value") and len(csv) == 4
+    assert all(row.endswith(f",{cell}") for row in csv[1:])
+    assert CLI_STDOUT[f"{key} text"].splitlines()[-1] == f"value = {cell}"
+    value = json.loads(CLI_STDOUT[f"{key} json"])["value"]
+    assert abs(Decimal(value) - exact) < Decimal("1e-15")
+    assert _rounding_margin(abs(exact)) == pytest.approx(1.667e-7, rel=1e-3)
 
 
 def test_the_pinned_table_cells_equal_their_exact_replay():

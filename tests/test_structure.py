@@ -322,13 +322,22 @@ def test_one_walk_runs_a_state_down_a_chain():
 def test_spread_product_is_the_one_three_qubit_product():
     # every 8x8 product of three 2x2 factors is a qop.spread_product of
     # their spreads, so the wing-bit layout is spelled once: the term walk
-    # multiplies the spreads cascade builds at import, the Kraus stacks and
-    # the outcome operators go through tensor3, and no other module shifts bits
-    assert _callers_of("spread_product") == {"qop.tensor3", "cascade.term_expectations"}
-    assert _callers_of("tensor3") == {
+    # multiplies the spreads cascade builds at import, the Kraus stack the
+    # roots' spread with the identity spreads measurement builds at import,
+    # and the outcome operators each wing's setting_spreads; no module
+    # shifts bits outside qop, and no tensor3 is left to build a product
+    assert _callers_of("spread_product") == {
+        "cascade.term_expectations",
         "measurement.selective_updates",
         "measurement.outcome_table",
     }
+    assert _callers_of("tensor3") == set()
+    # and cascade's x, y, z spreads, from one module-level statement
+    callers = _callers_of("setting_spreads")
+    statements = callers - {"measurement.joint_probability", "cascade._wing_spreads"}
+    assert len(statements) == 1
+    module, _, where = statements.pop().partition(".")
+    assert module == "cascade" and where.isdigit()
     shifts = [
         f"{path.name}:{node.lineno}"
         for path in sorted(PACKAGE.glob("*.py"))
@@ -360,7 +369,15 @@ def test_every_module_level_array_is_read_only():
     writeable = [name for name, found in arrays.items() if any(a.flags.writeable for a in found)]
     assert not writeable, f"writeable module-level arrays: {writeable}"
     # the walk reaches the arrays inside tuples and dicts, nested too
-    tables = {"qop._PAULI", "measurement._SIGNS", "cascade._SPREADS", "cascade._TERM_FACTORS"}
+    tables = {
+        "qop._PAULI",
+        "measurement._IDENTITY",
+        "cascade._SPREADS",
+        "cascade._TERM_FACTORS",
+        "cascade._XYZ_SPREADS",
+        "cascade._GRID",
+        "cascade._ORACLE_PLANS",
+    }
     assert tables <= {name for name, found in arrays.items() if found}
 
 
@@ -375,7 +392,14 @@ def test_one_function_builds_and_reads_the_outcome_operators():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == "joint_operators"
     ]
     assert not defined, f"joint_operators is defined again: {defined}"
-    assert _callers_of("effect") == {"measurement.outcome_table"}
+    # setting_spreads builds each wing's factors, effects on the
+    # sequential wing, and outcome_table alone multiplies and traces them
+    assert _callers_of("effect") == {"measurement.setting_spreads"}
+    assert _callers_of("outcome_table") == {
+        "measurement.joint_probability",
+        "cascade.run_cascade_oracle",
+        "cascade.no_signalling_audit",
+    }
 
 
 def _open_mode(call):

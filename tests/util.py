@@ -35,16 +35,21 @@ from seqsteer.cascade import states_along, term_expectations, value_from_terms
 from seqsteer.inequalities import check_expectation, required_terms
 from seqsteer.measurement import (
     OUTCOMES,
+    effect,
     joint_probability,
+    outcome_signs,
     outcome_table,
+    setting_spreads,
     table_correlation,
-    unchecked_joint_probability,
 )
 from seqsteer.qop import (
     I2,
     XYZ,
     Z_DIR,
+    projector_stack,
     resolve_wing,
+    spread,
+    spread_product,
     validate_density,
 )
 from seqsteer.search import _AXES, LAMBDA_FLOOR, _best_direction, _coefficients
@@ -580,6 +585,17 @@ def exact_chain(rho, scenario, inequality, lambdas):
     return values
 
 
+def exact_optimum(rho, scenario, inequality, lam):
+    """The first observer's value at the sharpness lam with every setting
+    along its optimal direction, on the state rho, in exact arithmetic,
+    as a Decimal at 60 digits: base + lam * slope with exact_line's
+    grid-refine slope, -sum_i |v_i|, one square root per setting.
+    """
+    base, slope = exact_line(rho, scenario, inequality, Optimizer.GRID_REFINE)
+    with localcontext(EXACT_CONTEXT):
+        return decimal_of(base) + Decimal(lam) * slope
+
+
 def projector(d, outcome):
     """Projector (I + a n.sigma)/2 onto outcome a = +1 or -1 along d, a
     new array from d.observable on every call.
@@ -644,6 +660,85 @@ def reference_tensor3(a, b, c):
         * c[..., None, None, :, None, None, :]
     )
     return out.reshape(out.shape[:-6] + (8, 8))
+
+
+def reference_spread_tensor3(a, b, c):
+    """Kronecker product a (x) b (x) c of three 2x2 matrices, or of
+    stacks of them that broadcast, as the spread_product of the factors'
+    spreads on wings 0, 1 and 2, after a check of their shapes.
+
+    This is the qop.tensor3 that the callers' own spreads replaced, kept
+    literally so that the products they build can be checked against it
+    bit for bit.
+    """
+    a, b, c = np.asarray(a), np.asarray(b), np.asarray(c)
+    for name, m in (("a", a), ("b", b), ("c", c)):
+        if m.shape[-2:] != (2, 2):
+            raise ValueError(f"tensor3 factor {name} must be 2x2 or a stack of 2x2, got {m.shape}")
+    return spread_product(spread(a, 0), spread(b, 1), spread(c, 2))
+
+
+def reference_direction_outcome_table(rhos, seq_wing, lam, dirs, cells):
+    """outcome_table from each wing's tuple of BlochDirections in dirs,
+    the unsharp effects at lam on seq_wing: one projector_stack per wing,
+    taken at its cells with its outcome axis at the wing's place, and one
+    reference_spread_tensor3 of those factors.
+
+    This is the direction-taking outcome_table that the one reading each
+    wing's setting_spreads replaced, kept literally so that the new path
+    can be checked against it bit for bit.
+    """
+    seq_wing = resolve_wing(seq_wing)
+    factors = []
+    for wing, (wing_dirs, index) in enumerate(zip(dirs, cells)):
+        stack = projector_stack(wing_dirs)
+        if wing == seq_wing:
+            stack = effect(stack, lam)
+        shape = [1, 1, 1, 2, 2]  # the outcome axes, then the 2x2 factor
+        shape[wing] = 2
+        factors.append(np.take(stack, index, axis=0).reshape(np.shape(index) + tuple(shape)))
+    ops = reference_spread_tensor3(*factors)
+    n = len(rhos)
+    cols = np.zeros((8, 8, -(-n // 8) * 8), complex)
+    cols[..., :n] = rhos.transpose(2, 1, 0)
+    d = (ops.reshape(-1, 8, 8).transpose(1, 0, 2) @ cols)[..., :n].real
+    traces = ((d[0] + d[4]) + (d[1] + d[5])) + ((d[2] + d[6]) + (d[3] + d[7]))
+    return traces.reshape(ops.shape[:-5] + (8, n))
+
+
+def direction_outcome_table(rhos, seq_wing, lam, dirs, cells):
+    """outcome_table of the cells of dirs, one tuple of BlochDirections
+    per wing, with the unsharp effects at lam on seq_wing: each wing's
+    setting_spreads, as the package's callers build them."""
+    seq_wing = resolve_wing(seq_wing)
+    spreads = [setting_spreads(d, w, lam if w == seq_wing else None) for w, d in enumerate(dirs)]
+    return outcome_table(rhos, spreads, cells)
+
+
+def reference_oracle_plan(kind, seq_wing):
+    """The oracle's read plan of one functional on one sequential wing,
+    derived per call: the cells its terms read as one index tuple per
+    wing, each term's row among them and the (T, 8, 1) stack of the
+    terms' sign columns, each looked up by its sorted wing subset.
+
+    This is the derivation run_cascade_oracle made on every call before
+    the plans were built at import, kept literally so that the built
+    plans can be checked against it.
+    """
+    terms = required_terms(kind)
+    reads = [
+        tuple((0 if w == seq_wing else 2) if a is None else a for w, a in enumerate(t.axes))
+        for t in terms
+    ]
+    wings = [tuple(w for w, a in enumerate(t.axes) if a is not None) for t in terms]
+    cells = sorted(set(reads))
+    index = tuple(zip(*cells))  # one index array per wing
+    rows = [cells.index(cell) for cell in reads]
+    columns = {
+        subset: np.array([[math.prod(o[w] for w in subset)] for o in OUTCOMES], dtype=float)
+        for subset in ((), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2))
+    }
+    return index, rows, np.array([columns[tuple(sorted(w))] for w in wings])
 
 
 def reference_joint_operator(seq_wing, lam, dirs, outcomes):
@@ -711,8 +806,8 @@ def stacked_correlation(rhos, seq_wing, lam, dirs, wings):
     """The oracle's correlation of the outcomes on wings, summed over
     rhos, for one direction per wing in dirs: table_correlation of the
     outcome_table of that one cell."""
-    table = outcome_table(np.asarray(rhos), seq_wing, lam, [(d,) for d in dirs], (0, 0, 0))
-    return table_correlation([table], [wings])[0]
+    table = direction_outcome_table(np.asarray(rhos), seq_wing, lam, [(d,) for d in dirs], (0, 0, 0))
+    return table_correlation([table], outcome_signs([wings]))[0]
 
 
 def reference_correlation(rhos, seq_wing, lam, dirs, wings):
@@ -915,7 +1010,7 @@ def reference_index_audit(spec, prob_fn=None):
     against it by repr.
     """
     spec.require_observers()
-    prob_fn = prob_fn or unchecked_joint_probability
+    prob_fn = prob_fn or joint_probability
     seq_wing = spec.sequential_wing
     rhos = states_along(validate_density(build_state(spec.state)), seq_wing, spec.observers)
     tables = []
