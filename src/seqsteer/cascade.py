@@ -30,7 +30,7 @@ from .measurement import (
     setting_spreads,
     table_correlation,
 )
-from .qop import I2, XYZ, read_only, require_iterable, require_type, spread, spread_product
+from .qop import SIGMA_SPREADS, XYZ, read_only, require_iterable, require_type, spread_product
 from .qop import validate_density
 from .states import StateSpec, build_state
 
@@ -45,48 +45,47 @@ class Scenario(Enum):
     def sequential_wing(self):
         return 0 if self is Scenario.A else 2
 
-# n.sigma along x, y, z from BlochDirection.observable, not the exact
-# Paulis: the last bits of direction_coefficients depend on its cos(pi/2)
-# terms. One stack on the sequential wing gives a slot term's three operators.
-_SIGMAS = read_only(np.stack([d.observable for d in XYZ]))
-
-# each wing's spreads, built once: I2's at None, each sigma's at its axis
-# and the stack's at "xyz"; each term's factors, per functional and
-# sequential wing, refer to them, the stack on that wing if it has a slot
-_SPREADS = tuple(
-    {k: read_only(spread(m, w)) for k, m in ((None, I2), *enumerate(_SIGMAS), ("xyz", _SIGMAS))}
-    for w in (0, 1, 2)
-)
+# each term's factors, per functional and sequential wing: the rows of
+# SIGMA_SPREADS for I2 where the term skips a wing and for its axis's
+# sigma elsewhere, and the x, y, z stack on the sequential wing if the
+# term has a slot there
 _TERM_FACTORS = {
     (kind, seq): tuple(
-        tuple(_SPREADS[w]["xyz" if w == seq and a is not None else a] for w, a in enumerate(t.axes))
+        tuple(
+            SIGMA_SPREADS[w, 0 if a is None else slice(1, 4) if w == seq else 1 + a]
+            for w, a in enumerate(t.axes)
+        )
         for t in required_terms(kind)
     )
     for kind, seq in product(InequalityKind, (0, 1, 2))
 }
 
-# each wing's x, y, z projector spreads, the oracle's and the audit's
-# factors on the projective wings, and the audit's full 3x3x3 grid
-_XYZ_SPREADS = tuple(read_only(setting_spreads(XYZ, w)) for w in (0, 1, 2))
-_GRID = tuple(read_only(i) for i in np.ix_(range(3), range(3), range(3)))
+# each wing's x, y, z projector factors on the audit's full 3x3x3 grid,
+# gathered once: the audit's factors on the projective wings
+_GRID = tuple(read_only(setting_spreads(XYZ, w)) for w in (0, 1, 2))
 
 
 def _oracle_plan(kind, seq_wing):
-    """The cells of an observer's grid the terms read, one index array
-    per wing, each term's row among them and the terms' outcome_signs. A
-    skipped wing is marginalized, so any direction serves; the first
-    setting on the sequential wing and z on the others keep the last bits
-    of the values that oracle_bits.json pins."""
+    """The cells of an observer's grid the terms read, as the index array
+    on the sequential wing and the x, y, z projector factors on the
+    others (None on the sequential wing), each term's row among the cells
+    and the terms' outcome_signs. A skipped wing is marginalized, so any
+    direction serves; the first setting on the sequential wing and z on
+    the others keep the last bits of the values that oracle_bits.json pins."""
     terms = required_terms(kind)
     reads = [
         tuple((0 if w == seq_wing else 2) if a is None else a for w, a in enumerate(t.axes))
         for t in terms
     ]
     cells = sorted(set(reads))
-    index = tuple(read_only(np.array(i)) for i in zip(*cells))
+    index = [read_only(np.array(i)) for i in zip(*cells)]
+    fixed = tuple(
+        None if w == seq_wing else read_only(setting_spreads(XYZ, w, index=i))
+        for w, i in enumerate(index)
+    )
     rows = read_only(np.array([cells.index(cell) for cell in reads]))
     signs = outcome_signs([[w for w, a in enumerate(t.axes) if a is not None] for t in terms])
-    return index, rows, read_only(signs)
+    return index[seq_wing], fixed, rows, read_only(signs)
 
 
 _ORACLE_PLANS = {key: _oracle_plan(*key) for key in product(InequalityKind, (0, 1, 2))}
@@ -216,14 +215,6 @@ def run_cascade(spec: ScenarioSpec) -> CascadeResult:
     return CascadeResult(values)
 
 
-def _wing_spreads(seq_wing, triple):
-    """Each wing's setting_spreads in wing order: the triple's effects on
-    the sequential wing and x, y, z's projectors on the projective ones."""
-    spreads = list(_XYZ_SPREADS)
-    spreads[seq_wing] = setting_spreads(triple.directions, seq_wing, triple.lam)
-    return spreads
-
-
 def run_cascade_oracle(spec: ScenarioSpec) -> CascadeResult:
     """Tree-path evaluation: identical contract to run_cascade, computed
     by explicit enumeration instead of the averaged channel.
@@ -236,7 +227,9 @@ def run_cascade_oracle(spec: ScenarioSpec) -> CascadeResult:
     outcome_table call builds only the cells the terms read and traces
     their eight operators each against the whole stack, each cell's
     table shared by every term that reads it, and all the terms' signed
-    sums are one table_correlation call.
+    sums are one table_correlation call. The projective wings' factors
+    at those cells come from the read plan built at import; per call
+    only the observer's effects are gathered.
     Cost grows as 6^(n-1), so chains longer than ORACLE_MAX_OBSERVERS
     are refused.
     """
@@ -250,11 +243,12 @@ def run_cascade_oracle(spec: ScenarioSpec) -> CascadeResult:
             "Use run_cascade for longer chains."
         )
     seq_wing = spec.sequential_wing
-    index, rows, signs = _ORACLE_PLANS[spec.inequality, seq_wing]
+    index, fixed, rows, signs = _ORACLE_PLANS[spec.inequality, seq_wing]
     branches = build_state(spec.state)[None]
     values = []
     for m, triple in enumerate(spec.observers):
-        tables = outcome_table(branches, _wing_spreads(seq_wing, triple), index)[rows]
+        effects = setting_spreads(triple.directions, seq_wing, triple.lam, index)
+        tables = outcome_table(branches, [effects if f is None else f for f in fixed])[rows]
         weight = (1.0 / 3.0) ** m
         values.append(
             evaluate(spec.inequality, [weight * x for x in table_correlation(tables, signs)])
@@ -284,9 +278,10 @@ def no_signalling_audit(spec: ScenarioSpec, prob_fn=None) -> float:
 
     Each state is validated once: the first where the walk starts, the
     others by the averaged channel that hands them on. With prob_fn None
-    the quantum model reads each state unchecked: one outcome_table of
-    the full grid, from the observer's setting_spreads on the sequential
-    wing and the x, y, z spreads built at import.
+    the quantum model reads every state unchecked in one outcome_table
+    call of the full grid: the observers' states stacked, their
+    setting_spreads on the sequential wing stacked, and the x, y, z
+    factors gathered at import on the projective wings.
     """
     require_type("spec", ScenarioSpec, spec)
     spec.require_observers()
@@ -294,18 +289,27 @@ def no_signalling_audit(spec: ScenarioSpec, prob_fn=None) -> float:
         raise ValueError(f"prob_fn must be callable, got {prob_fn!r}")
     seq_wing = spec.sequential_wing
     rhos = states_along(validate_density(build_state(spec.state)), seq_wing, spec.observers)
-    tables = []
-    for triple, rho in zip(spec.observers, rhos):
-        if prob_fn is None:
-            tables.append(outcome_table(rho[None], _wing_spreads(seq_wing, triple), _GRID))
-            continue
-        dirs = tuple(triple.directions if w == seq_wing else XYZ for w in (0, 1, 2))
-        table = np.asarray(prob_fn(rho, seq_wing, triple.lam, dirs))
-        if table.shape != (3, 3, 3, 8):
-            raise ValueError(f"the model's table must have shape (3, 3, 3, 8), got {table.shape}")
-        if table.dtype.kind not in "iuf":
-            raise ValueError(f"the model's table must hold real numbers, got dtype {table.dtype}")
-        tables.append(table)
+    if prob_fn is None:
+        # every observer's state and effects stacked: one table of them all
+        states = np.stack([rho for _, rho in zip(spec.observers, rhos)])
+        states = states.reshape(-1, 1, 1, 1, 1, 8, 8)  # one state per observer
+        effects = np.stack([setting_spreads(t.directions, seq_wing, t.lam) for t in spec.observers])
+        factors = [effects if w == seq_wing else f for w, f in enumerate(_GRID)]
+        tables = outcome_table(states, factors)
+    else:
+        tables = []
+        for triple, rho in zip(spec.observers, rhos):
+            dirs = tuple(triple.directions if w == seq_wing else XYZ for w in (0, 1, 2))
+            table = np.asarray(prob_fn(rho, seq_wing, triple.lam, dirs))
+            if table.shape != (3, 3, 3, 8):
+                raise ValueError(
+                    f"the model's table must have shape (3, 3, 3, 8), got {table.shape}"
+                )
+            if table.dtype.kind not in "iuf":
+                raise ValueError(
+                    f"the model's table must hold real numbers, got dtype {table.dtype}"
+                )
+            tables.append(table)
     # p[m, d0, d1, d2, o0, o1, o2]: observer m, each wing's direction, then
     # each wing's outcome, index 0 for +1, as the outcome axis orders them
     p = np.reshape(tables, (-1, 3, 3, 3, 2, 2, 2))

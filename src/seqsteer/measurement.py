@@ -17,11 +17,11 @@ import numpy as np
 
 from .qop import (
     I2,
+    SIGMA_SPREADS,
     XYZ,
     BlochDirection,
     effect_sqrt,
     projector_stack,
-    read_only,
     require_iterable,
     require_sharpness,
     require_type,
@@ -65,16 +65,23 @@ def effect(projectors, lam):
     return lam * projectors + (1 - lam) * I2 / 2
 
 
-def setting_spreads(dirs, wing, lam=None):
-    """The spreads on wing of the +1 and -1 projectors along each of the
-    BlochDirections dirs, or of their unsharp effects at sharpness lam,
-    as one (len(dirs), 2, 64) stack: outcome_table's factors of a wing."""
+def setting_spreads(dirs, wing, lam=None, index=None):
+    """outcome_table's factor of a wing: the spreads on wing of the +1
+    and -1 projectors along each of the BlochDirections dirs, or of their
+    unsharp effects at sharpness lam, taken at index, an array of indices
+    into dirs of the cells' shape, or with index None along the wing's
+    own axis of the full grid. Its shape is the cells', then the three
+    outcome axes, 2 at the wing's place and 1 elsewhere, then the 64
+    entries."""
     stack = projector_stack(dirs)
-    return spread(stack if lam is None else effect(stack, lam), wing)
-
-
-# I2's spread on each wing, the Kraus stack's factor off the measured wing
-_IDENTITY = tuple(read_only(spread(I2, w)) for w in (0, 1, 2))
+    spreads = spread(stack if lam is None else effect(stack, lam), wing)
+    outcomes = [1, 1, 1, 64]
+    outcomes[wing] = 2
+    if index is None:
+        cells = [1, 1, 1]
+        cells[wing] = len(spreads)
+        return spreads.reshape(cells + outcomes)
+    return np.take(spreads, index, axis=0).reshape(np.shape(index) + tuple(outcomes))
 
 
 def selective_updates(rho, wing, triple: SettingTriple):
@@ -85,7 +92,8 @@ def selective_updates(rho, wing, triple: SettingTriple):
     outcome's probability Tr[rho E]."""
     wing = resolve_wing(wing)
     roots = effect_sqrt(projector_stack(triple.directions), triple.lam)
-    factors = list(_IDENTITY)
+    # I2's spread off the measured wing
+    factors = [SIGMA_SPREADS[w, 0] for w in (0, 1, 2)]
     factors[wing] = spread(roots.reshape(6, 2, 2), wing)
     k = spread_product(*factors)  # the six Kraus operators as one stack
     return k @ rho[..., None, :, :] @ k
@@ -132,47 +140,51 @@ def joint_probability(rho, seq_wing, lam, dirs):
     rho = validate_density(rho)
     seq_wing = resolve_wing(seq_wing)
     require_sharpness(lam)
-    spreads = [setting_spreads(d, w, lam if w == seq_wing else None) for w, d in enumerate(dirs)]
-    return outcome_table(rho[None], spreads, np.ix_(*map(range, lengths)))[..., 0]
+    factors = [setting_spreads(d, w, lam if w == seq_wing else None) for w, d in enumerate(dirs)]
+    return outcome_table(rho[None], factors)[..., 0]
 
 
-def outcome_table(rhos, spreads, cells):
-    """P(OUTCOMES[k]) = Tr[(E (x) P (x) P) rho] on each state of an
-    (n, 8, 8) stack rhos, E the unsharp effects on the sequential wing
-    and P the projectors elsewhere, as an array of the cells' shape
-    followed by (8, n): entry [..., k, i] is outcome triple k on state i.
+def outcome_table(rhos, factors):
+    """P(OUTCOMES[k]) = Tr[(E (x) P (x) P) rho] on each state of a stack
+    rhos of n states, E the unsharp effects on the sequential wing and P
+    the projectors elsewhere, as an array of the cells' shape followed by
+    (8, n): entry [..., k, i] is outcome triple k on state i.
 
-    spreads holds each wing's setting_spreads, (n_w, 2, 64), and cells
-    one array of indices into each wing's settings, both in wing order;
-    the three index arrays broadcast against each other into the cells.
-    np.ix_ over every wing's settings gives the full grid, three
-    equal-length arrays just those cells. Each wing's spreads are taken
-    at its indices with their outcome axis at the wing's place, and the
-    operators are their spread_product, K = 8 per cell.
+    factors holds each wing's setting_spreads at the cells, in wing
+    order; their cell axes broadcast against each other into the cells,
+    and the operators are their spread_product, K = 8 per cell. rhos is
+    (n, 8, 8), read at every cell, or (m, 1, ..., 1, n, 8, 8) with one
+    axis per cell axis: m stacks, each read along its own entry of the
+    cells' first axis, which is m or 1. Any other shape raises
+    ValueError.
 
     Only the diagonals are formed: entry r of op @ rho is row r of op
     times column r of rho, so one batched product of the K operators'
     rows r, (8, K, 8), with the n states' columns r, (8, 8, n), gives
-    every diagonal entry. n is zero-padded to a multiple of 8, as K is
-    already: that keeps every entry on the BLAS kernel path (OpenBLAS
-    0.3.31, Haswell) of the full (8K, 8) @ (8, 8n) product this
-    replaced, and so its bits; unpadded, counts such as 1, 2 or 6 change
-    the last bits. Only the n real state columns of the padded product
-    are reduced: the eight real parts are added in the pairwise order of
-    numpy's sum over eight contiguous values; real and imaginary parts
-    add apart, so taking .real first keeps the bits of the complex trace."""
-    factors = []
-    for wing, (stack, index) in enumerate(zip(spreads, cells)):
-        shape = [1, 1, 1, 64]  # the outcome axes, then the spread entries
-        shape[wing] = 2
-        factors.append(np.take(stack, index, axis=0).reshape(np.shape(index) + tuple(shape)))
+    every diagonal entry, and the m stacks are m such products in one
+    batch. n is zero-padded to a multiple of 8, as K is already: that
+    keeps every entry on the BLAS kernel path (OpenBLAS 0.3.31, Haswell)
+    of the full (8K, 8) @ (8, 8n) product this replaced, and so its
+    bits; unpadded, counts such as 1, 2 or 6 change the last bits. Only
+    the n real state columns of the padded product are reduced: the
+    eight real parts are added in the pairwise order of numpy's sum over
+    eight contiguous values; real and imaginary parts add apart, so
+    taking .real first keeps the bits of the complex trace."""
     ops = spread_product(*factors)
-    n = len(rhos)
-    cols = np.zeros((8, 8, -(-n // 8) * 8), complex)
-    cols[..., :n] = rhos.transpose(2, 1, 0)
-    d = (ops.reshape(-1, 8, 8).transpose(1, 0, 2) @ cols)[..., :n].real
+    cells = ops.shape[:-5]
+    k = int(rhos.ndim > 3)  # row r's axis goes in front of the m stacks
+    if k and rhos.shape[1:-3] + (1,) != (1,) * len(cells):
+        raise ValueError(
+            f"a stack of state stacks must be (m, 1, ..., 1, n, 8, 8), one axis "
+            f"per cell axis, here {len(cells)}; got shape {rhos.shape}"
+        )
+    n = rhos.shape[-3]
+    rows = ops.reshape(cells[:k] + (-1, 8, 8)).transpose(k + 1, *range(k + 1), k + 2)
+    cols = np.zeros((8, *rhos.shape[:k], 8, -(-n // 8) * 8), complex)
+    cols[..., :n] = rhos.reshape(rhos.shape[:k] + (n, 8, 8)).transpose(k + 2, *range(k), k + 1, k)
+    d = (rows @ cols)[..., :n].real
     traces = ((d[0] + d[4]) + (d[1] + d[5])) + ((d[2] + d[6]) + (d[3] + d[7]))
-    return traces.reshape(ops.shape[:-5] + (8, n))
+    return traces.reshape(traces.shape[:-2] + cells[k:] + (8, n))
 
 
 def outcome_signs(wings):

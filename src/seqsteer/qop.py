@@ -62,7 +62,7 @@ def require_iterable(name, value):
 def require_sharpness(lam):
     """Raise ValueError unless lam is a real number in (0, 1]; a bool is not."""
     if not (_is_real(lam) and 0.0 < lam <= 1.0):
-        raise ValueError(f"sharpness must lie in (0, 1], got {lam}")
+        raise ValueError(f"sharpness must lie in (0, 1], got {lam!r}")
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ class BlochDirection:
             angle = getattr(self, name)
             angle = float(angle) if _is_real(angle) else angle
             if not (_is_real(angle) and 0.0 <= angle <= top + 1e-12):
-                raise ValueError(f"{name} must lie in {span}, got {angle}")
+                raise ValueError(f"{name} must lie in {span}, got {angle!r}")
             object.__setattr__(self, name, angle)
 
     # Each direction builds its unit vector, n.sigma and both projectors
@@ -136,6 +136,16 @@ def spread(m, wing):
     if m.shape[-2:] != (2, 2):
         raise ValueError(f"a factor on wing {wing} must be 2x2 or a stack of 2x2, got {m.shape}")
     return m.reshape(m.shape[:-2] + (4,)).take(_SPREAD[resolve_wing(wing)], axis=-1)
+
+
+# each wing's spreads, (3, 4, 64): row 0 is I2's and row 1 + a is the
+# spread of n.sigma along axis a of XYZ, as BlochDirection.observable
+# gives it, not the exact Pauli: the last bits of direction_coefficients
+# depend on its cos(pi/2) terms. The Kraus stack and the term walk read
+# their identity and sigma factors from it.
+SIGMA_SPREADS = read_only(
+    np.array([spread(np.array([I2, *(d.observable for d in XYZ)]), w) for w in (0, 1, 2)])
+)
 
 
 def spread_product(a, b, c):

@@ -34,8 +34,7 @@ class StateSpec:
         if self.kind is StateKind.CUSTOM:
             if self.custom is None:
                 raise ValueError("custom state requires an 8x8 density matrix")
-            custom = np.array(self.custom, dtype=complex)
-            validate_density(custom, name="custom state")
+            custom = np.array(validate_density(self.custom, name="custom state"))
             custom.flags.writeable = False
             object.__setattr__(self, "custom", custom)
         elif self.custom is not None:

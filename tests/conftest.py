@@ -13,7 +13,10 @@ The bit pins of the suite are of three kinds, and only the last depends on the B
   its x/y/z prefix at 0.627. Every bracket decision lies at least
   3.26e-8 from its root, so these pins hold on any BLAS whose rounding
   stays well below that; test_search checks both, and that no
-  6-decimal cell lies within 1.5e-8 of flipping.
+  6-decimal cell lies within 1.5e-8 of flipping. The shrink law that
+  the replay applies is proved from the model's Kraus operators, in
+  exact arithmetic at every pin of the published ladders, by
+  test_analytic.
 - The CLI's pinned cascade and optimize value cells: the 6-decimal
   values of their csv and text outputs in
   bench/reference/cli_stdout.json. The cascade is an x/y/z chain, so

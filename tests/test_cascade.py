@@ -37,7 +37,7 @@ from seqsteer import (
 from seqsteer import cascade, measurement, qop
 from seqsteer.cascade import states_along
 from seqsteer.inequalities import required_terms
-from seqsteer.measurement import OUTCOMES, outcome_table, selective_updates
+from seqsteer.measurement import OUTCOMES, outcome_table, selective_updates, setting_spreads
 from seqsteer.qop import XYZ, X_DIR, Y_DIR, Z_DIR
 from seqsteer.search import _coefficients
 from util import (
@@ -53,7 +53,11 @@ from util import (
     reference_direction_outcome_table,
     reference_grow_branches,
     reference_index_audit,
+    reference_observer_audit,
+    reference_observer_spreads,
     reference_oracle_plan,
+    reference_setting_spreads,
+    reference_spread_outcome_table,
     reference_probability_table,
     reference_spread_tensor3,
     reference_term_expectations,
@@ -314,22 +318,24 @@ def test_the_term_walk_makes_one_spread_product_call_per_term(monkeypatch):
 
 
 def test_each_wing_spread_is_the_spread_of_its_matrix_bit_for_bit():
-    sigmas = cascade._SIGMAS
-    for wing, spreads in enumerate(cascade._SPREADS):
-        mats = {None: qop.I2, 0: sigmas[0], 1: sigmas[1], 2: sigmas[2], "xyz": sigmas}
-        assert spreads.keys() == mats.keys()
-        for key, m in mats.items():
-            assert spreads[key].tobytes() == qop.spread(m, wing).tobytes()
-            assert spreads[key].shape == m.shape[:-2] + (64,)
+    # row 0 of each wing's table is I2's spread, row 1 + a the spread of
+    # XYZ[a]'s observable, not of the exact Pauli, and none can be written
+    table = qop.SIGMA_SPREADS
+    assert table.shape == (3, 4, 64) and not table.flags.writeable
+    mats = [qop.I2, *(d.observable for d in XYZ)]
+    for wing, row in product((0, 1, 2), range(4)):
+        assert table[wing, row].tobytes() == qop.spread(mats[row], wing).tobytes()
 
 
 @pytest.mark.parametrize("seq_wing", [0, 1, 2])
 @pytest.mark.parametrize("kind", list(InequalityKind))
 def test_each_term_factor_triple_is_read_off_its_axes(kind, seq_wing):
-    # each factor is the table's own spread, not a copy: I2's where the
-    # term skips a wing, the stack on the sequential wing where it has a
-    # slot, and the axis's sigma elsewhere; their product is the tensor3
-    # of the matrices the walk used to pass, bit for bit
+    # each factor is a view of qop.SIGMA_SPREADS, not a copy: I2's row
+    # where the term skips a wing, the x, y, z rows on the sequential
+    # wing where it has a slot, and the axis's sigma row elsewhere; their
+    # product is the tensor3 of the matrices the walk used to pass, bit
+    # for bit
+    sigmas = np.array([d.observable for d in XYZ])
     triples = cascade._TERM_FACTORS[kind, seq_wing]
     terms = required_terms(kind)
     assert len(triples) == len(terms)
@@ -337,11 +343,13 @@ def test_each_term_factor_triple_is_read_off_its_axes(kind, seq_wing):
         assert len(triple) == 3
         mats = []
         for wing, (a, factor) in enumerate(zip(term.axes, triple)):
-            key = "xyz" if wing == seq_wing and a is not None else a
-            assert factor is cascade._SPREADS[wing][key]
-            mats.append(qop.I2 if a is None else cascade._SIGMAS[a])
+            first, last = (0, 1) if a is None else (1, 4) if wing == seq_wing else (1 + a, 2 + a)
+            rows = slice(first, last)
+            assert factor.base is qop.SIGMA_SPREADS
+            assert factor.reshape(-1, 64).tobytes() == qop.SIGMA_SPREADS[wing, rows].tobytes()
+            mats.append(qop.I2 if a is None else sigmas[a])
         if term.axes[seq_wing] is not None:
-            mats[seq_wing] = cascade._SIGMAS
+            mats[seq_wing] = sigmas
         want = reference_spread_tensor3(*mats)
         assert qop.spread_product(*triple).tobytes() == want.tobytes()
 
@@ -393,14 +401,24 @@ def test_oracle_never_touches_the_channel_path(monkeypatch):
 @pytest.mark.parametrize("kind", list(InequalityKind))
 def test_each_oracle_read_plan_is_the_per_call_derivation(kind, seq_wing):
     # the cells, rows and sign stack built at import are the ones the
-    # oracle used to derive on every call, and none can be written to
-    index, rows, signs = cascade._ORACLE_PLANS[kind, seq_wing]
+    # oracle used to derive on every call, the projective wings' factors
+    # are the x, y, z spreads it gathered at those cells on every call,
+    # and none can be written to
+    index, fixed, rows, signs = cascade._ORACLE_PLANS[kind, seq_wing]
     want_index, want_rows, want_signs = reference_oracle_plan(kind, seq_wing)
-    assert [i.tolist() for i in index] == [list(i) for i in want_index]
+    assert index.tolist() == list(want_index[seq_wing])
+    assert fixed[seq_wing] is None
+    for wing in {0, 1, 2} - {seq_wing}:
+        shape = [len(want_index[wing]), 1, 1, 1, 64]
+        shape[1 + wing] = 2
+        want = np.take(reference_setting_spreads(XYZ, wing), want_index[wing], axis=0)
+        assert fixed[wing].shape == tuple(shape)
+        assert fixed[wing].tobytes() == want.tobytes()
+        assert not fixed[wing].flags.writeable
     assert rows.tolist() == want_rows
     assert signs.shape == (len(required_terms(kind)), 8, 1) == want_signs.shape
     assert signs.dtype == want_signs.dtype and signs.tobytes() == want_signs.tobytes()
-    assert not any(a.flags.writeable for a in (*index, rows, signs))
+    assert not any(a.flags.writeable for a in (index, rows, signs))
 
 
 @settings(max_examples=60, deadline=None)
@@ -411,20 +429,26 @@ def test_each_oracle_read_plan_is_the_per_call_derivation(kind, seq_wing):
     picks=st.none() | st.lists(st.tuples(*[st.integers(0, 2)] * 3), min_size=1, max_size=27),
 )
 def test_the_spread_outcome_table_is_the_direction_one_bit_for_bit(seed, count, seq_wing, picks):
-    # the oracle's and the audit's operators from the x, y, z spreads
-    # built at import and the triple's effects spread per call have the
-    # bits of the direction-taking build, for any cells or the full grid
-    # and state counts on either side of the padding to 8
+    # the oracle's and the audit's operators from the x, y, z factors
+    # gathered at import, the audit's grid or any cells, and the triple's
+    # effects gathered per call have the bits of the direction-taking
+    # build, for state counts on either side of the padding to 8
     rng = np.random.default_rng(seed)
     triple = random_triple(rng, float(rng.uniform(0.05, 1.0)))
     dirs = tuple(triple.directions if w == seq_wing else XYZ for w in range(3))
     if picks is None:
         cells = np.ix_(range(3), range(3), range(3))
+        factors = list(cascade._GRID)
+        factors[seq_wing] = setting_spreads(triple.directions, seq_wing, triple.lam)
     else:
         cells = tuple(np.array([c[w] for c in picks]) for w in range(3))
+        factors = [
+            setting_spreads(d, w, triple.lam if w == seq_wing else None, cells[w])
+            for w, d in enumerate(dirs)
+        ]
     rhos = np.array([random_mixed_state(rng) for _ in range(count)])
     want = reference_direction_outcome_table(rhos, seq_wing, triple.lam, dirs, cells)
-    got = outcome_table(rhos, cascade._wing_spreads(seq_wing, triple), cells)
+    got = outcome_table(rhos, factors)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
@@ -470,11 +494,15 @@ def test_the_oracle_updates_and_traces_whole_stacks(monkeypatch):
         updates[rho.shape] += 1
         return real_update(rho, *args)
 
-    def counted_table(rhos, *args):
-        # record each call's branch stack, table shape and cells read
-        table = real_table(rhos, *args)
+    fixed = cascade._ORACLE_PLANS[spec.inequality, spec.sequential_wing][1]
+
+    def counted_table(rhos, factors):
+        # record each call's branch stack and table shape, and check that
+        # the projective wings' factors are the plan's own
+        table = real_table(rhos, factors)
         traced.append((rhos.shape, table.shape))
-        built_cells.append(list(zip(*args[1])))
+        assert all(f is g for f, g in zip(factors[1:], fixed[1:]))
+        built_cells.append(factors[0].shape[0])
         return table
 
     monkeypatch.setattr(cascade, "selective_updates", counted_update)
@@ -488,7 +516,9 @@ def test_the_oracle_updates_and_traces_whole_stacks(monkeypatch):
         for axes in (t.axes for t in required_terms(spec.inequality))
     }
     assert len(settings) < len(required_terms(spec.inequality))
-    assert all(sorted(cells) == sorted(settings) for cells in built_cells)
+    want_index = reference_oracle_plan(spec.inequality, spec.sequential_wing)[0]
+    assert sorted(zip(*want_index)) == sorted(settings)
+    assert built_cells == [len(settings)] * len(lams)
     assert traced == [((6**m, 8, 8), (len(settings), 8, 6**m)) for m in range(len(lams))]
 
 
@@ -672,6 +702,14 @@ def _joint_dirs_message(value):
     return f"dirs must be iterable, got {value!r}"
 
 
+def _custom_state_message(value):
+    if value is None:
+        return "custom state requires an 8x8 density matrix"
+    if isinstance(value, str):
+        return f"custom state must be an 8x8 array of numbers, got {value!r}"
+    return f"custom state must be 8x8, got {np.shape(value)}"
+
+
 # each (callable, argument): the call, and the package's message for a
 # bad value
 _BAD_INPUT_CALLS = {
@@ -679,7 +717,7 @@ _BAD_INPUT_CALLS = {
     "joint_probability-seq_wing": (
         _joint("seq_wing"), lambda v: f"unknown wing {v!r}; expected 0, 1 or 2"
     ),
-    "joint_probability-lam": (_joint("lam"), lambda v: f"sharpness must lie in (0, 1], got {v}"),
+    "joint_probability-lam": (_joint("lam"), lambda v: f"sharpness must lie in (0, 1], got {v!r}"),
     "joint_probability-dirs": (_joint("dirs"), _joint_dirs_message),
     "run_cascade_oracle-spec": (
         run_cascade_oracle, lambda v: f"spec must be of type ScenarioSpec, got {v!r}"
@@ -691,11 +729,24 @@ _BAD_INPUT_CALLS = {
         lambda v: no_signalling_audit(_AUDIT_SPEC, v),
         lambda v: f"prob_fn must be callable, got {v!r}",
     ),
+    "SettingTriple-lam": (
+        lambda v: SettingTriple(XYZ, v), lambda v: f"sharpness must lie in (0, 1], got {v!r}"
+    ),
+    # a string is iterable, so its characters are the sharpness values
+    "xyz_spec-lambdas": (
+        lambda v: xyz_spec(Scenario.A, InequalityKind.G1, GHZ, v),
+        lambda v: f"sharpness must lie in (0, 1], got {v!r}"
+        if isinstance(v, str)
+        else f"lambdas must be iterable, got {v!r}",
+    ),
+    "StateSpec-custom": (lambda v: StateSpec(StateKind.CUSTOM, v), _custom_state_message),
 }
 # the cases that are valid, and why
 _VALID_INPUTS = {
     ("joint_probability-lam", "1.0"): "sharpness 1 is a projective measurement",
     ("no_signalling_audit-prob_fn", "None"): "None asks for the quantum model",
+    ("SettingTriple-lam", "1.0"): "sharpness 1 is a projective measurement",
+    ("xyz_spec-lambdas", "()"): "an empty chain is a search prefix",
 }
 
 
@@ -703,8 +754,10 @@ _VALID_INPUTS = {
 @pytest.mark.parametrize("case", sorted(_BAD_INPUT_CALLS))
 def test_each_bad_input_is_a_value_error_or_listed_valid(case, value):
     # every argument of joint_probability, run_cascade_oracle and
-    # no_signalling_audit, against each input of the table: a ValueError
-    # with the package's message, or a case listed valid with its reason
+    # no_signalling_audit, a SettingTriple's sharpness, xyz_spec's
+    # sharpness values and a custom StateSpec's matrix, against each input
+    # of the table: a ValueError with the package's message, or a case
+    # listed valid with its reason
     call, message = _BAD_INPUT_CALLS[case]
     if (case, value) in _VALID_INPUTS:
         call(_BAD_VALUES[value])
@@ -800,10 +853,11 @@ def test_audit_reads_a_table_of_any_real_dtype(dtype):
 
 
 def test_the_default_audit_reads_one_stacked_table(monkeypatch):
-    # one outcome_table of the full grid per observer, over its settings
-    # and the projective direction pairs: the x, y, z spreads and the grid
-    # index built at import, and one setting_spreads of the observer's
-    # effects on the sequential wing; joint_probability is not asked
+    # one outcome_table of the full grid for the whole chain: every
+    # observer's state stacked, the x, y, z factors of the grid gathered at
+    # import on the projective wings, and on the sequential wing every
+    # observer's setting_spreads of its effects stacked, one call each;
+    # joint_probability is not asked
     rng = np.random.default_rng(53)
     spec = ScenarioSpec(
         scenario=Scenario.B,
@@ -815,16 +869,15 @@ def test_the_default_audit_reads_one_stacked_table(monkeypatch):
     builds, spread = Counter(), []
     real_table, real_spreads = cascade.outcome_table, cascade.setting_spreads
 
-    def counted_table(rhos, spreads, cells):
-        table = real_table(rhos, spreads, cells)
-        builds[rhos.shape, table.shape] += 1
-        assert spreads[0] is cascade._XYZ_SPREADS[0] and spreads[1] is cascade._XYZ_SPREADS[1]
-        assert all(index is grid for index, grid in zip(cells, cascade._GRID))
+    def counted_table(rhos, factors):
+        table = real_table(rhos, factors)
+        builds[rhos.shape, table.shape, factors[2].shape] += 1
+        assert factors[0] is cascade._GRID[0] and factors[1] is cascade._GRID[1]
         return table
 
-    def counted_spreads(dirs, wing, lam=None):
-        spread.append((dirs, wing, lam))
-        return real_spreads(dirs, wing, lam)
+    def counted_spreads(dirs, wing, lam=None, index=None):
+        spread.append((dirs, wing, lam, index))
+        return real_spreads(dirs, wing, lam, index)
 
     def forbidden(*args):
         raise AssertionError("the default audit asked joint_probability")
@@ -833,8 +886,125 @@ def test_the_default_audit_reads_one_stacked_table(monkeypatch):
     monkeypatch.setattr(cascade, "setting_spreads", counted_spreads)
     monkeypatch.setattr(measurement, "joint_probability", forbidden)
     assert repr(no_signalling_audit(spec)) == repr(unpatched)
-    assert builds == {((1, 8, 8), (3, 3, 3, 8, 1)): len(spec.observers)}
-    assert spread == [(t.directions, 2, t.lam) for t in spec.observers]
+    m = len(spec.observers)
+    assert builds == {((m, 1, 1, 1, 1, 8, 8), (m, 3, 3, 3, 8, 1), (m, 1, 1, 3, 1, 1, 2, 64)): 1}
+    assert spread == [(t.directions, 2, t.lam, None) for t in spec.observers]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    count=st.sampled_from([1, 2, 6, 7, 8, 9, 36]),
+    scenario=st.sampled_from(list(Scenario)),
+    m=st.integers(min_value=1, max_value=4),
+    plan=st.none() | st.sampled_from(list(InequalityKind)),
+)
+def test_a_stacked_outcome_table_is_its_per_observer_calls_bit_for_bit(
+    seed, count, scenario, m, plan
+):
+    # m observers' state stacks and effects in one call, on the audit's
+    # full grid or on an oracle plan's cells, give each observer's own
+    # table: the bits of the unstacked call and of the per-call gather it
+    # replaced, for state counts on either side of the padding to 8
+    rng = np.random.default_rng(seed)
+    seq_wing = scenario.sequential_wing
+    triples = [random_triple(rng, float(rng.uniform(0.05, 1.0))) for _ in range(m)]
+    rhos = np.array([[random_mixed_state(rng) for _ in range(count)] for _ in range(m)])
+    if plan is None:
+        index, fixed = None, cascade._GRID
+        cells = np.ix_(range(3), range(3), range(3))
+    else:
+        index, fixed, _, _ = cascade._ORACLE_PLANS[plan, seq_wing]
+        cells = tuple(np.array(i) for i in reference_oracle_plan(plan, seq_wing)[0])
+    effects = [setting_spreads(t.directions, seq_wing, t.lam, index) for t in triples]
+    stacked = [np.stack(effects) if w == seq_wing else f for w, f in enumerate(fixed)]
+    # the observer axis, then 1 for each axis of the cells
+    got = outcome_table(rhos.reshape((m,) + (1,) * (effects[0].ndim - 4) + rhos.shape[1:]), stacked)
+    assert got.shape == (m,) + np.broadcast_shapes(*map(np.shape, cells)) + (8, count)
+    for rho, effect, triple, table in zip(rhos, effects, triples, got):
+        alone = outcome_table(rho, [effect if w == seq_wing else f for w, f in enumerate(fixed)])
+        spreads = reference_observer_spreads(seq_wing, triple)
+        want = reference_spread_outcome_table(rho, spreads, cells)
+        assert table.tobytes() == alone.tobytes() == want.tobytes()
+
+
+def test_outcome_table_refuses_state_stacks_that_miss_the_cells_axes():
+    # m state stacks must come as (m, 1, ..., 1, n, 8, 8), one axis per
+    # cell axis: one stack per observer in front of the full grid's
+    # factors is refused rather than read along the grid's first axis,
+    # as are stacks along any other cell axis
+    rng = np.random.default_rng(61)
+    triples = [random_triple(rng, lam) for lam in (0.4, 0.9, 1.0)]
+    rhos = np.array([[random_mixed_state(rng) for _ in range(2)] for _ in triples])
+    factors = [*cascade._GRID[:2], setting_spreads(triples[0].directions, 2, triples[0].lam)]
+    for states in (rhos, rhos[:, None], rhos[None, :, None], rhos[:, None, None, None, None]):
+        message = f"one axis per cell axis, here 3; got shape {states.shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            outcome_table(states, factors)
+    got = outcome_table(rhos[:, None, None], factors)
+    assert got.shape == (3, 3, 3, 8, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    scenario=st.sampled_from(list(Scenario)),
+    kind=st.sampled_from(list(InequalityKind)),
+    n=st.integers(min_value=1, max_value=6),
+)
+def test_the_audit_is_its_per_observer_read_by_repr(seed, scenario, kind, n):
+    # the one stacked audit table gives the deviation of one
+    # outcome_table call per observer
+    rng = np.random.default_rng(seed)
+    lams = [float(rng.uniform(0.05, 1.0)) for _ in range(n - 1)] + [1.0]
+    spec = ScenarioSpec(
+        scenario=scenario,
+        inequality=kind,
+        state=StateSpec(StateKind.CUSTOM, custom=random_mixed_state(rng)),
+        observers=tuple(random_triple(rng, lam) for lam in lams),
+    )
+    assert repr(no_signalling_audit(spec)) == repr(reference_observer_audit(spec))
+
+
+@pytest.mark.parametrize("scenario", list(Scenario))
+def test_the_projective_factors_are_gathered_once_at_import(monkeypatch, scenario):
+    # on every call, the oracle reads its plan's projective factors and the
+    # audit the grid's, the same read-only objects each time, and gathers
+    # only the sequential wing's factor, once per observer
+    rng = np.random.default_rng(59)
+    seq_wing = scenario.sequential_wing
+    spec = ScenarioSpec(
+        scenario=scenario,
+        inequality=InequalityKind.G2,
+        state=GHZ,
+        observers=tuple(random_triple(rng, lam) for lam in (0.5, 0.7, 1.0)),
+    )
+    index, fixed, _, _ = cascade._ORACLE_PLANS[spec.inequality, seq_wing]
+    read, gathered = [], []
+    real_table, real_spreads = cascade.outcome_table, cascade.setting_spreads
+
+    def counted_table(rhos, factors):
+        read.append(tuple(f for w, f in enumerate(factors) if w != seq_wing))
+        return real_table(rhos, factors)
+
+    def counted_spreads(dirs, wing, lam=None, index=None):
+        gathered.append((wing, index))
+        return real_spreads(dirs, wing, lam, index)
+
+    monkeypatch.setattr(cascade, "outcome_table", counted_table)
+    monkeypatch.setattr(cascade, "setting_spreads", counted_spreads)
+    for _ in range(2):
+        run_cascade_oracle(spec)
+        no_signalling_audit(spec)
+    own = {w: f for w, f in enumerate(fixed) if w != seq_wing}
+    grid = {w: f for w, f in enumerate(cascade._GRID) if w != seq_wing}
+    n = len(spec.observers)
+    assert len(read) == 2 * (n + 1)
+    for call, factors in enumerate(read):
+        want = grid if call % (n + 1) == n else own
+        assert all(f is g for f, g in zip(factors, want.values()))
+        assert not any(f.flags.writeable for f in factors)
+    assert gathered == 2 * ([(seq_wing, index)] * n + [(seq_wing, None)] * n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

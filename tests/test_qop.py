@@ -20,7 +20,6 @@ from seqsteer import (
     no_signalling_audit,
     xyz_spec,
 )
-from seqsteer.cascade import _SIGMAS
 from seqsteer.measurement import effect
 from seqsteer.qop import (
     I2,
@@ -165,10 +164,13 @@ def test_direction_angle_ranges_validated():
 
 @pytest.mark.parametrize("angle", ["1", True, None])
 def test_an_angle_that_is_not_a_real_number_is_rejected(angle):
-    # a string, a bool or None is no angle, even where float() reads it
-    with pytest.raises(ValueError, match=r"^theta must lie in \[0, pi\], got "):
+    # a string, a bool or None is no angle, even where float() reads it,
+    # and the message shows it by repr: "1" is not the number 1
+    message = f"must lie in [0, pi], got {angle!r}"
+    with pytest.raises(ValueError, match=f"^theta {re.escape(message)}$"):
         BlochDirection(angle, 0.0)
-    with pytest.raises(ValueError, match=r"^phi must lie in \[0, 2\*pi\], got "):
+    message = f"must lie in [0, 2*pi], got {angle!r}"
+    with pytest.raises(ValueError, match=f"^phi {re.escape(message)}$"):
         BlochDirection(1.0, angle)
 
 
@@ -191,7 +193,7 @@ def test_the_product_of_three_spreads_is_kron_bit_for_bit():
         tuple(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(3))
         for _ in range(200)
     ]
-    factors = [I2, *_SIGMAS]
+    factors = [I2, *(d.observable for d in XYZ)]
     for _ in range(4):
         pair = projector_stack((random_direction(rng),))[0]
         lam = float(rng.uniform(0.05, 1.0))
@@ -341,7 +343,7 @@ _SHARPNESS_TAKERS = {
 def test_every_sharpness_meets_the_one_rule(taker, lam):
     # a string or None used to raise TypeError from the comparison, and
     # True or np.True_ passed as sharpness 1
-    message = f"sharpness must lie in (0, 1], got {lam}"
+    message = f"sharpness must lie in (0, 1], got {lam!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         _SHARPNESS_TAKERS[taker](lam)
 

@@ -322,19 +322,27 @@ def test_one_walk_runs_a_state_down_a_chain():
 def test_spread_product_is_the_one_three_qubit_product():
     # every 8x8 product of three 2x2 factors is a qop.spread_product of
     # their spreads, so the wing-bit layout is spelled once: the term walk
-    # multiplies the spreads cascade builds at import, the Kraus stack the
-    # roots' spread with the identity spreads measurement builds at import,
-    # and the outcome operators each wing's setting_spreads; no module
-    # shifts bits outside qop, and no tensor3 is left to build a product
+    # multiplies rows of qop.SIGMA_SPREADS, the Kraus stack the roots'
+    # spread with that table's identity rows, and the outcome operators
+    # each wing's setting_spreads; no module shifts bits outside qop, and
+    # no tensor3 is left to build a product
     assert _callers_of("spread_product") == {
         "cascade.term_expectations",
         "measurement.selective_updates",
         "measurement.outcome_table",
     }
     assert _callers_of("tensor3") == set()
-    # and cascade's x, y, z spreads, from one module-level statement
+    # the projective wings' x, y, z factors are gathered once, at import:
+    # the oracle's in its read plans, the audit's grid in one module-level
+    # statement; per call the oracle and the audit gather only the
+    # sequential wing's
     callers = _callers_of("setting_spreads")
-    statements = callers - {"measurement.joint_probability", "cascade._wing_spreads"}
+    statements = callers - {
+        "measurement.joint_probability",
+        "cascade._oracle_plan",
+        "cascade.run_cascade_oracle",
+        "cascade.no_signalling_audit",
+    }
     assert len(statements) == 1
     module, _, where = statements.pop().partition(".")
     assert module == "cascade" and where.isdigit()
@@ -371,10 +379,8 @@ def test_every_module_level_array_is_read_only():
     # the walk reaches the arrays inside tuples and dicts, nested too
     tables = {
         "qop._PAULI",
-        "measurement._IDENTITY",
-        "cascade._SPREADS",
+        "qop.SIGMA_SPREADS",
         "cascade._TERM_FACTORS",
-        "cascade._XYZ_SPREADS",
         "cascade._GRID",
         "cascade._ORACLE_PLANS",
     }
@@ -393,8 +399,15 @@ def test_one_function_builds_and_reads_the_outcome_operators():
     ]
     assert not defined, f"joint_operators is defined again: {defined}"
     # setting_spreads builds each wing's factors, effects on the
-    # sequential wing, and outcome_table alone multiplies and traces them
+    # sequential wing, already gathered at the cells, and outcome_table
+    # alone multiplies and traces them, gathering nothing itself
     assert _callers_of("effect") == {"measurement.setting_spreads"}
+    tree = ast.parse((PACKAGE / "measurement.py").read_text())
+    (table,) = [n for n in tree.body if getattr(n, "name", None) == "outcome_table"]
+    calls = [n.func for n in ast.walk(table) if isinstance(n, ast.Call)]
+    called = {getattr(f, "attr", getattr(f, "id", None)) for f in calls}
+    assert called.isdisjoint({"take", "spread", "setting_spreads"}), called
+    assert [a.arg for a in table.args.args] == ["rhos", "factors"]
     assert _callers_of("outcome_table") == {
         "measurement.joint_probability",
         "cascade.run_cascade_oracle",

@@ -709,10 +709,61 @@ def reference_direction_outcome_table(rhos, seq_wing, lam, dirs, cells):
 def direction_outcome_table(rhos, seq_wing, lam, dirs, cells):
     """outcome_table of the cells of dirs, one tuple of BlochDirections
     per wing, with the unsharp effects at lam on seq_wing: each wing's
-    setting_spreads, as the package's callers build them."""
+    setting_spreads taken at its index array of cells, as the package's
+    callers build them."""
     seq_wing = resolve_wing(seq_wing)
-    spreads = [setting_spreads(d, w, lam if w == seq_wing else None) for w, d in enumerate(dirs)]
-    return outcome_table(rhos, spreads, cells)
+    factors = [
+        setting_spreads(d, w, lam if w == seq_wing else None, index)
+        for w, (d, index) in enumerate(zip(dirs, cells))
+    ]
+    return outcome_table(rhos, factors)
+
+
+def reference_setting_spreads(dirs, wing, lam=None):
+    """The spreads on wing of the +1 and -1 projectors along each of the
+    BlochDirections dirs, or of their unsharp effects at sharpness lam,
+    as one (len(dirs), 2, 64) stack.
+
+    This is setting_spreads before it took its factor at the cells, kept
+    literally for reference_spread_outcome_table.
+    """
+    stack = projector_stack(dirs)
+    return spread(stack if lam is None else effect(stack, lam), wing)
+
+
+def reference_spread_outcome_table(rhos, spreads, cells):
+    """outcome_table of one (n, 8, 8) stack of states, from each wing's
+    reference_setting_spreads, (n_w, 2, 64), taken per call at its array
+    of indices in cells with its outcome axis at the wing's place.
+
+    This is the outcome_table that the one taking factors already
+    gathered at their cells replaced, kept literally so that the new
+    path, stacked or not, can be checked against it bit for bit.
+    """
+    factors = []
+    for wing, (stack, index) in enumerate(zip(spreads, cells)):
+        shape = [1, 1, 1, 64]  # the outcome axes, then the spread entries
+        shape[wing] = 2
+        factors.append(np.take(stack, index, axis=0).reshape(np.shape(index) + tuple(shape)))
+    ops = spread_product(*factors)
+    n = len(rhos)
+    cols = np.zeros((8, 8, -(-n // 8) * 8), complex)
+    cols[..., :n] = rhos.transpose(2, 1, 0)
+    d = (ops.reshape(-1, 8, 8).transpose(1, 0, 2) @ cols)[..., :n].real
+    traces = ((d[0] + d[4]) + (d[1] + d[5])) + ((d[2] + d[6]) + (d[3] + d[7]))
+    return traces.reshape(ops.shape[:-5] + (8, n))
+
+
+def reference_observer_spreads(seq_wing, triple):
+    """Each wing's reference_setting_spreads in wing order: the triple's
+    effects on the sequential wing and x, y, z's projectors elsewhere,
+    all built per call, as before the projective factors were gathered
+    once, at import."""
+    return [
+        reference_setting_spreads(triple.directions if w == seq_wing else XYZ, w,
+                                  triple.lam if w == seq_wing else None)
+        for w in (0, 1, 2)
+    ]
 
 
 def reference_oracle_plan(kind, seq_wing):
@@ -1023,3 +1074,28 @@ def reference_index_audit(spec, prob_fn=None):
     p = np.stack(tables)
     plus = sum(np.moveaxis(p[:, _AUDIT_CELLS, _AUDIT_PLUS], -1, 0), 0.0)
     return float(np.max(np.max(plus, axis=-1) - np.min(plus, axis=-1)))
+
+
+def reference_observer_audit(spec):
+    """no_signalling_audit's quantum model one observer at a time: each
+    state's own reference_spread_outcome_table of the full grid, from the
+    factors gathered per call by reference_observer_spreads, then the
+    audit's stacked reduction.
+
+    This is the default audit that the one stacked outcome_table call
+    replaced, kept literally so that the stacked call can be checked
+    against it by repr.
+    """
+    spec.require_observers()
+    seq_wing = spec.sequential_wing
+    grid = np.ix_(range(3), range(3), range(3))
+    rhos = states_along(validate_density(build_state(spec.state)), seq_wing, spec.observers)
+    tables = [
+        reference_spread_outcome_table(rho[None], reference_observer_spreads(seq_wing, t), grid)
+        for t, rho in zip(spec.observers, rhos)
+    ]
+    p = np.reshape(tables, (-1, 3, 3, 3, 2, 2, 2))
+    wings = [np.moveaxis(p.take(0, axis=4 + w), 1 + w, 1).reshape(-1, 3, 9, 4) for w in (0, 1, 2)]
+    plus = sum(np.moveaxis(np.stack(wings, axis=1), -1, 0), 0.0)
+    return float(np.max(np.max(plus, axis=-1) - np.min(plus, axis=-1)))
+
