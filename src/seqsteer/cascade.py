@@ -64,6 +64,13 @@ _TERM_FACTORS = {
 # gathered once: the audit's factors on the projective wings
 _GRID = tuple(read_only(setting_spreads(XYZ, w)) for w in (0, 1, 2))
 
+# the audit's reads of an observer's flat (216,) table: [w, d, r, k] is wing
+# w's k-th +1 outcome, in outcome order, at its direction d and remote cell r
+_MARGINALS = read_only(np.stack([
+    np.moveaxis(np.arange(216).reshape(3, 3, 3, 2, 2, 2).take(0, 3 + w), w, 0).reshape(3, 9, 4)
+    for w in (0, 1, 2)
+]))
+
 
 def _oracle_plan(kind, seq_wing):
     """The cells of an observer's grid the terms read, as the index array
@@ -246,8 +253,8 @@ def run_cascade_oracle(spec: ScenarioSpec) -> CascadeResult:
     index, fixed, rows, signs = _ORACLE_PLANS[spec.inequality, seq_wing]
     branches = build_state(spec.state)[None]
     values = []
-    for m, triple in enumerate(spec.observers):
-        effects = setting_spreads(triple.directions, seq_wing, triple.lam, index)
+    chain = setting_spreads([t.directions for t in spec.observers], seq_wing, spec.lambdas, index)
+    for m, (triple, effects) in enumerate(zip(spec.observers, chain)):
         tables = outcome_table(branches, [effects if f is None else f for f in fixed])[rows]
         weight = (1.0 / 3.0) ** m
         values.append(
@@ -293,7 +300,7 @@ def no_signalling_audit(spec: ScenarioSpec, prob_fn=None) -> float:
         # every observer's state and effects stacked: one table of them all
         states = np.stack([rho for _, rho in zip(spec.observers, rhos)])
         states = states.reshape(-1, 1, 1, 1, 1, 8, 8)  # one state per observer
-        effects = np.stack([setting_spreads(t.directions, seq_wing, t.lam) for t in spec.observers])
+        effects = setting_spreads([t.directions for t in spec.observers], seq_wing, spec.lambdas)
         factors = [effects if w == seq_wing else f for w, f in enumerate(_GRID)]
         tables = outcome_table(states, factors)
     else:
@@ -310,12 +317,7 @@ def no_signalling_audit(spec: ScenarioSpec, prob_fn=None) -> float:
                     f"the model's table must hold real numbers, got dtype {table.dtype}"
                 )
             tables.append(table)
-    # p[m, d0, d1, d2, o0, o1, o2]: observer m, each wing's direction, then
-    # each wing's outcome, index 0 for +1, as the outcome axis orders them
-    p = np.reshape(tables, (-1, 3, 3, 3, 2, 2, 2))
-    # plus[m, w, d, r]: wing w's P(+1) at its direction d and remote cell
-    # r, which must not move along r; its four +1 outcomes are added in
-    # outcome order from 0.0, the bits that oracle_bits.json pins
-    wings = [np.moveaxis(p.take(0, axis=4 + w), 1 + w, 1).reshape(-1, 3, 9, 4) for w in (0, 1, 2)]
-    plus = sum(np.moveaxis(np.stack(wings, axis=1), -1, 0), 0.0)
+    # plus[m, w, d, r]: wing w's P(+1), which must not move along r, its four
+    # +1 outcomes added in order from 0.0: the bits that oracle_bits.json pins
+    plus = sum(np.moveaxis(np.reshape(tables, (-1, 216))[:, _MARGINALS], -1, 0), 0.0)
     return float(np.max(np.max(plus, axis=-1) - np.min(plus, axis=-1)))

@@ -60,8 +60,12 @@ class SettingTriple:
 
 def effect(projectors, lam):
     """Unsharp effects lam*P + (1-lam)*I/2 of a stack of projectors P,
-    shape (..., 2, 2), with lam in (0, 1]."""
-    require_sharpness(lam)
+    shape (..., 2, 2), with lam in (0, 1], or with lam a tuple of m such
+    values of m stacks, shape (m, ..., 2, 2), stack i at lam[i]."""
+    for x in lam if isinstance(lam, tuple) else (lam,):
+        require_sharpness(x)
+    if isinstance(lam, tuple):
+        lam = np.reshape(lam, (-1,) + (1,) * (projectors.ndim - 1))
     return lam * projectors + (1 - lam) * I2 / 2
 
 
@@ -72,16 +76,17 @@ def setting_spreads(dirs, wing, lam=None, index=None):
     into dirs of the cells' shape, or with index None along the wing's
     own axis of the full grid. Its shape is the cells', then the three
     outcome axes, 2 at the wing's place and 1 elsewhere, then the 64
-    entries."""
-    stack = projector_stack(dirs)
+    entries. With lam a chain's tuple of sharpness values and dirs its
+    tuple of directions per value, the observers' factors come on a leading axis."""
+    k = int(isinstance(lam, tuple))  # 1 with the observers' axis in front
+    stack = np.array([projector_stack(d) for d in dirs]) if k else projector_stack(dirs)
     spreads = spread(stack if lam is None else effect(stack, lam), wing)
+    if index is None:
+        index = np.arange(spreads.shape[k]).reshape([-1 if w == wing else 1 for w in (0, 1, 2)])
     outcomes = [1, 1, 1, 64]
     outcomes[wing] = 2
-    if index is None:
-        cells = [1, 1, 1]
-        cells[wing] = len(spreads)
-        return spreads.reshape(cells + outcomes)
-    return np.take(spreads, index, axis=0).reshape(np.shape(index) + tuple(outcomes))
+    lead = spreads.shape[:k]
+    return np.take(spreads, index, axis=k).reshape(lead + np.shape(index) + tuple(outcomes))
 
 
 def selective_updates(rho, wing, triple: SettingTriple):
@@ -168,8 +173,9 @@ def outcome_table(rhos, factors):
     bits; unpadded, counts such as 1, 2 or 6 change the last bits. Only
     the n real state columns of the padded product are reduced: the
     eight real parts are added in the pairwise order of numpy's sum over
-    eight contiguous values; real and imaginary parts add apart, so
-    taking .real first keeps the bits of the complex trace."""
+    eight contiguous values, as three adds of half stacks: rows 0-3 plus
+    4-7, even plus odd, then the two; real and imaginary parts add
+    apart, so taking .real first keeps the bits of the complex trace."""
     ops = spread_product(*factors)
     cells = ops.shape[:-5]
     k = int(rhos.ndim > 3)  # row r's axis goes in front of the m stacks
@@ -183,7 +189,9 @@ def outcome_table(rhos, factors):
     cols = np.zeros((8, *rhos.shape[:k], 8, -(-n // 8) * 8), complex)
     cols[..., :n] = rhos.reshape(rhos.shape[:k] + (n, 8, 8)).transpose(k + 2, *range(k), k + 1, k)
     d = (rows @ cols)[..., :n].real
-    traces = ((d[0] + d[4]) + (d[1] + d[5])) + ((d[2] + d[6]) + (d[3] + d[7]))
+    d = d[:4] + d[4:]  # ((d0 + d4) + (d1 + d5)) + ((d2 + d6) + (d3 + d7))
+    d = d[::2] + d[1::2]
+    traces = d[0] + d[1]
     return traces.reshape(traces.shape[:-2] + cells[k:] + (8, n))
 
 
@@ -200,9 +208,10 @@ def table_correlation(tables, signs):
     an (8, n) outcome_table, with signs[t] the subset's outcome_signs,
     as a list with one float per t; on the unsharp wing each is lam
     times the projective one, as E(+) - E(-) is lam * n.sigma. Each
-    state's eight signed outcomes, then the states' totals, are added
-    left to right, one ordered cumsum per axis; 0.0 + the last gives the
-    bits, signed zeros included, of adding them to 0.0 (builtin sum
-    compensates from 3.12 on)."""
-    totals = np.cumsum(signs * tables, axis=1)[:, -1]
+    state's eight signed outcomes are added left to right, seven adds of
+    whole arrays, then the states' totals in one ordered cumsum; 0.0 +
+    its last gives the bits, signed zeros included, of adding them to
+    0.0 (builtin sum compensates from 3.12 on)."""
+    signed = (signs * tables).transpose(1, 0, 2)  # the outcome axis first
+    totals = sum(signed[1:], signed[0])
     return (0.0 + np.cumsum(totals, axis=1)[:, -1]).tolist()

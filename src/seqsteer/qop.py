@@ -7,6 +7,7 @@ ordering is fixed throughout the package: index 0 is Alice, 1 is Bob,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -163,7 +164,7 @@ def effect_sqrt(projectors, lam):
     form, with P_a the projector onto outcome a; lam lies in (0, 1].
     """
     require_sharpness(lam)
-    root_a, root_b = np.sqrt((1 + lam) / 2), np.sqrt((1 - lam) / 2)
+    root_a, root_b = math.sqrt((1 + lam) / 2), math.sqrt((1 - lam) / 2)
     return root_a * projectors + root_b * projectors[..., ::-1, :, :]
 
 

@@ -32,6 +32,7 @@ The bit pins of the suite are of three kinds, and only the last depends on the B
   same arithmetic, rounded.
 """
 
+import os
 import platform
 
 import numpy as np
@@ -51,12 +52,16 @@ def tables():
 
 
 def pytest_report_header(config):
-    """The interpreter, numpy and BLAS running, beside those the bit pins
-    (the goldens, FROZEN_* values and *_bits.json files) were recorded
-    on; outcome_table's padding keeps the bits of that BLAS's kernel."""
+    """The interpreter, numpy and BLAS running, and the BLAS thread count
+    asked for, beside those the bit pins (the goldens, FROZEN_* values
+    and *_bits.json files) were recorded on; outcome_table's padding
+    keeps the bits of that BLAS's kernel. The package's matmuls are
+    small, so the suite's wall time depends on OPENBLAS_NUM_THREADS: with
+    it unset they run on OpenBLAS's thread pool."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
     return (
         f"python {platform.python_version()}, numpy {np.__version__}, "
-        f"{blas['name']} {blas['version']}; bit pins recorded on python 3.11.7, "
-        "numpy 2.4.6, scipy-openblas 0.3.31.188.0"
+        f"{blas['name']} {blas['version']} with OPENBLAS_NUM_THREADS={threads}; "
+        "bit pins recorded on python 3.11.7, numpy 2.4.6, scipy-openblas 0.3.31.188.0"
     )

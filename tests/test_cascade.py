@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import re
 import tracemalloc
@@ -11,20 +12,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import seqsteer
 from seqsteer import (
     GHZ,
     W,
+    BlochDirection,
     CascadeResult,
     InequalityKind,
     Optimizer,
     Scenario,
     ScenarioSpec,
+    SearchConfig,
     SettingTriple,
     StateKind,
     StateSpec,
     ThresholdTable,
     bloch_shrink_factor,
     build_state,
+    build_table,
     direction_coefficients,
     joint_probability,
     no_signalling_audit,
@@ -37,7 +42,13 @@ from seqsteer import (
 from seqsteer import cascade, measurement, qop
 from seqsteer.cascade import states_along
 from seqsteer.inequalities import required_terms
-from seqsteer.measurement import OUTCOMES, outcome_table, selective_updates, setting_spreads
+from seqsteer.measurement import (
+    OUTCOMES,
+    outcome_table,
+    selective_updates,
+    setting_spreads,
+    table_correlation,
+)
 from seqsteer.qop import XYZ, X_DIR, Y_DIR, Z_DIR
 from seqsteer.search import _coefficients
 from util import (
@@ -51,14 +62,18 @@ from util import (
     random_triple,
     reference_audit,
     reference_direction_outcome_table,
+    reference_cumsum_table_correlation,
     reference_grow_branches,
     reference_index_audit,
+    reference_moveaxis_deviation,
     reference_observer_audit,
+    reference_observer_setting_spreads,
     reference_observer_spreads,
     reference_oracle_plan,
     reference_setting_spreads,
     reference_spread_outcome_table,
     reference_probability_table,
+    reference_seven_add_outcome_table,
     reference_spread_tensor3,
     reference_term_expectations,
     value_from_state,
@@ -667,8 +682,8 @@ def test_the_chain_entry_points_reject_a_spec_that_is_not_a_scenario_spec(entry,
         _CHAIN_ENTRY_POINTS[entry](spec)
 
 
-# the inputs every argument of the oracle, the audit and joint_probability
-# is tried with, 1.0 standing where an integer belongs
+# the inputs every argument of each public callable and constructor is
+# tried with, 1.0 standing where an integer belongs
 _BAD_VALUES = {
     "str": "x",
     "None": None,
@@ -681,13 +696,24 @@ _BAD_VALUES = {
 _AUDIT_SPEC = xyz_spec(Scenario.A, InequalityKind.G1, GHZ, (0.8, 1.0))
 
 
+def _with(function, argument, **valid):
+    """function called with the valid arguments, argument replaced by value."""
+    return lambda value: function(**{**valid, argument: value})
+
+
 def _joint(argument):
     """joint_probability with one argument replaced by value."""
-    def call(value):
-        args = {"rho": build_state(GHZ), "seq_wing": 0, "lam": 0.5, "dirs": (XYZ,) * 3}
-        return joint_probability(**{**args, argument: value})
+    rho = build_state(GHZ)
+    return _with(joint_probability, argument, rho=rho, seq_wing=0, lam=0.5, dirs=(XYZ,) * 3)
 
-    return call
+
+def _type_message(name, cls):
+    """require_type's message for a value that is not a cls."""
+    return lambda v: f"{name} must be of type {cls.__name__}, got {v!r}"
+
+
+def _sharpness_message(value):
+    return f"sharpness must lie in (0, 1], got {value!r}"
 
 
 def _joint_rho_message(value):
@@ -710,6 +736,42 @@ def _custom_state_message(value):
     return f"custom state must be 8x8, got {np.shape(value)}"
 
 
+def _observers_message(value):
+    if isinstance(value, str):  # iterable, so its characters are observers
+        return f"observer must be of type SettingTriple, got {value[0]!r}"
+    return f"observers must be iterable, got {value!r}"
+
+
+def _directions_message(value):
+    if isinstance(value, (str, tuple)):  # iterable, so counted as directions
+        return f"a triple needs three directions, got {len(value)}"
+    return f"directions must be iterable, got {value!r}"
+
+
+def _table_call(argument):
+    """build_table with one argument replaced by value."""
+    return _with(
+        build_table, argument, scenario=Scenario.A, inequality=InequalityKind.G1, state=GHZ
+    )
+
+
+def _coefficients_call(argument):
+    """direction_coefficients with one argument replaced by value."""
+    rho = build_state(GHZ)
+    return _with(
+        direction_coefficients, argument,
+        rho=rho, scenario=Scenario.A, inequality=InequalityKind.G1, lam=0.5,
+    )
+
+
+def _spec_call(argument):
+    """ScenarioSpec with one field replaced by value."""
+    return _with(
+        ScenarioSpec, argument, scenario=Scenario.A, inequality=InequalityKind.G1, state=GHZ,
+        observers=(SettingTriple.xyz(1.0),),
+    )
+
+
 # each (callable, argument): the call, and the package's message for a
 # bad value
 _BAD_INPUT_CALLS = {
@@ -717,34 +779,101 @@ _BAD_INPUT_CALLS = {
     "joint_probability-seq_wing": (
         _joint("seq_wing"), lambda v: f"unknown wing {v!r}; expected 0, 1 or 2"
     ),
-    "joint_probability-lam": (_joint("lam"), lambda v: f"sharpness must lie in (0, 1], got {v!r}"),
+    "joint_probability-lam": (_joint("lam"), _sharpness_message),
     "joint_probability-dirs": (_joint("dirs"), _joint_dirs_message),
-    "run_cascade_oracle-spec": (
-        run_cascade_oracle, lambda v: f"spec must be of type ScenarioSpec, got {v!r}"
-    ),
-    "no_signalling_audit-spec": (
-        no_signalling_audit, lambda v: f"spec must be of type ScenarioSpec, got {v!r}"
-    ),
+    "run_cascade-spec": (run_cascade, _type_message("spec", ScenarioSpec)),
+    "run_cascade_oracle-spec": (run_cascade_oracle, _type_message("spec", ScenarioSpec)),
+    "no_signalling_audit-spec": (no_signalling_audit, _type_message("spec", ScenarioSpec)),
     "no_signalling_audit-prob_fn": (
         lambda v: no_signalling_audit(_AUDIT_SPEC, v),
         lambda v: f"prob_fn must be callable, got {v!r}",
     ),
-    "SettingTriple-lam": (
-        lambda v: SettingTriple(XYZ, v), lambda v: f"sharpness must lie in (0, 1], got {v!r}"
+    "build_table-scenario": (_table_call("scenario"), _type_message("scenario", Scenario)),
+    "build_table-inequality": (
+        _table_call("inequality"), _type_message("inequality", InequalityKind)
+    ),
+    "build_table-state": (_table_call("state"), _type_message("state", StateSpec)),
+    "build_table-config": (_table_call("config"), _type_message("config", SearchConfig)),
+    "threshold_lambda-prefix": (threshold_lambda, _type_message("prefix", ScenarioSpec)),
+    "threshold_lambda-config": (
+        lambda v: threshold_lambda(_AUDIT_SPEC, v), _type_message("config", SearchConfig)
+    ),
+    "optimize_angles-spec": (
+        lambda v: optimize_angles(v, 1), _type_message("spec", ScenarioSpec)
+    ),
+    "optimize_angles-m": (
+        lambda v: optimize_angles(_AUDIT_SPEC, v),
+        lambda v: f"observer index must be an integer in 1..2, got {v!r}",
+    ),
+    "optimize_angles-config": (
+        lambda v: optimize_angles(_AUDIT_SPEC, 1, v), _type_message("config", SearchConfig)
+    ),
+    "direction_coefficients-rho": (_coefficients_call("rho"), _joint_rho_message),
+    "direction_coefficients-scenario": (
+        _coefficients_call("scenario"), _type_message("scenario", Scenario)
+    ),
+    "direction_coefficients-inequality": (
+        _coefficients_call("inequality"), _type_message("inequality", InequalityKind)
+    ),
+    "direction_coefficients-lam": (_coefficients_call("lam"), _sharpness_message),
+    "BlochDirection-theta": (
+        lambda v: BlochDirection(v, 0.0), lambda v: f"theta must lie in [0, pi], got {v!r}"
+    ),
+    "BlochDirection-phi": (
+        lambda v: BlochDirection(0.0, v), lambda v: f"phi must lie in [0, 2*pi], got {v!r}"
+    ),
+    "build_state-spec": (build_state, _type_message("spec", StateSpec)),
+    "bloch_shrink_factor-lam": (bloch_shrink_factor, _sharpness_message),
+    # the tolerance prints by str, so np.True_ reads True
+    "SearchConfig-tol": (
+        lambda v: SearchConfig(tol=v),
+        lambda v: f"tol must lie in [2**-53 = 1.11e-16, 1), got {v}",
+    ),
+    "SearchConfig-optimizer": (
+        lambda v: SearchConfig(optimizer=v), _type_message("optimizer", Optimizer)
+    ),
+    "ScenarioSpec-scenario": (_spec_call("scenario"), _type_message("scenario", Scenario)),
+    "ScenarioSpec-inequality": (
+        _spec_call("inequality"), _type_message("inequality", InequalityKind)
+    ),
+    "ScenarioSpec-state": (_spec_call("state"), _type_message("state", StateSpec)),
+    "ScenarioSpec-observers": (_spec_call("observers"), _observers_message),
+    "SettingTriple-directions": (lambda v: SettingTriple(v, 0.5), _directions_message),
+    "SettingTriple-lam": (lambda v: SettingTriple(XYZ, v), _sharpness_message),
+    "xyz_spec-scenario": (
+        _with(xyz_spec, "scenario", inequality=InequalityKind.G1, state=GHZ, lambdas=(1.0,)),
+        _type_message("scenario", Scenario),
+    ),
+    "xyz_spec-inequality": (
+        _with(xyz_spec, "inequality", scenario=Scenario.A, state=GHZ, lambdas=(1.0,)),
+        _type_message("inequality", InequalityKind),
+    ),
+    "xyz_spec-state": (
+        _with(xyz_spec, "state", scenario=Scenario.A, inequality=InequalityKind.G1, lambdas=(1.0,)),
+        _type_message("state", StateSpec),
     ),
     # a string is iterable, so its characters are the sharpness values
     "xyz_spec-lambdas": (
         lambda v: xyz_spec(Scenario.A, InequalityKind.G1, GHZ, v),
-        lambda v: f"sharpness must lie in (0, 1], got {v!r}"
+        lambda v: _sharpness_message(v)
         if isinstance(v, str)
         else f"lambdas must be iterable, got {v!r}",
     ),
+    "StateSpec-kind": (StateSpec, _type_message("state kind", StateKind)),
     "StateSpec-custom": (lambda v: StateSpec(StateKind.CUSTOM, v), _custom_state_message),
 }
 # the cases that are valid, and why
 _VALID_INPUTS = {
     ("joint_probability-lam", "1.0"): "sharpness 1 is a projective measurement",
     ("no_signalling_audit-prob_fn", "None"): "None asks for the quantum model",
+    ("build_table-config", "None"): "None asks for the default SearchConfig",
+    ("threshold_lambda-config", "None"): "None asks for the default SearchConfig",
+    ("optimize_angles-config", "None"): "None asks for the default SearchConfig",
+    ("direction_coefficients-lam", "1.0"): "sharpness 1 is a projective measurement",
+    ("BlochDirection-theta", "1.0"): "1 radian lies in [0, pi]",
+    ("BlochDirection-phi", "1.0"): "1 radian lies in [0, 2*pi]",
+    ("bloch_shrink_factor-lam", "1.0"): "sharpness 1 is a projective measurement",
+    ("ScenarioSpec-observers", "()"): "an empty chain is a search prefix",
     ("SettingTriple-lam", "1.0"): "sharpness 1 is a projective measurement",
     ("xyz_spec-lambdas", "()"): "an empty chain is a search prefix",
 }
@@ -753,17 +882,42 @@ _VALID_INPUTS = {
 @pytest.mark.parametrize("value", sorted(_BAD_VALUES))
 @pytest.mark.parametrize("case", sorted(_BAD_INPUT_CALLS))
 def test_each_bad_input_is_a_value_error_or_listed_valid(case, value):
-    # every argument of joint_probability, run_cascade_oracle and
-    # no_signalling_audit, a SettingTriple's sharpness, xyz_spec's
-    # sharpness values and a custom StateSpec's matrix, against each input
-    # of the table: a ValueError with the package's message, or a case
-    # listed valid with its reason
+    # every argument of each public callable and constructor, against
+    # each input of the table: a ValueError with the package's message,
+    # or a case listed valid with its reason
     call, message = _BAD_INPUT_CALLS[case]
     if (case, value) in _VALID_INPUTS:
         call(_BAD_VALUES[value])
         return
     with pytest.raises(ValueError, match=f"^{re.escape(message(_BAD_VALUES[value]))}$"):
         call(_BAD_VALUES[value])
+
+
+# the public names that take no input: results, errors, enums and the two
+# built-in states
+_NOT_INPUTS = {
+    "CascadeResult",
+    "ThresholdTable",
+    "SearchError",
+    "StateFormatError",
+    "InequalityKind",
+    "Optimizer",
+    "Scenario",
+    "StateKind",
+    "GHZ",
+    "W",
+}
+
+
+def test_every_public_argument_has_a_bad_input_row():
+    # each argument of every public callable and constructor is tried
+    # with every bad value, so a new entry point or argument needs a row
+    rows = {
+        f"{name}-{argument}"
+        for name in set(seqsteer.__all__) - _NOT_INPUTS
+        for argument in inspect.signature(getattr(seqsteer, name)).parameters
+    }
+    assert rows == set(_BAD_INPUT_CALLS)
 
 
 def test_no_signalling_on_quantum_model():
@@ -856,7 +1010,7 @@ def test_the_default_audit_reads_one_stacked_table(monkeypatch):
     # one outcome_table of the full grid for the whole chain: every
     # observer's state stacked, the x, y, z factors of the grid gathered at
     # import on the projective wings, and on the sequential wing every
-    # observer's setting_spreads of its effects stacked, one call each;
+    # observer's effects from one setting_spreads call for the chain;
     # joint_probability is not asked
     rng = np.random.default_rng(53)
     spec = ScenarioSpec(
@@ -888,13 +1042,13 @@ def test_the_default_audit_reads_one_stacked_table(monkeypatch):
     assert repr(no_signalling_audit(spec)) == repr(unpatched)
     m = len(spec.observers)
     assert builds == {((m, 1, 1, 1, 1, 8, 8), (m, 3, 3, 3, 8, 1), (m, 1, 1, 3, 1, 1, 2, 64)): 1}
-    assert spread == [(t.directions, 2, t.lam, None) for t in spec.observers]
+    assert spread == [([t.directions for t in spec.observers], 2, spec.lambdas, None)]
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
-    count=st.sampled_from([1, 2, 6, 7, 8, 9, 36]),
+    count=st.sampled_from([1, 2, 6, 7, 8, 9, 36, 216]),
     scenario=st.sampled_from(list(Scenario)),
     m=st.integers(min_value=1, max_value=4),
     plan=st.none() | st.sampled_from(list(InequalityKind)),
@@ -926,6 +1080,73 @@ def test_a_stacked_outcome_table_is_its_per_observer_calls_bit_for_bit(
         spreads = reference_observer_spreads(seq_wing, triple)
         want = reference_spread_outcome_table(rho, spreads, cells)
         assert table.tobytes() == alone.tobytes() == want.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    count=st.sampled_from([1, 6, 36, 216]),
+    scenario=st.sampled_from(list(Scenario)),
+    m=st.integers(min_value=1, max_value=4),
+    plan=st.none() | st.sampled_from(list(InequalityKind)),
+    projective_last=st.booleans(),
+)
+def test_the_chain_reads_are_the_replaced_forms_bit_for_bit(
+    seed, count, scenario, m, plan, projective_last
+):
+    # one setting_spreads call for the chain gives the bits of one call per
+    # observer, the three half-stack adds of outcome_table those of the
+    # seven slice adds, and on an oracle plan's cells table_correlation's
+    # whole-array adds those of the cumsum, at the oracle's branch counts
+    rng = np.random.default_rng(seed)
+    seq_wing = scenario.sequential_wing
+    lams = [float(rng.uniform(0.05, 1.0)) for _ in range(m)]
+    if projective_last:
+        lams[-1] = 1.0
+    triples = [random_triple(rng, lam) for lam in lams]
+    if plan is None:
+        index, fixed = None, cascade._GRID
+    else:
+        index, fixed, rows, signs = cascade._ORACLE_PLANS[plan, seq_wing]
+    chain = setting_spreads([t.directions for t in triples], seq_wing, tuple(lams), index)
+    want = np.stack([
+        reference_observer_setting_spreads(t.directions, seq_wing, t.lam, index) for t in triples
+    ])
+    assert chain.shape == want.shape
+    assert chain.tobytes() == want.tobytes()
+    factors = [chain if w == seq_wing else f for w, f in enumerate(fixed)]
+    rhos = np.array([[random_mixed_state(rng) for _ in range(count)] for _ in range(m)])
+    rhos = rhos.reshape((m,) + (1,) * (chain.ndim - 5) + rhos.shape[1:])
+    tables = outcome_table(rhos, factors)
+    want = reference_seven_add_outcome_table(rhos, factors)
+    assert tables.shape == want.shape
+    assert tables.tobytes() == want.tobytes()
+    if plan is not None:
+        for table in tables:
+            got = [repr(x) for x in table_correlation(table[rows], signs)]
+            assert got == [repr(x) for x in reference_cumsum_table_correlation(table[rows], signs)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    scenario=st.sampled_from(list(Scenario)),
+    m=st.integers(min_value=1, max_value=4),
+    nan=st.booleans(),
+)
+def test_the_marginals_gather_is_the_moveaxis_reduction_by_repr(seed, scenario, m, nan):
+    # any model's tables, with magnitudes over several decades so that the
+    # order of the adds shows, give the deviation of the moveaxis reduction
+    # through the one index built at import, a NaN included
+    rng = np.random.default_rng(seed)
+    shape = (m, 3, 3, 3, 8)
+    tables = rng.normal(size=shape) * 10.0 ** rng.integers(-4, 5, size=shape)
+    if nan:
+        tables[tuple(int(rng.integers(n)) for n in shape)] = np.nan
+    spec = xyz_spec(scenario, InequalityKind.G1, GHZ, [0.5] * (m - 1) + [1.0])
+    model = iter(tables)
+    got = no_signalling_audit(spec, prob_fn=lambda *args: next(model))
+    assert repr(got) == repr(reference_moveaxis_deviation(tables))
 
 
 def test_outcome_table_refuses_state_stacks_that_miss_the_cells_axes():
@@ -970,7 +1191,7 @@ def test_the_audit_is_its_per_observer_read_by_repr(seed, scenario, kind, n):
 def test_the_projective_factors_are_gathered_once_at_import(monkeypatch, scenario):
     # on every call, the oracle reads its plan's projective factors and the
     # audit the grid's, the same read-only objects each time, and gathers
-    # only the sequential wing's factor, once per observer
+    # only the sequential wing's factor, in one build for the whole chain
     rng = np.random.default_rng(59)
     seq_wing = scenario.sequential_wing
     spec = ScenarioSpec(
@@ -988,7 +1209,7 @@ def test_the_projective_factors_are_gathered_once_at_import(monkeypatch, scenari
         return real_table(rhos, factors)
 
     def counted_spreads(dirs, wing, lam=None, index=None):
-        gathered.append((wing, index))
+        gathered.append((wing, lam, index))
         return real_spreads(dirs, wing, lam, index)
 
     monkeypatch.setattr(cascade, "outcome_table", counted_table)
@@ -1004,7 +1225,7 @@ def test_the_projective_factors_are_gathered_once_at_import(monkeypatch, scenari
         want = grid if call % (n + 1) == n else own
         assert all(f is g for f, g in zip(factors, want.values()))
         assert not any(f.flags.writeable for f in factors)
-    assert gathered == 2 * ([(seq_wing, index)] * n + [(seq_wing, None)] * n)
+    assert gathered == 2 * [(seq_wing, spec.lambdas, index), (seq_wing, spec.lambdas, None)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

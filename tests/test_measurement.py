@@ -38,6 +38,7 @@ from util import (
     random_triple,
     reference_averaged_channel,
     reference_correlation,
+    reference_cumsum_table_correlation,
     reference_effect,
     reference_spread_tensor3,
     reference_joint_grid,
@@ -575,6 +576,29 @@ def test_the_one_signed_reduction_is_the_per_term_loop_bit_for_bit(seed, count, 
         tables[rng.integers(len(wings)), rng.integers(8), rng.integers(count)] = np.nan
     want = [repr(x) for x in reference_term_correlations(tables, wings)]
     assert [repr(x) for x in table_correlation(tables, outcome_signs(wings))] == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    count=st.sampled_from([1, 6, 36, 216]),
+    wings=st.lists(st.sampled_from([()] + WING_SUBSETS), min_size=1, max_size=10),
+    zeros=st.booleans(),
+    nan=st.booleans(),
+)
+def test_the_whole_array_adds_are_the_outcome_cumsum_bit_for_bit(seed, count, wings, zeros, nan):
+    # seven adds of whole arrays in OUTCOMES order give the bits of the
+    # ordered cumsum along the strided outcome axis, at the oracle's branch
+    # counts, for totals of -0.0 and a NaN too
+    rng = np.random.default_rng(seed)
+    tables = np.array([_spread_table(rng, count) for _ in wings])
+    signs = outcome_signs(wings)
+    if zeros:
+        tables[0] = -0.0 * signs[0]
+    if nan:
+        tables[rng.integers(len(wings)), rng.integers(8), rng.integers(count)] = np.nan
+    want = [repr(x) for x in reference_cumsum_table_correlation(tables, signs)]
+    assert [repr(x) for x in table_correlation(tables, signs)] == want
 
 
 # Bloch angles with the signed zeros and exact axes among them: -0.0

@@ -41,6 +41,7 @@ from util import (
     random_direction,
     random_mixed_state,
     random_pure_state,
+    reference_np_sqrt_effect_sqrt,
     reference_tensor3,
 )
 
@@ -316,6 +317,23 @@ def test_effect_sqrt_agrees_with_eigendecomposition(angle, lam):
     w = np.array([(1 - lam) / 2, (1 + lam) / 2])
     reference = u @ np.diag(np.sqrt(w)) @ u.conj().T
     assert np.allclose(effect_sqrt(projector_stack((d,)), lam)[0, 0], reference, atol=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    observers=st.lists(st.lists(angles, min_size=3, max_size=3), min_size=1, max_size=4),
+    lam=st.one_of(st.just(1.0), st.floats(min_value=0.0, max_value=1.0, exclude_min=True)),
+    numpy_scalar=st.booleans(),
+)
+def test_the_math_roots_are_the_numpy_roots_bit_for_bit(observers, lam, numpy_scalar):
+    # math.sqrt and np.sqrt both round the root of a double correctly, so
+    # the roots, and every Kraus operator of 1-4 observers' settings, keep
+    # their bits, for a Python float and a numpy float64 sharpness alike
+    stack = np.array([projector_stack([BlochDirection(*a) for a in o]) for o in observers])
+    lam = np.float64(lam) if numpy_scalar else lam
+    got, want = effect_sqrt(stack, lam), reference_np_sqrt_effect_sqrt(stack, lam)
+    assert got.shape == want.shape == (len(observers), 3, 2, 2, 2)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_effect_sqrt_validates_inputs():

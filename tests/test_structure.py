@@ -382,6 +382,7 @@ def test_every_module_level_array_is_read_only():
         "qop.SIGMA_SPREADS",
         "cascade._TERM_FACTORS",
         "cascade._GRID",
+        "cascade._MARGINALS",
         "cascade._ORACLE_PLANS",
     }
     assert tables <= {name for name, found in arrays.items() if found}

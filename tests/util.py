@@ -47,6 +47,7 @@ from seqsteer.qop import (
     XYZ,
     Z_DIR,
     projector_stack,
+    require_sharpness,
     resolve_wing,
     spread,
     spread_product,
@@ -731,6 +732,74 @@ def reference_setting_spreads(dirs, wing, lam=None):
     return spread(stack if lam is None else effect(stack, lam), wing)
 
 
+def reference_observer_setting_spreads(dirs, wing, lam=None, index=None):
+    """setting_spreads of one observer: the spreads on wing of the
+    projectors along the BlochDirections dirs, or of their effects at the
+    one sharpness lam, taken at index, or with index None along the
+    wing's own axis of the full grid.
+
+    This is setting_spreads before it built a whole chain's factors in
+    one call, kept literally, with the one-sharpness effect it called
+    written out, so that the chain build can be checked against one call
+    per observer bit for bit.
+    """
+    stack = projector_stack(dirs)
+    if lam is not None:
+        require_sharpness(lam)
+        stack = lam * stack + (1 - lam) * I2 / 2
+    spreads = spread(stack, wing)
+    outcomes = [1, 1, 1, 64]
+    outcomes[wing] = 2
+    if index is None:
+        cells = [1, 1, 1]
+        cells[wing] = len(spreads)
+        return spreads.reshape(cells + outcomes)
+    return np.take(spreads, index, axis=0).reshape(np.shape(index) + tuple(outcomes))
+
+
+def reference_seven_add_outcome_table(rhos, factors):
+    """outcome_table with each entry's eight row products added by seven
+    slice adds, ((d[0] + d[4]) + (d[1] + d[5])) + ((d[2] + d[6]) + (d[3] +
+    d[7])).
+
+    This is the row sum that three adds of half stacks replaced, kept
+    literally so that the new sum can be checked against it bit for bit.
+    """
+    ops = spread_product(*factors)
+    cells = ops.shape[:-5]
+    k = int(rhos.ndim > 3)
+    n = rhos.shape[-3]
+    rows = ops.reshape(cells[:k] + (-1, 8, 8)).transpose(k + 1, *range(k + 1), k + 2)
+    cols = np.zeros((8, *rhos.shape[:k], 8, -(-n // 8) * 8), complex)
+    cols[..., :n] = rhos.reshape(rhos.shape[:k] + (n, 8, 8)).transpose(k + 2, *range(k), k + 1, k)
+    d = (rows @ cols)[..., :n].real
+    traces = ((d[0] + d[4]) + (d[1] + d[5])) + ((d[2] + d[6]) + (d[3] + d[7]))
+    return traces.reshape(traces.shape[:-2] + cells[k:] + (8, n))
+
+
+def reference_cumsum_table_correlation(tables, signs):
+    """table_correlation with each state's eight signed outcomes added in
+    one ordered cumsum along the strided outcome axis.
+
+    This is the reduction that seven adds of whole arrays replaced, kept
+    literally so that the new one can be checked against it bit for bit.
+    """
+    totals = np.cumsum(signs * tables, axis=1)[:, -1]
+    return (0.0 + np.cumsum(totals, axis=1)[:, -1]).tolist()
+
+
+def reference_np_sqrt_effect_sqrt(projectors, lam):
+    """effect_sqrt with its two roots sqrt((1 + lam)/2) and sqrt((1 -
+    lam)/2) taken by np.sqrt.
+
+    This is the root that math.sqrt replaced, kept literally so that the
+    new roots can be checked against it bit for bit.
+    """
+    require_sharpness(lam)
+    root_a, root_b = np.sqrt((1 + lam) / 2), np.sqrt((1 - lam) / 2)
+    return root_a * projectors + root_b * projectors[..., ::-1, :, :]
+
+
 def reference_spread_outcome_table(rhos, spreads, cells):
     """outcome_table of one (n, 8, 8) stack of states, from each wing's
     reference_setting_spreads, (n_w, 2, 64), taken per call at its array
@@ -1079,8 +1148,8 @@ def reference_index_audit(spec, prob_fn=None):
 def reference_observer_audit(spec):
     """no_signalling_audit's quantum model one observer at a time: each
     state's own reference_spread_outcome_table of the full grid, from the
-    factors gathered per call by reference_observer_spreads, then the
-    audit's stacked reduction.
+    factors gathered per call by reference_observer_spreads, then
+    reference_moveaxis_deviation.
 
     This is the default audit that the one stacked outcome_table call
     replaced, kept literally so that the stacked call can be checked
@@ -1094,8 +1163,20 @@ def reference_observer_audit(spec):
         reference_spread_outcome_table(rho[None], reference_observer_spreads(seq_wing, t), grid)
         for t, rho in zip(spec.observers, rhos)
     ]
+    return reference_moveaxis_deviation(tables)
+
+
+def reference_moveaxis_deviation(tables):
+    """no_signalling_audit's reduction of a stack of (3, 3, 3, 8) tables:
+    each wing's four +1 outcomes taken off the table's outcome axes and
+    moved behind its own direction by moveaxis, one stack per wing, and
+    added in OUTCOMES order from 0.0.
+
+    This is the reduction that one gather through an index built at
+    import replaced, kept literally so that the gather can be checked
+    against it by repr.
+    """
     p = np.reshape(tables, (-1, 3, 3, 3, 2, 2, 2))
     wings = [np.moveaxis(p.take(0, axis=4 + w), 1 + w, 1).reshape(-1, 3, 9, 4) for w in (0, 1, 2)]
     plus = sum(np.moveaxis(np.stack(wings, axis=1), -1, 0), 0.0)
     return float(np.max(np.max(plus, axis=-1) - np.min(plus, axis=-1)))
-
